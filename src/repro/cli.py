@@ -999,13 +999,22 @@ def _cmd_show(program: str, tree_kernel: bool = False,
         print("======================================")
         print(generated.rstrip())
     if tree_kernel:
+        from .algorithms.fifo import FIFOTransaction
         from .core.scheduler import ProgrammableScheduler
-        from .core.tree import single_node_tree
+        from .core.tree import ScheduleTree, TreeNode, single_node_tree
 
-        scheduler = ProgrammableScheduler(
-            single_node_tree(DEFAULT_FACTORIES[program]()),
-            pifo_backend=pifo_backend,
-        )
+        if program in SHAPING_PROGRAMS:
+            # A shaping transaction paces a node towards its parent: show
+            # it where it runs, on the child of a FIFO root, so the kernel
+            # has the suspend and the resume block in it.
+            root = TreeNode(name="root", scheduling=FIFOTransaction())
+            root.add_child(TreeNode(name="shaped",
+                                    scheduling=FIFOTransaction(),
+                                    shaping=DEFAULT_FACTORIES[program]()))
+            tree = ScheduleTree(root)
+        else:
+            tree = single_node_tree(DEFAULT_FACTORIES[program]())
+        scheduler = ProgrammableScheduler(tree, pifo_backend=pifo_backend)
         print()
         print("Fused tree kernel (repro.lang.treekernel)")
         print("=========================================")

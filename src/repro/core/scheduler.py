@@ -36,7 +36,7 @@ from .transaction import TransactionContext
 from .tree import ScheduleTree, TreeNode, _packet_flow
 
 
-@dataclass
+@dataclass(slots=True)
 class ShapingToken:
     """A suspended enqueue waiting in a node's shaping PIFO.
 
@@ -104,9 +104,12 @@ class ProgrammableScheduler:
         Whether to fuse the whole tree into a generated per-shape kernel
         (:mod:`repro.lang.treekernel`) replacing :meth:`enqueue` /
         :meth:`dequeue` with specialised straight-line code.  Defaults to
-        on (overridable per process via ``REPRO_TREE_KERNEL=0``); trees the
-        kernel cannot fuse (shaping transactions) automatically stay on the
-        interpreted path, with the reason in ``kernel_fallback_reason``.
+        on (overridable per process via ``REPRO_TREE_KERNEL=0``) and covers
+        every tree, shaping included; only a scheduler *subclass* stays on
+        the interpreted methods, with the reason in
+        ``kernel_fallback_reason``.  ``tree_kernel=False`` selects those
+        methods on purpose: they are the executable statement of Sections
+        2.1-2.3 that the kernel is checked against in lockstep.
 
     Shaping releases are driven by a single **global shaping calendar**: a
     heap of ``(release_time, seq, token)`` shared by the whole tree.  The
@@ -141,14 +144,14 @@ class ProgrammableScheduler:
         self._deq_ctx = TransactionContext()
         #: The installed fused kernel (None when running interpreted).
         self.tree_kernel = None
+        #: True only for a live kernel over a tree without shaping: then a
+        #: non-empty scheduler always yields a packet, which is what lets a
+        #: port use :meth:`transfer` (``None`` must mean "dropped") and skip
+        #: the shaping wake-up.
+        self.kernel_work_conserving = False
         #: Why the fused kernel is not installed (None when it is).
         self.kernel_fallback_reason: Optional[str] = None
-        # Fused kernels bind per-instance enqueue/dequeue, which would
-        # shadow overrides in subclasses — only enable for this exact class.
-        self._tree_kernel_enabled = (
-            _tree_kernel_default(tree_kernel)
-            and type(self) is ProgrammableScheduler
-        )
+        self._tree_kernel_enabled = _tree_kernel_default(tree_kernel)
         self._install_kernel()
 
     def use_backend(self, backend: BackendSpec) -> None:
@@ -167,7 +170,8 @@ class ProgrammableScheduler:
         :meth:`reset`, :meth:`use_backend`) and from the kernel's own
         staleness guard when the tree was changed behind the scheduler's
         back (``tree.use_backend``, ``add_child``, direct transaction
-        resets).
+        resets).  The one fallback left is a subclass: the kernel binds
+        per-instance closures, which would shadow its method overrides.
         """
         if not self._tree_kernel_enabled:
             self._uninstall_kernel()
@@ -181,6 +185,7 @@ class ProgrammableScheduler:
             self.kernel_fallback_reason = str(exc)
             return
         self.tree_kernel = kernel
+        self.kernel_work_conserving = kernel.work_conserving
         self.kernel_fallback_reason = None
         # Instance-attribute binding: reads shadow the class methods, so
         # ports and fabrics call the fused closures with zero dispatch.
@@ -190,6 +195,7 @@ class ProgrammableScheduler:
 
     def _uninstall_kernel(self) -> None:
         self.tree_kernel = None
+        self.kernel_work_conserving = False
         self.kernel_fallback_reason = "disabled"
         self.__dict__.pop("enqueue", None)
         self.__dict__.pop("dequeue", None)
@@ -197,9 +203,7 @@ class ProgrammableScheduler:
 
     def set_tree_kernel(self, enabled: bool) -> None:
         """Enable/disable the fused kernel on a live (idle) scheduler."""
-        self._tree_kernel_enabled = (
-            enabled and type(self) is ProgrammableScheduler
-        )
+        self._tree_kernel_enabled = enabled
         self._install_kernel()
 
     def _kernel_stale_enqueue(self, packet: Packet, now: Optional[float]) -> bool:
@@ -221,47 +225,6 @@ class ProgrammableScheduler:
         if not self.enqueue(packet, now=now):
             return None
         return self.dequeue(now=now)
-
-    def _dequeue_descend(self, node: TreeNode, now: float) -> Packet:
-        """Continue a dequeue below a reference popped by the fused kernel.
-
-        Replicates the class :meth:`dequeue` descent loop from the point
-        where the interpreted engine would have set ``node = element`` —
-        the kernel handles the (overwhelmingly common) root level inline
-        and delegates deeper levels here.
-        """
-        ctx = self._deq_ctx
-        ctx.now = now
-        extras = ctx.extras
-        while True:
-            if node.scheduling_pifo.is_empty:
-                raise SchedulerError(
-                    f"dangling reference: node {node.name!r} was referenced "
-                    "by its parent but its scheduling PIFO is empty"
-                )
-            entry = node.scheduling_pifo.pop_entry()
-            element = entry.element
-            is_ref = isinstance(element, TreeNode)
-            if node.needs_dequeue_hook:
-                ctx.node = node.name
-                ctx.element_flow = element.name if is_ref else element.flow
-                ctx.element_length = 0 if is_ref else element.length
-                extras["rank"] = entry.rank
-                node.scheduling.on_dequeue(element, ctx)
-            if is_ref:
-                node = element
-                continue
-            packet: Packet = element
-            packet.dequeue_time = now
-            self._buffered_packets -= 1
-            stats = self.stats
-            stats.dequeued += 1
-            per_flow = stats.per_flow_dequeued
-            try:
-                per_flow[packet.flow] += 1
-            except KeyError:
-                per_flow[packet.flow] = 1
-            return packet
 
     # ------------------------------------------------------------------ #
     # Enqueue path                                                        #

@@ -107,7 +107,6 @@ class _CompiledProgramMixin:
         self.analysis: ProgramAnalysis = analyze_program(
             self.program, state=self._initial_state
         )
-        self.last_result: Optional[ExecutionResult] = None
         self._compiled: Optional[CompiledProgram] = None
         self._dequeue_compiled: Optional[CompiledProgram] = None
         self.compile_fallback_reason: Optional[str] = None
@@ -199,12 +198,9 @@ class _CompiledProgramMixin:
         for field_name, value in result.packet_writes.items():
             if field_name not in ("rank", "send_time"):
                 packet.set(field_name, value)
-        self.last_result = result
         return result
 
-    def on_dequeue(self, element: Any, ctx: TransactionContext) -> None:
-        if self._dequeue_execute is None:
-            return
+    def _dequeue_environment(self) -> ProgramEnvironment:
         env = self._dequeue_env
         if env is None or env.state is not self.state:
             env = ProgramEnvironment(
@@ -214,6 +210,12 @@ class _CompiledProgramMixin:
                 functions=self.functions,
             )
             self._dequeue_env = env
+        return env
+
+    def on_dequeue(self, element: Any, ctx: TransactionContext) -> None:
+        if self._dequeue_execute is None:
+            return
+        env = self._dequeue_environment()
         rank = ctx.extras.get("rank")
         env.params["dequeued_rank"] = 0.0 if rank is None else rank
         packet = element if isinstance(element, Packet) else _pseudo_packet(ctx)

@@ -12,6 +12,20 @@ The generated function has **the same signature and semantics as**
 
     fn(packet, ctx, env) -> ExecutionResult
 
+The same body is emitted a second time behind a **lean entry** for callers
+that want the outputs and nothing else (the whole-tree kernel,
+:mod:`repro.lang.treekernel`)::
+
+    lean(packet, now, element_flow, element_length, env) -> (rank, send_time)
+
+It takes the three context values a program can read instead of a context
+object, persists the packet-field writes the bridge would have persisted,
+and skips the :class:`ExecutionResult` — whose ``dict(_pw)`` copy and
+``locals()`` scan cost several times the statements themselves.  Both
+entries share the statements, the hoists and the error replay below, so
+they cannot drift apart; ``tests/lang/test_compiler_equivalence.py`` holds
+them to the same outputs, state and errors.
+
 Semantics preserved exactly:
 
 * name resolution order (``now``/``p`` builtins, then locals, then state,
@@ -76,6 +90,7 @@ from typing import (
     Tuple,
 )
 
+from ..core.transaction import TransactionContext
 from .ast import (
     Assign,
     Attribute,
@@ -118,15 +133,16 @@ class CompileError(LangError):
 #: Python source rendered for each packet builtin field (mirrors
 #: ``_PACKET_BUILTIN_FIELDS`` in the interpreter).
 _PACKET_FIELD_SOURCE = {
-    "length": "(ctx.element_length or packet.length)",
-    "size": "(ctx.element_length or packet.length)",
-    "flow": "(ctx.element_flow or packet.flow)",
+    "length": "(_el or packet.length)",
+    "size": "(_el or packet.length)",
+    "flow": "(_ef or packet.flow)",
     "arrival_time": "packet.arrival_time",
     "class": "packet.packet_class",
     "priority": "packet.priority",
 }
 
 _LOCAL_PREFIX = "_l_"
+_ARG_PREFIX = "_a_"
 
 _filename_counter = itertools.count()
 
@@ -159,10 +175,21 @@ def _raise_lang_error(message: str, line: int, *_evaluated: Any):
     raise RuntimeLangError(message, line=line)
 
 
-def _flow_of(ctx, packet, *_args):
+def _with_params(env: ProgramEnvironment, **params: Any) -> ProgramEnvironment:
+    """``env`` with ``params`` overlaid (the lean entry's replay path: its
+    argument parameters must be visible to the interpreter)."""
+    return ProgramEnvironment(
+        state=env.state,
+        params={**env.params, **params},
+        flow_attrs=env.flow_attrs,
+        functions=env.functions,
+    )
+
+
+def _flow_of(element_flow, packet, *_args):
     """``flow(p)`` — args are evaluated (for side effects) then ignored,
     exactly as the interpreter does."""
-    return ctx.element_flow or packet.flow
+    return element_flow or packet.flow
 
 
 class _Codegen:
@@ -177,16 +204,22 @@ class _Codegen:
     ) -> None:
         self.program = program
         self.state_keys: Set[str] = set(state)
-        self.dynamic_params: Set[str] = set(dynamic_params)
+        #: Explicit dynamic parameters: positional arguments of the lean
+        #: entry, read from ``env.params`` by the full one.
+        self.arg_params: Tuple[str, ...] = tuple(dynamic_params)
+        #: Parameters whose values cannot be inlined stay late-bound.
+        self.dynamic_params: Set[str] = set()
         self.inline_params: Dict[str, Any] = {}
         for key, value in params.items():
-            if key in self.dynamic_params:
+            if key in self.arg_params:
                 continue
             if _inlinable(value):
                 self.inline_params[key] = value
             else:
                 self.dynamic_params.add(key)
-        self.param_keys = set(self.inline_params) | self.dynamic_params
+        self.param_keys = (
+            set(self.inline_params) | self.dynamic_params | set(self.arg_params)
+        )
 
         # Names assigned as plain locals somewhere in the program (Python
         # function scoping then matches the interpreter's flat local frame).
@@ -217,10 +250,16 @@ class _Codegen:
 
         self.used_accessors: Set[str] = set()
         self.used_functions: Set[str] = set()
+        self.used_arg_params: Set[str] = set()
         self.uses_now = False
+        self.uses_element_flow = False
+        self.uses_element_length = False
         self.uses_state = False
         self.uses_dynamic_params = False
         self.uses_packet_fields = False
+        #: Whether the body touches ``packet`` at all (a hook program that
+        #: does not can run on a PIFO reference without a stand-in packet).
+        self.reads_packet = False
 
         self.lines: List[str] = []
         self.line_map: Dict[int, Statement] = {}
@@ -232,6 +271,18 @@ class _Codegen:
             self.line_map[len(self.lines)] = statement
 
     def generate(self) -> str:
+        """Emit both entries around one body.
+
+        ``_tx(packet, ctx, env)`` is :meth:`Interpreter.execute`'s twin and
+        returns the full :class:`ExecutionResult`.  ``_lean(packet, now,
+        element_flow, element_length, env, *arg_params)`` takes the three
+        context values a program can read instead of a context object and
+        builds no result: a ranking program persists its packet-field
+        writes (all but ``rank`` / ``send_time``, as the bridge does) and
+        returns ``(rank, send_time)``; a hook program — one compiled with
+        explicit dynamic parameters, i.e. the dequeue side — only updates
+        state, as ``on_dequeue`` discards its result.
+        """
         body_lines: List[str] = []
         saved = self.lines
         self.lines = body_lines
@@ -241,16 +292,71 @@ class _Codegen:
         if not body_lines:
             self._emit(2, "pass")
         self.lines = saved
+        body_map = self.line_map
+        self.line_map = {}
 
         self._emit(0, "def _tx(packet, ctx, env):")
+        if self.uses_now:
+            self._emit(1, "_now = ctx.now")
+        if self.uses_element_flow:
+            self._emit(1, "_ef = ctx.element_flow")
+        if self.uses_element_length:
+            self._emit(1, "_el = ctx.element_length")
+        for name in self.arg_params:
+            if name in self.used_arg_params:
+                # Left unbound when missing: the read then replays to the
+                # interpreter's "undefined name" error.
+                self._emit(1, f"if {name!r} in env.params:")
+                self._emit(2, f"{_ARG_PREFIX}{name} = env.params[{name!r}]")
+        self._emit_body(body_lines, body_map, "ctx", "env")
+        # The locals the program bound on this path (an unbound one is
+        # simply absent, as in the interpreter's frame).  Spelled out per
+        # name: a ``locals()`` scan pays for every hoist above as well.
+        self._emit(1, "_lc = {}")
+        for name in sorted(self.local_names):
+            self._emit(1, "try:")
+            self._emit(2, f"_lc[{name!r}] = {_LOCAL_PREFIX}{name}")
+            self._emit(1, "except UnboundLocalError:")
+            self._emit(2, "pass")
+        self._emit(
+            1,
+            "return _Result(rank=_pw.get('rank'), send_time=_pw.get('send_time'), "
+            "packet_writes=dict(_pw), locals=_lc)",
+        )
+
+        args = "".join(f", {_ARG_PREFIX}{name}" for name in self.arg_params)
+        self._emit(0, f"def _lean(packet, _now, _ef, _el, env{args}):")
+        replay_env = "env"
+        if self.arg_params:
+            overlay = ", ".join(
+                f"{name}={_ARG_PREFIX}{name}" for name in self.arg_params
+            )
+            replay_env = f"_with_params(env, {overlay})"
+        self._emit_body(
+            body_lines, body_map,
+            "_Ctx(now=_now, element_flow=_ef, element_length=_el)", replay_env,
+        )
+        if not self.arg_params:
+            if self.written_fields - {"rank", "send_time"}:
+                self._emit(1, "for _n, _v in _pw.items():")
+                self._emit(2, "if _n != 'rank' and _n != 'send_time':")
+                self._emit(3, "packet.set(_n, _v)")
+            outputs = ", ".join(
+                f"_pw.get({name!r})" if name in self.written_fields else "None"
+                for name in ("rank", "send_time")
+            )
+            self._emit(1, f"return {outputs}")
+        return "\n".join(self.lines) + "\n"
+
+    def _emit_body(self, body_lines: List[str], body_map: Dict[int, Statement],
+                   ctx_expr: str, env_expr: str) -> None:
+        """The part both entries share: hoists, the body, the replay guard."""
         if self.uses_state:
             self._emit(1, "_st = env.state")
         if self.uses_dynamic_params:
             self._emit(1, "_pr = env.params")
         if self.uses_packet_fields:
             self._emit(1, "_pf = packet.fields")
-        if self.uses_now:
-            self._emit(1, "_now = ctx.now")
         for attr in sorted(self.used_accessors):
             self._emit(1, f"_fa_{attr} = env.flow_attrs.get({attr!r})")
         for fn in sorted(self.used_functions):
@@ -262,28 +368,13 @@ class _Codegen:
         self._emit(1, "try:")
         offset = len(self.lines)
         self.lines.extend(body_lines)
-        self.line_map = {
-            lineno + offset: stmt for lineno, stmt in self.line_map.items()
-        }
+        for lineno, stmt in body_map.items():
+            self.line_map[lineno + offset] = stmt
         self._emit(1, "except _LangError:")
         self._emit(2, "raise")
         self._emit(1, "except Exception as _exc:")
-        self._emit(2, "_replay(_exc, packet, ctx, env, locals())")
+        self._emit(2, f"_replay(_exc, packet, {ctx_expr}, {env_expr}, locals())")
         self._emit(2, "raise")
-        if self.local_names:
-            locals_src = (
-                "{_n[%d:]: _v for _n, _v in locals().items() "
-                "if _n[:%d] == %r}"
-                % (len(_LOCAL_PREFIX), len(_LOCAL_PREFIX), _LOCAL_PREFIX)
-            )
-        else:
-            locals_src = "{}"
-        self._emit(
-            1,
-            "return _Result(rank=_pw.get('rank'), send_time=_pw.get('send_time'), "
-            f"packet_writes=dict(_pw), locals={locals_src})",
-        )
-        return "\n".join(self.lines) + "\n"
 
     # -- statements --------------------------------------------------------
     def _statement(self, statement: Statement, indent: int) -> None:
@@ -415,6 +506,7 @@ class _Codegen:
             self.uses_now = True
             return "_now"
         if name == "p":
+            self.reads_packet = True
             return "packet"
         if name in self.local_names:
             # Reading before any assignment ran raises UnboundLocalError,
@@ -429,6 +521,9 @@ class _Codegen:
         if name in self.dynamic_params:
             self.uses_dynamic_params = True
             return f"_pr[{name!r}]"
+        if name in self.arg_params:
+            self.used_arg_params.add(name)
+            return f"{_ARG_PREFIX}{name}"
         return self._static_error_expr(
             f"undefined name {name!r} (not a local, state variable, "
             "parameter or builtin)",
@@ -448,11 +543,16 @@ class _Codegen:
 
     def _packet_field(self, expr: Attribute) -> str:
         name = expr.attribute
+        self.reads_packet = True
         builtin = _PACKET_FIELD_SOURCE.get(name)
         if builtin is None:
             self.uses_packet_fields = True
             fallback = f"_pf[{name!r}]"
         else:
+            if name == "flow":
+                self.uses_element_flow = True
+            elif name in ("length", "size"):
+                self.uses_element_length = True
             fallback = builtin
         if name in self.written_fields:
             # Reads observe earlier writes in the same execution.
@@ -467,9 +567,11 @@ class _Codegen:
             # When every argument is side-effect free (cannot raise, calls
             # nothing) the call is inlined away entirely; otherwise the
             # arguments are still evaluated first, as the interpreter does.
+            self.reads_packet = True
+            self.uses_element_flow = True
             if all(self._effect_free(arg) for arg in expr.args):
-                return "(ctx.element_flow or packet.flow)"
-            return f"_flow(ctx, packet{', ' + args if args else ''})"
+                return "(_ef or packet.flow)"
+            return f"_flow(_ef, packet{', ' + args if args else ''})"
         name = expr.function
         if not name.isidentifier():  # pragma: no cover - lexer prevents this
             raise CompileError(f"invalid function name {name!r}", line=expr.line)
@@ -529,10 +631,11 @@ def _inlinable(value: Any) -> bool:
 
 
 class CompiledProgram:
-    """A program lowered to one native Python function.
+    """A program lowered to native Python: one body, two entries.
 
     ``execute`` has exactly the signature and contract of
     :meth:`Interpreter.execute`; the bridge can swap one for the other.
+    ``lean`` runs the same statements without building a result.
     """
 
     def __init__(self, program: Program, name: str = "program",
@@ -560,6 +663,8 @@ class CompiledProgram:
         weakref.finalize(self, linecache.cache.pop, filename, None)
         namespace: Dict[str, Any] = {
             "_Result": ExecutionResult,
+            "_Ctx": TransactionContext,
+            "_with_params": _with_params,
             "_LangError": LangError,
             "_replay": self._replay,
             "_rte": _raise_lang_error,
@@ -577,6 +682,12 @@ class CompiledProgram:
             ) from exc
         exec(code, namespace)
         self.execute = namespace["_tx"]
+        #: The result-free entry the tree kernel calls (see
+        #: :meth:`_Codegen.generate` for its contract).
+        self.lean = namespace["_lean"]
+        #: False when the program never touches the packet, so a hook can
+        #: run on a PIFO reference with ``packet=None``.
+        self.reads_packet = codegen.reads_packet
 
     # -- error replay ------------------------------------------------------
     def _replay(self, exc, packet, ctx, env, frame_locals) -> None:
@@ -663,20 +774,21 @@ def _signature(
             for key, value in state.items()
         )
     )
-    dynamic = set(dynamic_params)
+    late_bound = set()
     inline_items = []
     for key, value in params.items():
-        if key in dynamic:
+        if key in dynamic_params:
             continue
         if _inlinable(value):
             inline_items.append((key, type(value).__name__, value))
         else:
-            dynamic.add(key)
+            late_bound.add(key)
     return (
         program,
         state_sig,
         tuple(sorted(inline_items)),
-        tuple(sorted(dynamic)),
+        tuple(dynamic_params),
+        tuple(sorted(late_bound)),
     )
 
 

@@ -15,19 +15,34 @@ with the full per-packet path inlined into straight-line code:
   predicate descent becomes an ``if``/``elif`` chain over the static tree
   shape, including the paper's disjointness check);
 * rank computation is specialised per transaction class — FIFO, arrival
-  sequence, LSTF and lang-backed programs are inlined; anything else falls
-  back to a plain call, still inside the fused walk;
-* PIFO pushes and the head pop are inlined per backend (sorted list,
-  calendar heap, bucket queue, quantised bucket queue);
+  sequence and LSTF are inlined, compiled lang programs are called through
+  their result-free *lean* entry (:mod:`repro.lang.compiler`); anything
+  else is a plain call, still inside the fused walk;
+* PIFO pushes and pops are inlined per backend (sorted list, calendar
+  heap, bucket queue, quantised bucket queue), and the dequeue descent is
+  unrolled: a popped reference can only be one of the node's children;
 * the reused :class:`~repro.core.transaction.TransactionContext` is only
   populated on paths whose transactions can observe it, and the
   ``on_dequeue`` hook dispatch disappears entirely for hook-less trees.
 
+**Shaping (Section 2.3, Figures 4 and 5).**  A walk that reaches a shaped
+node with a parent on its path *suspends* there: the kernel computes the
+send time, parks a :class:`~repro.core.scheduler.ShapingToken` in the
+node's shaping PIFO and on the scheduler's own shaping calendar, and
+stops.  ``dequeue`` opens with the release loop — pop every due calendar
+entry, skip stale ones, and run that node's *resume block*, the static
+parent-to-root remainder of its path, at the token's release time.  The
+calendar, its sequence counter and the tokens are the ones the class
+methods use, so ``peek``, ``next_shaping_release``,
+``process_shaping_releases``, ``drain_timed`` and ``reset`` work unchanged
+on a scheduler running a kernel.
+
 **Caching.**  Kernels are compiled once per *shape signature* — the tree
 structure plus, per node, the transaction class (and, for lang-backed
 transactions, the program-AST signature reused from
-:func:`repro.lang.compiler.compile_cached`), the PIFO backend class, the
-predicate class and the hook/flow-fn flags.  Two schedulers with the same
+:func:`repro.lang.compiler.compile_cached` and which entry is called), the
+PIFO backend class, the predicate class, the hook/flow-fn flags and the
+shaping transaction's tag and PIFO backend.  Two schedulers with the same
 shape share one code object; each instantiates its own closures over its
 own node state, so state stays fully independent.
 
@@ -38,11 +53,6 @@ everything else — ``tree.use_backend()`` behind the scheduler's back, a
 direct ``transaction.reset()``, ``add_child`` after construction — is caught
 by a per-call identity guard that re-specialises on the next packet, so a
 stale kernel can never produce wrong results.
-
-**Fallback.**  Trees carrying shaping transactions (the suspend/resume walk
-with the global shaping calendar) stay on the interpreted hot path:
-:func:`compile_tree_kernel` raises :class:`TreeKernelError` and the
-scheduler records the reason in ``kernel_fallback_reason``.
 """
 
 from __future__ import annotations
@@ -53,9 +63,9 @@ from bisect import bisect_right
 from collections import deque
 from heapq import heappop, heappush
 from math import floor
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from ..core.packet import EMPTY_FIELDS, Packet
+from ..core.packet import EMPTY_FIELDS
 from ..obs import metrics as obs_metrics
 from ..core.pifo import (
     BucketedPIFO,
@@ -65,8 +75,9 @@ from ..core.pifo import (
     SortedListPIFO,
 )
 from ..core.predicates import ClassEquals, FlowEquals, MatchAll, MatchNone
+from ..core.scheduler import ProgrammableScheduler, ShapingToken
 from ..core.tree import TreeNode, _packet_flow
-from ..exceptions import PIFOFullError, TreeConfigurationError
+from ..exceptions import PIFOFullError, SchedulerError, TreeConfigurationError
 from .compiler import CompileError, _signature as _program_signature
 from .errors import RuntimeLangError
 
@@ -85,7 +96,9 @@ class TreeKernel:
     exactly as the enqueue/dequeue pair would, but the PIFO's backing data
     structure is never touched — the packet goes straight from rank
     computation to the transmitter.  Returns the head packet, or ``None``
-    when the enqueue was rejected.
+    when the enqueue was rejected — or, under shaping, when nothing is
+    eligible yet, which is why ports only call it on a
+    :attr:`work_conserving` kernel.
     """
 
     __slots__ = ("enqueue", "dequeue", "transfer", "signature", "source",
@@ -99,6 +112,12 @@ class TreeKernel:
         self.signature = signature
         self.source = source
         self.filename = filename
+
+    @property
+    def work_conserving(self) -> bool:
+        """No node shapes: a non-empty scheduler always yields a packet, so
+        ``transfer`` returning ``None`` can only mean the enqueue dropped."""
+        return all(sig.shaping is None for sig in self.signature)
 
 
 #: signature -> (factory, source, filename).  Bounded like the program cache.
@@ -137,24 +156,28 @@ _PIFO_TAGS = {
     QuantizedBucketedPIFO: "quantized",
 }
 
-# Imported lazily: the bridge pulls in the hardware analyser, which this
-# module must not require just to fuse hand-written transaction trees.
-_lang_tx_types: Optional[tuple] = None
 
+class _NodeSig(NamedTuple):
+    """Everything the generated code specialises on for one node."""
 
-def _lang_types() -> tuple:
-    global _lang_tx_types
-    if _lang_tx_types is None:
-        from .bridge import CompiledSchedulingTransaction
-
-        _lang_tx_types = (CompiledSchedulingTransaction,)
-    return _lang_tx_types
+    tx: Tuple                 #: scheduling transaction tag (see ``_tx_tag``)
+    backend: str              #: scheduling PIFO backend tag
+    capped: bool              #: scheduling PIFO has a capacity bound
+    hook: Optional[Tuple]     #: ``on_dequeue`` tag (see ``_hook_tag``)
+    default_flow: bool        #: ``flow_fn`` is the default ``packet.flow``
+    pred: Tuple               #: predicate tag
+    children: int
+    shaping: Optional[Tuple]  #: shaping transaction tag (``_shaping_tag``)
+    shaping_backend: Optional[str]
 
 
 def _tx_tag(tx) -> Tuple:
     """Specialisation tag for a scheduling transaction (part of the key)."""
     from ..algorithms.fifo import ArrivalSequenceTransaction, FIFOTransaction
     from ..algorithms.lstf import LSTFTransaction
+    # Imported lazily: the bridge pulls in the hardware analyser, which this
+    # module must not require just to fuse hand-written transaction trees.
+    from .bridge import CompiledSchedulingTransaction
 
     cls = type(tx)
     if cls is FIFOTransaction:
@@ -163,7 +186,7 @@ def _tx_tag(tx) -> Tuple:
         return ("arrival_seq",)
     if cls is LSTFTransaction:
         return ("lstf", tx.slack_field, tx.prev_wait_field)
-    if cls in _lang_types():
+    if cls is CompiledSchedulingTransaction:
         # Reuse the program-compiler's cache keying: same program AST and
         # environment signature -> same generated rank code.
         try:
@@ -174,8 +197,35 @@ def _tx_tag(tx) -> Tuple:
             # Unhashable parameter value: key on the instance instead (the
             # kernel is still correct, just not shared across schedulers).
             program_key = id(tx)
-        return ("lang", tx.program_name, program_key)
+        # Compiled programs are called through their lean entry; the
+        # interpreted backend keeps the ExecutionResult call.
+        return ("lang", tx.program_name, program_key, tx._compiled is not None)
     return ("generic", cls.__qualname__)
+
+
+def _hook_tag(node: TreeNode) -> Optional[Tuple]:
+    """How the kernel runs the node's ``on_dequeue`` (None: not at all)."""
+    if not node.needs_dequeue_hook:
+        return None
+    from .bridge import CompiledSchedulingTransaction
+
+    tx = node.scheduling
+    if type(tx) is CompiledSchedulingTransaction:
+        if tx._dequeue_execute is None:
+            return None  # no dequeue program: on_dequeue returns at once
+        if tx._dequeue_compiled is not None:
+            return ("lean", tx._dequeue_compiled.reads_packet)
+    return ("call",)
+
+
+def _shaping_tag(tx) -> Optional[Tuple]:
+    if tx is None:
+        return None
+    from .bridge import CompiledShapingTransaction
+
+    if type(tx) is CompiledShapingTransaction and tx._compiled is not None:
+        return ("lean", tx.program_name)
+    return ("call",)
 
 
 def _pred_tag(pred) -> Tuple:
@@ -191,29 +241,32 @@ def _pred_tag(pred) -> Tuple:
     return ("generic", cls.__qualname__)
 
 
-def _node_signature(node: TreeNode) -> Tuple:
+def _node_signature(node: TreeNode) -> _NodeSig:
     pifo = node.scheduling_pifo
-    return (
-        _tx_tag(node.scheduling),
-        _PIFO_TAGS.get(type(pifo), "generic"),
-        pifo.capacity is not None,
-        node.needs_dequeue_hook,
-        node.flow_fn is _packet_flow,
-        _pred_tag(node.predicate),
-        len(node.children),
+    shaped = node.shaping is not None
+    return _NodeSig(
+        tx=_tx_tag(node.scheduling),
+        backend=_PIFO_TAGS.get(type(pifo), "generic"),
+        capped=pifo.capacity is not None,
+        hook=_hook_tag(node),
+        default_flow=node.flow_fn is _packet_flow,
+        pred=_pred_tag(node.predicate),
+        children=len(node.children),
+        shaping=_shaping_tag(node.shaping),
+        shaping_backend=(
+            _PIFO_TAGS.get(type(node.shaping_pifo), "generic") if shaped else None
+        ),
     )
 
 
-def tree_signature(scheduler) -> Tuple:
-    """Shape signature of a scheduler's tree; raises on unsupported trees."""
-    nodes = scheduler.tree.nodes()
-    for node in nodes:
-        if node.shaping is not None:
-            raise TreeKernelError(
-                f"node {node.name!r} carries a shaping transaction; the "
-                "suspend/resume walk stays on the interpreted path"
-            )
-    return tuple(_node_signature(node) for node in nodes)
+def tree_signature(scheduler) -> Tuple[_NodeSig, ...]:
+    """Shape signature of a scheduler's tree; raises on unsupported schedulers."""
+    if type(scheduler) is not ProgrammableScheduler:
+        raise TreeKernelError(
+            f"{type(scheduler).__name__} subclasses ProgrammableScheduler; the "
+            "kernel's per-instance closures would shadow its method overrides"
+        )
+    return tuple(_node_signature(node) for node in scheduler.tree.nodes())
 
 
 # --------------------------------------------------------------------------- #
@@ -234,13 +287,34 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def _ctx_needed(tag: Tuple) -> bool:
-    """Whether the node's rank code reads the shared enqueue context."""
-    return tag[0] in ("lang", "generic")
+def _lean(sig: _NodeSig) -> bool:
+    """Whether the node's scheduling program runs through its lean entry."""
+    return sig.tx[0] == "lang" and sig.tx[3]
 
 
-def _emit_rank(em: _Emitter, ind: int, i: int, tag: Tuple) -> None:
-    """Emit statements computing ``rank`` for node ``i`` (element = packet)."""
+def _ctx_needed(sig: _NodeSig) -> bool:
+    """Whether the node's enqueue code reads the shared enqueue context."""
+    return (
+        (sig.tx[0] in ("generic", "lang") and not _lean(sig))
+        or sig.shaping == ("call",)
+    )
+
+
+def _emit_env(em: _Emitter, ind: int, tx: str, side: str = "") -> None:
+    """Emit the bridge's cached-environment lookup for transaction ``tx``
+    (``side="dequeue_"`` for its dequeue program's environment)."""
+    em.w(ind, f"env = {tx}._{side}env")
+    em.w(ind, f"if env is None or env.state is not {tx}.state:")
+    em.w(ind + 1, f"env = {tx}._{side}environment()")
+
+
+def _emit_rank(em: _Emitter, ind: int, i: int, sig: _NodeSig, flow: str) -> None:
+    """Emit statements computing ``rank`` for node ``i``.
+
+    ``flow`` is the expression for the element's flow at this node (what
+    the interpreted walk stores in ``ctx.element_flow``).
+    """
+    tag = sig.tx
     kind = tag[0]
     if kind == "fifo":
         em.w(ind, f"tx{i}.executions += 1")
@@ -268,110 +342,132 @@ def _emit_rank(em: _Emitter, ind: int, i: int, tag: Tuple) -> None:
             f"scheduling program {name!r} finished without assigning p.rank"
         )
         em.w(ind, f"tx{i}.executions += 1")
-        em.w(ind, f"env = tx{i}._env")
-        em.w(ind, f"if env is None or env.state is not tx{i}.state:")
-        em.w(ind + 1, f"env = tx{i}._environment()")
-        em.w(ind, f"res = x{i}(packet, ectx, env)")
-        em.w(ind, "for fname, value in res.packet_writes.items():")
-        em.w(ind + 1, "if fname != 'rank' and fname != 'send_time':")
-        em.w(ind + 2, "packet.set(fname, value)")
-        em.w(ind, f"tx{i}.last_result = res")
-        em.w(ind, "rank = res.rank")
+        _emit_env(em, ind, f"tx{i}")
+        if _lean(sig):
+            em.w(ind, f"rank = x{i}(packet, time_now, {flow}, length, env)[0]")
+        else:
+            em.w(ind, f"res = x{i}(packet, ectx, env)")
+            em.w(ind, "for fname, value in res.packet_writes.items():")
+            em.w(ind + 1, "if fname != 'rank' and fname != 'send_time':")
+            em.w(ind + 2, "packet.set(fname, value)")
+            em.w(ind, "rank = res.rank")
         em.w(ind, "if rank is None:")
         em.w(ind + 1, f"raise _RuntimeLangError({msg!r})")
     else:
         em.w(ind, f"rank = tx{i}(packet, ectx)")
 
 
-def _emit_push(em: _Emitter, ind: int, i: int, sig: Tuple, element: str) -> None:
-    """Emit a fused ``p{i}.push(element, rank)`` for the node's backend."""
-    backend, has_cap = sig[1], sig[2]
-    full = (
-        f"PIFO %r is full (capacity=%s)' % (p{i}.name, p{i}.capacity)"
+def _emit_send_time(em: _Emitter, ind: int, i: int, sig: _NodeSig,
+                    flow: str) -> None:
+    """Emit ``send_time = <node i's shaping transaction>`` (clamped)."""
+    if sig.shaping == ("call",):
+        em.w(ind, f"send_time = sh{i}(packet, ectx)")
+        return
+    # ShapingTransaction.__call__ around the program's lean entry.
+    msg = (
+        f"shaping program {sig.shaping[1]!r} finished without assigning "
+        "p.send_time or p.rank"
     )
+    em.w(ind, f"sh{i}.executions += 1")
+    _emit_env(em, ind, f"sh{i}")
+    em.w(ind, f"rank, send_time = xs{i}(packet, time_now, {flow}, length, env)")
+    em.w(ind, "if send_time is None:")
+    em.w(ind + 1, "send_time = rank")
+    em.w(ind + 1, "if send_time is None:")
+    em.w(ind + 2, f"raise _RuntimeLangError({msg!r})")
+    em.w(ind, "if send_time < time_now - 1e-12:")
+    em.w(ind + 1, "send_time = time_now")
+
+
+def _emit_push(em: _Emitter, ind: int, p: str, backend: str, capped: bool,
+               element: str, rank: str = "rank") -> None:
+    """Emit a fused ``{p}.push(element, rank)`` for the PIFO's backend."""
+    full = f"PIFO %r is full (capacity=%s)' % ({p}.name, {p}.capacity)"
     if backend == "sorted":
-        em.w(ind, f"entries = p{i}._entries")
-        if has_cap:
-            em.w(ind, f"if len(entries) - p{i}._front >= c{i}:")
-            em.w(ind + 1, f"p{i}.drops += 1")
+        em.w(ind, f"entries = {p}._entries")
+        if capped:
+            em.w(ind, f"if len(entries) - {p}._front >= {p}_cap:")
+            em.w(ind + 1, f"{p}.drops += 1")
             em.w(ind + 1, f"raise _PIFOFullError('{full})")
-        em.w(ind, f"seq = p{i}._seq")
-        em.w(ind, f"p{i}._seq = seq + 1")
-        em.w(ind, "key = (rank, seq)")
-        em.w(ind, f"keys = p{i}._keys")
+        em.w(ind, f"seq = {p}._seq")
+        em.w(ind, f"{p}._seq = seq + 1")
+        em.w(ind, f"key = ({rank}, seq)")
+        em.w(ind, f"keys = {p}._keys")
         em.w(ind, "if not keys or key >= keys[-1]:")
         em.w(ind + 1, "keys.append(key)")
-        em.w(ind + 1, f"entries.append(_PIFOEntry(rank, seq, {element}))")
+        em.w(ind + 1, f"entries.append(_PIFOEntry({rank}, seq, {element}))")
         em.w(ind, "else:")
-        em.w(ind + 1, f"idx = _bisect_right(keys, key, lo=p{i}._front)")
+        em.w(ind + 1, f"idx = _bisect_right(keys, key, lo={p}._front)")
         em.w(ind + 1, "keys.insert(idx, key)")
-        em.w(ind + 1, f"entries.insert(idx, _PIFOEntry(rank, seq, {element}))")
-        em.w(ind, f"p{i}.pushes += 1")
+        em.w(ind + 1, f"entries.insert(idx, _PIFOEntry({rank}, seq, {element}))")
+        em.w(ind, f"{p}.pushes += 1")
     elif backend in ("bucketed", "quantized"):
-        if has_cap:
-            em.w(ind, f"if p{i}._size >= c{i}:")
-            em.w(ind + 1, f"p{i}.drops += 1")
+        if capped:
+            em.w(ind, f"if {p}._size >= {p}_cap:")
+            em.w(ind + 1, f"{p}.drops += 1")
             em.w(ind + 1, f"raise _PIFOFullError('{full})")
         if backend == "bucketed":
-            em.w(ind, "key = int(rank)")
-            em.w(ind, "if key != rank:")
+            em.w(ind, f"key = int({rank})")
+            em.w(ind, f"if key != {rank}:")
             em.w(
                 ind + 1,
                 f"raise ValueError('BucketedPIFO %r requires integer ranks, "
-                f"got %r' % (p{i}.name, rank))",
+                f"got %r' % ({p}.name, {rank}))",
             )
         else:
-            em.w(ind, f"key = _floor(rank / qm{i})")
-        em.w(ind, f"bks = p{i}._buckets")
+            em.w(ind, f"key = _floor({rank} / {p}_q)")
+        em.w(ind, f"bks = {p}._buckets")
         em.w(ind, "bucket = bks.get(key)")
         em.w(ind, "if bucket is None:")
         em.w(ind + 1, "bucket = bks[key] = _deque()")
-        em.w(ind + 1, f"_heappush(p{i}._rank_heap, key)")
-        em.w(ind, f"seq = p{i}._seq")
-        em.w(ind, f"p{i}._seq = seq + 1")
-        em.w(ind, f"bucket.append(_PIFOEntry(rank, seq, {element}))")
-        em.w(ind, f"p{i}._size += 1")
-        em.w(ind, f"p{i}.pushes += 1")
+        em.w(ind + 1, f"_heappush({p}._rank_heap, key)")
+        em.w(ind, f"seq = {p}._seq")
+        em.w(ind, f"{p}._seq = seq + 1")
+        em.w(ind, f"bucket.append(_PIFOEntry({rank}, seq, {element}))")
+        em.w(ind, f"{p}._size += 1")
+        em.w(ind, f"{p}.pushes += 1")
     elif backend == "calendar":
-        if has_cap:
-            em.w(ind, f"if len(p{i}._heap) >= c{i}:")
-            em.w(ind + 1, f"p{i}.drops += 1")
+        if capped:
+            em.w(ind, f"if len({p}._heap) >= {p}_cap:")
+            em.w(ind + 1, f"{p}.drops += 1")
             em.w(ind + 1, f"raise _PIFOFullError('{full})")
-        em.w(ind, f"seq = p{i}._seq")
-        em.w(ind, f"p{i}._seq = seq + 1")
-        em.w(ind, f"_heappush(p{i}._heap, (rank, seq, _PIFOEntry(rank, seq, {element})))")
-        em.w(ind, f"p{i}.pushes += 1")
+        em.w(ind, f"seq = {p}._seq")
+        em.w(ind, f"{p}._seq = seq + 1")
+        em.w(ind, f"_heappush({p}._heap, ({rank}, seq, "
+                  f"_PIFOEntry({rank}, seq, {element})))")
+        em.w(ind, f"{p}.pushes += 1")
     else:
-        em.w(ind, f"p{i}.push({element}, rank)")
+        em.w(ind, f"{p}.push({element}, {rank})")
 
 
-def _emit_root_pop(em: _Emitter, ind: int, sig: Tuple) -> None:
-    """Emit the root head pop into ``entry`` (or ``return None`` if empty)."""
-    backend = sig[1]
+def _emit_pop(em: _Emitter, ind: int, p: str, backend: str,
+              on_empty: str) -> None:
+    """Emit the head pop of PIFO ``p`` into ``entry``; an empty PIFO runs
+    the ``on_empty`` statement (``return None``, ``continue``, a raise)."""
     if backend == "sorted":
-        em.w(ind, "entries = p0._entries")
-        em.w(ind, "front = p0._front")
+        em.w(ind, f"entries = {p}._entries")
+        em.w(ind, f"front = {p}._front")
         em.w(ind, "if front >= len(entries):")
-        em.w(ind + 1, "return None")
+        em.w(ind + 1, on_empty)
         em.w(ind, "entry = entries[front]")
         em.w(ind, "entries[front] = None")
         em.w(ind, "front += 1")
         em.w(ind, "if front == len(entries):")
         em.w(ind + 1, "entries.clear()")
-        em.w(ind + 1, "p0._keys.clear()")
-        em.w(ind + 1, "p0._front = 0")
+        em.w(ind + 1, f"{p}._keys.clear()")
+        em.w(ind + 1, f"{p}._front = 0")
         em.w(ind, f"elif front >= {SortedListPIFO._COMPACT_MIN} and front * 2 >= len(entries):")
         em.w(ind + 1, "del entries[:front]")
-        em.w(ind + 1, "del p0._keys[:front]")
-        em.w(ind + 1, "p0._front = 0")
+        em.w(ind + 1, f"del {p}._keys[:front]")
+        em.w(ind + 1, f"{p}._front = 0")
         em.w(ind, "else:")
-        em.w(ind + 1, "p0._front = front")
-        em.w(ind, "p0.pops += 1")
+        em.w(ind + 1, f"{p}._front = front")
+        em.w(ind, f"{p}.pops += 1")
     elif backend in ("bucketed", "quantized"):
-        em.w(ind, "if not p0._size:")
-        em.w(ind + 1, "return None")
-        em.w(ind, "rh = p0._rank_heap")
-        em.w(ind, "bks = p0._buckets")
+        em.w(ind, f"if not {p}._size:")
+        em.w(ind + 1, on_empty)
+        em.w(ind, f"rh = {p}._rank_heap")
+        em.w(ind, f"bks = {p}._buckets")
         em.w(ind, "while True:")
         em.w(ind + 1, "key = rh[0]")
         em.w(ind + 1, "bucket = bks.get(key)")
@@ -380,20 +476,47 @@ def _emit_root_pop(em: _Emitter, ind: int, sig: Tuple) -> None:
         em.w(ind + 1, "_heappop(rh)")
         em.w(ind + 1, "bks.pop(key, None)")
         em.w(ind, "entry = bucket.popleft()")
-        em.w(ind, "p0._size -= 1")
+        em.w(ind, f"{p}._size -= 1")
         em.w(ind, "if not bucket:")
         em.w(ind + 1, "del bks[key]")
-        em.w(ind, "p0.pops += 1")
+        em.w(ind, f"{p}.pops += 1")
     elif backend == "calendar":
-        em.w(ind, "heap = p0._heap")
+        em.w(ind, f"heap = {p}._heap")
         em.w(ind, "if not heap:")
-        em.w(ind + 1, "return None")
+        em.w(ind + 1, on_empty)
         em.w(ind, "entry = _heappop(heap)[2]")
-        em.w(ind, "p0.pops += 1")
+        em.w(ind, f"{p}.pops += 1")
     else:
-        em.w(ind, "if p0.is_empty:")
-        em.w(ind + 1, "return None")
-        em.w(ind, "entry = p0.pop_entry()")
+        em.w(ind, f"if {p}.is_empty:")
+        em.w(ind + 1, on_empty)
+        em.w(ind, f"entry = {p}.pop_entry()")
+
+
+def _emit_hook(em: _Emitter, ind: int, i: int, sig: _NodeSig, name: str,
+               element: str, rank: str, child: Optional[str] = None) -> None:
+    """Emit node ``i``'s ``on_dequeue`` for a popped element.
+
+    ``element`` is the variable holding it; ``child`` names the referenced
+    child when the element is a PIFO reference rather than a packet.
+    """
+    hook = sig.hook
+    if hook is None:
+        return
+    is_ref = child is not None
+    flow = repr(child) if is_ref else f"{element}.flow"
+    length = "0" if is_ref else f"{element}.length"
+    if hook[0] == "lean" and not (is_ref and hook[1]):
+        # A reference has no packet: pass None, the program reads none.
+        packet = "None" if is_ref else element
+        _emit_env(em, ind, f"tx{i}", side="dequeue_")
+        em.w(ind, f"xd{i}({packet}, now, {flow}, {length}, env, {rank})")
+        return
+    em.w(ind, "dctx.now = now")
+    em.w(ind, f"dctx.node = {name!r}")
+    em.w(ind, f"dctx.element_flow = {flow}")
+    em.w(ind, f"dctx.element_length = {length}")
+    em.w(ind, f"extras['rank'] = {rank}")
+    em.w(ind, f"tx{i}.on_dequeue({element}, dctx)")
 
 
 def _pred_expr(i: int, tag: Tuple) -> str:
@@ -409,7 +532,7 @@ def _pred_expr(i: int, tag: Tuple) -> str:
     return f"q{i}(packet)"
 
 
-def _generate(signature: Tuple, nodes: List[TreeNode]) -> str:
+def _generate(signature: Tuple[_NodeSig, ...], nodes: List[TreeNode]) -> str:
     """Emit the factory source for a tree shape.
 
     The factory — ``_factory(S, nodes)`` — hoists every node's PIFO,
@@ -420,9 +543,22 @@ def _generate(signature: Tuple, nodes: List[TreeNode]) -> str:
     sigs = list(signature)
     names = [node.name for node in nodes]
     children_of: List[List[int]] = []
+    parent_of: Dict[int, int] = {}
     index_of = {id(node): i for i, node in enumerate(nodes)}
-    for node in nodes:
-        children_of.append([index_of[id(child)] for child in node.children])
+    for i, node in enumerate(nodes):
+        kids = [index_of[id(child)] for child in node.children]
+        children_of.append(kids)
+        for ci in kids:
+            parent_of[ci] = i
+    shaped = [i for i, sig in enumerate(sigs) if sig.shaping is not None]
+
+    def ancestors(i: int) -> List[int]:
+        """Node ``i``'s parent-to-root chain."""
+        chain = []
+        while i in parent_of:
+            i = parent_of[i]
+            chain.append(i)
+        return chain
 
     em = _Emitter()
     w = em.w
@@ -435,29 +571,95 @@ def _generate(signature: Tuple, nodes: List[TreeNode]) -> str:
     w(1, "extras = dctx.extras")
     w(1, "root = nodes[0]")
     w(1, "version = root._subtree_version")
+    if shaped:
+        w(1, "cal = S._shaping_calendar")
     for i, sig in enumerate(sigs):
         w(1, f"n{i} = nodes[{i}]")
         w(1, f"p{i} = n{i}.scheduling_pifo")
         w(1, f"tx{i} = n{i}.scheduling")
-        if sig[0][0] == "arrival_seq":
+        if sig.tx[0] == "arrival_seq":
             w(1, f"st{i} = tx{i}.state")
-        if sig[0][0] == "lang":
-            w(1, f"x{i} = tx{i}._execute")
-        if not sig[4]:  # custom flow_fn
+        if sig.tx[0] == "lang":
+            w(1, f"x{i} = tx{i}._compiled.lean" if _lean(sig)
+                 else f"x{i} = tx{i}._execute")
+        if sig.hook is not None and sig.hook[0] == "lean":
+            w(1, f"xd{i} = tx{i}._dequeue_compiled.lean")
+        if not sig.default_flow:
             w(1, f"f{i} = n{i}.flow_fn")
-        if sig[5][0] == "generic":
+        if sig.pred[0] == "generic":
             w(1, f"q{i} = n{i}.predicate")
-        if sig[2]:  # capacity bound
-            w(1, f"c{i} = p{i}.capacity")
-        if sig[1] == "quantized":
-            w(1, f"qm{i} = p{i}.quantum")
+        if sig.capped:
+            w(1, f"p{i}_cap = p{i}.capacity")
+        if sig.backend == "quantized":
+            w(1, f"p{i}_q = p{i}.quantum")
+        if sig.shaping is not None:
+            w(1, f"sh{i} = n{i}.shaping")
+            w(1, f"h{i} = n{i}.shaping_pifo")
+            if sig.shaping[0] == "lean":
+                w(1, f"xs{i} = sh{i}._compiled.lean")
+            if sig.shaping_backend == "quantized":
+                w(1, f"h{i}_q = h{i}.quantum")
+
+    for i in range(len(sigs)):
+        # A walk starting here can suspend: its tokens share one path list.
+        path = [i] + ancestors(i)
+        if any(j in shaped for j in path):
+            w(1, f"path{i} = [{', '.join(f'n{j}' for j in path)}]")
 
     guard_terms = ["stats is not S.stats", "root._subtree_version != version"]
+    if shaped:
+        guard_terms.append("cal is not S._shaping_calendar")
     for i, sig in enumerate(sigs):
         guard_terms.append(f"p{i} is not n{i}.scheduling_pifo")
-        if sig[0][0] == "arrival_seq":
+        if sig.tx[0] == "arrival_seq":
             guard_terms.append(f"st{i} is not tx{i}.state")
+        if sig.shaping is not None:
+            guard_terms.append(f"h{i} is not n{i}.shaping_pifo")
     guard = " or ".join(guard_terms)
+
+    def emit_walk(ind: int, chain: List[int], element: str, flow: str,
+                  path: str, index: str = "") -> None:
+        """Inline the transaction walk over ``chain`` (leaf-most first).
+
+        ``element`` / ``flow`` are what the first node enqueues and the flow
+        it sees; every later node enqueues a reference to its predecessor.
+        The walk suspends after the first shaped node that has a parent on
+        the chain: it parks a :class:`ShapingToken` and the rest runs in
+        that node's resume block.  ``path`` is the expression for the
+        token's full leaf-to-root path and ``index`` (``"<expr> + "``, empty
+        for zero) the position of ``chain[0]`` in it.
+        """
+        run = chain
+        for pos, i in enumerate(chain[:-1]):
+            if sigs[i].shaping is not None:
+                run = chain[:pos + 1]
+                break
+        suspends = len(run) < len(chain)
+        if any(_ctx_needed(sigs[i]) for i in run):
+            w(ind, "ectx.now = time_now")
+            w(ind, "ectx.element_length = packet.length")
+        if any(_lean(sigs[i]) for i in run) or (
+                suspends and sigs[run[-1]].shaping[0] == "lean"):
+            w(ind, "length = packet.length")
+        for pos, i in enumerate(run):
+            sig = sigs[i]
+            if pos:
+                element, flow = f"n{chain[pos - 1]}", repr(names[chain[pos - 1]])
+            if _ctx_needed(sig):
+                w(ind, f"ectx.node = {names[i]!r}")
+                w(ind, f"ectx.element_flow = {flow}")
+            _emit_rank(em, ind, i, sig, flow)
+            _emit_push(em, ind, f"p{i}", sig.backend, sig.capped, element)
+            w(ind, "stats.transactions_executed += 1")
+        if suspends:
+            _emit_send_time(em, ind, i, sig, flow)
+            w(ind, "stats.transactions_executed += 1")
+            w(ind, f"token = _ShapingToken(n{i}, packet, {path}, "
+                   f"{index}{len(run)}, send_time)")
+            _emit_push(em, ind, f"h{i}", sig.shaping_backend, False, "token",
+                       rank="send_time")
+            w(ind, "_heappush(cal, (send_time, S._calendar_seq, token))")
+            w(ind, "S._calendar_seq += 1")
 
     # ---- enqueue ----------------------------------------------------------
     w(1, "def enqueue(packet, now=None):")
@@ -466,35 +668,21 @@ def _generate(signature: Tuple, nodes: List[TreeNode]) -> str:
     w(2, "time_now = packet.arrival_time if now is None else now")
     w(2, "try:")
 
-    def emit_walk(ind: int, path: List[int]) -> None:
-        """Inline the leaf-to-root transaction walk for a static path."""
-        needs_ctx = any(_ctx_needed(sigs[i][0]) for i in path)
-        if needs_ctx:
-            w(ind, "ectx.now = time_now")
-            w(ind, "ectx.element_length = packet.length")
-        for pos, i in enumerate(path):
-            sig = sigs[i]
-            if _ctx_needed(sig[0]):
-                w(ind, f"ectx.node = {names[i]!r}")
-                if pos == 0:
-                    flow = "packet.flow" if sig[4] else f"f{i}(packet)"
-                else:
-                    flow = repr(names[path[pos - 1]])
-                w(ind, f"ectx.element_flow = {flow}")
-            _emit_rank(em, ind, i, sig[0])
-            element = "packet" if pos == 0 else f"n{path[pos - 1]}"
-            _emit_push(em, ind, i, sig, element)
-            w(ind, "stats.transactions_executed += 1")
+    def emit_enqueue_walk(ind: int, down_path: List[int]) -> None:
+        chain = list(reversed(down_path))
+        leaf = chain[0]
+        flow = "packet.flow" if sigs[leaf].default_flow else f"f{leaf}(packet)"
+        emit_walk(ind, chain, "packet", flow, f"path{leaf}")
 
     def emit_descent(ind: int, i: int, down_path: List[int]) -> None:
         """Unroll the predicate descent; each outcome gets an inline walk."""
         kids = children_of[i]
         if not kids:
-            emit_walk(ind, list(reversed(down_path)))
+            emit_enqueue_walk(ind, down_path)
             return
         live = []
         for ci in kids:
-            tag = sigs[ci][5]
+            tag = sigs[ci].pred
             if tag[0] == "none":
                 continue  # statically never matches
             w(ind, f"m{ci} = {_pred_expr(ci, tag)}")
@@ -515,13 +703,13 @@ def _generate(signature: Tuple, nodes: List[TreeNode]) -> str:
             emit_descent(ind + 1, ci, down_path + [ci])
             first = False
         if first:
-            emit_walk(ind, list(reversed(down_path)))
+            emit_enqueue_walk(ind, down_path)
         else:
             w(ind, "else:")
-            emit_walk(ind + 1, list(reversed(down_path)))
+            emit_enqueue_walk(ind + 1, down_path)
 
-    if sigs[0][5][0] != "all":
-        w(3, f"if not ({_pred_expr(0, sigs[0][5])}):")
+    if sigs[0].pred[0] != "all":
+        w(3, f"if not ({_pred_expr(0, sigs[0].pred)}):")
         w(
             4,
             "raise _TreeConfigurationError("
@@ -544,27 +732,68 @@ def _generate(signature: Tuple, nodes: List[TreeNode]) -> str:
     w(2, "return True")
 
     # ---- dequeue ----------------------------------------------------------
-    root_sig = sigs[0]
     w(1, "def dequeue(now=0.0):")
     w(2, f"if {guard}:")
     w(3, "return S._kernel_stale_dequeue(now)")
-    w(2, "if not S._buffered_packets:")
-    w(3, "return None")
-    _emit_root_pop(em, 2, root_sig)
-    w(2, "element = entry.element")
-    if root_sig[3]:  # root carries an on_dequeue hook
-        w(2, "is_ref = isinstance(element, _TreeNode)")
-        w(2, "dctx.now = now")
-        w(2, f"dctx.node = {names[0]!r}")
-        w(2, "dctx.element_flow = element.name if is_ref else element.flow")
-        w(2, "dctx.element_length = 0 if is_ref else element.length")
-        w(2, "extras['rank'] = entry.rank")
-        w(2, "tx0.on_dequeue(element, dctx)")
-        w(2, "if is_ref:")
-        w(3, "return S._dequeue_descend(element, now)")
+    if shaped:
+        # process_shaping_releases, with each shaped node's resume walk (the
+        # static parent-to-root remainder of its path) inlined.  Calendar
+        # first, like ProgrammableScheduler.dequeue: tokens may be due even
+        # when no packet has reached the root yet.
+        w(2, "if cal:")
+        w(3, "while cal and cal[0][0] <= now:")
+        w(4, "token = _heappop(cal)[2]")
+        w(4, "if S._calendar_entry_is_stale(token):")
+        w(5, "continue")
+        w(4, "node = token.node")
+        for k, i in enumerate(shaped):
+            w(4, f"{'elif' if k else 'if'} node is n{i}:")
+            _emit_pop(em, 5, f"h{i}", sigs[i].shaping_backend, "continue")
+            w(5, "stats.shaping_releases += 1")
+            w(5, "packet = token.packet")
+            w(5, "time_now = max(token.release_time, 0.0)")
+            emit_walk(5, ancestors(i), f"n{i}", repr(names[i]), "token.path",
+                      "token.resume_index + ")
+        w(4, "else:")
+        w(5, "raise _SchedulerError('shaping token for node %r, which this "
+             "kernel does not shape' % (node.name,))")
+        w(2, "elif not S._buffered_packets:")
+        w(3, "return None")
     else:
-        w(2, "if isinstance(element, _TreeNode):")
-        w(3, "return S._dequeue_descend(element, now)")
+        w(2, "if not S._buffered_packets:")
+        w(3, "return None")
+    _emit_pop(em, 2, "p0", sigs[0].backend, "return None")
+    w(2, "element = entry.element")
+
+    def emit_level(ind: int, i: int) -> None:
+        """Unroll the descent below node ``i``: the tree is static, so a
+        popped reference can only be one of ``i``'s children."""
+        def hook(ind: int, child: Optional[str] = None) -> None:
+            _emit_hook(em, ind, i, sigs[i], names[i], "element", "entry.rank",
+                       child)
+
+        first = True
+        for ci in children_of[i]:
+            w(ind, f"{'if' if first else 'elif'} element is n{ci}:")
+            first = False
+            hook(ind + 1, child=names[ci])
+            dangling = (
+                f"dangling reference: node {names[ci]!r} was referenced "
+                "by its parent but its scheduling PIFO is empty"
+            )
+            _emit_pop(em, ind + 1, f"p{ci}", sigs[ci].backend,
+                      f"raise _SchedulerError({dangling!r})")
+            w(ind + 1, "element = entry.element")
+            emit_level(ind + 1, ci)
+        if sigs[i].hook is None:
+            return
+        if first:
+            hook(ind)
+        else:
+            w(ind, "else:")
+            hook(ind + 1)
+
+    emit_level(2, 0)
     w(2, "element.dequeue_time = now")
     w(2, "S._buffered_packets -= 1")
     w(2, "stats.dequeued += 1")
@@ -584,10 +813,11 @@ def _generate(signature: Tuple, nodes: List[TreeNode]) -> str:
     # trip through the PIFO's backing store, which is a no-op on an empty
     # queue.  (``_buffered_packets`` net-zeroes across the pair, so the
     # counter is untouched.)
+    root_sig = sigs[0]
     w(1, "def transfer(packet, now):")
     w(2, f"if {guard}:")
     w(3, "return S._kernel_stale_transfer(packet, now)")
-    cut_through = len(sigs) == 1 and root_sig[1] in (
+    cut_through = len(sigs) == 1 and root_sig.backend in (
         "sorted", "calendar", "bucketed", "quantized"
     )
     if not cut_through:
@@ -600,26 +830,28 @@ def _generate(signature: Tuple, nodes: List[TreeNode]) -> str:
         w(4, "return None")
         w(3, "return dequeue(now)")
         w(2, "time_now = now")
-        backend, has_cap = root_sig[1], root_sig[2]
+        backend, has_cap = root_sig.backend, root_sig.capped
         ind = 2
         if has_cap:
             w(2, "try:")
             ind = 3
-        if _ctx_needed(root_sig[0]):
+        flow0 = "packet.flow" if root_sig.default_flow else "f0(packet)"
+        if _ctx_needed(root_sig):
             w(ind, "ectx.now = time_now")
             w(ind, "ectx.element_length = packet.length")
             w(ind, f"ectx.node = {names[0]!r}")
-            flow0 = "packet.flow" if root_sig[4] else "f0(packet)"
             w(ind, f"ectx.element_flow = {flow0}")
-        _emit_rank(em, ind, 0, root_sig[0])
+        if _lean(root_sig):
+            w(ind, "length = packet.length")
+        _emit_rank(em, ind, 0, root_sig, flow0)
         full = "PIFO %r is full (capacity=%s)' % (p0.name, p0.capacity)"
         if has_cap:
             if backend == "sorted":
-                w(ind, "if len(p0._entries) - p0._front >= c0:")
+                w(ind, "if len(p0._entries) - p0._front >= p0_cap:")
             elif backend == "calendar":
-                w(ind, "if len(p0._heap) >= c0:")
+                w(ind, "if len(p0._heap) >= p0_cap:")
             else:
-                w(ind, "if p0._size >= c0:")
+                w(ind, "if p0._size >= p0_cap:")
             w(ind + 1, "p0.drops += 1")
             w(ind + 1, f"raise _PIFOFullError('{full})")
         if backend == "bucketed":
@@ -646,13 +878,7 @@ def _generate(signature: Tuple, nodes: List[TreeNode]) -> str:
         w(2, "except KeyError:")
         w(3, "pfe[flow] = 1")
         w(2, "p0.pops += 1")
-        if root_sig[3]:  # on_dequeue hook
-            w(2, "dctx.now = now")
-            w(2, f"dctx.node = {names[0]!r}")
-            w(2, "dctx.element_flow = flow")
-            w(2, "dctx.element_length = packet.length")
-            w(2, "extras['rank'] = rank")
-            w(2, "tx0.on_dequeue(packet, dctx)")
+        _emit_hook(em, 2, 0, root_sig, names[0], "packet", "rank")
         w(2, "packet.dequeue_time = now")
         w(2, "stats.dequeued += 1")
         w(2, "try:")
@@ -667,10 +893,11 @@ def _generate(signature: Tuple, nodes: List[TreeNode]) -> str:
 
 _GLOBALS = {
     "_PIFOEntry": PIFOEntry,
+    "_ShapingToken": ShapingToken,
+    "_SchedulerError": SchedulerError,
     "_PIFOFullError": PIFOFullError,
     "_TreeConfigurationError": TreeConfigurationError,
     "_RuntimeLangError": RuntimeLangError,
-    "_TreeNode": TreeNode,
     "_EMPTY_FIELDS": EMPTY_FIELDS,
     "_bisect_right": bisect_right,
     "_heappush": heappush,
@@ -712,9 +939,8 @@ def _factory_for(signature: Tuple, nodes: List[TreeNode]) -> Tuple[Callable, str
 def compile_tree_kernel(scheduler) -> TreeKernel:
     """Compile (or fetch from cache) the fused kernel for ``scheduler``.
 
-    Raises :class:`TreeKernelError` when the tree has features the kernel
-    does not fuse (shaping transactions); the scheduler then stays on the
-    interpreted hot path.
+    Raises :class:`TreeKernelError` (counted as a fallback) for a scheduler
+    subclass; the scheduler then stays on the interpreted methods.
     """
     try:
         signature = tree_signature(scheduler)

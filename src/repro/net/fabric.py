@@ -534,12 +534,13 @@ class Fabric:
                             nxt_buffer.used_cells += cells
                             nxt_buffer.used_bytes += length
                             # Inlined OutputPort.receive + _try_transmit.
-                            # On an idle port with a live kernel the enqueue
-                            # and immediate dequeue collapse into the
-                            # kernel's cut-through transfer.
+                            # On an idle port with a work-conserving kernel
+                            # the enqueue and immediate dequeue collapse
+                            # into the kernel's cut-through transfer (under
+                            # shaping a None could also mean "held back").
                             packet.arrival_time = now
                             if (not out.busy and nxt_kernelable
-                                    and osched.tree_kernel is not None):
+                                    and osched.kernel_work_conserving):
                                 head = osched.transfer(packet, now)
                                 if head is None:
                                     out.dropped_packets += 1
@@ -597,11 +598,10 @@ class Fabric:
                             0, own_buffer.used_bytes - length)
                 elif on_departure is not None:
                     on_departure(packet)
-                # Next packet.  A live tree kernel guarantees a
-                # work-conserving tree (shaping never compiles), so an empty
+                # Next packet.  Under a work-conserving kernel an empty
                 # scheduler needs neither the dequeue call nor a shaping
                 # wakeup.
-                if kernelable and scheduler.tree_kernel is not None:
+                if kernelable and scheduler.kernel_work_conserving:
                     if not scheduler._buffered_packets:
                         # Arrival prefetch: the scheduler is dry, so the
                         # only thing that can wake this port again is its
@@ -866,7 +866,7 @@ class Fabric:
             buffer.used_bytes += length
             packet.arrival_time = now
             if (not out.busy and kernelable
-                    and osched.tree_kernel is not None):
+                    and osched.kernel_work_conserving):
                 head = osched.transfer(packet, now)
                 if head is None:
                     out.dropped_packets += 1

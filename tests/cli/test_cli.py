@@ -98,6 +98,19 @@ class TestCommands:
         assert "Atom pipeline" in out
         assert "feasible at line rate : yes" in out
 
+    def test_show_shaping_program_tree_kernel(self, capsys):
+        # A shaping program is shown where it runs — pacing a child of a
+        # FIFO root — so the printed kernel suspends and resumes.
+        assert main(["show", "token_bucket", "--tree-kernel"]) == 0
+        kernel = capsys.readouterr().out.split("Fused tree kernel")[1]
+        assert "not fused" not in kernel
+        assert "_ShapingToken(n1, packet, path1, 1, send_time)" in kernel
+        assert "S._shaping_calendar" in kernel
+        assert "if node is n1:" in kernel
+        assert "time_now = max(token.release_time, 0.0)" in kernel
+        # The program paces; it does not rank the scheduling PIFO.
+        assert "rank = time_now" in kernel
+
     def test_show_unknown_program(self, capsys):
         assert main(["show", "bogus"]) == 2
         assert "unknown program" in capsys.readouterr().err

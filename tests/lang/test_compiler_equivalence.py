@@ -14,6 +14,10 @@ requires the two paths to agree *exactly* at every step:
 Exact ``==`` (not approx) is intentional: both paths must perform the same
 float operations in the same order, so bit-identical results are part of
 the compiled-backend contract.
+
+The compiled program's *lean* entry — the result-free one the tree kernel
+calls — rides along as a third leg: same rank and send time, the packet
+fields the bridge would have persisted, the same state, the same error.
 """
 
 from __future__ import annotations
@@ -107,6 +111,31 @@ def _step(execute, env, flow, length, now, priority, fields):
         return ("err", str(exc))
 
 
+def _lean_step(lean, env, flow, length, now, priority, fields):
+    """The lean entry's observable outcome, in ``_step``'s terms: its
+    outputs plus the packet fields it left behind."""
+    packet = Packet(flow=flow, length=length, priority=priority,
+                    fields=dict(fields))
+    try:
+        rank, send_time = lean(packet, now, flow, length, env)
+        return ("ok", rank, send_time, dict(packet.fields))
+    except RuntimeLangError as exc:
+        return ("err", str(exc), dict(packet.fields))
+
+
+def _expected_of_lean(out, fields):
+    """What the lean entry must produce, given ``execute``'s outcome: the
+    bridge persists every write but ``rank`` / ``send_time``, and nothing
+    when the program raised."""
+    if out[0] == "err":
+        return ("err", out[1], dict(fields))
+    _, rank, send_time, writes, _ = out
+    persisted = dict(fields)
+    persisted.update((name, value) for name, value in writes.items()
+                     if name not in ("rank", "send_time"))
+    return ("ok", rank, send_time, persisted)
+
+
 def drive_lockstep(name, arrivals):
     program = parse(PROGRAM_SOURCES[name])
     interpreter = Interpreter(program)
@@ -118,16 +147,22 @@ def drive_lockstep(name, arrivals):
     )
     env_i = _fresh_env(name)
     env_c = _fresh_env(name)
+    env_l = _fresh_env(name)
     now = 0.0
     for step, (flow, length, gap, priority, fields) in enumerate(arrivals):
         now += gap
         out_i = _step(interpreter.execute, env_i, flow, length, now, priority, fields)
         out_c = _step(compiled.execute, env_c, flow, length, now, priority, fields)
+        out_l = _lean_step(compiled.lean, env_l, flow, length, now, priority, fields)
         assert out_c == out_i, (
             f"{name} diverged at step {step}: interpreter {out_i!r} "
             f"vs compiled {out_c!r}"
         )
-        assert env_c.state == env_i.state, (
+        assert out_l == _expected_of_lean(out_c, fields), (
+            f"{name} lean entry diverged at step {step}: {out_l!r} "
+            f"vs execute {out_c!r}"
+        )
+        assert env_c.state == env_i.state == env_l.state, (
             f"{name} state diverged at step {step}"
         )
 
@@ -172,6 +207,10 @@ def test_lockstep_equivalence_stfq_dequeue_program(ranks):
                                params={"dequeued_rank": 0.0})
     env_c = ProgramEnvironment(state={"virtual_time": 0.0},
                                params={"dequeued_rank": 0.0})
+    # The lean entry takes the rank as an argument, not through the
+    # environment, and needs no packet: the program reads none.
+    env_l = ProgramEnvironment(state={"virtual_time": 0.0})
+    assert not compiled.reads_packet
     packet = Packet(flow="a", length=100)
     for rank in ranks:
         env_i.params["dequeued_rank"] = rank
@@ -180,8 +219,42 @@ def test_lockstep_equivalence_stfq_dequeue_program(ranks):
                                  element_length=100)
         out_i = interpreter.execute(packet, ctx, env_i)
         out_c = compiled.execute(packet, ctx, env_c)
+        assert compiled.lean(None, 0.0, "a", 0, env_l, rank) is None
         assert out_c.packet_writes == out_i.packet_writes
-        assert env_c.state == env_i.state
+        assert env_c.state == env_i.state == env_l.state
+
+
+def test_lean_hook_entry_replays_errors_with_its_arguments():
+    """A failing hook program raises the interpreter's error from the lean
+    entry too: the replay sees the argument as the parameter it stands for,
+    and — like ``on_dequeue`` — a hook persists no packet writes."""
+    program = parse("p.seen = dequeued_rank\ncount = count + 1\n"
+                    "ratio = dequeued_rank / (dequeued_rank - limit)\n")
+    compiled = compile_program(
+        program, state={"count": 0, "ratio": 0.0}, params={"limit": 2.0},
+        dynamic_params=("dequeued_rank",), name="hook")
+    outcomes = []
+    for rank in (1.0, 2.0, 4.0):
+        env_i = ProgramEnvironment(state={"count": 0, "ratio": 0.0},
+                                   params={"limit": 2.0, "dequeued_rank": rank})
+        env_l = ProgramEnvironment(state={"count": 0, "ratio": 0.0},
+                                   params={"limit": 2.0})
+        packet_i, packet_l = (Packet(flow="a", length=100) for _ in "il")
+        ctx = TransactionContext(now=1.0, node="n", element_flow="a",
+                                 element_length=100)
+        results = []
+        for call in (lambda: Interpreter(program).execute(packet_i, ctx, env_i),
+                     lambda: compiled.lean(packet_l, 1.0, "a", 100, env_l, rank)):
+            try:
+                call()
+                results.append("ok")
+            except RuntimeLangError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+        assert env_l.state == env_i.state
+        assert "seen" not in packet_l.fields
+        outcomes.append(results[0])
+    assert outcomes[0] == outcomes[2] == "ok" and "zero" in outcomes[1]
 
 
 def test_lockstep_covers_every_bundled_program():

@@ -8,8 +8,9 @@ pin the contract that makes that safe:
 
 * the kernel installs by default and is observationally identical to the
   interpreted engine (stats, counters, departure order, timestamps);
-* trees with unfusable features (shaping) fall back to the interpreted
-  path with a reason, never an error;
+* every tree fuses, shaping included; the one thing that cannot — a
+  scheduler subclass — falls back to the interpreted methods with a
+  reason, never an error;
 * kernels are cached by tree-shape signature and re-specialised when the
   tree is mutated behind the scheduler's back;
 * ``transfer`` (the cut-through enqueue+dequeue used by the fused fabric
@@ -20,17 +21,34 @@ pin the contract that makes that safe:
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import (
     ArrivalSequenceTransaction,
     FieldRankTransaction,
+    FIFOTransaction,
+    STFQTransaction,
+    StopAndGoShapingTransaction,
     build_fig3_tree,
     build_fig4_tree,
+    build_hierarchical_round_robin_tree,
+    build_jitter_edd_tree,
     hierarchy_flows,
 )
-from repro.core import ProgrammableScheduler, single_node_tree
+from repro.core import (
+    ProgrammableScheduler,
+    ScheduleTree,
+    ShapingToken,
+    TreeNode,
+    single_node_tree,
+)
 from repro.core.packet import Packet
 from repro.core.pifo import PIFOFullError
+from repro.core.predicates import FlowIn
+from repro.exceptions import SchedulerError
+from repro.lang.programs import stfq_program, token_bucket_program
+from repro.lang.trees import build_fig4_tree_from_programs
 from repro.lang.treekernel import (
     TreeKernelError,
     clear_kernel_cache,
@@ -39,12 +57,18 @@ from repro.lang.treekernel import (
 )
 
 BACKENDS = ["sorted", "calendar", "bucketed", "quantized"]
+#: Backends that accept the float ranks of clocks and virtual times.
+FLOAT_BACKENDS = ["sorted", "calendar", "quantized"]
 
 
 def _fifo_scheduler(**kwargs):
     return ProgrammableScheduler(
         single_node_tree(ArrivalSequenceTransaction()), **kwargs
     )
+
+
+class _Custom(ProgrammableScheduler):
+    """The one shape that cannot fuse: closures would shadow overrides."""
 
 
 def _drain(scheduler, now=1.0):
@@ -89,18 +113,21 @@ class TestInstall:
         assert scheduler.tree_kernel is not None
 
     def test_subclass_never_fuses(self):
-        class Custom(ProgrammableScheduler):
-            pass
-
-        scheduler = Custom(single_node_tree(ArrivalSequenceTransaction()))
+        scheduler = _Custom(single_node_tree(ArrivalSequenceTransaction()))
         assert scheduler.tree_kernel is None
-
-    def test_shaping_tree_falls_back_with_reason(self):
-        scheduler = ProgrammableScheduler(build_fig4_tree())
-        assert scheduler.tree_kernel is None
-        assert "shaping" in scheduler.kernel_fallback_reason
+        assert "subclass" in scheduler.kernel_fallback_reason
+        assert "enqueue" not in scheduler.__dict__
         with pytest.raises(TreeKernelError):
             compile_tree_kernel(scheduler)
+
+    def test_shaping_tree_fuses(self):
+        scheduler = ProgrammableScheduler(build_fig4_tree())
+        assert scheduler.tree_kernel is not None
+        assert scheduler.kernel_fallback_reason is None
+        # Shaping can hold packets back, so a port may not cut through.
+        assert not scheduler.tree_kernel.work_conserving
+        assert not scheduler.kernel_work_conserving
+        assert ProgrammableScheduler(build_fig3_tree()).kernel_work_conserving
 
     def test_multi_node_tree_fuses(self):
         scheduler = ProgrammableScheduler(build_fig3_tree())
@@ -135,7 +162,7 @@ class TestCache:
 
     def test_fallback_counted(self):
         clear_kernel_cache()
-        ProgrammableScheduler(build_fig4_tree())
+        _Custom(single_node_tree(ArrivalSequenceTransaction()))
         assert kernel_cache_info()["fallbacks"] == 1
 
 
@@ -336,3 +363,221 @@ class TestTransfer:
         assert scheduler.stats.per_flow_dequeued == {"a": 1}
         assert packet.enqueue_time == 2.0
         assert packet.dequeue_time == 2.0
+
+
+# --------------------------------------------------------------------------- #
+# Shaping: suspend / resume inside the kernel                                  #
+# --------------------------------------------------------------------------- #
+def _seq_stop_and_go_tree():
+    """Integer ranks everywhere (so ``bucketed`` applies) and a bounded
+    root: a resume that finds it full raises out of ``dequeue``."""
+    root = TreeNode(name="root", scheduling=ArrivalSequenceTransaction(),
+                    pifo_capacity=3)
+    root.add_child(TreeNode(
+        name="framed", predicate=FlowIn(["x", "y"]),
+        scheduling=ArrivalSequenceTransaction(),
+        shaping=StopAndGoShapingTransaction(frame_length=3e-4)))
+    return ScheduleTree(root)
+
+
+def _two_level_shaping_tree():
+    """Two shaped nodes on one path: a resume that suspends again."""
+    root = TreeNode(name="root", scheduling=FIFOTransaction())
+    middle = root.add_child(TreeNode(
+        name="middle", predicate=FlowIn(["x", "y"]),
+        scheduling=STFQTransaction(weights={"inner": 1.0}),
+        shaping=StopAndGoShapingTransaction(frame_length=4e-4)))
+    middle.add_child(TreeNode(
+        name="inner", predicate=FlowIn(["x"]),
+        scheduling=stfq_program(weights={"x": 2.0}),
+        shaping=token_bucket_program(rate_bytes_per_s=1.25e6,
+                                     burst_bytes=1500.0)))
+    return ScheduleTree(root)
+
+
+#: label -> (tree builder, flows offered, backends it accepts).
+SHAPED_TREES = {
+    "fig4_programs": (build_fig4_tree_from_programs, "ABCDE", FLOAT_BACKENDS),
+    "fig4_interpreted_lang": (
+        lambda: build_fig4_tree_from_programs(backend="interpreted"),
+        "ABCDE", FLOAT_BACKENDS),
+    "fig4_native": (build_fig4_tree, "ABCDE", FLOAT_BACKENDS),
+    "jitter_edd": (lambda: build_jitter_edd_tree({"x": 1e-4, "y": 3e-4}),
+                   "xyz", FLOAT_BACKENDS),
+    "hrr_stop_and_go": (
+        lambda: build_hierarchical_round_robin_tree(
+            {"fine": {"x": 1.0}, "coarse": {"y": 1.0}},
+            {"fine": 2e-4, "coarse": 5e-4}),
+        "xyz", FLOAT_BACKENDS),
+    "seq_stop_and_go": (_seq_stop_and_go_tree, "xyz", BACKENDS),
+    "two_level": (_two_level_shaping_tree, "xyz", FLOAT_BACKENDS),
+}
+
+
+def _outcome(call):
+    """A call's result, or the exception it raised, as comparable data."""
+    try:
+        return ("ok", call())
+    except (PIFOFullError, SchedulerError) as exc:
+        return ("err", type(exc).__name__, str(exc))
+
+
+def _scheduler_state(scheduler, index_of):
+    """Everything observable about a scheduler, packets named by index."""
+    def element(item):
+        return item.name if isinstance(item, TreeNode) else index_of[id(item)]
+
+    nodes = {}
+    for node in scheduler.tree.nodes():
+        pifos = {"sched": node.scheduling_pifo}
+        transactions = {"sched": node.scheduling}
+        if node.shaping is not None:
+            pifos["shape"] = node.shaping_pifo
+            transactions["shape"] = node.shaping
+        nodes[node.name] = (
+            {key: (pifo.pushes, pifo.pops, pifo.drops, pifo._seq,
+                   [(entry.rank, entry.seq,
+                     element(entry.element.packet
+                             if isinstance(entry.element, ShapingToken)
+                             else entry.element))
+                    for entry in pifo.entries()])
+             for key, pifo in pifos.items()},
+            {key: (tx.executions, tx.state)
+             for key, tx in transactions.items()},
+        )
+    calendar = sorted(
+        (when, seq, token.node.name, index_of[id(token.packet)],
+         [node.name for node in token.path], token.resume_index,
+         token.release_time)
+        for when, seq, token in scheduler._shaping_calendar)
+    return (scheduler.stats, len(scheduler), scheduler._calendar_seq,
+            calendar, nodes)
+
+
+class TestShapingLockstep:
+    """Kernel vs ``tree_kernel=False`` over random operation sequences."""
+
+    @pytest.mark.parametrize("label", sorted(SHAPED_TREES))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["enqueue", "enqueue", "enqueue", "dequeue",
+                                 "dequeue", "peek", "next_release", "reset"]),
+                st.integers(min_value=0, max_value=4),     # flow index
+                st.integers(min_value=64, max_value=1500),  # length
+                st.integers(min_value=0, max_value=30),     # clock step, 10 us
+            ),
+            min_size=1, max_size=80),
+        backend_index=st.integers(min_value=0, max_value=3),
+    )
+    def test_random_interleavings_identical(self, label, ops, backend_index):
+        builder, flows, backends = SHAPED_TREES[label]
+        backend = backends[backend_index % len(backends)]
+        fused = ProgrammableScheduler(builder(), pifo_backend=backend)
+        plain = ProgrammableScheduler(builder(), pifo_backend=backend,
+                                      tree_kernel=False)
+        assert fused.tree_kernel is not None and plain.tree_kernel is None
+        sides = (fused, plain)
+        index_of = ({}, {})
+        ticks = 0
+        for step, (op, flow_index, length, dt) in enumerate(ops):
+            ticks += dt
+            now = ticks * 1e-5
+            results = []
+            for scheduler, names in zip(sides, index_of):
+                if op == "enqueue":
+                    packet = Packet(
+                        flow=flows[flow_index % len(flows)], length=length,
+                        fields={"jitter_slack": (length % 7) * 2e-5,
+                                "delay_bound": (length % 5) * 1e-4})
+                    names[id(packet)] = step
+                    results.append(_outcome(
+                        lambda: scheduler.enqueue(packet, now=now)))
+                elif op in ("dequeue", "peek"):
+                    kind, *rest = _outcome(
+                        lambda: getattr(scheduler, op)(now))
+                    if kind == "ok" and rest[0] is not None:
+                        rest = [names[id(rest[0])], rest[0].fields,
+                                rest[0].enqueue_time, rest[0].dequeue_time]
+                    results.append((kind, *rest))
+                elif op == "next_release":
+                    results.append(scheduler.next_shaping_release())
+                else:
+                    scheduler.reset()
+                    results.append(None)
+            assert results[0] == results[1], (step, op, results)
+            assert (_scheduler_state(fused, index_of[0])
+                    == _scheduler_state(plain, index_of[1])), (step, op)
+        # A reset (or a stale guard) may rebuild the kernel, never lose it.
+        assert fused.tree_kernel is not None
+        assert fused.kernel_fallback_reason is None
+
+    def test_drain_timed_and_class_release_path_agree(self):
+        # process_shaping_releases / drain_timed are class methods working
+        # on the calendar the kernel fills: tokens made by either side must
+        # be releasable by the other.
+        def run(tree_kernel):
+            scheduler = ProgrammableScheduler(build_fig4_tree(),
+                                              tree_kernel=tree_kernel)
+            for i in range(40):
+                scheduler.enqueue(Packet(flow="ABCD"[i % 4], length=1000),
+                                  now=i * 1e-5)
+            released = scheduler.process_shaping_releases(2e-3)
+            out = scheduler.drain_timed(until=1.0)
+            return (released, [(p.flow, p.dequeue_time) for p in out],
+                    scheduler.stats)
+
+        assert run(True) == run(False)
+
+
+def test_nothing_shipped_falls_back():
+    """The gate: every tree this package builds runs a kernel.
+
+    Every builder exported by :mod:`repro.lang.trees` (both lang back
+    ends), every shaped builder in :mod:`repro.algorithms`, and every
+    variant of every registered scenario — native and from programs.
+    """
+    import repro.lang.trees as lang_trees
+    from repro.algorithms import build_shaped_hierarchy
+    from repro.net import list_scenarios
+
+    builders = {
+        f"{name}[{backend}]": (lambda build=build, backend=backend:
+                               build(backend=backend))
+        for name, build in vars(lang_trees).items()
+        if name.startswith("build_") and callable(build)
+        for backend in ("compiled", "interpreted")
+    }
+    assert len(builders) >= 4
+    builders.update({
+        "build_fig4_tree": build_fig4_tree,
+        "build_shaped_hierarchy": lambda: build_shaped_hierarchy(
+            {"gold": {"a": 1.0, "b": 2.0}, "bronze": {"c": 1.0}},
+            {"gold": 3.0, "bronze": 1.0}, {"bronze": 5e6}),
+        "build_jitter_edd_tree": lambda: build_jitter_edd_tree({"a": 1e-3}),
+        "build_hierarchical_round_robin_tree": lambda:
+            build_hierarchical_round_robin_tree(
+                {"c": {"a": 1.0}}, {"c": 1e-3}),
+    })
+    clear_kernel_cache()
+    schedulers = {name: ProgrammableScheduler(build())
+                  for name, build in builders.items()}
+    scenarios = list_scenarios()
+    assert scenarios
+    for scenario in scenarios:
+        for label in scenario.variants:
+            backends = [None]
+            if scenario.program_variants and label in scenario.program_variants:
+                backends += ["compiled", "interpreted"]
+            for backend in backends:
+                factory = scenario.scheduler_factory(label, backend)
+                schedulers[f"{scenario.name}/{label}[{backend}]"] = (
+                    factory("s1", "to_s2"))
+    assert {name: scheduler.kernel_fallback_reason
+            for name, scheduler in schedulers.items()
+            if scheduler.tree_kernel is None} == {}
+    info = kernel_cache_info()
+    assert info["fallbacks"] == 0
+    assert info["installs"] == len(schedulers)

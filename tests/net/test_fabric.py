@@ -7,6 +7,7 @@ import pytest
 from repro.algorithms import FIFOTransaction
 from repro.core import Packet, ProgrammableScheduler, single_node_tree
 from repro.exceptions import RoutingError
+from repro.lang.trees import build_fig4_tree_from_programs
 from repro.net import Fabric, dumbbell, leaf_spine, linear_chain
 from repro.sim import Simulator
 
@@ -189,3 +190,68 @@ class TestAccounting:
         stats = fabric.stats_by_node()
         assert stats["s1"]["per_port"]["to_s2"]["transmitted"] == 1
         assert stats["s2"]["per_port"]["to_h_dst"]["transmitted"] == 1
+
+
+class TestShapedKernelOnFusedPorts:
+    """A shaped tree runs a kernel, but its ports may not cut through.
+
+    The fused closures read ``kernel_work_conserving`` — not "a kernel is
+    installed" — before they treat an empty dequeue as "nothing to send":
+    under shaping the packet is buffered and held, so the port has to
+    enqueue, find nothing eligible and arm the shaping wake-up.
+    """
+
+    def _fabric(self):
+        def factory(switch, port):
+            return ProgrammableScheduler(build_fig4_tree_from_programs())
+
+        sim = Simulator()
+        fabric = Fabric(sim, linear_chain(3, link_rate_bps=1e8), factory,
+                        host_scheduler_factory=factory, telemetry=False)
+        ports = [port for switch in fabric.node_switches.values()
+                 for port in switch.ports.values()]
+        assert fabric.fused_ports == len(ports)
+        assert all(port.scheduler.tree_kernel is not None
+                   and not port.scheduler.kernel_work_conserving
+                   for port in ports)
+        return sim, fabric
+
+    def _dropped_by_schedulers(self, fabric):
+        return sum(switch.stats.dropped_scheduler
+                   for switch in fabric.node_switches.values())
+
+    def test_held_packet_arms_the_wakeup_instead_of_dropping(self):
+        sim, fabric = self._fabric()
+        # Two packets drain Right's 3000 B bucket; the third reaches an
+        # idle NIC port 0.5 ms later with 625 B of tokens and is held for
+        # the other 875 B / 1.25 MB/s = 0.7 ms.
+        fabric.attach_source("h_src", [
+            (when, Packet(flow="C", length=1500, dst="h_dst"))
+            for when in (0.0, 0.0, 5e-4)])
+        fabric.run(until=6e-4)
+        (port,) = fabric.node_switches["h_src"].ports.values()
+        assert len(port.scheduler) == 1 and not port.busy
+        assert port._wakeup is not None
+        assert port.scheduler.next_shaping_release() == pytest.approx(1.2e-3)
+        assert self._dropped_by_schedulers(fabric) == 0
+        fabric.run(drain=True)
+        assert self._dropped_by_schedulers(fabric) == 0
+        conservation = fabric.conservation_check()
+        assert conservation["delivered"] == conservation["injected"] == 3
+        assert conservation["in_flight"] == 0
+
+    def test_port_going_idle_over_held_packets_arms_the_wakeup(self):
+        sim, fabric = self._fabric()
+        # A and the two conforming C packets transmit back to back; when
+        # the last completes only the held third C is buffered: dequeue
+        # yields nothing and the port must wait for the release, not stall.
+        flows = ["A", "C", "C", "C"]
+        fabric.attach_source("h_src", [
+            (0.0, Packet(flow=flow, length=1500, dst="h_dst"))
+            for flow in flows])
+        fabric.run(drain=True)
+        assert self._dropped_by_schedulers(fabric) == 0
+        conservation = fabric.conservation_check()
+        assert conservation["delivered"] == conservation["injected"] == 4
+        assert conservation["in_flight"] == 0
+        assert sim.now > 1.2e-3

@@ -11,10 +11,12 @@ backends and telemetry modes.
 
 The hypothesis suite drives a 3-switch chain fabric with randomised
 arrival processes over a catalog of scheduler trees (FIFO, arrival
-sequence, STFQ, two-level WFQ, HPFQ); the scenario tests pin the built-in
-fig6/leaf-spine experiments.  The interpreted reference is obtained by
-pinning ``tree_kernel=False`` (scheduler kernels off) together with
-``fused_delivery=False`` (fabric fusion off) — the exact PR 5 datapath.
+sequence, STFQ, two-level WFQ, HPFQ, and the shaping hierarchies: Fig. 4
+from programs and native, Jitter-EDD, Hierarchical Round Robin); the
+scenario tests pin the built-in fig6/leaf-spine experiments.  The
+interpreted reference is obtained by pinning ``tree_kernel=False``
+(scheduler kernels off) together with ``fused_delivery=False`` (fabric
+fusion off) — the exact PR 5 datapath.
 """
 
 from __future__ import annotations
@@ -30,10 +32,14 @@ from repro.algorithms import (
     FIFOTransaction,
     STFQTransaction,
     build_fig3_tree,
+    build_fig4_tree,
+    build_hierarchical_round_robin_tree,
+    build_jitter_edd_tree,
     build_wfq_tree,
 )
 from repro.core import ProgrammableScheduler, single_node_tree
 from repro.core.packet import Packet
+from repro.lang.trees import build_fig4_tree_from_programs
 from repro.net import Fabric, get_scenario, linear_chain
 from repro.sim import Simulator
 
@@ -49,7 +55,20 @@ TREES = {
     "wfq2": (lambda: build_wfq_tree({"x": 3.0, "y": 1.0}),
              ["x", "y"]),
     "hpfq_fig3": (build_fig3_tree, ["A", "B", "C", "D"]),
+    # Shaping: the walk suspends at the shaped node and resumes from the
+    # calendar, and the port has to arm a wake-up instead of cutting through.
+    "fig4_programs": (build_fig4_tree_from_programs, ["A", "B", "C", "D"]),
+    "fig4_native": (build_fig4_tree, ["A", "B", "C", "D"]),
+    "jitter_edd": (lambda: build_jitter_edd_tree({"x": 1e-4, "y": 3e-4}),
+                   ["x", "y", "z"]),
+    "hrr_stop_and_go": (lambda: build_hierarchical_round_robin_tree(
+        {"fine": {"x": 1.0}, "coarse": {"y": 1.0, "z": 1.0}},
+        {"fine": 2e-4, "coarse": 5e-4}),
+        ["x", "y", "z"]),
 }
+
+SHAPED_TREES = ["fig4_programs", "fig4_native", "jitter_edd",
+                "hrr_stop_and_go"]
 
 BACKENDS = ["sorted", "calendar", "bucketed"]
 
@@ -122,9 +141,14 @@ def _build_arrivals(steps, flows):
     out, time = [], Fraction(0)
     for gap, flow_index, length in steps:
         time += Fraction(gap, 100_000)
+        # Odd lengths carry the Jitter-EDD metadata, even ones none at all
+        # (the shared-empty-fields path).
+        fields = ({"jitter_slack": (length % 7) * 2e-5,
+                   "delay_bound": (length % 5) * 1e-4}
+                  if length % 2 else None)
         out.append((float(time),
                     Packet(flow=flows[flow_index % len(flows)],
-                           length=length, dst="h_dst")))
+                           length=length, dst="h_dst", fields=fields)))
     return out
 
 
@@ -147,6 +171,26 @@ class TestHypothesisLockstep:
             backend = "sorted"
         fused = _run_chain(tree_builder, _build_arrivals(steps, flows),
                            backend, telemetry, fused=True)
+        plain = _run_chain(tree_builder, _build_arrivals(steps, flows),
+                           backend, telemetry, fused=False)
+        assert _observables(fused) == _observables(plain)
+
+    @pytest.mark.parametrize("tree_label", SHAPED_TREES)
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        steps=arrival_steps,
+        backend=st.sampled_from(["sorted", "calendar", "quantized"]),
+        telemetry=st.booleans(),
+    )
+    def test_shaped_trees_identical_to_interpreted(self, tree_label, steps,
+                                                   backend, telemetry):
+        tree_builder, flows = TREES[tree_label]
+        fused = _run_chain(tree_builder, _build_arrivals(steps, flows),
+                           backend, telemetry, fused=True)
+        for switch in fused.node_switches.values():
+            for port in switch.ports.values():
+                assert port.scheduler.tree_kernel is not None
         plain = _run_chain(tree_builder, _build_arrivals(steps, flows),
                            backend, telemetry, fused=False)
         assert _observables(fused) == _observables(plain)
