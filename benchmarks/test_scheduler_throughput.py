@@ -34,7 +34,7 @@ from repro.algorithms import (
     build_wfq_tree,
 )
 from repro.baselines import DeficitRoundRobin, FIFOQueue
-from repro.core import Packet, ProgrammableScheduler, SortedListPIFO, single_node_tree
+from repro.core import Packet, ProgrammableScheduler, single_node_tree
 from repro.core.pifo import PIFOBase
 from repro.hardware import HardwareScheduler
 
@@ -48,31 +48,54 @@ BACKEND_PACKET_COUNT = 10_000 if BENCH_QUICK else 50_000
 BENCH_ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_pifo_backends.json"
 
 
-class SeedListPIFO(SortedListPIFO):
-    """The seed's reference PIFO: identical ordering, but head removal via
-    ``list.pop(0)`` — O(n) per dequeue.  Kept (benchmark-only) as the
-    baseline the pluggable backends are measured against.
+class _SeedEntry:
+    """The seed's entry object, built by a Python-level ``__init__``."""
 
-    Pinned to the seed's *original* insert path as well: SortedListPIFO
-    later grew a fused ``push`` with a monotone-append fast path (the
-    hot-path overhaul), and inheriting those would anachronistically speed
-    up the baseline the speedup gates are defined against."""
+    __slots__ = ("rank", "seq", "element")
+
+    def __init__(self, rank, seq, element):
+        self.rank = rank
+        self.seq = seq
+        self.element = element
+
+    def key(self):
+        return (self.rank, self.seq)
+
+
+class SeedListPIFO(PIFOBase):
+    """The seed's reference PIFO, kept (benchmark-only) as the baseline the
+    pluggable backends are measured against: entry objects beside a
+    parallel key list, unconditional bisect + two inserts per push, head
+    removal via ``list.pop(0)`` — O(n) per dequeue.
+
+    Self-contained on purpose: ``core.pifo`` has since moved to one plain
+    tuple per entry in one list, and inheriting that would anachronistically
+    speed up the baseline the speedup gates are defined against."""
 
     backend_name = "seed-list"
 
-    # The generic base-class push (capacity check -> PIFOEntry -> _insert
-    # dispatch), exactly what the seed executed.
+    def __init__(self, capacity=None, name="pifo"):
+        super().__init__(capacity=capacity, name=name)
+        self._entries = []
+        self._keys = []
+
+    def __len__(self):
+        return len(self._entries)
+
+    # The generic base-class push (capacity check -> _insert dispatch), as
+    # the seed executed it; the entry object is built on the other side.
     push = PIFOBase.push
 
-    def _insert(self, entry):
-        # Seed behavior: unconditional bisect + insert (no append shortcut).
-        index = bisect.bisect_right(self._keys, entry.key(), lo=self._front)
+    def _insert(self, stored):
+        entry = _SeedEntry(*stored)
+        index = bisect.bisect_right(self._keys, entry.key())
         self._keys.insert(index, entry.key())
         self._entries.insert(index, entry)
 
     def _pop_head(self):
         self._keys.pop(0)
-        return self._entries.pop(0)
+        entry = self._entries.pop(0)
+        return (entry.rank, entry.seq, entry.element)
 
 
 def make_packets(seed=0):

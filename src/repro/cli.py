@@ -888,6 +888,7 @@ def _cmd_perf(workload: str, packets: int, pifo_backend: str,
             "elapsed (s)": f"{perf.elapsed_s:.3f}",
             "packets/second": f"{perf.packets_per_second:,.0f}",
             "events/second": f"{perf.events_per_second:,.0f}",
+            "peak RSS (MiB)": f"{perf.rss_peak_mb:.1f}",
             "kernel cache hits": perf.kernel_cache_hits,
             "kernel compiles": perf.kernel_compiles,
             "kernel installs": perf.kernel_installs,

@@ -10,21 +10,31 @@ location* based on the element's rank, but always *dequeues from the head*
   pushed.  Stop-and-Go queueing (Section 3.2) relies on this to transmit all
   packets of a frame in arrival order.
 
-Three interchangeable implementations share one base class and are therefore
+**Entry layout.**  As in the paper's rank store (Section 5), an element
+is stored once: every backend holds one plain ``(rank, seq, element)``
+tuple per buffered element and nothing else per element.  ``seq`` is the
+PIFO's push counter and therefore unique, so comparing two entries is
+decided by ``(rank, seq)`` — rank order, FIFO among ties — and never
+reaches the element (a root PIFO mixes packets and ``TreeNode``
+references, which do not compare).  Entries are immutable and built by a
+tuple display, so a push calls no Python-level function;
+:class:`PIFOEntry` names the fields for what ``peek_entry`` /
+``pop_entry`` / ``entries()`` hand out.
+
+The interchangeable implementations share one base class and are therefore
 behaviourally identical (a property-based suite in
 ``tests/core/test_pifo_backends.py`` pins the equivalence):
 
 :class:`SortedListPIFO` (alias :data:`PIFO`)
-    The reference implementation backed by a sorted list, ``bisect`` and a
-    head index.  Pushes are O(n) in the worst case (list insert) but fast in
-    practice; pops are O(1) amortised (the head index advances and the dead
-    prefix is compacted geometrically).
+    The reference implementation: one sorted list of entries, ``bisect``
+    and a head index.  Pushes are O(n) in the worst case (list insert) but
+    fast in practice; pops are O(1) amortised (the head index advances and
+    the dead prefix is compacted geometrically).
 
 :class:`CalendarPIFO`
     The same interface with an O(log n) push/pop backed by a heap, used by
-    the simulator for large workloads.  It keeps a monotonically increasing
-    sequence number alongside the rank so heap ordering matches PIFO
-    semantics (rank, then arrival order).
+    the simulator for large workloads.  The heap holds the entries
+    themselves, so heap ordering is PIFO order (rank, then arrival order).
 
 :class:`BucketedPIFO`
     A bucket queue for *integer* ranks (the hardware uses 16- or 32-bit rank
@@ -40,11 +50,13 @@ for selecting a backend by name live in :mod:`repro.core.backend`.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
+from bisect import bisect_right
 from collections import deque
+from functools import partial
 from typing import (
+    Any,
     Callable,
     Deque,
     Dict,
@@ -52,6 +64,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Tuple,
     TypeVar,
@@ -67,39 +80,32 @@ T = TypeVar("T")
 Rank = float
 
 
-class PIFOEntry(Generic[T]):
-    """An (element, rank) pair stored inside a PIFO.
+class PIFOEntry(NamedTuple):
+    """A stored ``(rank, seq, element)`` tuple with its fields named, as
+    ``peek_entry`` / ``pop_entry`` / ``entries()`` return it.  ``seq`` records
+    push order and implements the FIFO tie-breaking rule for equal ranks."""
 
-    The sequence number records push order and implements the FIFO
-    tie-breaking rule for equal ranks.
-    """
+    rank: Rank
+    seq: int
+    element: Any
 
-    __slots__ = ("rank", "seq", "element")
 
-    def __init__(self, rank: Rank, seq: int, element: T) -> None:
-        self.rank = rank
-        self.seq = seq
-        self.element = element
-
-    def key(self) -> Tuple[Rank, int]:
-        return (self.rank, self.seq)
-
-    def __lt__(self, other: "PIFOEntry") -> bool:
-        return (self.rank, self.seq) < (other.rank, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PIFOEntry(rank={self.rank}, seq={self.seq}, element={self.element!r})"
+#: Stored tuple -> :class:`PIFOEntry`, built at C level (a NamedTuple's own
+#: ``__new__`` / ``_make`` are Python functions).
+_as_entry = partial(tuple.__new__, PIFOEntry)
+_Stored = Tuple[Rank, int, T]  #: what a backend stores per element
 
 
 class PIFOBase(Generic[T]):
     """Shared machinery for every PIFO backend.
 
-    Subclasses provide the storage by implementing five hooks:
-    :meth:`_insert`, :meth:`_pop_head`, :meth:`_head`,
-    :meth:`_sorted_entries`, :meth:`_clear_storage`, :meth:`_rebuild` and
-    ``__len__``.  Everything observable — capacity enforcement, FIFO
-    tie-breaks via the sequence number, the push/pop/drop counters, batch
-    operations — lives here so the backends cannot drift apart.
+    Subclasses provide the storage by implementing the hooks
+    :meth:`_insert` (unless they fuse :meth:`push`), :meth:`_pop_head`,
+    :meth:`_head`, :meth:`_sorted_entries`, :meth:`_clear_storage`,
+    :meth:`_rebuild` and ``__len__``, all in terms of stored tuples.
+    Everything observable — capacity enforcement, FIFO tie-breaks via the
+    sequence number, the push/pop/drop counters, batch operations — lives
+    here so the backends cannot drift apart.
 
     Parameters
     ----------
@@ -128,22 +134,22 @@ class PIFOBase(Generic[T]):
         self.drops = 0
 
     # -- storage hooks (implemented by each backend) -------------------------
-    def _insert(self, entry: PIFOEntry[T]) -> None:
+    def _insert(self, entry: _Stored) -> None:
         raise NotImplementedError
 
-    def _pop_head(self) -> PIFOEntry[T]:
+    def _pop_head(self) -> _Stored:
         raise NotImplementedError
 
-    def _head(self) -> PIFOEntry[T]:
+    def _head(self) -> _Stored:
         raise NotImplementedError
 
-    def _sorted_entries(self) -> List[PIFOEntry[T]]:
+    def _sorted_entries(self) -> List[_Stored]:
         raise NotImplementedError
 
     def _clear_storage(self) -> None:
         raise NotImplementedError
 
-    def _rebuild(self, kept: List[PIFOEntry[T]]) -> None:
+    def _rebuild(self, kept: List[_Stored]) -> None:
         """Replace storage with ``kept`` (already in dequeue order)."""
         raise NotImplementedError
 
@@ -163,36 +169,41 @@ class PIFOBase(Generic[T]):
             raise PIFOFullError(
                 f"PIFO {self.name!r} is full (capacity={self.capacity})"
             )
-        entry = PIFOEntry(rank, self._seq, element)
-        self._insert(entry)
+        self._insert((rank, self._seq, element))
         self._seq += 1
         self.pushes += 1
 
-    def pop(self) -> T:
-        """Remove and return the head (lowest rank, earliest push)."""
-        return self.pop_entry().element
-
-    def pop_entry(self) -> PIFOEntry[T]:
-        """Like :meth:`pop` but returns the full entry (element and rank)."""
+    def _pop(self) -> _Stored:
         if not len(self):
             raise PIFOEmptyError(f"pop from empty PIFO {self.name!r}")
         entry = self._pop_head()
         self.pops += 1
         return entry
 
-    def peek(self) -> T:
-        """Return the head element without removing it."""
-        return self.peek_entry().element
-
-    def peek_rank(self) -> Rank:
-        """Return the head element's rank without removing it."""
-        return self.peek_entry().rank
-
-    def peek_entry(self) -> PIFOEntry[T]:
-        """Return the head entry without removing it."""
+    def _peek(self) -> _Stored:
         if not len(self):
             raise PIFOEmptyError(f"peek on empty PIFO {self.name!r}")
         return self._head()
+
+    def pop(self) -> T:
+        """Remove and return the head (lowest rank, earliest push)."""
+        return self._pop()[2]
+
+    def pop_entry(self) -> PIFOEntry:
+        """Like :meth:`pop` but returns the full entry (element and rank)."""
+        return _as_entry(self._pop())
+
+    def peek(self) -> T:
+        """Return the head element without removing it."""
+        return self._peek()[2]
+
+    def peek_rank(self) -> Rank:
+        """Return the head element's rank without removing it."""
+        return self._peek()[0]
+
+    def peek_entry(self) -> PIFOEntry:
+        """Return the head entry without removing it."""
+        return _as_entry(self._peek())
 
     # -- batch fast paths ----------------------------------------------------
     def enqueue_many(self, items: Iterable[Tuple[T, Rank]]) -> int:
@@ -223,7 +234,7 @@ class PIFOBase(Generic[T]):
         entries = self._sorted_entries()
         self.pops += len(entries)
         self._clear_storage()
-        return [entry.element for entry in entries]
+        return [entry[2] for entry in entries]
 
     # -- introspection -------------------------------------------------------
     def __bool__(self) -> bool:
@@ -231,15 +242,15 @@ class PIFOBase(Generic[T]):
 
     def __iter__(self) -> Iterator[T]:
         """Iterate elements in dequeue order without removing them."""
-        return (entry.element for entry in self._sorted_entries())
+        return (entry[2] for entry in self._sorted_entries())
 
-    def entries(self) -> List[PIFOEntry[T]]:
+    def entries(self) -> List[PIFOEntry]:
         """Return a snapshot of entries in dequeue order."""
-        return list(self._sorted_entries())
+        return list(map(_as_entry, self._sorted_entries()))
 
     def ranks(self) -> List[Rank]:
         """Return the ranks in dequeue order."""
-        return [entry.rank for entry in self._sorted_entries()]
+        return [entry[0] for entry in self._sorted_entries()]
 
     @property
     def is_empty(self) -> bool:
@@ -258,11 +269,11 @@ class PIFOBase(Generic[T]):
         PIFO operation; the hardware model instead masks flows at dequeue
         time (Section 6.2).
         """
-        kept: List[PIFOEntry[T]] = []
+        kept: List[_Stored] = []
         removed: List[T] = []
         for entry in self._sorted_entries():
-            if predicate(entry.element):
-                removed.append(entry.element)
+            if predicate(entry[2]):
+                removed.append(entry[2])
             else:
                 kept.append(entry)
         self._rebuild(kept)
@@ -273,12 +284,13 @@ class PIFOBase(Generic[T]):
 
 
 class SortedListPIFO(PIFOBase[T]):
-    """Reference push-in first-out queue: sorted list + head index.
+    """Reference push-in first-out queue: one sorted list + head index.
 
     The seed implementation used ``list.pop(0)``, making every dequeue O(n);
     this version advances a head index instead and compacts the dead prefix
     geometrically, so pops are O(1) amortised while pushes keep the simple
-    bisect-insert the reference semantics were validated with.
+    bisect-insert the reference semantics were validated with.  The list
+    holds the entries themselves; their order is ``(rank, seq)`` order.
     """
 
     backend_name = "sorted"
@@ -289,8 +301,9 @@ class SortedListPIFO(PIFOBase[T]):
 
     def __init__(self, capacity: Optional[int] = None, name: str = "pifo") -> None:
         super().__init__(capacity=capacity, name=name)
-        self._entries: List[PIFOEntry[T]] = []
-        self._keys: List[Tuple[Rank, int]] = []
+        #: Sorted from ``_front`` on; consumed slots below it are ``None``.
+        #: A non-empty list's last slot is always live (draining clears it).
+        self._entries: List[_Stored] = []
         self._front = 0
 
     def push(self, element: T, rank: Rank) -> None:
@@ -305,59 +318,41 @@ class SortedListPIFO(PIFOBase[T]):
             )
         seq = self._seq
         self._seq = seq + 1
-        entry = PIFOEntry(rank, seq, element)
-        key = (rank, seq)
-        keys = self._keys
-        if not keys or key >= keys[-1]:
+        entry = (rank, seq, element)
+        if not entries or entry >= entries[-1]:
             # Monotone ranks (FIFO, arrival-sequence, virtual times under
             # light load) append; the common case costs no bisect or shift.
-            keys.append(key)
             entries.append(entry)
         else:
-            index = bisect.bisect_right(keys, key, lo=self._front)
-            keys.insert(index, key)
-            entries.insert(index, entry)
+            # bisect_right on (rank, seq): seq is strictly increasing, so an
+            # equal rank lands after earlier pushes of that rank (FIFO ties).
+            entries.insert(bisect_right(entries, entry, lo=self._front), entry)
         self.pushes += 1
 
-    def _insert(self, entry: PIFOEntry[T]) -> None:
-        # bisect_right on (rank, seq): seq is strictly increasing so an equal
-        # rank always lands after previously pushed equal ranks (FIFO ties).
-        key = (entry.rank, entry.seq)
-        keys = self._keys
-        if not keys or key >= keys[-1]:
-            keys.append(key)
-            self._entries.append(entry)
-            return
-        index = bisect.bisect_right(keys, key, lo=self._front)
-        keys.insert(index, key)
-        self._entries.insert(index, entry)
-
-    def _pop_head(self) -> PIFOEntry[T]:
-        entry = self._entries[self._front]
-        self._entries[self._front] = None  # type: ignore[call-overload]
+    def _pop_head(self) -> _Stored:
+        entries = self._entries
+        entry = entries[self._front]
+        entries[self._front] = None  # type: ignore[call-overload]
         self._front += 1
-        if self._front == len(self._entries):
+        if self._front == len(entries):
             self._clear_storage()
-        elif self._front >= self._COMPACT_MIN and self._front * 2 >= len(self._entries):
-            del self._entries[: self._front]
-            del self._keys[: self._front]
+        elif self._front >= self._COMPACT_MIN and self._front * 2 >= len(entries):
+            del entries[: self._front]
             self._front = 0
         return entry
 
-    def _head(self) -> PIFOEntry[T]:
+    def _head(self) -> _Stored:
         return self._entries[self._front]
 
-    def _sorted_entries(self) -> List[PIFOEntry[T]]:
+    def _sorted_entries(self) -> List[_Stored]:
         return self._entries[self._front :]
 
     def _clear_storage(self) -> None:
         self._entries.clear()
-        self._keys.clear()
         self._front = 0
 
-    def _rebuild(self, kept: List[PIFOEntry[T]]) -> None:
+    def _rebuild(self, kept: List[_Stored]) -> None:
         self._entries = list(kept)
-        self._keys = [entry.key() for entry in kept]
         self._front = 0
 
     def __len__(self) -> int:
@@ -365,18 +360,17 @@ class SortedListPIFO(PIFOBase[T]):
 
     def enqueue_many(self, items: Iterable[Tuple[T, Rank]]) -> int:
         """Bulk push: append then one stable merge instead of n inserts."""
-        batch: List[PIFOEntry[T]] = []
+        batch: List[_Stored] = []
         for element, rank in items:
             if self.capacity is not None and len(self) + len(batch) >= self.capacity:
                 self.drops += 1
                 continue
-            batch.append(PIFOEntry(rank, self._seq, element))
+            batch.append((rank, self._seq, element))
             self._seq += 1
         if not batch:
             return 0
-        batch.sort()  # stable on (rank, seq): FIFO ties preserved
-        merged = list(heapq.merge(self._sorted_entries(), batch))
-        self._rebuild(merged)
+        batch.sort()  # (rank, seq) decides: FIFO ties preserved
+        self._rebuild(list(heapq.merge(self._sorted_entries(), batch)))
         self.pushes += len(batch)
         return len(batch)
 
@@ -397,30 +391,30 @@ class CalendarPIFO(PIFOBase[T]):
 
     def __init__(self, capacity: Optional[int] = None, name: str = "calendar-pifo") -> None:
         super().__init__(capacity=capacity, name=name)
-        # The heap holds (rank, seq, entry) tuples rather than bare entries:
-        # tuple comparison runs in C and, because seq is unique, never falls
-        # through to comparing the entry itself.  This matters — heap
-        # sift-downs are the hot loop of large simulations.
-        self._heap: List[Tuple[Rank, int, PIFOEntry[T]]] = []
+        # The heap holds the entries themselves: tuple comparison runs in C
+        # and, because seq is unique, never falls through to the element.
+        # This matters — heap sift-downs are the hot loop of large
+        # simulations.
+        self._heap: List[_Stored] = []
 
-    def _insert(self, entry: PIFOEntry[T]) -> None:
-        heapq.heappush(self._heap, (entry.rank, entry.seq, entry))
+    def _insert(self, entry: _Stored) -> None:
+        heapq.heappush(self._heap, entry)
 
-    def _pop_head(self) -> PIFOEntry[T]:
-        return heapq.heappop(self._heap)[2]
+    def _pop_head(self) -> _Stored:
+        return heapq.heappop(self._heap)
 
-    def _head(self) -> PIFOEntry[T]:
-        return self._heap[0][2]
+    def _head(self) -> _Stored:
+        return self._heap[0]
 
-    def _sorted_entries(self) -> List[PIFOEntry[T]]:
-        return [item[2] for item in sorted(self._heap)]
+    def _sorted_entries(self) -> List[_Stored]:
+        return sorted(self._heap)
 
     def _clear_storage(self) -> None:
         self._heap.clear()
 
-    def _rebuild(self, kept: List[PIFOEntry[T]]) -> None:
+    def _rebuild(self, kept: List[_Stored]) -> None:
         # ``kept`` arrives sorted, which is already a valid heap.
-        self._heap = [(entry.rank, entry.seq, entry) for entry in kept]
+        self._heap = list(kept)
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -446,7 +440,7 @@ class BucketedPIFO(PIFOBase[T]):
 
     def __init__(self, capacity: Optional[int] = None, name: str = "bucketed-pifo") -> None:
         super().__init__(capacity=capacity, name=name)
-        self._buckets: Dict[int, Deque[PIFOEntry[T]]] = {}
+        self._buckets: Dict[int, Deque[_Stored]] = {}
         self._rank_heap: List[int] = []
         self._size = 0
 
@@ -460,10 +454,8 @@ class BucketedPIFO(PIFOBase[T]):
 
     def push(self, element: T, rank: Rank) -> None:
         """Fused push: capacity check + bucket append without the base
-        class's extra dispatch (mirrors :meth:`SortedListPIFO.push`; this
-        backend previously paid the generic ``push -> _insert`` double
-        dispatch on every packet, which is why it lost to the sorted list
-        on the fabric benchmarks despite its O(1) buckets)."""
+        class's ``push -> _insert`` double dispatch (mirrors
+        :meth:`SortedListPIFO.push`)."""
         if self.capacity is not None and self._size >= self.capacity:
             self.drops += 1
             raise PIFOFullError(
@@ -476,12 +468,12 @@ class BucketedPIFO(PIFOBase[T]):
             heapq.heappush(self._rank_heap, key)
         seq = self._seq
         self._seq = seq + 1
-        bucket.append(PIFOEntry(rank, seq, element))
+        bucket.append((rank, seq, element))
         self._size += 1
         self.pushes += 1
 
-    def _insert(self, entry: PIFOEntry[T]) -> None:
-        key = self._bucket_key(entry.rank)
+    def _insert(self, entry: _Stored) -> None:
+        key = self._bucket_key(entry[0])
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = self._buckets[key] = deque()
@@ -502,7 +494,7 @@ class BucketedPIFO(PIFOBase[T]):
             self._buckets.pop(key, None)
         raise PIFOEmptyError(f"pop from empty PIFO {self.name!r}")
 
-    def _pop_head(self) -> PIFOEntry[T]:
+    def _pop_head(self) -> _Stored:
         key = self._min_occupied_rank()
         bucket = self._buckets[key]
         entry = bucket.popleft()
@@ -511,10 +503,10 @@ class BucketedPIFO(PIFOBase[T]):
             del self._buckets[key]
         return entry
 
-    def _head(self) -> PIFOEntry[T]:
+    def _head(self) -> _Stored:
         return self._buckets[self._min_occupied_rank()][0]
 
-    def _sorted_entries(self) -> List[PIFOEntry[T]]:
+    def _sorted_entries(self) -> List[_Stored]:
         return [
             entry
             for key in sorted(self._buckets)
@@ -526,7 +518,7 @@ class BucketedPIFO(PIFOBase[T]):
         self._rank_heap.clear()
         self._size = 0
 
-    def _rebuild(self, kept: List[PIFOEntry[T]]) -> None:
+    def _rebuild(self, kept: List[_Stored]) -> None:
         self._clear_storage()
         for entry in kept:
             self._insert(entry)

@@ -70,7 +70,6 @@ from ..obs import metrics as obs_metrics
 from ..core.pifo import (
     BucketedPIFO,
     CalendarPIFO,
-    PIFOEntry,
     QuantizedBucketedPIFO,
     SortedListPIFO,
 )
@@ -391,15 +390,12 @@ def _emit_push(em: _Emitter, ind: int, p: str, backend: str, capped: bool,
             em.w(ind + 1, f"raise _PIFOFullError('{full})")
         em.w(ind, f"seq = {p}._seq")
         em.w(ind, f"{p}._seq = seq + 1")
-        em.w(ind, f"key = ({rank}, seq)")
-        em.w(ind, f"keys = {p}._keys")
-        em.w(ind, "if not keys or key >= keys[-1]:")
-        em.w(ind + 1, "keys.append(key)")
-        em.w(ind + 1, f"entries.append(_PIFOEntry({rank}, seq, {element}))")
+        em.w(ind, f"item = ({rank}, seq, {element})")
+        em.w(ind, "if not entries or item >= entries[-1]:")
+        em.w(ind + 1, "entries.append(item)")
         em.w(ind, "else:")
-        em.w(ind + 1, f"idx = _bisect_right(keys, key, lo={p}._front)")
-        em.w(ind + 1, "keys.insert(idx, key)")
-        em.w(ind + 1, f"entries.insert(idx, _PIFOEntry({rank}, seq, {element}))")
+        em.w(ind + 1, f"entries.insert(_bisect_right(entries, item, "
+                      f"lo={p}._front), item)")
         em.w(ind, f"{p}.pushes += 1")
     elif backend in ("bucketed", "quantized"):
         if capped:
@@ -423,7 +419,7 @@ def _emit_push(em: _Emitter, ind: int, p: str, backend: str, capped: bool,
         em.w(ind + 1, f"_heappush({p}._rank_heap, key)")
         em.w(ind, f"seq = {p}._seq")
         em.w(ind, f"{p}._seq = seq + 1")
-        em.w(ind, f"bucket.append(_PIFOEntry({rank}, seq, {element}))")
+        em.w(ind, f"bucket.append(({rank}, seq, {element}))")
         em.w(ind, f"{p}._size += 1")
         em.w(ind, f"{p}.pushes += 1")
     elif backend == "calendar":
@@ -433,8 +429,7 @@ def _emit_push(em: _Emitter, ind: int, p: str, backend: str, capped: bool,
             em.w(ind + 1, f"raise _PIFOFullError('{full})")
         em.w(ind, f"seq = {p}._seq")
         em.w(ind, f"{p}._seq = seq + 1")
-        em.w(ind, f"_heappush({p}._heap, ({rank}, seq, "
-                  f"_PIFOEntry({rank}, seq, {element})))")
+        em.w(ind, f"_heappush({p}._heap, ({rank}, seq, {element}))")
         em.w(ind, f"{p}.pushes += 1")
     else:
         em.w(ind, f"{p}.push({element}, {rank})")
@@ -442,8 +437,9 @@ def _emit_push(em: _Emitter, ind: int, p: str, backend: str, capped: bool,
 
 def _emit_pop(em: _Emitter, ind: int, p: str, backend: str,
               on_empty: str) -> None:
-    """Emit the head pop of PIFO ``p`` into ``entry``; an empty PIFO runs
-    the ``on_empty`` statement (``return None``, ``continue``, a raise)."""
+    """Emit the head pop of PIFO ``p`` into ``entry``, a ``(rank, seq,
+    element)`` tuple; an empty PIFO runs the ``on_empty`` statement
+    (``return None``, ``continue``, a raise)."""
     if backend == "sorted":
         em.w(ind, f"entries = {p}._entries")
         em.w(ind, f"front = {p}._front")
@@ -454,11 +450,9 @@ def _emit_pop(em: _Emitter, ind: int, p: str, backend: str,
         em.w(ind, "front += 1")
         em.w(ind, "if front == len(entries):")
         em.w(ind + 1, "entries.clear()")
-        em.w(ind + 1, f"{p}._keys.clear()")
         em.w(ind + 1, f"{p}._front = 0")
         em.w(ind, f"elif front >= {SortedListPIFO._COMPACT_MIN} and front * 2 >= len(entries):")
         em.w(ind + 1, "del entries[:front]")
-        em.w(ind + 1, f"del {p}._keys[:front]")
         em.w(ind + 1, f"{p}._front = 0")
         em.w(ind, "else:")
         em.w(ind + 1, f"{p}._front = front")
@@ -484,7 +478,7 @@ def _emit_pop(em: _Emitter, ind: int, p: str, backend: str,
         em.w(ind, f"heap = {p}._heap")
         em.w(ind, "if not heap:")
         em.w(ind + 1, on_empty)
-        em.w(ind, "entry = _heappop(heap)[2]")
+        em.w(ind, "entry = _heappop(heap)")
         em.w(ind, f"{p}.pops += 1")
     else:
         em.w(ind, f"if {p}.is_empty:")
@@ -763,13 +757,13 @@ def _generate(signature: Tuple[_NodeSig, ...], nodes: List[TreeNode]) -> str:
         w(2, "if not S._buffered_packets:")
         w(3, "return None")
     _emit_pop(em, 2, "p0", sigs[0].backend, "return None")
-    w(2, "element = entry.element")
+    w(2, "element = entry[2]")
 
     def emit_level(ind: int, i: int) -> None:
         """Unroll the descent below node ``i``: the tree is static, so a
         popped reference can only be one of ``i``'s children."""
         def hook(ind: int, child: Optional[str] = None) -> None:
-            _emit_hook(em, ind, i, sigs[i], names[i], "element", "entry.rank",
+            _emit_hook(em, ind, i, sigs[i], names[i], "element", "entry[0]",
                        child)
 
         first = True
@@ -783,7 +777,7 @@ def _generate(signature: Tuple[_NodeSig, ...], nodes: List[TreeNode]) -> str:
             )
             _emit_pop(em, ind + 1, f"p{ci}", sigs[ci].backend,
                       f"raise _SchedulerError({dangling!r})")
-            w(ind + 1, "element = entry.element")
+            w(ind + 1, "element = entry[2]")
             emit_level(ind + 1, ci)
         if sigs[i].hook is None:
             return
@@ -892,7 +886,6 @@ def _generate(signature: Tuple[_NodeSig, ...], nodes: List[TreeNode]) -> str:
 
 
 _GLOBALS = {
-    "_PIFOEntry": PIFOEntry,
     "_ShapingToken": ShapingToken,
     "_SchedulerError": SchedulerError,
     "_PIFOFullError": PIFOFullError,

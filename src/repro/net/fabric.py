@@ -660,6 +660,7 @@ class Fabric:
                                     src_source._pending = None
                                     src_source._pending_packet = None
                                 else:
+                                    s_batch[s_index] = None
                                     src_source._index = s_index + 1
                                     src_source._last_time = a_time
                                 sim.events_processed += 1
@@ -689,6 +690,7 @@ class Fabric:
                                 src_source._pending = None
                                 src_source._pending_packet = None
                             else:
+                                s_batch[s_index] = None
                                 src_source._index = s_index + 1
                                 src_source._last_time = a_time
                             sim.events_processed += 1

@@ -32,6 +32,7 @@ from .core.scheduler import ProgrammableScheduler
 from .core.tree import single_node_tree
 from .lang.treekernel import kernel_cache_info
 from .net import Fabric, leaf_spine, linear_chain
+from .obs.resources import rss_peak_bytes
 from .sim.link import DEFAULT_BATCH_LIMIT
 from .sim.simulator import Simulator
 from .traffic.flows import FlowSpec
@@ -143,6 +144,8 @@ class PerfResult:
     kernel_compiles: int = 0
     kernel_installs: int = 0
     kernel_fallbacks: int = 0
+    #: Process RSS high-water mark (MiB) when the result is built: after the run.
+    rss_peak_mb: float = field(default_factory=lambda: rss_peak_bytes() / 2**20)
 
     @property
     def packets_per_second(self) -> float:
@@ -179,6 +182,7 @@ class PerfResult:
             "kernel_compiles": self.kernel_compiles,
             "kernel_installs": self.kernel_installs,
             "kernel_fallbacks": self.kernel_fallbacks,
+            "rss_peak_mb": self.rss_peak_mb,
         }
 
 

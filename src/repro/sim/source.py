@@ -12,6 +12,10 @@ The source prefetches arrivals from the iterator in chunks
 chunk rather than once per packet, and the single in-flight event calls the
 bound method ``self._on_arrival`` with the pending packet stored on the
 source — no per-packet closure.
+
+A source owns its stream and drops each arrival as it emits it (every
+consumption site clears the slot it consumed), so memory follows the
+packets in flight, not the run length.
 """
 
 from __future__ import annotations
@@ -68,10 +72,10 @@ class PacketSource:
         self._batch: List[Tuple[float, Packet]] = []
         self._index = 0
         if isinstance(arrivals, list):
-            # Already-materialised workload (perf builders, workload
-            # cache replays convertible to lists): adopt it wholesale and
-            # validate ordering once, up front — no per-chunk refills in
-            # the hot path.
+            # Already-materialised workload (perf builders): validate
+            # ordering once, up front — no per-chunk refills in the hot
+            # path — and walk a pointer copy: clearing consumed slots must
+            # never alias the caller's list.
             self._iterator: Iterator[Tuple[float, Packet]] = iter(())
             last = self._last_time
             for time, _packet in arrivals:
@@ -81,7 +85,7 @@ class PacketSource:
                         f"order ({time} after {last})"
                     )
                 last = time
-            self._batch = arrivals
+            self._batch = arrivals[:]
         else:
             self._iterator = iter(arrivals)
         #: The arrival callback and the destination's receive, bound once —
@@ -113,6 +117,7 @@ class PacketSource:
             self._pending_packet = None
             return
         time, packet = self._batch[self._index]
+        self._batch[self._index] = None
         self._index += 1
         self._last_time = time
         self._pending_packet = packet
@@ -136,6 +141,7 @@ class PacketSource:
             batch = self._batch
             index = 0
         time, nxt = batch[index]
+        batch[index] = None
         self._index = index + 1
         self._last_time = time
         self._pending_packet = nxt
@@ -189,9 +195,9 @@ class PacketSource:
             self._pending = None
             self._pending_packet = None
             return
-        time, _packet = self._batch[self._index]
+        self._last_time = self._batch[self._index][0]
+        self._batch[self._index] = None
         self._index += 1
-        self._last_time = time
 
     def _park_arrival(self) -> None:
         """Hand stream ownership back to the source (schedule the event)."""

@@ -453,6 +453,14 @@ class TestPerfCommand:
         assert payload["batch_limit"] == 32
         assert payload["delivered"] >= 495
 
+    def test_perf_reports_peak_rss(self, capsys):
+        assert main(["perf", "--packets", "500"]) == 0
+        assert "peak RSS (MiB)" in capsys.readouterr().out
+        assert main(["perf", "--packets", "500", "--json"]) == 0
+        rss = json.loads(capsys.readouterr().out)["rss_peak_mb"]
+        # A live interpreter, reported in MiB (not bytes, not KiB).
+        assert 5.0 < rss < 10_000.0
+
     def test_perf_rejects_unknown_event_queue(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["perf", "--event-queue", "splay"])

@@ -236,6 +236,67 @@ def test_property_equal_rank_fifo_ties_across_backends(ranks):
         assert order == reference_order, name
 
 
+class _Incomparable:
+    """An element every comparison of which raises: a PIFO orders by
+    ``(rank, seq)`` alone and must never look at what it stores."""
+
+    def _refuse(self, other):
+        raise AssertionError("a PIFO compared two of its elements")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _refuse
+    __hash__ = object.__hash__
+
+
+def _same_objects(actual, expected):
+    """List equality by identity (``==`` on the elements is off limits)."""
+    return len(actual) == len(expected) and all(
+        a is b for a, b in zip(actual, expected))
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                          st.sampled_from(["opaque", "packet", "node"])),
+                max_size=80))
+@settings(max_examples=60, deadline=None)
+def test_property_comparison_never_reaches_the_element(items):
+    """Colliding ranks over elements that cannot be compared — opaque
+    objects whose comparisons raise, packets and ``TreeNode`` references
+    side by side, as in a root PIFO — through ``push``, ``enqueue_many``,
+    ``remove`` and ``use_backend`` migration on every backend: FIFO order
+    among ties, and no comparison ever falls through to an element."""
+    from repro.algorithms import FIFOTransaction
+    from repro.core import Packet, TreeNode, single_node_tree
+
+    make = {
+        "opaque": _Incomparable,
+        "packet": lambda: Packet(flow="f", length=100),
+        "node": lambda: TreeNode("child", FIFOTransaction()),
+    }
+    for name in ALL_BACKENDS:
+        elements = [make[kind]() for _rank, kind in items]
+        ranks = [rank for rank, _kind in items]
+        # Stable sort on the rank alone = (rank, push order).
+        expected = [elements[i] for i in
+                    sorted(range(len(items)), key=ranks.__getitem__)]
+        tree = single_node_tree(FIFOTransaction(), pifo_backend=name)
+        pifo = tree.root.scheduling_pifo
+        half = len(items) // 2
+        for element, rank in zip(elements[:half], ranks[:half]):
+            pifo.push(element, rank)
+        assert pifo.enqueue_many(zip(elements[half:], ranks[half:])) == (
+            len(items) - half), name
+        assert _same_objects(list(pifo), expected), name
+        doomed = {id(element) for element in elements[::3]}
+        removed = pifo.remove(lambda element: id(element) in doomed)
+        assert _same_objects(
+            removed, [e for e in expected if id(e) in doomed]), name
+        kept = [e for e in expected if id(e) not in doomed]
+        for target in ALL_BACKENDS:
+            tree.use_backend(target)
+            assert _same_objects(list(tree.root.scheduling_pifo), kept), (
+                name, target)
+        assert _same_objects(tree.root.scheduling_pifo.drain(), kept), name
+
+
 @given(st.lists(st.integers(min_value=0, max_value=50), max_size=200))
 @settings(max_examples=100, deadline=None)
 def test_property_enqueue_many_equals_push_loop(ranks):

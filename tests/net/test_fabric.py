@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.algorithms import FIFOTransaction
@@ -255,3 +257,104 @@ class TestShapedKernelOnFusedPorts:
         assert conservation["delivered"] == conservation["injected"] == 4
         assert conservation["in_flight"] == 0
         assert sim.now > 1.2e-3
+
+
+class TestArrivalOwnership:
+    """A source owns its arrivals and drops each one as it emits it: a
+    finished run holds no delivered packet, a caller's list is never
+    touched, and stop / park / re-take work on the cleared-slot storage."""
+
+    PACKETS = 20_000
+
+    @staticmethod
+    def cbr(count, gap=4e-6):
+        # 500 B every 4 us = 1 Gbit/s offered on 1 Gbit/s links.
+        return [(i * gap, Packet(flow="load", length=500, dst="h_dst"))
+                for i in range(count)]
+
+    @staticmethod
+    def streaming_chain(**kwargs):
+        sim = Simulator()
+        return sim, Fabric(sim, linear_chain(3, link_rate_bps=1e9),
+                           fifo_factory, telemetry=False, **kwargs)
+
+    @staticmethod
+    def live_packets():
+        gc.collect()
+        return sum(1 for obj in gc.get_objects() if type(obj) is Packet)
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_finished_run_retains_no_arrivals(self, chunked):
+        from repro.core.packet import _POOL_LIMIT, clear_pool
+
+        clear_pool()
+        before = self.live_packets()
+        arrivals = self.cbr(self.PACKETS)
+        snapshot = list(arrivals)
+        _, fabric = self.streaming_chain(keep_packets=False)
+        fabric.attach_source("h_src", iter(arrivals) if chunked else arrivals)
+        fabric.run(drain=True)
+        assert fabric.sink("h_dst").total_packets() == self.PACKETS
+        # The caller's list is the caller's: same pairs, same order.
+        assert len(arrivals) == self.PACKETS
+        assert all(a is b for a, b in zip(arrivals, snapshot))
+        del arrivals, snapshot
+        # What is left is the free list, not the run.
+        assert self.live_packets() - before <= _POOL_LIMIT + 16
+        clear_pool()
+
+    def test_stop_mid_stream_discards_the_rest(self):
+        arrivals = self.cbr(2000)
+        snapshot = list(arrivals)
+        _, fabric = self.streaming_chain(keep_packets=True)
+        source = fabric.attach_source("h_src", arrivals)
+        fabric.run(until=1000 * 4e-6)
+        emitted = source.generated_packets
+        assert 0 < emitted < 2000
+        source.stop()
+        fabric.run(drain=True)
+        assert source.generated_packets == emitted
+        assert source._batch == [] and source._pending is None
+        assert fabric.conservation_check() == {
+            "injected": emitted, "delivered": emitted, "dropped": 0,
+            "lost_to_faults": 0, "in_flight": 0}
+        delivered = fabric.sink("h_dst").packets
+        assert len(delivered) == emitted
+        assert all(p is pair[1] for p, pair in zip(delivered, snapshot))
+        assert all(a is b for a, b in zip(arrivals, snapshot))
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_park_and_retake_deliver_every_arrival_once(self, chunked,
+                                                        monkeypatch):
+        """Run in short segments so the NIC's pull loop keeps hitting the
+        horizon: it parks the arrival it peeked (the event path re-arms),
+        the event fires, and the next completion re-takes the stream."""
+        from repro.sim.source import PacketSource
+
+        parks = []
+        park = PacketSource._park_arrival
+
+        def counting_park(source):
+            parks.append(source._index)
+            park(source)
+
+        monkeypatch.setattr(PacketSource, "_park_arrival", counting_park)
+
+        def run(fused, segments):
+            # 0.9 load: the NIC goes idle between arrivals and pulls.
+            arrivals = self.cbr(3000, gap=4e-6 / 0.9)
+            _, fabric = self.streaming_chain(
+                keep_packets=True, fused_delivery=None if fused else False)
+            source = fabric.attach_source(
+                "h_src", iter(arrivals) if chunked else arrivals)
+            for k in range(1, segments):
+                fabric.run(until=k * 3000 * 4e-6 / 0.9 / segments)
+            fabric.run(drain=True)
+            assert source.generated_packets == 3000
+            return [(p.arrival_time, p.departure_time)
+                    for p in fabric.sink("h_dst").packets]
+
+        segmented = run(fused=True, segments=40)
+        assert len(parks) >= 39
+        assert len(segmented) == 3000
+        assert segmented == run(fused=False, segments=1)
