@@ -98,11 +98,11 @@ class WorkloadCache:
                      load_scale: float) -> Dict[str, List[ArrivalProto]]:
         """Run every demand's generator once; record packet prototypes.
 
-        Mirrors the per-host grouping and ``lazy_merge_arrivals`` order of
+        Mirrors the per-host grouping and ``merge_arrivals`` order of
         :meth:`~repro.net.scenario.Scenario.run`: streams are merged here,
         at build time, so a replay is a single pre-sorted list per host.
         """
-        from ..traffic.generators import lazy_merge_arrivals
+        from ..traffic.generators import merge_arrivals
 
         by_host: Dict[str, list] = {}
         for demand in scenario.demands:
@@ -113,7 +113,7 @@ class WorkloadCache:
         materialised: Dict[str, List[ArrivalProto]] = {}
         for host, streams in by_host.items():
             protos: List[ArrivalProto] = []
-            for time, packet in lazy_merge_arrivals(*streams):
+            for time, packet in merge_arrivals(*streams):
                 fields = packet.fields
                 protos.append((
                     time, packet.flow, packet.length, packet.packet_class,
@@ -133,7 +133,7 @@ class WorkloadCache:
         """
         for (time, flow, length, packet_class, priority, fields,
              src, dst) in protos:
-            yield time, Packet(
+            yield time, Packet.acquire(
                 flow, length,
                 packet_class=packet_class,
                 priority=priority,

@@ -31,7 +31,7 @@ from ..traffic.flows import FlowSpec
 from ..traffic.generators import (
     cbr_arrivals,
     flow_arrivals,
-    lazy_merge_arrivals,
+    merge_arrivals,
     onoff_arrivals,
     poisson_arrivals,
 )
@@ -375,7 +375,7 @@ class Scenario:
                                               load_scale=load_scale)
                     )
                 for host, streams in sorted(by_host.items()):
-                    fabric.attach_source(host, lazy_merge_arrivals(*streams))
+                    fabric.attach_source(host, merge_arrivals(*streams))
             fabric.run(until=duration, drain=True)
             results[label] = self._collect(fabric, label, duration)
         return results

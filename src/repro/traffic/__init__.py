@@ -17,7 +17,6 @@ from .generators import (
     backlogged_arrivals,
     cbr_arrivals,
     flow_arrivals,
-    lazy_merge_arrivals,
     merge_arrivals,
     onoff_arrivals,
     poisson_arrivals,
@@ -33,7 +32,6 @@ __all__ = [
     "backlogged_arrivals",
     "flow_arrivals",
     "merge_arrivals",
-    "lazy_merge_arrivals",
     "total_bytes",
     "EmpiricalCDF",
     "WEB_SEARCH_CDF",

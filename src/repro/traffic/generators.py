@@ -16,7 +16,9 @@ Generators provided:
 * :func:`flow_arrivals` — a sequence of finite flows whose sizes come from a
   flow-size distribution (heavy-tailed by default) and whose packets carry
   the SJF/SRPT/LAS metadata, for the flow-completion-time experiments.
-* :func:`merge_arrivals` — deterministic merge of several streams.
+* :func:`merge_arrivals` — the one streaming k-way merge.  Its inputs must
+  each be sorted by time; it checks that as it consumes them (raising
+  :class:`~repro.exceptions.TrafficError`) and never re-sorts.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.packet import Packet
@@ -200,36 +203,31 @@ def flow_arrivals(
             packet_index += 1
 
 
+def _in_order(index: int, stream: Iterable[Arrival]) -> Iterator[Arrival]:
+    """``stream`` unchanged; raises at the first arrival that steps back."""
+    last = float("-inf")
+    for arrival in stream:
+        if arrival[0] < last:
+            raise TrafficError(f"arrival stream {index} is not sorted by time "
+                               f"({arrival[0]} after {last})")
+        last = arrival[0]
+        yield arrival
+
+
 def merge_arrivals(*streams: Iterable[Arrival]) -> Iterator[Arrival]:
-    """Merge several arrival streams into one, ordered by time.
+    """Merge time-sorted arrival streams into one, lazily.
 
-    Ties preserve the argument order, keeping merged workloads deterministic.
+    Output order is time, then argument order, then position in the stream.
+    Arrivals pass through as the objects the streams yielded, one head per
+    stream is held, and a stream that steps back in time raises
+    :class:`TrafficError` naming its index when that arrival is reached.
     """
-    counter = itertools.count()
-    decorated = [
-        ((time, index, next(counter)), packet)
-        for index, stream in enumerate(streams)
-        for time, packet in stream
-    ]
-    # heapq.merge would be lazier but requires each stream pre-sorted and
-    # wrapped; the experiments are small enough that materialising is fine
-    # and considerably simpler.
-    decorated.sort(key=lambda item: item[0])
-    for (time, _index, _seq), packet in decorated:
-        yield time, packet
-
-
-def lazy_merge_arrivals(*streams: Iterable[Arrival]) -> Iterator[Arrival]:
-    """Streaming merge (no materialisation) for long-running workloads."""
-    counter = itertools.count()
-
-    def _decorate(index: int, stream: Iterable[Arrival]):
-        for time, packet in stream:
-            yield time, index, next(counter), packet
-
-    merged = heapq.merge(*(_decorate(i, s) for i, s in enumerate(streams)))
-    for time, _index, _seq, packet in merged:
-        yield time, packet
+    checked = [_in_order(index, stream) for index, stream in enumerate(streams)]
+    if len(checked) == 1:
+        return checked[0]
+    # Keyed on time alone: heapq.merge is stable (ties go to the earlier
+    # argument), so packets are never compared and nothing is decorated.
+    return heapq.merge(*checked, key=itemgetter(0))
 
 
 def total_bytes(arrivals: Sequence[Arrival]) -> int:

@@ -121,6 +121,22 @@ class TestCacheMechanics:
             assert "prev_wait_time" not in b.fields
             assert a.flow == b.flow and a.length == b.length
 
+    def test_replay_draws_on_the_packet_free_list(self):
+        from repro.core.packet import clear_pool, pool_size
+
+        cache = WorkloadCache()
+        protos = cache.arrivals_for(get_scenario("fig6_chain"), duration=0.01,
+                                    base_seed=7, load_scale=1.0)
+        host = next(iter(protos))
+        clear_pool()
+        for _, packet in list(cache.replay(protos[host])):
+            packet.recycle()   # what a streaming sink does at delivery
+        pooled = pool_size()
+        assert pooled == len(protos[host])
+        replayed = [p for _, p in cache.replay(protos[host])]
+        assert pool_size() == 0 and len(replayed) == pooled
+        clear_pool()
+
     def test_fault_scenarios_rebuild_topology(self):
         cache = WorkloadCache()
         faulted = get_scenario("chain_flap")

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import gc
+import itertools
 import random
+import tracemalloc
+from operator import itemgetter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.packet import _POOL_LIMIT, Packet, clear_pool
+from repro.exceptions import TrafficError
+from repro.sim import PacketSource, Simulator
+from repro.sim.source import PREFETCH_CHUNK
 from repro.traffic import (
     EmpiricalCDF,
     FlowSpec,
@@ -19,7 +28,6 @@ from repro.traffic import (
     exponential,
     flow_arrivals,
     merge_arrivals,
-    lazy_merge_arrivals,
     onoff_arrivals,
     pareto,
     poisson_arrivals,
@@ -109,14 +117,116 @@ class TestGenerators:
         times = [t for t, _ in merged]
         assert times == sorted(times)
 
-    def test_lazy_merge_matches_eager_merge(self):
-        spec_a = FlowSpec(name="A", rate_bps=8e6, packet_size=1000)
-        spec_b = FlowSpec(name="B", rate_bps=3e6, packet_size=700)
-        eager = [(t, p.flow) for t, p in merge_arrivals(
-            cbr_arrivals(spec_a, 0.01), cbr_arrivals(spec_b, 0.01))]
-        lazy = [(t, p.flow) for t, p in lazy_merge_arrivals(
-            cbr_arrivals(spec_a, 0.01), cbr_arrivals(spec_b, 0.01))]
-        assert eager == lazy
+
+class TestMergeArrivals:
+    """The one merge: streaming, stable (time, then argument order, then
+    position in the stream), and checking the order it relies on."""
+
+    #: Arrival times are small multiples of 0.5, so ties across and within
+    #: streams are the common case.
+    streams = st.lists(
+        st.lists(st.integers(0, 6), max_size=12).map(sorted), max_size=5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(streams)
+    def test_property_merge_equals_reference_sort(self, ticks):
+        tagged = [
+            [(0.5 * tick, Packet(flow=f"{index}:{position}", length=100))
+             for position, tick in enumerate(stream)]
+            for index, stream in enumerate(ticks)
+        ]
+        keyed = [((arrival[0], index, position), arrival)
+                 for index, stream in enumerate(tagged)
+                 for position, arrival in enumerate(stream)]
+        reference = [arrival for _key, arrival in
+                     sorted(keyed, key=itemgetter(0))]
+        merged = list(merge_arrivals(*(iter(stream) for stream in tagged)))
+        assert merged == reference
+
+    def test_zero_streams_and_one_stream(self):
+        assert list(merge_arrivals()) == []
+        spec = FlowSpec(name="A", rate_bps=8e6, packet_size=1000)
+        alone = list(cbr_arrivals(spec, 0.01))
+        assert list(merge_arrivals(iter(alone))) == alone
+
+    @pytest.mark.parametrize("others", [0, 2])
+    def test_out_of_order_stream_raises_naming_the_stream(self, others):
+        spec = FlowSpec(name="ok", rate_bps=8e6, packet_size=1000)
+        packet = Packet(flow="bad", length=100)
+        bad = [(0.001, packet), (0.003, packet), (0.002, packet)]
+        streams = [cbr_arrivals(spec, 0.01) for _ in range(others)] + [bad]
+        with pytest.raises(TrafficError, match=f"stream {others} "):
+            list(merge_arrivals(*streams))
+
+    def test_source_never_delivers_a_misordered_packet(self):
+        spec = FlowSpec(name="ok", rate_bps=8e6, packet_size=1000)
+        # The step back in time sits past the source's first refill chunks.
+        late = [(i * 1e-3, Packet(flow="late", length=100)) for i in range(600)]
+        late[500] = (late[400][0], late[500][1])
+        delivered = []
+        sim = Simulator()
+        port = SimpleNamespace(
+            receive=lambda packet: delivered.append((sim.now, packet)))
+        PacketSource(sim, port, merge_arrivals(cbr_arrivals(spec, 1.0), late))
+        with pytest.raises(TrafficError, match="stream 1 "):
+            sim.run()
+        assert delivered
+        times = [time for time, _packet in delivered]
+        assert times == sorted(times)
+        assert late[500][1] not in [packet for _time, packet in delivered]
+
+
+class TestMergeMemory:
+    """Nothing transient per arrival: what a merge allocates is what its
+    consumer keeps."""
+
+    PACKETS = 20_000
+
+    def streams(self, count):
+        # 500 B at 1 Gbit/s in total: PACKETS arrivals over all streams.
+        duration = self.PACKETS * 500 * 8.0 / 1e9
+        return [cbr_arrivals(FlowSpec(name=f"f{i}", rate_bps=1e9 / count,
+                                      packet_size=500), duration)
+                for i in range(count)]
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_listing_a_merge_peaks_at_what_it_keeps(self, count):
+        clear_pool()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            arrivals = list(merge_arrivals(*self.streams(count)))
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(arrivals) == self.PACKETS
+        assert peak <= 1.15 * live
+
+    def test_source_over_a_merge_holds_a_chunk_not_the_run(self):
+        """An un-listed merge feeds a source a refill at a time: live
+        packets are the free list the port refills plus the prefetch."""
+        clear_pool()
+        gc.collect()
+
+        def live_packets():
+            return sum(1 for obj in gc.get_objects() if type(obj) is Packet)
+
+        before = live_packets()
+        delivered = itertools.count(1)
+        samples = []
+
+        def receive(packet):
+            packet.recycle()   # what a streaming sink does at delivery
+            if next(delivered) % 2500 == 0:
+                samples.append(live_packets() - before)
+
+        sim = Simulator()
+        PacketSource(sim, SimpleNamespace(receive=receive),
+                     merge_arrivals(*self.streams(4)))
+        sim.run()
+        assert len(samples) == self.PACKETS // 2500
+        assert 0 < max(samples) <= _POOL_LIMIT + 4 * PREFETCH_CHUNK
+        clear_pool()
 
 
 class TestDistributions:
