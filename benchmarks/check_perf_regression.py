@@ -30,7 +30,7 @@ from typing import Dict, Iterator, Tuple
 #: Benchmark artifacts gated by this script, with extractors yielding
 #: ``(metric_name, packets_or_runs_per_second)`` pairs.
 GATED_ARTIFACTS = ("BENCH_network_fabric.json", "BENCH_campaign.json",
-                   "BENCH_obs_overhead.json", "BENCH_event_queue.json")
+                   "BENCH_obs_overhead.json")
 
 #: Metrics held to an absolute floor on the *current* value instead of a
 #: baseline-relative tolerance.  The obs ratio pairs rates interleaved
@@ -112,26 +112,10 @@ def _obs_metrics(payload: Dict) -> Iterator[Tuple[str, float]]:
         yield "obs/metrics-off vs paired baseline", float(ratio)
 
 
-def _event_queue_metrics(payload: Dict) -> Iterator[Tuple[str, float]]:
-    # Both backends gate: the heap is the shipping default, the wheel the
-    # scaling hedge — neither may silently rot.
-    for pattern, data in sorted(payload.get("patterns", {}).items()):
-        for backend in ("heap", "wheel"):
-            rate = data.get(backend)
-            if rate is not None:
-                yield f"eventq/{pattern}/{backend} ops/s", float(rate)
-    for topology, data in sorted(payload.get("end_to_end", {}).items()):
-        for backend in ("heap", "wheel"):
-            rate = data.get(backend)
-            if rate is not None:
-                yield f"eventq/{topology}/{backend} pkt/s", float(rate)
-
-
 EXTRACTORS = {
     "BENCH_network_fabric.json": _fabric_metrics,
     "BENCH_campaign.json": _campaign_metrics,
     "BENCH_obs_overhead.json": _obs_metrics,
-    "BENCH_event_queue.json": _event_queue_metrics,
 }
 
 

@@ -7,10 +7,12 @@ make the parallelism safe to trust:
 * **Seeds are data, not state.**  Every :class:`~repro.campaign.spec.RunSpec`
   carries its own derived seed, so a run's result is a pure function of the
   spec — which worker executed it, and in what order, cannot matter.
-* **Ordered collection.**  Workers may *finish* in any order, but results
-  are collected with ``imap`` (submission order) and appended to the store
-  in run-table order, so a ``workers=N`` store is byte-identical to the
-  serial one modulo the :data:`~repro.campaign.store.TIMING_FIELDS`.
+* **Ordered collection.**  Workers may *finish* in any order, but
+  :meth:`~repro.campaign.engine.WarmWorkerEngine.execute` submits leases
+  (contiguous slices of the run table) with ``apply_async``, awaits the
+  oldest outstanding lease first and commits records in run-table order,
+  so a ``workers=N`` store is byte-identical to the serial one modulo the
+  :data:`~repro.campaign.store.TIMING_FIELDS`.
 * **Resume by fingerprint.**  Completed runs are identified by their config
   fingerprint in the store; ``resume=True`` executes exactly the missing
   *and failed* specs and appends them behind the surviving records.
@@ -36,11 +38,11 @@ retry state machine per run::
         process death ────────────────────► STATUS_WORKER_LOST record
                                             (detected by the parent)
 
-Retries run *inside* the worker, so the pool still yields exactly one
-record per spec in submission order.  A dead worker stalls the pool's
-result iterator; the parent's watchdog detects the stall, terminates the
-pool and degrades to crash-isolated execution — one subprocess per
-remaining spec — so a single poisoned run cannot take down the sweep.
+Retries run *inside* the worker, so a lease still yields exactly one
+record per spec.  A dead worker never completes its lease; the parent's
+watchdog detects the stall, terminates the pool and degrades to
+crash-isolated execution — one subprocess per remaining spec — so a single
+poisoned run cannot take down the sweep.
 
 ``REPRO_CAMPAIGN_FAULT=<run_id substring>:<mode>[:<arg>]`` injects faults
 for testing: ``raise`` (every attempt raises), ``flaky:N`` (raises until
@@ -309,33 +311,23 @@ def execute_spec_guarded(spec: RunSpec,
     )
 
 
-#: Policy installed in pool workers by the initializer (module global so
-#: the imap callable stays a picklable top-level function).
-_WORKER_POLICY = WorkerPolicy()
-
-
-def _worker_init(policy_dict: Optional[Dict] = None) -> None:
-    """Pool initializer: warm each worker before its first run.
+def _worker_init() -> None:
+    """Warm a crash-isolated subprocess before its run.
 
     Imports :mod:`repro.net` (which populates the scenario registry) and
     pre-compiles the built-in lang programs' factories lazily imported by
-    the scenarios, so the first run a worker executes pays none of the
-    import/registry cost.  Under ``fork`` the parent's warm interpreter is
-    inherited and this is nearly free; under ``spawn`` it moves the entire
-    import cost out of the measured per-run path.  Also installs the
-    campaign's :class:`WorkerPolicy` for guarded execution.
+    the scenarios, so the run pays none of the import/registry cost inside
+    its measured section.  Under ``fork`` the parent's warm interpreter is
+    inherited and this is nearly free.
     """
     from .. import net  # noqa: F401  (import side effect: scenario registry)
 
     net.list_scenarios()
-    if policy_dict is not None:
-        global _WORKER_POLICY
-        _WORKER_POLICY = WorkerPolicy.from_dict(policy_dict)
 
 
 def _isolated_entry(conn, payload: Dict, policy_dict: Dict) -> None:
     """Entry point for crash-isolated per-spec subprocesses."""
-    _worker_init(policy_dict)
+    _worker_init()
     record = execute_spec_guarded(RunSpec.from_dict(payload),
                                   WorkerPolicy.from_dict(policy_dict))
     conn.send(record)

@@ -17,12 +17,10 @@ Subcommands
     Print a transaction's source, its state analysis and the Domino-style
     atom pipeline it compiles to.
 ``perf [--workload W] [--packets N] [--pifo-backend B] [--telemetry]
-[--event-queue {heap,wheel}] [--batch-limit N] [--profile] [--json]
-[--out FILE]``
+[--batch-limit N] [--profile] [--json] [--out FILE]``
     Measure (or cProfile) the simulation hot path on a canonical fabric
-    workload; prints which datapath variant (kernel fusion, event-queue
-    backend, batch limit, telemetry) produced the numbers; see
-    :mod:`repro.perf`.
+    workload; prints which datapath variant (kernel fusion, batch limit,
+    telemetry) produced the numbers; see :mod:`repro.perf`.
 ``trace SCENARIO [--variant V] [--quick] [--out spans.jsonl]
 [--chrome FILE]``
     Run one scenario variant with the packet-trace collector attached
@@ -141,10 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                              dest="tree_kernel",
                              help="measure the interpreted reference datapath "
                                   "(fused kernels and fused delivery off)")
-    perf_parser.add_argument("--event-queue", default=None,
-                             dest="event_queue", choices=["heap", "wheel"],
-                             help="event-queue backend (default: heap, or "
-                                  "REPRO_EVENT_QUEUE when set)")
     perf_parser.add_argument("--batch-limit", type=int, default=None,
                              dest="batch_limit", metavar="N",
                              help="max back-to-back packets per transmit "
@@ -844,7 +838,7 @@ def _cmd_campaign_status(target: str, watch: bool, interval_s: float,
 
 
 def _cmd_perf(workload: str, packets: int, pifo_backend: str,
-              telemetry: bool, tree_kernel: bool, event_queue: Optional[str],
+              telemetry: bool, tree_kernel: bool,
               batch_limit: Optional[int], profile: bool, top: int,
               as_json: bool, out: Optional[str]) -> int:
     from .perf import profile_workload, run_workload
@@ -855,7 +849,6 @@ def _cmd_perf(workload: str, packets: int, pifo_backend: str,
                                       pifo_backend=pifo_backend,
                                       telemetry=telemetry,
                                       tree_kernel=tree_kernel,
-                                      event_queue=event_queue,
                                       batch_limit=batch_limit, top=top)
             perf = result.perf
         else:
@@ -863,7 +856,6 @@ def _cmd_perf(workload: str, packets: int, pifo_backend: str,
                                 pifo_backend=pifo_backend,
                                 telemetry=telemetry,
                                 tree_kernel=tree_kernel,
-                                event_queue=event_queue,
                                 batch_limit=batch_limit)
             result = None
     except (KeyError, ValueError) as exc:
@@ -1051,7 +1043,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_show(args.program, args.tree_kernel, args.pifo_backend)
     if args.command == "perf":
         return _cmd_perf(args.workload, args.packets, args.pifo_backend,
-                         args.telemetry, args.tree_kernel, args.event_queue,
+                         args.telemetry, args.tree_kernel,
                          args.batch_limit, args.profile, args.top,
                          args.json, args.out)
     if args.command == "trace":

@@ -403,8 +403,6 @@ class Fabric:
         fabric = self
         sim = self.sim
         queue = sim._queue
-        #: Raw heap for the default backend; None routes scheduling through
-        #: the queue's insert() (timing wheel).
         heap = sim._raw_heap
         scheduler = port.scheduler
         inv_rate = port._inv_rate
@@ -555,10 +553,7 @@ class Fabric:
                                     queue._next_seq = seq + 1
                                     entry = (now + head.length * out_inv,
                                              seq, out_cb)
-                                    if heap is not None:
-                                        heappush(heap, entry)
-                                    else:
-                                        queue.insert(entry)
+                                    heappush(heap, entry)
                             elif osched.enqueue(packet, now):
                                 nxt_stats.admitted += 1
                                 if not out.busy:
@@ -573,10 +568,7 @@ class Fabric:
                                         entry = (now
                                                  + head.length * out_inv,
                                                  seq, out_cb)
-                                        if heap is not None:
-                                            heappush(heap, entry)
-                                        else:
-                                            queue.insert(entry)
+                                        heappush(heap, entry)
                             else:
                                 out.dropped_packets += 1
                                 nxt_buffer.used_cells -= cells
@@ -728,11 +720,7 @@ class Fabric:
                 if budget > 1 and t_next <= sim._ff_horizon:
                     deferred = sim._deferred
                     if deferred is None or deferred[0] > t_next:
-                        if heap is not None:
-                            head_time = heap[0][0] if heap else None
-                        else:
-                            head_time = queue.peek_time()
-                        if head_time is None or head_time > t_next:
+                        if not heap or heap[0][0] > t_next:
                             budget -= 1
                             sim.now = now = t_next
                             sim.events_processed += 1
@@ -746,10 +734,7 @@ class Fabric:
                 seq = queue._next_seq
                 queue._next_seq = seq + 1
                 entry = (t_next, seq, _tx_complete)
-                if heap is not None:
-                    heappush(heap, entry)
-                else:
-                    queue.insert(entry)
+                heappush(heap, entry)
                 return
 
         return _tx_complete
@@ -883,10 +868,7 @@ class Fabric:
                 queue._next_seq = seq + 1
                 entry = (now + head.length * out_inv,
                          seq, out_cb)
-                if heap is not None:
-                    heappush(heap, entry)
-                else:
-                    queue.insert(entry)
+                heappush(heap, entry)
                 return True
             if not osched.enqueue(packet, now):
                 out.dropped_packets += 1
@@ -905,10 +887,7 @@ class Fabric:
                     seq = queue._next_seq
                     queue._next_seq = seq + 1
                     entry = (now + head.length * out_inv, seq, out_cb)
-                    if heap is not None:
-                        heappush(heap, entry)
-                    else:
-                        queue.insert(entry)
+                    heappush(heap, entry)
             return True
 
         return receive

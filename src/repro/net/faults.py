@@ -250,11 +250,8 @@ class FaultInjector:
     def schedule(self) -> None:
         """Register every plan event with the fabric's simulator."""
         for event in self.plan.events:
-            self.fabric.sim.schedule_at(
-                event.time,
-                lambda e=event: self.apply(e),
-                name=f"fault:{type(event).__name__}",
-            )
+            self.fabric.sim.schedule_at(event.time,
+                                        lambda e=event: self.apply(e))
 
     def _install_port_guards(self) -> None:
         """Wrap every egress port's transmit-completion callback.

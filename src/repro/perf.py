@@ -134,8 +134,6 @@ class PerfResult:
     pool_recycled: int
     #: Whether the fused tree kernel (and fused fabric delivery) was on.
     tree_kernel: bool = True
-    #: Event-queue backend the run used (``heap``/``wheel``).
-    event_queue: str = "heap"
     #: Per-callback transmit batch limit of the fabric's ports.
     batch_limit: int = DEFAULT_BATCH_LIMIT
     #: Kernel-cache activity during this run (deltas of
@@ -159,8 +157,7 @@ class PerfResult:
     def datapath(self) -> str:
         """One-line description of the datapath variant that was measured."""
         kernels = "fused kernels" if self.tree_kernel else "interpreted"
-        return (f"{kernels} · queue={self.event_queue} · "
-                f"batch_limit={self.batch_limit} · "
+        return (f"{kernels} · batch_limit={self.batch_limit} · "
                 f"telemetry={'on' if self.telemetry else 'off'}")
 
     def to_dict(self) -> Dict:
@@ -176,7 +173,6 @@ class PerfResult:
             "events_per_second": self.events_per_second,
             "pool_recycled": self.pool_recycled,
             "tree_kernel": self.tree_kernel,
-            "event_queue": self.event_queue,
             "batch_limit": self.batch_limit,
             "kernel_cache_hits": self.kernel_cache_hits,
             "kernel_compiles": self.kernel_compiles,
@@ -202,7 +198,6 @@ def run_workload(
     pifo_backend: Optional[str] = "sorted",
     telemetry: bool = False,
     tree_kernel: bool = True,
-    event_queue: Optional[str] = None,
     batch_limit: Optional[int] = None,
 ) -> PerfResult:
     """Drive one throughput workload to completion and time it.
@@ -211,8 +206,6 @@ def run_workload(
     tuned for; pass ``True`` to measure the figure-run configuration.
     ``tree_kernel=False`` measures the interpreted reference datapath
     (no fused scheduler kernels, no fused fabric delivery).
-    ``event_queue`` selects the simulator's event-queue backend
-    (``heap``/``wheel``; ``None`` consults ``REPRO_EVENT_QUEUE``) and
     ``batch_limit`` caps the ports' per-callback transmit bursts.
     """
     try:
@@ -224,7 +217,7 @@ def run_workload(
         ) from None
     pool_before = pool_size()
     cache_before = kernel_cache_info()
-    sim = Simulator(event_queue=event_queue)
+    sim = Simulator()
     fabric = builder(sim, packets, pifo_backend, telemetry, tree_kernel,
                      batch_limit=batch_limit)
     # The timed section runs with the cyclic collector paused (the campaign
@@ -256,7 +249,6 @@ def run_workload(
         events=sim.events_processed,
         pool_recycled=max(0, pool_size() - pool_before),
         tree_kernel=tree_kernel,
-        event_queue=sim.event_queue_kind,
         batch_limit=fabric.batch_limit,
         kernel_cache_hits=cache_after["hits"] - cache_before["hits"],
         kernel_compiles=cache_after["misses"] - cache_before["misses"],
@@ -271,7 +263,6 @@ def profile_workload(
     pifo_backend: Optional[str] = "sorted",
     telemetry: bool = False,
     tree_kernel: bool = True,
-    event_queue: Optional[str] = None,
     batch_limit: Optional[int] = None,
     top: int = 20,
 ) -> ProfileResult:
@@ -290,7 +281,7 @@ def profile_workload(
         ) from None
     pool_before = pool_size()
     cache_before = kernel_cache_info()
-    sim = Simulator(event_queue=event_queue)
+    sim = Simulator()
     fabric = builder(sim, packets, pifo_backend, telemetry, tree_kernel,
                      batch_limit=batch_limit)
     profiler = cProfile.Profile()
@@ -314,7 +305,6 @@ def profile_workload(
         events=sim.events_processed,
         pool_recycled=max(0, pool_size() - pool_before),
         tree_kernel=tree_kernel,
-        event_queue=sim.event_queue_kind,
         batch_limit=fabric.batch_limit,
         kernel_cache_hits=cache_after["hits"] - cache_before["hits"],
         kernel_compiles=cache_after["misses"] - cache_before["misses"],

@@ -13,13 +13,18 @@ sequence number in a *tombstone set*; tombstoned entries are skipped on pop.
 When tombstones outnumber half the heap the queue **compacts** — rebuilds
 the heap without the dead entries — so a workload that arms and cancels many
 wake-ups (shaped ports) cannot grow the heap without bound.
+
+:class:`EventQueue` is the only event queue: the simulator, the fused fabric
+ports and :class:`~repro.sim.source.PacketSource` ``heappush`` straight onto
+its list and keep that list for a whole run, which is why :meth:`compact`
+must rebuild it in place (see DESIGN.md, "Event queue", for why a binary
+heap and nothing else).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from typing import Any, Callable, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, List, Optional, Set, Tuple
 
 from ..exceptions import SimulationError
 from ..obs import metrics
@@ -27,10 +32,6 @@ from ..obs import metrics
 #: A scheduled callback: ``(time, seq, callback)``.  Returned by
 #: :meth:`EventQueue.push` as the cancellation handle.
 Event = Tuple[float, int, Callable[[], Any]]
-
-#: Environment variable selecting the default event-queue backend
-#: (``heap`` or ``wheel``) for simulators that do not pass one explicitly.
-EVENT_QUEUE_ENV = "REPRO_EVENT_QUEUE"
 
 
 class EventQueue:
@@ -58,27 +59,13 @@ class EventQueue:
             registry.gauge("sim.heap_size"),
         )
 
-    def push(self, time: float, callback: Callable[[], Any],
-             name: str = "") -> Event:
-        """Schedule ``callback`` at ``time`` and return the event handle.
-
-        ``name`` is accepted for API compatibility and ignored — per-event
-        labels cost an allocation on the hottest path in the simulator.
-        """
+    def push(self, time: float, callback: Callable[[], Any]) -> Event:
+        """Schedule ``callback`` at ``time`` and return the event handle."""
         seq = self._next_seq
         self._next_seq = seq + 1
         entry = (time, seq, callback)
         heapq.heappush(self._heap, entry)
         return entry
-
-    def insert(self, entry: Event) -> None:
-        """Re-queue an already-built ``(time, seq, callback)`` entry.
-
-        Used by the simulator when it demotes a deferred event back into
-        the queue; the entry keeps its original sequence number so ordering
-        is unaffected.
-        """
-        heapq.heappush(self._heap, entry)
 
     def cancel(self, entry: Event) -> None:
         """Mark an event so the simulator skips it when its time comes.
@@ -98,9 +85,10 @@ class EventQueue:
         """Rebuild the heap without tombstoned entries.
 
         In-place (``heap[:] = ...``) so callers holding a reference to the
-        underlying list — the flattened :meth:`Simulator.run` loop — stay
-        valid.  Also drops tombstones for entries already popped, keeping
-        the set from leaking under cancel-after-fire misuse.
+        underlying list — the flattened :meth:`Simulator.run` loop, fused
+        ports, packet sources — stay valid.  Also drops tombstones for
+        entries already popped, keeping the set from leaking under
+        cancel-after-fire misuse.
         """
         tombstones = self._tombstones
         if tombstones:
@@ -169,273 +157,3 @@ class EventQueue:
         if not tombstones:
             return bool(self._heap)
         return any(entry[1] not in tombstones for entry in self._heap)
-
-
-class TimingWheelQueue:
-    """Timing-wheel event queue: O(1) scheduling for near-horizon events.
-
-    The sim's event population is dominated by port transmit completions a
-    few microseconds out — a textbook timing-wheel workload.  The wheel is
-    a power-of-two ring of slots, each ``tick`` seconds wide; an event at
-    time ``t`` lands in slot ``int(t / tick) % slots``.  Events beyond the
-    wheel horizon (``slots * tick`` ahead of the cursor) go to a heap
-    **overflow ring** and migrate into the wheel lazily as the cursor
-    approaches them — the hierarchical second level, without paying a
-    multi-level cascade on the hot path.
-
-    Ordering is identical to :class:`EventQueue`: (time, seq).  Within a
-    slot, entries are kept sorted descending and popped from the tail; a
-    slot is only re-sorted when a push dirtied it.  Slots are aliased
-    (ticks congruent modulo ``slots`` share a slot), so the cursor checks
-    the head entry's tick before serving a slot — an aliased future entry
-    never jumps the queue.
-
-    Cancellation uses the same tombstone-set protocol as the heap backend
-    (entries are shared immutable tuples), with compaction when tombstones
-    pile up.  API-compatible with :class:`EventQueue` plus :meth:`peek`
-    and :meth:`insert`, which the simulator's generic run loop uses.
-    """
-
-    __slots__ = ("_slots", "_dirty", "_nslots", "_mask", "_tick", "_tick_inv",
-                 "_cursor", "_overflow", "_tombstones", "_next_seq",
-                 "_wheel_count", "_metrics")
-
-    def __init__(self, tick: float = 1e-6, slots: int = 4096) -> None:
-        if tick <= 0:
-            raise ValueError("tick must be positive")
-        if slots <= 0 or slots & (slots - 1):
-            raise ValueError("slots must be a positive power of two")
-        self._slots: List[List[Event]] = [[] for _ in range(slots)]
-        self._dirty = bytearray(slots)
-        self._nslots = slots
-        self._mask = slots - 1
-        self._tick = float(tick)
-        self._tick_inv = 1.0 / float(tick)
-        #: Absolute tick index the wheel is currently serving.
-        self._cursor = 0
-        #: Far-horizon events (tick >= cursor + nslots), a plain heap.
-        self._overflow: List[Event] = []
-        self._tombstones: Set[int] = set()
-        self._next_seq = 0
-        #: Entries resident in wheel slots (tombstoned ones included until
-        #: they are lazily discarded).
-        self._wheel_count = 0
-        registry = metrics.active()
-        self._metrics = None if registry is None else (
-            registry.counter("sim.event_compactions"),
-            registry.histogram("sim.tombstone_ratio",
-                               buckets=(0.1, 0.25, 0.5, 0.75, 1.0)),
-            registry.gauge("sim.heap_size"),
-        )
-
-    def push(self, time: float, callback: Callable[[], Any],
-             name: str = "") -> Event:
-        """Schedule ``callback`` at ``time`` and return the event handle."""
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        entry = (time, seq, callback)
-        self.insert(entry)
-        return entry
-
-    def insert(self, entry: Event) -> None:
-        """Place an already-built entry, preserving its sequence number."""
-        idx = int(entry[0] * self._tick_inv)
-        cursor = self._cursor
-        if idx < cursor:
-            # A peek may have advanced the cursor past this entry's tick
-            # (peeking walks forward to find the head).  Rewind — the
-            # skipped slots are empty or hold aliased future entries, and
-            # the per-slot tick check keeps ordering exact either way.
-            if idx < 0:
-                idx = 0
-            self._cursor = idx
-        elif idx >= cursor + self._nslots:
-            heapq.heappush(self._overflow, entry)
-            return
-        i = idx & self._mask
-        self._slots[i].append(entry)
-        self._dirty[i] = 1
-        self._wheel_count += 1
-
-    def cancel(self, entry: Event) -> None:
-        """Tombstone an event; compacts when tombstones pile up.
-
-        Compaction rebuilds every slot — O(nslots) even when nearly
-        empty — so it needs an absolute tombstone floor on top of the
-        ratio check: a near-empty queue taking steady cancels must not
-        pay a full ring scan per cancel.
-        """
-        self._tombstones.add(entry[1])
-        tombstones = len(self._tombstones)
-        if (tombstones > 64
-                and tombstones * 2 > self._wheel_count + len(self._overflow)):
-            self.compact()
-
-    def cancelled(self, entry: Event) -> bool:
-        return entry[1] in self._tombstones
-
-    def compact(self) -> None:
-        """Rebuild wheel and overflow without tombstoned entries."""
-        tombstones = self._tombstones
-        if not tombstones:
-            return
-        m = self._metrics
-        total = self._wheel_count + len(self._overflow)
-        if m is not None:
-            compactions, ratio, size_gauge = m
-            compactions.inc()
-            if total:
-                ratio.observe(len(tombstones) / total)
-        live = [entry for slot in self._slots for entry in slot
-                if entry[1] not in tombstones]
-        live.extend(entry for entry in self._overflow
-                    if entry[1] not in tombstones)
-        for slot in self._slots:
-            slot.clear()
-        self._dirty[:] = bytes(self._nslots)
-        self._overflow.clear()
-        self._wheel_count = 0
-        tombstones.clear()
-        for entry in live:
-            self.insert(entry)
-        if m is not None:
-            size_gauge.set(len(live))
-
-    def _migrate(self, limit: int) -> None:
-        """Pull overflow entries with tick < ``limit`` into the wheel."""
-        overflow = self._overflow
-        tombstones = self._tombstones
-        tick_inv = self._tick_inv
-        mask = self._mask
-        slots = self._slots
-        dirty = self._dirty
-        pop = heapq.heappop
-        while overflow and int(overflow[0][0] * tick_inv) < limit:
-            entry = pop(overflow)
-            if tombstones and entry[1] in tombstones:
-                tombstones.discard(entry[1])
-                continue
-            i = int(entry[0] * tick_inv) & mask
-            slots[i].append(entry)
-            dirty[i] = 1
-            self._wheel_count += 1
-
-    def _resolve(self) -> Optional[List[Event]]:
-        """Advance the cursor to the next live event's slot.
-
-        Returns the slot list (sorted, live head at the tail) or ``None``
-        when the queue is empty.  Lazily discards tombstoned entries and
-        migrates overflow entries that came into the horizon.
-        """
-        tombstones = self._tombstones
-        overflow = self._overflow
-        slots = self._slots
-        mask = self._mask
-        nslots = self._nslots
-        tick_inv = self._tick_inv
-        dirty = self._dirty
-        cursor = self._cursor
-        while True:
-            if self._wheel_count == 0:
-                # Wheel empty: jump straight to the overflow head.
-                while overflow and tombstones and overflow[0][1] in tombstones:
-                    tombstones.discard(heapq.heappop(overflow)[1])
-                if not overflow:
-                    self._cursor = cursor
-                    return None
-                head_tick = int(overflow[0][0] * tick_inv)
-                if head_tick > cursor:
-                    cursor = head_tick
-                self._cursor = cursor
-                self._migrate(cursor + nslots)
-                continue
-            i = cursor & mask
-            slot = slots[i]
-            if not slot:
-                cursor += 1
-                if overflow:
-                    self._cursor = cursor
-                    self._migrate(cursor + nslots)
-                continue
-            if dirty[i]:
-                slot.sort(reverse=True)
-                dirty[i] = 0
-            entry = slot[-1]
-            if tombstones and entry[1] in tombstones:
-                slot.pop()
-                tombstones.discard(entry[1])
-                self._wheel_count -= 1
-                continue
-            if int(entry[0] * tick_inv) != cursor:
-                # Aliased entry for a tick a full wheel turn (or more)
-                # ahead — not due yet.
-                cursor += 1
-                if overflow:
-                    self._cursor = cursor
-                    self._migrate(cursor + nslots)
-                continue
-            self._cursor = cursor
-            return slot
-
-    def pop(self) -> Event:
-        """Remove and return the earliest live event."""
-        slot = self._resolve()
-        if slot is None:
-            raise SimulationError("pop from an empty event queue")
-        self._wheel_count -= 1
-        return slot.pop()
-
-    def peek(self) -> Optional[Event]:
-        """Earliest live event without removing it, or ``None``."""
-        slot = self._resolve()
-        return None if slot is None else slot[-1]
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest live event, or ``None`` when empty."""
-        entry = self.peek()
-        return None if entry is None else entry[0]
-
-    def __len__(self) -> int:
-        """Exact number of live (non-cancelled) events (see EventQueue)."""
-        tombstones = self._tombstones
-        if not tombstones:
-            return self._wheel_count + len(self._overflow)
-        live = sum(1 for slot in self._slots for entry in slot
-                   if entry[1] not in tombstones)
-        live += sum(1 for entry in self._overflow
-                    if entry[1] not in tombstones)
-        return live
-
-    def __bool__(self) -> bool:
-        tombstones = self._tombstones
-        if not tombstones:
-            return bool(self._wheel_count or self._overflow)
-        return self.peek() is not None
-
-
-#: Anything the simulator accepts as an event queue.
-AnyEventQueue = Union[EventQueue, TimingWheelQueue]
-
-#: Registered backends for :func:`make_event_queue`.
-EVENT_QUEUE_BACKENDS = ("heap", "wheel")
-
-
-def make_event_queue(kind: Optional[str] = None) -> AnyEventQueue:
-    """Build an event queue backend by name.
-
-    ``kind`` may be ``"heap"`` (the default), ``"wheel"``, or ``None`` to
-    consult the ``REPRO_EVENT_QUEUE`` environment variable (same values;
-    unset means heap).
-    """
-    if kind is None:
-        kind = os.environ.get(EVENT_QUEUE_ENV) or "heap"
-    if kind == "heap":
-        return EventQueue()
-    if kind == "wheel":
-        tick = float(os.environ.get("REPRO_WHEEL_TICK", "1e-6"))
-        slots = int(os.environ.get("REPRO_WHEEL_SLOTS", "4096"))
-        return TimingWheelQueue(tick=tick, slots=slots)
-    raise ValueError(
-        f"unknown event queue backend {kind!r}; "
-        f"expected one of {', '.join(EVENT_QUEUE_BACKENDS)}"
-    )

@@ -15,6 +15,8 @@ Design notes
   take explicit seeds.
 * Components register themselves via :meth:`Simulator.schedule` /
   :meth:`Simulator.schedule_at`; there is no global registry.
+* One event queue, one run loop: every simulator owns one binary-heap
+  :class:`~repro.sim.events.EventQueue` and nothing selects another.
 * The :meth:`Simulator.run` loop is deliberately *flat*: it operates on the
   event queue's raw tuple heap with the hot names bound to locals, because
   at fabric scale the per-event dispatch overhead dominates the simulation.
@@ -27,11 +29,11 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from ..exceptions import SimulationError
 from ..obs import metrics
-from .events import Event, EventQueue, TimingWheelQueue, make_event_queue
+from .events import Event, EventQueue
 
 _INF = float("inf")
 _NEG_INF = float("-inf")
@@ -56,19 +58,13 @@ class Simulator:
     __slots__ = ("now", "_queue", "events_processed", "_running", "_deferred",
                  "_metrics", "_raw_heap", "_ff_horizon")
 
-    def __init__(self, event_queue: Union[None, str, EventQueue,
-                                          TimingWheelQueue] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        #: Event queue backend: a backend name (``"heap"``/``"wheel"``), a
-        #: queue instance, or ``None`` to consult ``REPRO_EVENT_QUEUE``.
-        if event_queue is None or isinstance(event_queue, str):
-            self._queue = make_event_queue(event_queue)
-        else:
-            self._queue = event_queue
-        #: The heap backend's raw tuple list, or None for other backends.
-        #: The schedule methods and run() inline heappush/heappop against
-        #: it; when absent they go through the queue's insert/pop/peek API.
-        self._raw_heap = getattr(self._queue, "_heap", None)
+        self._queue = EventQueue()
+        #: The queue's raw tuple list.  The schedule methods, run(), fused
+        #: ports and packet sources inline heappush/heappop against it and
+        #: keep it across a run: EventQueue.compact rebuilds it in place.
+        self._raw_heap = self._queue._heap
         self.events_processed = 0
         self._running = False
         #: One-slot deferral buffer (see :meth:`schedule_fast`): the most
@@ -87,17 +83,8 @@ class Simulator:
         registry = metrics.active()
         self._metrics = None if registry is None else _SimMetrics(registry)
 
-    @property
-    def event_queue_kind(self) -> str:
-        """Name of the active event-queue backend (``heap``/``wheel``)."""
-        if isinstance(self._queue, TimingWheelQueue):
-            return "wheel"
-        if isinstance(self._queue, EventQueue):
-            return "heap"
-        return type(self._queue).__name__
-
     # -- scheduling -----------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[[], Any], name: str = "") -> Event:
+    def schedule(self, delay: float, callback: Callable[[], Any]) -> Event:
         """Run ``callback`` after ``delay`` seconds of simulated time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s in the past")
@@ -107,14 +94,10 @@ class Simulator:
         seq = queue._next_seq
         queue._next_seq = seq + 1
         entry = (self.now + delay, seq, callback)
-        heap = self._raw_heap
-        if heap is not None:
-            heappush(heap, entry)
-        else:
-            queue.insert(entry)
+        heappush(self._raw_heap, entry)
         return entry
 
-    def schedule_at(self, time: float, callback: Callable[[], Any], name: str = "") -> Event:
+    def schedule_at(self, time: float, callback: Callable[[], Any]) -> Event:
         """Run ``callback`` at absolute simulated time ``time``."""
         now = self.now
         if time < now - 1e-12:
@@ -125,11 +108,7 @@ class Simulator:
         seq = queue._next_seq
         queue._next_seq = seq + 1
         entry = (time if time > now else now, seq, callback)
-        heap = self._raw_heap
-        if heap is not None:
-            heappush(heap, entry)
-        else:
-            queue.insert(entry)
+        heappush(self._raw_heap, entry)
         return entry
 
     def schedule_fast(self, delay: float, callback: Callable[[], Any]) -> Event:
@@ -150,22 +129,15 @@ class Simulator:
         seq = queue._next_seq
         queue._next_seq = seq + 1
         entry = (self.now + delay, seq, callback)
-        heap = self._raw_heap
         if self._running:
             previous = self._deferred
             if previous is not None:
-                if heap is not None:
-                    heappush(heap, previous)
-                else:
-                    queue.insert(previous)
+                heappush(self._raw_heap, previous)
             self._deferred = entry
         else:
             # Outside run() the slot is never drained; keep the queue
             # authoritative so peek/len stay exact.
-            if heap is not None:
-                heappush(heap, entry)
-            else:
-                queue.insert(entry)
+            heappush(self._raw_heap, entry)
         return entry
 
     def cancel(self, event: Event) -> None:
@@ -200,74 +172,71 @@ class Simulator:
         if m is not None:
             m.heap_size.set(len(queue))
         try:
-            if heap is None:
-                processed = self._run_generic(queue, until_f, max_f)
-            else:
-                # Bind the queue internals once: entries pushed by callbacks
-                # land in the same list objects, and EventQueue.compact
-                # rebuilds in place.
-                tombstones = queue._tombstones
-                pop = heappop
-                while not stop:
-                    # Candidate: the (time, seq)-smallest of the deferred
-                    # slot and the heap head.  The slot is the previous
-                    # iteration's prefetched transmit completion
-                    # (schedule_fast) and very often wins, skipping the
-                    # heappush/heappop pair entirely.
-                    deferred = self._deferred
-                    if deferred is None:
-                        if not heap:
-                            break
-                        entry = heap[0]
-                        time = entry[0]
-                        if time > until_f:
-                            break
-                        pop(heap)
-                    elif heap and heap[0] < deferred:
-                        entry = heap[0]
-                        time = entry[0]
-                        if time > until_f:
-                            break
-                        pop(heap)
-                    else:
-                        entry = deferred
-                        time = entry[0]
-                        if time > until_f:
-                            break
-                        self._deferred = None
-                    if tombstones and entry[1] in tombstones:
-                        tombstones.discard(entry[1])
-                        continue
-                    self.now = time
-                    entry[2]()
-                    processed += 1
-                    if processed >= max_f:
+            # Bind the queue internals once: entries pushed by callbacks
+            # land in the same list objects, and EventQueue.compact
+            # rebuilds in place.
+            tombstones = queue._tombstones
+            pop = heappop
+            while not stop:
+                # Candidate: the (time, seq)-smallest of the deferred
+                # slot and the heap head.  The slot is the previous
+                # iteration's prefetched transmit completion
+                # (schedule_fast) and very often wins, skipping the
+                # heappush/heappop pair entirely.
+                deferred = self._deferred
+                if deferred is None:
+                    if not heap:
                         break
-                    # Batch drain: every heap event already due at this
-                    # exact instant is eligible — run them without
-                    # re-checking the horizon or re-advancing the clock.
-                    # Bail to the outer loop the moment a callback
-                    # prefetches a deferred event (it may order before the
-                    # heap head).  A fast-forwarding port advances the
-                    # clock past ``time`` only when no due event remains,
-                    # so the drain condition still holds.
-                    if self._deferred is None:
-                        batch_start = processed
-                        while heap:
-                            entry = heap[0]
-                            if entry[0] != time or self._deferred is not None:
-                                break
-                            pop(heap)
-                            if tombstones and entry[1] in tombstones:
-                                tombstones.discard(entry[1])
-                                continue
-                            entry[2]()
-                            processed += 1
-                            if processed >= max_f:
-                                stop = True
-                                break
-                        if m is not None:
-                            m.drain_width.observe(processed - batch_start)
+                    entry = heap[0]
+                    time = entry[0]
+                    if time > until_f:
+                        break
+                    pop(heap)
+                elif heap and heap[0] < deferred:
+                    entry = heap[0]
+                    time = entry[0]
+                    if time > until_f:
+                        break
+                    pop(heap)
+                else:
+                    entry = deferred
+                    time = entry[0]
+                    if time > until_f:
+                        break
+                    self._deferred = None
+                if tombstones and entry[1] in tombstones:
+                    tombstones.discard(entry[1])
+                    continue
+                self.now = time
+                entry[2]()
+                processed += 1
+                if processed >= max_f:
+                    break
+                # Batch drain: every heap event already due at this
+                # exact instant is eligible — run them without
+                # re-checking the horizon or re-advancing the clock.
+                # Bail to the outer loop the moment a callback
+                # prefetches a deferred event (it may order before the
+                # heap head).  A fast-forwarding port advances the
+                # clock past ``time`` only when no due event remains,
+                # so the drain condition still holds.
+                if self._deferred is None:
+                    batch_start = processed
+                    while heap:
+                        entry = heap[0]
+                        if entry[0] != time or self._deferred is not None:
+                            break
+                        pop(heap)
+                        if tombstones and entry[1] in tombstones:
+                            tombstones.discard(entry[1])
+                            continue
+                        entry[2]()
+                        processed += 1
+                        if processed >= max_f:
+                            stop = True
+                            break
+                    if m is not None:
+                        m.drain_width.observe(processed - batch_start)
         finally:
             self._running = False
             self._ff_horizon = _NEG_INF
@@ -275,10 +244,7 @@ class Simulator:
             # for peek/len/next run().
             deferred = self._deferred
             if deferred is not None:
-                if heap is not None:
-                    heappush(heap, deferred)
-                else:
-                    queue.insert(deferred)
+                heappush(heap, deferred)
                 self._deferred = None
             self.events_processed += processed
             if m is not None:
@@ -294,53 +260,6 @@ class Simulator:
                 if until > self.now:
                     self.now = until
         return self.now
-
-    def _run_generic(self, queue, until_f: float, max_f: float) -> int:
-        """Run loop for non-heap backends (the timing wheel).
-
-        Drives the queue through its ``peek``/``pop``/``insert`` API
-        instead of raw heap access; ordering semantics — deferral slot
-        included — are identical to the flat loop.
-        """
-        peek = queue.peek
-        pop = queue.pop
-        processed = 0
-        while True:
-            deferred = self._deferred
-            head = peek()
-            if deferred is None:
-                if head is None:
-                    break
-                entry = head
-                time = entry[0]
-                if time > until_f:
-                    break
-                pop()
-            elif head is not None and head < deferred:
-                entry = head
-                time = entry[0]
-                if time > until_f:
-                    break
-                pop()
-            else:
-                entry = deferred
-                time = entry[0]
-                if time > until_f:
-                    break
-                self._deferred = None
-                # Simulator.cancel clears the slot, but a direct
-                # queue.cancel on a deferred entry leaves a tombstone —
-                # honour it like the flat loop does.
-                tombstones = queue._tombstones
-                if tombstones and entry[1] in tombstones:
-                    tombstones.discard(entry[1])
-                    continue
-            self.now = time
-            entry[2]()
-            processed += 1
-            if processed >= max_f:
-                break
-        return processed
 
     @property
     def pending_events(self) -> int:

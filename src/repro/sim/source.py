@@ -151,11 +151,7 @@ class PacketSource:
             seq = queue._next_seq
             queue._next_seq = seq + 1
             entry = (time, seq, self._arrival_cb)
-            heap = sim._raw_heap
-            if heap is not None:
-                heappush(heap, entry)
-            else:
-                queue.insert(entry)
+            heappush(sim._raw_heap, entry)
             self._pending = entry
         else:
             self._pending = sim.schedule_at(time, self._arrival_cb)

@@ -439,18 +439,17 @@ class TestTraceCommand:
 
 class TestPerfCommand:
     def test_perf_prints_datapath_variant(self, capsys):
-        assert main(["perf", "--packets", "500", "--event-queue", "wheel",
-                     "--batch-limit", "4"]) == 0
+        assert main(["perf", "--packets", "500", "--batch-limit", "4"]) == 0
         out = capsys.readouterr().out
-        assert "queue=wheel" in out
-        assert "batch_limit=4" in out
-        assert "fused kernels" in out
+        assert "fused kernels · batch_limit=4 · telemetry=off" in out
 
     def test_perf_json_records_datapath_knobs(self, capsys):
         assert main(["perf", "--packets", "500", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["event_queue"] == "heap"
+        assert payload["tree_kernel"] is True
         assert payload["batch_limit"] == 32
+        # One event queue: nothing to record about it.
+        assert not any("queue" in key for key in payload)
         assert payload["delivered"] >= 495
 
     def test_perf_reports_peak_rss(self, capsys):
@@ -460,11 +459,6 @@ class TestPerfCommand:
         rss = json.loads(capsys.readouterr().out)["rss_peak_mb"]
         # A live interpreter, reported in MiB (not bytes, not KiB).
         assert 5.0 < rss < 10_000.0
-
-    def test_perf_rejects_unknown_event_queue(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["perf", "--event-queue", "splay"])
-        assert excinfo.value.code == 2
 
 
 class TestCampaignStatusCommand:

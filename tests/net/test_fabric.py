@@ -11,6 +11,7 @@ from repro.core import Packet, ProgrammableScheduler, single_node_tree
 from repro.exceptions import RoutingError
 from repro.lang.trees import build_fig4_tree_from_programs
 from repro.net import Fabric, dumbbell, leaf_spine, linear_chain
+from repro.obs import metrics
 from repro.sim import Simulator
 
 
@@ -203,16 +204,17 @@ class TestShapedKernelOnFusedPorts:
     enqueue, find nothing eligible and arm the shaping wake-up.
     """
 
-    def _fabric(self):
+    def _fabric(self, fused=True):
         def factory(switch, port):
             return ProgrammableScheduler(build_fig4_tree_from_programs())
 
         sim = Simulator()
         fabric = Fabric(sim, linear_chain(3, link_rate_bps=1e8), factory,
-                        host_scheduler_factory=factory, telemetry=False)
+                        host_scheduler_factory=factory, telemetry=False,
+                        fused_delivery=None if fused else False)
         ports = [port for switch in fabric.node_switches.values()
                  for port in switch.ports.values()]
-        assert fabric.fused_ports == len(ports)
+        assert fabric.fused_ports == (len(ports) if fused else 0)
         assert all(port.scheduler.tree_kernel is not None
                    and not port.scheduler.kernel_work_conserving
                    for port in ports)
@@ -257,6 +259,30 @@ class TestShapedKernelOnFusedPorts:
         assert conservation["delivered"] == conservation["injected"] == 4
         assert conservation["in_flight"] == 0
         assert sim.now > 1.2e-3
+
+    def test_compaction_rebuilds_the_heap_the_closures_hold(self):
+        # Fused ports and PacketSource keep ``sim._raw_heap`` for the whole
+        # run and heappush onto it, so EventQueue.compact() must rebuild
+        # that list in place.  Re-armed shaping wake-ups cancel the armed
+        # one, and on this shallow heap nearly every cancel compacts.
+        def departures(fused):
+            with metrics.collecting() as registry:
+                sim, fabric = self._fabric(fused)
+                heap = sim._raw_heap
+                fabric.attach_source("h_src", [
+                    (i * 1e-4, Packet(flow="ACDCBCCD"[i % 8], length=1500,
+                                      dst="h_dst"))
+                    for i in range(200)])
+                fabric.run(drain=True)
+                assert registry.snapshot()["sim.event_compactions"] >= 1
+            assert sim._raw_heap is sim._queue._heap is heap
+            assert fabric.conservation_check()["in_flight"] == 0
+            return [(packet.flow, packet.departure_time)
+                    for packet in fabric.sink("h_dst").packets]
+
+        fused = departures(True)
+        assert len(fused) == 200
+        assert fused == departures(False)
 
 
 class TestArrivalOwnership:

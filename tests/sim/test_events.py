@@ -1,31 +1,27 @@
-"""Event-queue backends: lockstep equivalence and exact accounting.
+"""The event queue against a sorted-list model, and exact accounting.
 
-The timing wheel (:class:`~repro.sim.events.TimingWheelQueue`) must be
-*observationally identical* to the binary heap
-(:class:`~repro.sim.events.EventQueue`): same ``(time, seq)`` pop order on
-any schedule, including interleaved cancellations, aliased slots (times a
-full wheel turn apart), far-horizon overflow, and pushes below the cursor.
-Hypothesis drives randomized schedules through both backends in lockstep.
+:class:`~repro.sim.events.EventQueue` must pop in ``(time, seq)`` order on
+any schedule, including interleaved cancellations (double cancels,
+cancel-after-fire) and the compactions they trigger.  Hypothesis drives
+randomized schedules through the queue and through a plain list kept sorted
+on ``(time, seq)``; a second property checks that a full
+:class:`~repro.sim.simulator.Simulator` run fires in the same order.
 
-Plus the exact-length contract: ``len(queue)`` counts *live* events on
-both backends — tombstones, cancel-after-fire, and compaction must never
-skew it.
+Plus the exact-length contract: ``len(queue)`` counts *live* events —
+tombstones, cancel-after-fire, and compaction must never skew it.
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
-from repro.sim.events import EventQueue, TimingWheelQueue, make_event_queue
+from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulator
-
-BACKENDS = {
-    "heap": EventQueue,
-    "wheel": TimingWheelQueue,
-}
 
 
 def _noop() -> None:
@@ -41,10 +37,11 @@ def drain(queue):
 
 
 # --------------------------------------------------------------------------- #
-# Lockstep equivalence                                                         #
+# Sorted-list model                                                            #
 # --------------------------------------------------------------------------- #
-#: An operation is (kind, value): push at a time offset, or cancel the
-#: i-th pushed event (modulo pushes so far).
+#: An operation is (kind, value): push at a time offset, cancel the i-th
+#: pushed event (modulo pushes so far — fired and already-cancelled ones
+#: included), or pop.
 ops_strategy = st.lists(
     st.one_of(
         st.tuples(st.just("push"),
@@ -56,74 +53,110 @@ ops_strategy = st.lists(
     min_size=1, max_size=200,
 )
 
+#: Per-event child: ``None``, or the delay after which the event's callback
+#: schedules one more event (0.0 makes a same-instant tie).
+child_delays = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, 1e-6, 1e-4]),
+    st.floats(min_value=0.0, max_value=1e-3,
+              allow_nan=False, allow_infinity=False),
+)
 
-class TestWheelHeapLockstep:
+
+class TestOrderModel:
     @given(ops=ops_strategy)
     @settings(max_examples=200, deadline=None)
-    def test_pop_order_identical(self, ops):
-        """Any push/cancel/pop interleaving pops identically on both."""
-        heap = EventQueue()
-        wheel = TimingWheelQueue(tick=1e-3, slots=16)  # tiny: forces
-        # aliasing and overflow on ordinary schedules
-        heap_handles, wheel_handles = [], []
+    def test_queue_matches_sorted_list(self, ops):
+        """Any push/cancel/pop interleaving behaves like a sorted list."""
+        queue = EventQueue()
+        model = []      # live (time, seq), kept sorted
+        handles = []
         for kind, value in ops:
             if kind == "push":
-                heap_handles.append(heap.push(value, _noop))
-                wheel_handles.append(wheel.push(value, _noop))
-            elif kind == "cancel" and heap_handles:
-                i = value % len(heap_handles)
-                heap.cancel(heap_handles[i])
-                wheel.cancel(wheel_handles[i])
+                handle = queue.push(value, _noop)
+                assert handle[1] == len(handles)
+                handles.append(handle)
+                insort(model, (value, handle[1]))
+            elif kind == "cancel" and handles:
+                handle = handles[value % len(handles)]
+                queue.cancel(handle)
+                key = (handle[0], handle[1])
+                if key in model:    # else: double cancel / cancel-after-fire
+                    model.remove(key)
             elif kind == "pop":
-                assert bool(heap) == bool(wheel)
-                if heap:
-                    h = heap.pop()
-                    w = wheel.pop()
-                    assert (h[0], h[1]) == (w[0], w[1])
-            assert len(heap) == len(wheel)
-        assert drain(heap) == drain(wheel)
+                if model:
+                    time, seq, _cb = queue.pop()
+                    assert (time, seq) == model.pop(0)
+                else:
+                    with pytest.raises(SimulationError):
+                        queue.pop()
+            assert len(queue) == len(model)
+            assert bool(queue) == bool(model)
+            assert queue.peek_time() == (model[0][0] if model else None)
+        assert drain(queue) == model
 
-    @given(times=st.lists(
-        st.floats(min_value=0.0, max_value=1e-3,
-                  allow_nan=False, allow_infinity=False),
-        min_size=1, max_size=50))
-    @settings(max_examples=100, deadline=None)
-    def test_simulator_runs_identically_on_both(self, times):
-        """Full Simulator runs: same callback firing order per backend."""
-        orders = {}
-        for kind in ("heap", "wheel"):
-            sim = Simulator(event_queue=kind)
-            fired = []
-            for i, t in enumerate(times):
-                sim.schedule_at(t, lambda i=i: fired.append((sim.now, i)))
-            sim.run()
-            orders[kind] = fired
-        assert orders["heap"] == orders["wheel"]
+    @given(
+        events=st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=1e-3,
+                                allow_nan=False, allow_infinity=False),
+                      child_delays),
+            min_size=1, max_size=50),
+        until=st.one_of(st.none(),
+                        st.floats(min_value=0.0, max_value=2e-3,
+                                  allow_nan=False, allow_infinity=False)),
+        max_events=st.one_of(st.none(),
+                             st.integers(min_value=1, max_value=80)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_simulator_fires_in_time_then_scheduling_order(
+            self, events, until, max_events):
+        """``Simulator`` fires in (time, scheduling order), children that
+        callbacks add through ``schedule_fast`` included; ``until=`` and
+        ``max_events=`` cut a prefix of that order and a second ``run()``
+        finishes it."""
+        n = len(events)
+        sim = Simulator()
+        fired = []
 
-    def test_aliased_future_entry_never_jumps_the_queue(self):
-        # With 16 slots of 1ms, t=0.001 and t=0.017 share a slot.
-        wheel = TimingWheelQueue(tick=1e-3, slots=16)
-        wheel.push(0.017, _noop)
-        wheel.push(0.001, _noop)
-        assert wheel.pop()[0] == 0.001
-        assert wheel.pop()[0] == 0.017
+        def fire(label):
+            fired.append((sim.now, label))
+            delay = events[label][1] if label < n else None
+            if delay is not None:
+                sim.schedule_fast(delay, lambda: fire(n + label))
 
-    def test_push_below_cursor_after_peek(self):
-        wheel = TimingWheelQueue(tick=1e-3, slots=16)
-        wheel.push(0.010, _noop)
-        assert wheel.peek_time() == 0.010  # advances the cursor
-        wheel.push(0.002, _noop)           # earlier than the cursor
-        assert wheel.pop()[0] == 0.002
-        assert wheel.pop()[0] == 0.010
+        for i, (time, _delay) in enumerate(events):
+            sim.schedule_at(time, lambda i=i: fire(i))
+
+        # Reference: parents fire in (time, index) order, so the k-th one
+        # with a child hands it sequence number n + k.
+        timeline = [(time, i, i) for i, (time, _delay) in enumerate(events)]
+        seq = n
+        for time, _seq, i in sorted(timeline):
+            delay = events[i][1]
+            if delay is not None:
+                timeline.append((time + delay, seq, n + i))
+                seq += 1
+        full = [(time, label) for time, _seq, label in sorted(timeline)]
+        expected = full
+        if until is not None:
+            expected = [entry for entry in expected if entry[0] <= until]
+        if max_events is not None:
+            expected = expected[:max_events]
+
+        sim.run(until=until, max_events=max_events)
+        assert fired == expected
+        assert sim.events_processed == len(expected)
+        sim.run()
+        assert fired == full
+        assert sim.pending_events == 0
 
 
 # --------------------------------------------------------------------------- #
 # Exact length accounting                                                      #
 # --------------------------------------------------------------------------- #
 class TestExactLen:
-    @pytest.mark.parametrize("kind", sorted(BACKENDS))
-    def test_len_counts_live_events_only(self, kind):
-        queue = BACKENDS[kind]()
+    def test_len_counts_live_events_only(self):
+        queue = EventQueue()
         handles = [queue.push(i * 1e-6, _noop) for i in range(10)]
         assert len(queue) == 10
         for handle in handles[:4]:
@@ -134,9 +167,8 @@ class TestExactLen:
         assert len(drain(queue)) == 6
         assert len(queue) == 0 and not queue
 
-    @pytest.mark.parametrize("kind", sorted(BACKENDS))
-    def test_cancel_after_fire_does_not_undercount(self, kind):
-        queue = BACKENDS[kind]()
+    def test_cancel_after_fire_does_not_undercount(self):
+        queue = EventQueue()
         first = queue.push(1e-6, _noop)
         queue.push(2e-6, _noop)
         queue.pop()            # fires `first`
@@ -146,9 +178,8 @@ class TestExactLen:
         queue.compact()
         assert len(queue) == 1
 
-    @pytest.mark.parametrize("kind", sorted(BACKENDS))
-    def test_compaction_preserves_order_and_len(self, kind):
-        queue = BACKENDS[kind]()
+    def test_compaction_preserves_order_and_len(self):
+        queue = EventQueue()
         handles = [queue.push(i * 1e-6, _noop) for i in range(100)]
         for handle in handles[::2]:
             queue.cancel(handle)   # triggers compaction past the threshold
@@ -157,24 +188,6 @@ class TestExactLen:
                  iter(lambda: queue.pop() if queue else None, None)]
         assert times == sorted(times) and len(times) == 50
 
-    @pytest.mark.parametrize("kind", sorted(BACKENDS))
-    def test_pop_empty_raises(self, kind):
+    def test_pop_empty_raises(self):
         with pytest.raises(SimulationError):
-            BACKENDS[kind]().pop()
-
-
-class TestFactory:
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVENT_QUEUE", "wheel")
-        assert isinstance(make_event_queue(), TimingWheelQueue)
-        monkeypatch.delenv("REPRO_EVENT_QUEUE")
-        assert isinstance(make_event_queue(), EventQueue)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            make_event_queue("splay")
-
-    def test_simulator_reports_kind(self, monkeypatch):
-        assert Simulator(event_queue="wheel").event_queue_kind == "wheel"
-        monkeypatch.delenv("REPRO_EVENT_QUEUE", raising=False)
-        assert Simulator().event_queue_kind == "heap"
+            EventQueue().pop()
