@@ -116,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
                              dest="tree_kernel",
                              help="also print the fused whole-tree kernel "
                                   "generated for a single-node tree running "
-                                  "this program")
+                                  "this program (spliced into it), and any "
+                                  "program the kernel calls instead")
     show_parser.add_argument("--pifo-backend", default="sorted",
                              dest="pifo_backend", metavar="BACKEND",
                              help="PIFO backend to specialise the "
@@ -1017,6 +1018,12 @@ def _cmd_show(program: str, tree_kernel: bool = False,
         else:
             print(f"# cached as {kernel.filename} "
                   f"(backend={pifo_backend})")
+            if kernel.called_programs:
+                for node, name, reason in kernel.called_programs:
+                    print(f"# called, not spliced: {name} at node {node}: "
+                          f"{reason}")
+            else:
+                print("# every program is spliced into the walk below")
             print(kernel.source.rstrip())
     return 0
 

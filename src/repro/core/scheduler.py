@@ -192,14 +192,14 @@ class ProgrammableScheduler:
         self.enqueue = kernel.enqueue
         self.dequeue = kernel.dequeue
         self.transfer = kernel.transfer
+        self.next_shaping_release = kernel.next_release
 
     def _uninstall_kernel(self) -> None:
         self.tree_kernel = None
         self.kernel_work_conserving = False
         self.kernel_fallback_reason = "disabled"
-        self.__dict__.pop("enqueue", None)
-        self.__dict__.pop("dequeue", None)
-        self.__dict__.pop("transfer", None)
+        for name in ("enqueue", "dequeue", "transfer", "next_shaping_release"):
+            self.__dict__.pop(name, None)
 
     def set_tree_kernel(self, enabled: bool) -> None:
         """Enable/disable the fused kernel on a live (idle) scheduler."""

@@ -30,6 +30,7 @@ the body.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .ast import (
@@ -354,12 +355,15 @@ class Parser:
         return Name(identifier=name, line=token.line)
 
 
+@lru_cache(maxsize=256)
 def parse(source: str) -> Program:
     """Parse program text into an AST.
 
     Raises :class:`~repro.lang.errors.LexerError` or
     :class:`~repro.lang.errors.ParseError` with line/column information on
-    malformed input.
+    malformed input.  Memoised on the text — every transaction instance of
+    a program parses the same source, and the AST is immutable, so they
+    share one; a failed parse is not cached and raises every time.
     """
     tokens = tokenize(source)
     return Parser(tokens, source=source).parse()

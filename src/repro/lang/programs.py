@@ -182,10 +182,13 @@ def stfq_program(
     backend: Optional[str] = None,
 ) -> CompiledSchedulingTransaction:
     """Figure 1's STFQ as a compiled program, with per-flow weights."""
-    weight_table = dict(weights or {})
+    # Converted once: the accessor runs on every rank computation.
+    weight_table = {flow: float(weight)
+                    for flow, weight in (weights or {}).items()}
+    default_weight = float(default_weight)
 
     def weight_of(flow: object) -> float:
-        return float(weight_table.get(flow, default_weight))
+        return weight_table.get(flow, default_weight)
 
     return compile_scheduling_program(
         STFQ_SOURCE,

@@ -15,9 +15,15 @@ with the full per-packet path inlined into straight-line code:
   predicate descent becomes an ``if``/``elif`` chain over the static tree
   shape, including the paper's disjointness check);
 * rank computation is specialised per transaction class — FIFO, arrival
-  sequence and LSTF are inlined, compiled lang programs are called through
-  their result-free *lean* entry (:mod:`repro.lang.compiler`); anything
-  else is a plain call, still inside the fused walk;
+  sequence and LSTF are inlined, and a compiled lang program is *spliced*:
+  its statements are emitted into the walk as an inline fragment
+  (:meth:`repro.lang.compiler.CompiledProgram.fragment`), with this node's
+  names for its inputs and outputs and a per-node prefix for its locals —
+  scheduling, shaping and dequeue programs alike.  A program that cannot be
+  a fragment (``splice_blocker``) or runs interpreted is called through its
+  ``execute`` entry and listed, with the reason, in
+  :attr:`TreeKernel.called_programs`; anything else is a plain call, still
+  inside the fused walk;
 * PIFO pushes and pops are inlined per backend (sorted list, calendar
   heap, bucket queue, quantised bucket queue), and the dequeue descent is
   unrolled: a popped reference can only be one of the node's children;
@@ -35,14 +41,25 @@ parent-to-root remainder of its path, at the token's release time.  The
 calendar, its sequence counter and the tokens are the ones the class
 methods use, so ``peek``, ``next_shaping_release``,
 ``process_shaping_releases``, ``drain_timed`` and ``reset`` work unchanged
-on a scheduler running a kernel.
+on a scheduler running a kernel.  ``next_shaping_release`` itself is the
+kernel's fourth closure: a port polls it after every dequeue that yields
+nothing, so the stale-head test is inlined per shaping-PIFO backend there
+and in the release loop.
+
+**Errors.**  A fragment has no per-operation checks; a failing statement
+surfaces as a raw exception on its own line of the kernel file.  The
+handler around each fragment hands that line to
+:meth:`~repro.lang.compiler.CompiledProgram._replay` together with the
+kernel's line table — kernel line → statement, plus the variables holding
+the locals and packet writes bound there — so the ``RuntimeLangError`` is
+the interpreter's, message and line.
 
 **Caching.**  Kernels are compiled once per *shape signature* — the tree
-structure plus, per node, the transaction class (and, for lang-backed
-transactions, the program-AST signature reused from
-:func:`repro.lang.compiler.compile_cached` and which entry is called), the
-PIFO backend class, the predicate class, the hook/flow-fn flags and the
-shaping transaction's tag and PIFO backend.  Two schedulers with the same
+structure and node names plus, per node, the transaction class (and, for
+every spliced program, its :func:`repro.lang.compiler.compile_cached` key:
+the AST and everything its code specialises on; for a called one, the
+reason), the PIFO backend class, the predicate, the hook/flow-fn flags and
+the shaping transaction's tag and PIFO backend.  Two schedulers with the same
 shape share one code object; each instantiates its own closures over its
 own node state, so state stays fully independent.
 
@@ -65,7 +82,6 @@ from heapq import heappop, heappush
 from math import floor
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from ..core.packet import EMPTY_FIELDS
 from ..obs import metrics as obs_metrics
 from ..core.pifo import (
     BucketedPIFO,
@@ -73,11 +89,18 @@ from ..core.pifo import (
     QuantizedBucketedPIFO,
     SortedListPIFO,
 )
-from ..core.predicates import ClassEquals, FlowEquals, MatchAll, MatchNone
+from ..core.predicates import (
+    ClassEquals,
+    ClassIn,
+    FlowEquals,
+    FlowIn,
+    MatchAll,
+    MatchNone,
+)
 from ..core.scheduler import ProgrammableScheduler, ShapingToken
 from ..core.tree import TreeNode, _packet_flow
 from ..exceptions import PIFOFullError, SchedulerError, TreeConfigurationError
-from .compiler import CompileError, _signature as _program_signature
+from .compiler import RUNTIME_GLOBALS, CompileError, FragmentNames
 from .errors import RuntimeLangError
 
 
@@ -97,20 +120,25 @@ class TreeKernel:
     computation to the transmitter.  Returns the head packet, or ``None``
     when the enqueue was rejected — or, under shaping, when nothing is
     eligible yet, which is why ports only call it on a
-    :attr:`work_conserving` kernel.
+    :attr:`work_conserving` kernel.  ``next_release()`` is the scheduler's
+    ``next_shaping_release``.
     """
 
-    __slots__ = ("enqueue", "dequeue", "transfer", "signature", "source",
-                 "filename")
+    __slots__ = ("enqueue", "dequeue", "transfer", "next_release",
+                 "signature", "source", "filename", "called_programs")
 
-    def __init__(self, enqueue, dequeue, transfer, signature, source,
-                 filename) -> None:
+    def __init__(self, enqueue, dequeue, transfer, next_release, signature,
+                 source, filename, called_programs) -> None:
         self.enqueue = enqueue
         self.dequeue = dequeue
         self.transfer = transfer
+        self.next_release = next_release
         self.signature = signature
         self.source = source
         self.filename = filename
+        #: ``(node, program, reason)`` for every lang program the kernel
+        #: calls instead of splicing.
+        self.called_programs: Tuple[Tuple[str, str, str], ...] = called_programs
 
     @property
     def work_conserving(self) -> bool:
@@ -119,10 +147,13 @@ class TreeKernel:
         return all(sig.shaping is None for sig in self.signature)
 
 
-#: signature -> (factory, source, filename).  Bounded like the program cache.
-_CACHE: Dict[Tuple, Tuple[Callable, str, str]] = {}
+#: signature -> (factory, source, filename, called programs).  Bounded like
+#: the program cache.
+_CACHE: Dict[Tuple, Tuple[Callable, str, str, Tuple]] = {}
 _CACHE_CAPACITY = 256
-_stats = {"hits": 0, "misses": 0, "installs": 0, "fallbacks": 0}
+#: ``called_programs`` sums ``len(kernel.called_programs)`` over installs.
+_stats = {"hits": 0, "misses": 0, "installs": 0, "fallbacks": 0,
+          "called_programs": 0}
 _filename_counter = itertools.count()
 
 
@@ -159,6 +190,7 @@ _PIFO_TAGS = {
 class _NodeSig(NamedTuple):
     """Everything the generated code specialises on for one node."""
 
+    name: str                 #: embedded: ``ctx.node``, a reference's flow
     tx: Tuple                 #: scheduling transaction tag (see ``_tx_tag``)
     backend: str              #: scheduling PIFO backend tag
     capped: bool              #: scheduling PIFO has a capacity bound
@@ -168,6 +200,21 @@ class _NodeSig(NamedTuple):
     children: int
     shaping: Optional[Tuple]  #: shaping transaction tag (``_shaping_tag``)
     shaping_backend: Optional[str]
+
+
+def _splice_key(compiled, owner) -> Tuple[bool, Any]:
+    """``(spliced, key)`` for one program of transaction ``owner``.
+
+    A spliced program's key is everything its fragment depends on — the
+    :func:`~repro.lang.compiler.compile_cached` key (the instance, for an
+    uncached program: the kernel is still correct, just not shared).  A
+    called program's key is the reason, which ``called_programs`` reports.
+    """
+    if compiled is None:
+        return False, "runs on the interpreted back end"
+    if compiled.splice_blocker is not None:
+        return False, compiled.splice_blocker
+    return True, compiled.key if compiled.key is not None else id(owner)
 
 
 def _tx_tag(tx) -> Tuple:
@@ -186,45 +233,49 @@ def _tx_tag(tx) -> Tuple:
     if cls is LSTFTransaction:
         return ("lstf", tx.slack_field, tx.prev_wait_field)
     if cls is CompiledSchedulingTransaction:
-        # Reuse the program-compiler's cache keying: same program AST and
-        # environment signature -> same generated rank code.
-        try:
-            program_key = _program_signature(
-                tx.program, tx._initial_state, tx.params, ()
-            )
-        except TypeError:
-            # Unhashable parameter value: key on the instance instead (the
-            # kernel is still correct, just not shared across schedulers).
-            program_key = id(tx)
-        # Compiled programs are called through their lean entry; the
-        # interpreted backend keeps the ExecutionResult call.
-        return ("lang", tx.program_name, program_key, tx._compiled is not None)
+        return ("lang", tx.program_name, *_splice_key(tx._compiled, tx))
     return ("generic", cls.__qualname__)
 
 
 def _hook_tag(node: TreeNode) -> Optional[Tuple]:
-    """How the kernel runs the node's ``on_dequeue`` (None: not at all)."""
+    """How the kernel runs the node's ``on_dequeue`` (None: not at all):
+    ``("splice", key, reads_packet)`` or ``("call", reason)`` — the reason
+    is None when the hook is not a lang program."""
     if not node.needs_dequeue_hook:
         return None
     from .bridge import CompiledSchedulingTransaction
 
     tx = node.scheduling
-    if type(tx) is CompiledSchedulingTransaction:
-        if tx._dequeue_execute is None:
-            return None  # no dequeue program: on_dequeue returns at once
-        if tx._dequeue_compiled is not None:
-            return ("lean", tx._dequeue_compiled.reads_packet)
-    return ("call",)
+    if type(tx) is not CompiledSchedulingTransaction:
+        return ("call", None)
+    if tx._dequeue_execute is None:
+        return None  # no dequeue program: on_dequeue returns at once
+    spliced, key = _splice_key(tx._dequeue_compiled, tx)
+    if spliced:
+        return ("splice", key, tx._dequeue_compiled.reads_packet)
+    return ("call", key)
 
 
 def _shaping_tag(tx) -> Optional[Tuple]:
+    """``("splice", program, key)``, ``("call", program, reason)`` or, for a
+    shaping transaction that is not a lang program, ``("call", None, None)``."""
     if tx is None:
         return None
     from .bridge import CompiledShapingTransaction
 
-    if type(tx) is CompiledShapingTransaction and tx._compiled is not None:
-        return ("lean", tx.program_name)
-    return ("call",)
+    if type(tx) is not CompiledShapingTransaction:
+        return ("call", None, None)
+    spliced, key = _splice_key(tx._compiled, tx)
+    return ("splice" if spliced else "call", tx.program_name, key)
+
+
+def _literal_set(values) -> Optional[str]:
+    """``values`` as a set display the compiler folds into one constant, or
+    None when an element has no literal form."""
+    if not values or not all(type(value) in (str, int, bool, bytes, type(None))
+                             for value in values):
+        return None
+    return "{" + ", ".join(sorted(map(repr, values))) + "}"
 
 
 def _pred_tag(pred) -> Tuple:
@@ -237,6 +288,11 @@ def _pred_tag(pred) -> Tuple:
         return ("class_eq", pred.label)
     if cls is FlowEquals:
         return ("flow_eq", pred.flow)
+    if cls is ClassIn or cls is FlowIn:
+        # The set itself goes into the tag, as the source it is inlined as.
+        members = _literal_set(pred.labels if cls is ClassIn else pred.flows)
+        if members is not None:
+            return ("class_in" if cls is ClassIn else "flow_in", members)
     return ("generic", cls.__qualname__)
 
 
@@ -244,6 +300,7 @@ def _node_signature(node: TreeNode) -> _NodeSig:
     pifo = node.scheduling_pifo
     shaped = node.shaping is not None
     return _NodeSig(
+        name=node.name,
         tx=_tx_tag(node.scheduling),
         backend=_PIFO_TAGS.get(type(pifo), "generic"),
         capped=pifo.capacity is not None,
@@ -278,25 +335,48 @@ class _Emitter:
 
     def __init__(self) -> None:
         self.lines: List[str] = []
+        #: Kernel-file line -> the spliced statement it runs and the
+        #: variables bound there (``Fragment.line_map`` entries).
+        self.line_table: Dict[int, Tuple] = {}
 
     def w(self, indent: int, text: str) -> None:
         self.lines.append("    " * indent + text)
+
+    def splice(self, indent: int, fragment) -> None:
+        first = len(self.lines) + 1
+        for index, entry in fragment.line_map.items():
+            self.line_table[first + index] = entry
+        for line in fragment.lines:
+            self.w(indent, line)
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
 
 
-def _lean(sig: _NodeSig) -> bool:
-    """Whether the node's scheduling program runs through its lean entry."""
-    return sig.tx[0] == "lang" and sig.tx[3]
+def _spliced(sig: _NodeSig) -> bool:
+    """Whether the node's scheduling program is spliced into the walk."""
+    return sig.tx[0] == "lang" and sig.tx[2]
 
 
 def _ctx_needed(sig: _NodeSig) -> bool:
     """Whether the node's enqueue code reads the shared enqueue context."""
     return (
-        (sig.tx[0] in ("generic", "lang") and not _lean(sig))
-        or sig.shaping == ("call",)
+        (sig.tx[0] in ("generic", "lang") and not _spliced(sig))
+        or (sig.shaping is not None and sig.shaping[0] == "call")
     )
+
+
+def _or_packet_flow(em: _Emitter, ind: int, flow: str) -> str:
+    """An expression for ``<flow> or packet.flow`` — what a program's
+    ``p.flow`` reads when the enqueued element's flow is ``flow`` — folded
+    when ``flow`` is that very attribute or a node name's ``repr``, else
+    bound once."""
+    if flow == "packet.flow":
+        return flow
+    if flow[0] in "'\"":
+        return "packet.flow" if flow == repr("") else flow
+    em.w(ind, f"eflow = {flow} or packet.flow")
+    return "eflow"
 
 
 def _emit_env(em: _Emitter, ind: int, tx: str, side: str = "") -> None:
@@ -307,11 +387,13 @@ def _emit_env(em: _Emitter, ind: int, tx: str, side: str = "") -> None:
     em.w(ind + 1, f"env = {tx}._{side}environment()")
 
 
-def _emit_rank(em: _Emitter, ind: int, i: int, sig: _NodeSig, flow: str) -> None:
+def _emit_rank(em: _Emitter, ind: int, i: int, sig: _NodeSig, flow: str,
+               tx) -> None:
     """Emit statements computing ``rank`` for node ``i``.
 
     ``flow`` is the expression for the element's flow at this node (what
-    the interpreted walk stores in ``ctx.element_flow``).
+    the interpreted walk stores in ``ctx.element_flow``) and ``tx`` the
+    node's scheduling transaction, whose program is spliced here.
     """
     tag = sig.tx
     kind = tag[0]
@@ -342,8 +424,10 @@ def _emit_rank(em: _Emitter, ind: int, i: int, sig: _NodeSig, flow: str) -> None
         )
         em.w(ind, f"tx{i}.executions += 1")
         _emit_env(em, ind, f"tx{i}")
-        if _lean(sig):
-            em.w(ind, f"rank = x{i}(packet, time_now, {flow}, length, env)[0]")
+        if _spliced(sig):
+            em.splice(ind, tx._compiled.fragment(FragmentNames(
+                prefix=f"r{i}_", owner=f"tx{i}._compiled",
+                flow=_or_packet_flow(em, ind, flow), rank="rank")))
         else:
             em.w(ind, f"res = x{i}(packet, ectx, env)")
             em.w(ind, "for fname, value in res.packet_writes.items():")
@@ -357,19 +441,22 @@ def _emit_rank(em: _Emitter, ind: int, i: int, sig: _NodeSig, flow: str) -> None
 
 
 def _emit_send_time(em: _Emitter, ind: int, i: int, sig: _NodeSig,
-                    flow: str) -> None:
+                    flow: str, shaping) -> None:
     """Emit ``send_time = <node i's shaping transaction>`` (clamped)."""
-    if sig.shaping == ("call",):
+    if sig.shaping[0] == "call":
         em.w(ind, f"send_time = sh{i}(packet, ectx)")
         return
-    # ShapingTransaction.__call__ around the program's lean entry.
+    # ShapingTransaction.__call__ around the spliced program.
     msg = (
         f"shaping program {sig.shaping[1]!r} finished without assigning "
         "p.send_time or p.rank"
     )
     em.w(ind, f"sh{i}.executions += 1")
     _emit_env(em, ind, f"sh{i}")
-    em.w(ind, f"rank, send_time = xs{i}(packet, time_now, {flow}, length, env)")
+    em.splice(ind, shaping._compiled.fragment(FragmentNames(
+        prefix=f"t{i}_", owner=f"sh{i}._compiled",
+        flow=_or_packet_flow(em, ind, flow),
+        rank="rank", send_time="send_time")))
     em.w(ind, "if send_time is None:")
     em.w(ind + 1, "send_time = rank")
     em.w(ind + 1, "if send_time is None:")
@@ -436,15 +523,18 @@ def _emit_push(em: _Emitter, ind: int, p: str, backend: str, capped: bool,
 
 
 def _emit_pop(em: _Emitter, ind: int, p: str, backend: str,
-              on_empty: str) -> None:
+              on_empty: Optional[str]) -> None:
     """Emit the head pop of PIFO ``p`` into ``entry``, a ``(rank, seq,
     element)`` tuple; an empty PIFO runs the ``on_empty`` statement
-    (``return None``, ``continue``, a raise)."""
+    (``return None``, ``continue``, a raise).  ``on_empty=None`` follows
+    :func:`_emit_head_test`, which found a head and left the backend's
+    storage in the variables the pop reads."""
     if backend == "sorted":
-        em.w(ind, f"entries = {p}._entries")
-        em.w(ind, f"front = {p}._front")
-        em.w(ind, "if front >= len(entries):")
-        em.w(ind + 1, on_empty)
+        if on_empty is not None:
+            em.w(ind, f"entries = {p}._entries")
+            em.w(ind, f"front = {p}._front")
+            em.w(ind, "if front >= len(entries):")
+            em.w(ind + 1, on_empty)
         em.w(ind, "entry = entries[front]")
         em.w(ind, "entries[front] = None")
         em.w(ind, "front += 1")
@@ -458,8 +548,9 @@ def _emit_pop(em: _Emitter, ind: int, p: str, backend: str,
         em.w(ind + 1, f"{p}._front = front")
         em.w(ind, f"{p}.pops += 1")
     elif backend in ("bucketed", "quantized"):
-        em.w(ind, f"if not {p}._size:")
-        em.w(ind + 1, on_empty)
+        if on_empty is not None:
+            em.w(ind, f"if not {p}._size:")
+            em.w(ind + 1, on_empty)
         em.w(ind, f"rh = {p}._rank_heap")
         em.w(ind, f"bks = {p}._buckets")
         em.w(ind, "while True:")
@@ -475,23 +566,41 @@ def _emit_pop(em: _Emitter, ind: int, p: str, backend: str,
         em.w(ind + 1, "del bks[key]")
         em.w(ind, f"{p}.pops += 1")
     elif backend == "calendar":
-        em.w(ind, f"heap = {p}._heap")
-        em.w(ind, "if not heap:")
-        em.w(ind + 1, on_empty)
+        if on_empty is not None:
+            em.w(ind, f"heap = {p}._heap")
+            em.w(ind, "if not heap:")
+            em.w(ind + 1, on_empty)
         em.w(ind, "entry = _heappop(heap)")
         em.w(ind, f"{p}.pops += 1")
     else:
-        em.w(ind, f"if {p}.is_empty:")
-        em.w(ind + 1, on_empty)
+        if on_empty is not None:
+            em.w(ind, f"if {p}.is_empty:")
+            em.w(ind + 1, on_empty)
         em.w(ind, f"entry = {p}.pop_entry()")
 
 
-def _emit_hook(em: _Emitter, ind: int, i: int, sig: _NodeSig, name: str,
+def _emit_head_test(em: _Emitter, ind: int, h: str, backend: str) -> str:
+    """Emit what it takes to test that ``token`` is the head of shaping PIFO
+    ``h`` and return the test: the negation of
+    ``ProgrammableScheduler._calendar_entry_is_stale(token)``, read straight
+    off the backend's storage where the kernel knows its layout."""
+    if backend == "sorted":
+        em.w(ind, f"entries = {h}._entries")
+        em.w(ind, f"front = {h}._front")
+        return "front < len(entries) and entries[front][2] is token"
+    if backend == "calendar":
+        em.w(ind, f"heap = {h}._heap")
+        return "heap and heap[0][2] is token"
+    return "not S._calendar_entry_is_stale(token)"
+
+
+def _emit_hook(em: _Emitter, ind: int, i: int, sig: _NodeSig, tx,
                element: str, rank: str, child: Optional[str] = None) -> None:
     """Emit node ``i``'s ``on_dequeue`` for a popped element.
 
     ``element`` is the variable holding it; ``child`` names the referenced
-    child when the element is a PIFO reference rather than a packet.
+    child when the element is a PIFO reference rather than a packet; ``tx``
+    is the node's scheduling transaction.
     """
     hook = sig.hook
     if hook is None:
@@ -499,18 +608,46 @@ def _emit_hook(em: _Emitter, ind: int, i: int, sig: _NodeSig, name: str,
     is_ref = child is not None
     flow = repr(child) if is_ref else f"{element}.flow"
     length = "0" if is_ref else f"{element}.length"
-    if hook[0] == "lean" and not (is_ref and hook[1]):
-        # A reference has no packet: pass None, the program reads none.
-        packet = "None" if is_ref else element
+    if hook[0] == "splice" and not (is_ref and hook[2]):
+        packet = element
+        if not hook[2]:
+            # The program reads nothing of the element (so a reference,
+            # which has no packet, can run it): the same code for all.
+            packet, flow, length = "None", "None", "0"
         _emit_env(em, ind, f"tx{i}", side="dequeue_")
-        em.w(ind, f"xd{i}({packet}, now, {flow}, {length}, env, {rank})")
+        em.splice(ind, tx._dequeue_compiled.fragment(FragmentNames(
+            prefix=f"d{i}_", owner=f"tx{i}._dequeue_compiled",
+            packet=packet, now="now", flow=flow, length=length,
+            args=(("dequeued_rank", rank),))))
         return
     em.w(ind, "dctx.now = now")
-    em.w(ind, f"dctx.node = {name!r}")
+    em.w(ind, f"dctx.node = {sig.name!r}")
     em.w(ind, f"dctx.element_flow = {flow}")
     em.w(ind, f"dctx.element_length = {length}")
     em.w(ind, f"extras['rank'] = {rank}")
     em.w(ind, f"tx{i}.on_dequeue({element}, dctx)")
+
+
+def _called_programs(sigs: List[_NodeSig]) -> Tuple[Tuple[str, str, str], ...]:
+    """``(node, program, reason)`` for every lang program the kernel calls
+    instead of splicing."""
+    called = []
+    for sig in sigs:
+        if sig.tx[0] == "lang" and not sig.tx[2]:
+            called.append((sig.name, sig.tx[1], sig.tx[3]))
+        if sig.shaping is not None and sig.shaping[0] == "call" \
+                and sig.shaping[1] is not None:
+            called.append((sig.name, sig.shaping[1], sig.shaping[2]))
+        if sig.hook is None or sig.tx[0] != "lang":
+            continue
+        dequeue_name = f"{sig.tx[1]}.dequeue"
+        if sig.hook[0] == "call":
+            called.append((sig.name, dequeue_name, sig.hook[1]))
+        elif sig.hook[2] and sig.children:
+            called.append((sig.name, dequeue_name,
+                           "reads the packet: runs through on_dequeue on "
+                           "PIFO references"))
+    return tuple(called)
 
 
 def _pred_expr(i: int, tag: Tuple) -> str:
@@ -523,19 +660,24 @@ def _pred_expr(i: int, tag: Tuple) -> str:
         return f"packet.packet_class == {tag[1]!r}"
     if kind == "flow_eq":
         return f"packet.flow == {tag[1]!r}"
+    if kind == "class_in":
+        return f"packet.packet_class in {tag[1]}"
+    if kind == "flow_in":
+        return f"packet.flow in {tag[1]}"
     return f"q{i}(packet)"
 
 
-def _generate(signature: Tuple[_NodeSig, ...], nodes: List[TreeNode]) -> str:
-    """Emit the factory source for a tree shape.
+def _generate(signature: Tuple[_NodeSig, ...],
+              nodes: List[TreeNode]) -> Tuple[str, Dict[int, Tuple]]:
+    """Emit the factory source for a tree shape, and its line table.
 
     The factory — ``_factory(S, nodes)`` — hoists every node's PIFO,
     transaction and state into locals (closure cells of the returned
-    ``enqueue``/``dequeue``) and is shared by every scheduler with the same
-    signature.
+    closures) and is shared by every scheduler with the same signature;
+    ``nodes`` only lends its programs, whose fragments that signature keys.
     """
     sigs = list(signature)
-    names = [node.name for node in nodes]
+    names = [sig.name for sig in sigs]
     children_of: List[List[int]] = []
     parent_of: Dict[int, int] = {}
     index_of = {id(node): i for i, node in enumerate(nodes)}
@@ -573,11 +715,8 @@ def _generate(signature: Tuple[_NodeSig, ...], nodes: List[TreeNode]) -> str:
         w(1, f"tx{i} = n{i}.scheduling")
         if sig.tx[0] == "arrival_seq":
             w(1, f"st{i} = tx{i}.state")
-        if sig.tx[0] == "lang":
-            w(1, f"x{i} = tx{i}._compiled.lean" if _lean(sig)
-                 else f"x{i} = tx{i}._execute")
-        if sig.hook is not None and sig.hook[0] == "lean":
-            w(1, f"xd{i} = tx{i}._dequeue_compiled.lean")
+        if sig.tx[0] == "lang" and not _spliced(sig):
+            w(1, f"x{i} = tx{i}._execute")
         if not sig.default_flow:
             w(1, f"f{i} = n{i}.flow_fn")
         if sig.pred[0] == "generic":
@@ -589,8 +728,6 @@ def _generate(signature: Tuple[_NodeSig, ...], nodes: List[TreeNode]) -> str:
         if sig.shaping is not None:
             w(1, f"sh{i} = n{i}.shaping")
             w(1, f"h{i} = n{i}.shaping_pifo")
-            if sig.shaping[0] == "lean":
-                w(1, f"xs{i} = sh{i}._compiled.lean")
             if sig.shaping_backend == "quantized":
                 w(1, f"h{i}_q = h{i}.quantum")
 
@@ -632,8 +769,8 @@ def _generate(signature: Tuple[_NodeSig, ...], nodes: List[TreeNode]) -> str:
         if any(_ctx_needed(sigs[i]) for i in run):
             w(ind, "ectx.now = time_now")
             w(ind, "ectx.element_length = packet.length")
-        if any(_lean(sigs[i]) for i in run) or (
-                suspends and sigs[run[-1]].shaping[0] == "lean"):
+        if any(_spliced(sigs[i]) for i in run) or (
+                suspends and sigs[run[-1]].shaping[0] == "splice"):
             w(ind, "length = packet.length")
         for pos, i in enumerate(run):
             sig = sigs[i]
@@ -642,11 +779,11 @@ def _generate(signature: Tuple[_NodeSig, ...], nodes: List[TreeNode]) -> str:
             if _ctx_needed(sig):
                 w(ind, f"ectx.node = {names[i]!r}")
                 w(ind, f"ectx.element_flow = {flow}")
-            _emit_rank(em, ind, i, sig, flow)
+            _emit_rank(em, ind, i, sig, flow, nodes[i].scheduling)
             _emit_push(em, ind, f"p{i}", sig.backend, sig.capped, element)
             w(ind, "stats.transactions_executed += 1")
         if suspends:
-            _emit_send_time(em, ind, i, sig, flow)
+            _emit_send_time(em, ind, i, sig, flow, nodes[i].shaping)
             w(ind, "stats.transactions_executed += 1")
             w(ind, f"token = _ShapingToken(n{i}, packet, {path}, "
                    f"{index}{len(run)}, send_time)")
@@ -737,18 +874,20 @@ def _generate(signature: Tuple[_NodeSig, ...], nodes: List[TreeNode]) -> str:
         w(2, "if cal:")
         w(3, "while cal and cal[0][0] <= now:")
         w(4, "token = _heappop(cal)[2]")
-        w(4, "if S._calendar_entry_is_stale(token):")
-        w(5, "continue")
         w(4, "node = token.node")
         for k, i in enumerate(shaped):
             w(4, f"{'elif' if k else 'if'} node is n{i}:")
-            _emit_pop(em, 5, f"h{i}", sigs[i].shaping_backend, "continue")
+            # The guard above vouches for h{i} being the node's PIFO.
+            live = _emit_head_test(em, 5, f"h{i}", sigs[i].shaping_backend)
+            w(5, f"if not ({live}):")
+            w(6, "continue")
+            _emit_pop(em, 5, f"h{i}", sigs[i].shaping_backend, None)
             w(5, "stats.shaping_releases += 1")
             w(5, "packet = token.packet")
             w(5, "time_now = max(token.release_time, 0.0)")
             emit_walk(5, ancestors(i), f"n{i}", repr(names[i]), "token.path",
                       "token.resume_index + ")
-        w(4, "else:")
+        w(4, "elif not S._calendar_entry_is_stale(token):")
         w(5, "raise _SchedulerError('shaping token for node %r, which this "
              "kernel does not shape' % (node.name,))")
         w(2, "elif not S._buffered_packets:")
@@ -763,14 +902,21 @@ def _generate(signature: Tuple[_NodeSig, ...], nodes: List[TreeNode]) -> str:
         """Unroll the descent below node ``i``: the tree is static, so a
         popped reference can only be one of ``i``'s children."""
         def hook(ind: int, child: Optional[str] = None) -> None:
-            _emit_hook(em, ind, i, sigs[i], names[i], "element", "entry[0]",
-                       child)
+            _emit_hook(em, ind, i, sigs[i], nodes[i].scheduling, "element",
+                       "entry[0]", child)
 
+        # A spliced hook that reads nothing of the element is the same
+        # code whatever was popped: once, ahead of the dispatch.
+        shared = (sigs[i].hook is not None and sigs[i].hook[0] == "splice"
+                  and not sigs[i].hook[2])
+        if shared:
+            hook(ind)
         first = True
         for ci in children_of[i]:
             w(ind, f"{'if' if first else 'elif'} element is n{ci}:")
             first = False
-            hook(ind + 1, child=names[ci])
+            if not shared:
+                hook(ind + 1, child=names[ci])
             dangling = (
                 f"dangling reference: node {names[ci]!r} was referenced "
                 "by its parent but its scheduling PIFO is empty"
@@ -779,7 +925,7 @@ def _generate(signature: Tuple[_NodeSig, ...], nodes: List[TreeNode]) -> str:
                       f"raise _SchedulerError({dangling!r})")
             w(ind + 1, "element = entry[2]")
             emit_level(ind + 1, ci)
-        if sigs[i].hook is None:
+        if sigs[i].hook is None or shared:
             return
         if first:
             hook(ind)
@@ -835,9 +981,9 @@ def _generate(signature: Tuple[_NodeSig, ...], nodes: List[TreeNode]) -> str:
             w(ind, "ectx.element_length = packet.length")
             w(ind, f"ectx.node = {names[0]!r}")
             w(ind, f"ectx.element_flow = {flow0}")
-        if _lean(root_sig):
+        if _spliced(root_sig):
             w(ind, "length = packet.length")
-        _emit_rank(em, ind, 0, root_sig, flow0)
+        _emit_rank(em, ind, 0, root_sig, flow0, nodes[0].scheduling)
         full = "PIFO %r is full (capacity=%s)' % (p0.name, p0.capacity)"
         if has_cap:
             if backend == "sorted":
@@ -872,7 +1018,7 @@ def _generate(signature: Tuple[_NodeSig, ...], nodes: List[TreeNode]) -> str:
         w(2, "except KeyError:")
         w(3, "pfe[flow] = 1")
         w(2, "p0.pops += 1")
-        _emit_hook(em, 2, 0, root_sig, names[0], "packet", "rank")
+        _emit_hook(em, 2, 0, root_sig, nodes[0].scheduling, "packet", "rank")
         w(2, "packet.dequeue_time = now")
         w(2, "stats.dequeued += 1")
         w(2, "try:")
@@ -881,17 +1027,40 @@ def _generate(signature: Tuple[_NodeSig, ...], nodes: List[TreeNode]) -> str:
         w(3, "pfd[flow] = 1")
         w(2, "return packet")
 
-    w(1, "return enqueue, dequeue, transfer")
-    return em.text()
+    # ---- next_release -----------------------------------------------------
+    # ProgrammableScheduler.next_shaping_release: a port polls it after every
+    # dequeue that yields nothing.  Guard-free — the calendar is read from S
+    # and a hoisted shaping PIFO is only trusted while it still is the
+    # token's node's — with the stale-head test inline per backend.
+    w(1, "def next_release():")
+    w(2, "cal = S._shaping_calendar")
+    w(2, "while cal:")
+    w(3, "head = cal[0]")
+    w(3, "token = head[2]")
+    w(3, "pifo = token.node.shaping_pifo")
+    inline = [i for i in shaped
+              if sigs[i].shaping_backend in ("sorted", "calendar")]
+    for k, i in enumerate(inline):
+        w(3, f"{'elif' if k else 'if'} pifo is h{i}:")
+        live = _emit_head_test(em, 4, "pifo", sigs[i].shaping_backend)
+        w(4, f"if {live}:")
+        w(5, "return head[0]")
+    w(3, f"{'elif' if inline else 'if'} not S._calendar_entry_is_stale(token):")
+    w(4, "return head[0]")
+    w(3, "_heappop(cal)")
+    w(2, "return None")
+
+    w(1, "return enqueue, dequeue, transfer, next_release")
+    return em.text(), em.line_table
 
 
 _GLOBALS = {
+    **RUNTIME_GLOBALS,
     "_ShapingToken": ShapingToken,
     "_SchedulerError": SchedulerError,
     "_PIFOFullError": PIFOFullError,
     "_TreeConfigurationError": TreeConfigurationError,
     "_RuntimeLangError": RuntimeLangError,
-    "_EMPTY_FIELDS": EMPTY_FIELDS,
     "_bisect_right": bisect_right,
     "_heappush": heappush,
     "_heappop": heappop,
@@ -900,13 +1069,14 @@ _GLOBALS = {
 }
 
 
-def _factory_for(signature: Tuple, nodes: List[TreeNode]) -> Tuple[Callable, str, str]:
+def _factory_for(signature: Tuple,
+                 nodes: List[TreeNode]) -> Tuple[Callable, str, str, Tuple]:
     cached = _CACHE.get(signature)
     if cached is not None:
         _stats["hits"] += 1
         return cached
     _stats["misses"] += 1
-    source = _generate(signature, nodes)
+    source, line_table = _generate(signature, nodes)
     filename = f"<treekernel:{nodes[0].name}-{next(_filename_counter)}>"
     # Register with linecache so tracebacks through the kernel show the
     # generated source (same trick as repro.lang.compiler).
@@ -916,13 +1086,18 @@ def _factory_for(signature: Tuple, nodes: List[TreeNode]) -> Tuple[Callable, str
         source.splitlines(keepends=True),
         filename,
     )
-    namespace: Dict[str, Any] = dict(_GLOBALS)
+
+    def replay(exc, compiled, *frame) -> None:
+        """A spliced statement of ``compiled`` failed on a kernel line."""
+        compiled._replay(exc, *frame, line_map=line_table)
+
+    namespace: Dict[str, Any] = dict(_GLOBALS, _replay=replay)
     try:
         exec(compile(source, filename, "exec"), namespace)
     except SyntaxError as exc:  # pragma: no cover - codegen bug guard
         raise TreeKernelError(f"generated kernel failed to compile: {exc}") from exc
     factory = namespace["_factory"]
-    entry = (factory, source, filename)
+    entry = (factory, source, filename, _called_programs(list(signature)))
     _CACHE[signature] = entry
     while len(_CACHE) > _CACHE_CAPACITY:
         _CACHE.pop(next(iter(_CACHE)))
@@ -941,7 +1116,8 @@ def compile_tree_kernel(scheduler) -> TreeKernel:
         _stats["fallbacks"] += 1
         raise
     nodes = scheduler.tree.nodes()
-    factory, source, filename = _factory_for(signature, nodes)
-    enqueue, dequeue, transfer = factory(scheduler, nodes)
+    factory, source, filename, called = _factory_for(signature, nodes)
+    closures = factory(scheduler, nodes)
     _stats["installs"] += 1
-    return TreeKernel(enqueue, dequeue, transfer, signature, source, filename)
+    _stats["called_programs"] += len(called)
+    return TreeKernel(*closures, signature, source, filename, called)

@@ -590,9 +590,8 @@ class Fabric:
                             0, own_buffer.used_bytes - length)
                 elif on_departure is not None:
                     on_departure(packet)
-                # Next packet.  Under a work-conserving kernel an empty
-                # scheduler needs neither the dequeue call nor a shaping
-                # wakeup.
+                # Next packet.  Under a kernel an empty scheduler needs
+                # neither the dequeue call nor a shaping wakeup.
                 if kernelable and scheduler.kernel_work_conserving:
                     if not scheduler._buffered_packets:
                         # Arrival prefetch: the scheduler is dry, so the
@@ -705,6 +704,12 @@ class Fabric:
                     next_packet = scheduler.dequeue(now)
                     if next_packet is None:
                         return
+                elif (kernelable and scheduler.tree_kernel is not None
+                        and not scheduler._buffered_packets):
+                    # Shaped kernel run dry.  A suspended packet counts as
+                    # buffered, so every calendar entry left is stale: the
+                    # dequeue and the wake-up would both find nothing.
+                    return
                 else:
                     next_packet = scheduler.dequeue(now)
                     if next_packet is None:

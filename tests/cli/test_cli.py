@@ -110,6 +110,19 @@ class TestCommands:
         assert "time_now = max(token.release_time, 0.0)" in kernel
         # The program paces; it does not rank the scheduling PIFO.
         assert "rank = time_now" in kernel
+        # Its statements are spliced into the walk, none of it is called.
+        assert "every program is spliced" in kernel
+        assert "called, not spliced" not in kernel
+        assert "t1_st['last_time'] = time_now" in kernel
+        assert "_replay(_exc, sh1._compiled, packet," in kernel
+
+    def test_show_tree_kernel_lists_called_programs(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_LANG_BACKEND", "interpreted")
+        assert main(["show", "stfq", "--tree-kernel"]) == 0
+        kernel = capsys.readouterr().out.split("Fused tree kernel")[1]
+        assert ("# called, not spliced: stfq at node root: runs on the "
+                "interpreted back end") in kernel
+        assert "res = x0(packet, ectx, env)" in kernel
 
     def test_show_unknown_program(self, capsys):
         assert main(["show", "bogus"]) == 2

@@ -59,6 +59,16 @@ class TestSTFQEquivalence:
             ctx = make_ctx("a", 1000)
             assert hand(packet, ctx) == compiled(packet, make_ctx("a", 1000))
 
+    def test_weights_are_converted_once_at_construction(self):
+        # The accessor runs per rank computation and only looks up; integer
+        # weights still divide as floats, a bad one fails up front.
+        program = stfq_program(weights={"gold": 4}, default_weight=2)
+        weight_of = program.flow_attrs["weight"]
+        assert (weight_of("gold"), weight_of("other")) == (4.0, 2.0)
+        assert all(type(weight_of(flow)) is float for flow in ("gold", "other"))
+        with pytest.raises((TypeError, ValueError)):
+            stfq_program(weights={"gold": "heavy"})
+
     def test_two_flows_with_weights(self):
         weights = {"gold": 4.0, "bronze": 1.0}
         hand, compiled = self.make_pair(weights)

@@ -260,6 +260,17 @@ class TestErrors:
             parse("x = 1\ny = * 2")
         assert excinfo.value.line == 2
 
+    def test_parse_is_memoised_on_the_text_but_not_on_errors(self):
+        # Every transaction instance of a program parses the same text: the
+        # immutable AST is shared.  A failed parse raises every time.
+        text = "x = 41 + 1  // memoised\np.rank = x"
+        assert parse(text) is parse(text)
+        assert parse(text) is not parse(text + "\n")
+        for _ in range(2):
+            with pytest.raises(ParseError) as excinfo:
+                parse("x = 1\ny = * 2  // not memoised")
+            assert excinfo.value.line == 2
+
 
 class TestPaperFigures:
     """Every figure listing parses, with the expected top-level structure."""

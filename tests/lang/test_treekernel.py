@@ -13,6 +13,9 @@ pin the contract that makes that safe:
   reason, never an error;
 * kernels are cached by tree-shape signature and re-specialised when the
   tree is mutated behind the scheduler's back;
+* lang programs are spliced into the kernel: errors are the interpreter's,
+  no fragment sees another's locals, and a program that cannot be a
+  fragment is called, listed with the reason, and still in lockstep;
 * ``transfer`` (the cut-through enqueue+dequeue used by the fused fabric
   datapath) matches the composition exactly, including drops and backend
   type errors.
@@ -45,9 +48,16 @@ from repro.core import (
 )
 from repro.core.packet import Packet
 from repro.core.pifo import PIFOFullError
-from repro.core.predicates import FlowIn
+from repro.core.predicates import ClassIn, FlowIn
 from repro.exceptions import SchedulerError
-from repro.lang.programs import stfq_program, token_bucket_program
+from repro.lang import RuntimeLangError
+from repro.lang.bridge import compile_scheduling_program
+from repro.lang.programs import (
+    DEFAULT_FACTORIES,
+    SHAPING_PROGRAMS,
+    stfq_program,
+    token_bucket_program,
+)
 from repro.lang.trees import build_fig4_tree_from_programs
 from repro.lang.treekernel import (
     TreeKernelError,
@@ -464,7 +474,8 @@ class TestShapingLockstep:
         ops=st.lists(
             st.tuples(
                 st.sampled_from(["enqueue", "enqueue", "enqueue", "dequeue",
-                                 "dequeue", "peek", "next_release", "reset"]),
+                                 "dequeue", "peek", "next_release", "reset",
+                                 "tree_reset", "steal_token"]),
                 st.integers(min_value=0, max_value=4),     # flow index
                 st.integers(min_value=64, max_value=1500),  # length
                 st.integers(min_value=0, max_value=30),     # clock step, 10 us
@@ -504,10 +515,29 @@ class TestShapingLockstep:
                     results.append((kind, *rest))
                 elif op == "next_release":
                     results.append(scheduler.next_shaping_release())
-                else:
+                elif op == "reset":
                     scheduler.reset()
                     results.append(None)
+                elif op == "tree_reset":
+                    # Behind the scheduler's back: the PIFOs empty, the
+                    # calendar keeps its entries — all stale now.
+                    scheduler.tree.reset()
+                    scheduler._buffered_packets = 0
+                    results.append(None)
+                else:
+                    # A token removed behind the scheduler's back leaves
+                    # its calendar entry stale.
+                    shaped = [node for node in scheduler.tree.nodes()
+                              if node.shaping is not None]
+                    pifo = shaped[flow_index % len(shaped)].shaping_pifo
+                    results.append(None if pifo.is_empty
+                                   else names[id(pifo.pop().packet)])
             assert results[0] == results[1], (step, op, results)
+            # The kernel's own closure, polled like a port does after every
+            # dequeue, against the class method on the twin.
+            assert "next_shaping_release" in fused.__dict__
+            assert (fused.next_shaping_release()
+                    == plain.next_shaping_release()), (step, op)
             assert (_scheduler_state(fused, index_of[0])
                     == _scheduler_state(plain, index_of[1])), (step, op)
         # A reset (or a stale guard) may rebuild the kernel, never lose it.
@@ -532,12 +562,281 @@ class TestShapingLockstep:
         assert run(True) == run(False)
 
 
+# --------------------------------------------------------------------------- #
+# Programs spliced into the kernel                                             #
+# --------------------------------------------------------------------------- #
+#: Fails (at its line 2, after line 1 moved the state) on a packet without
+#: ``bonus``; its locals and its written field differ from packet to packet.
+NEEDS_BONUS = """\
+seen = seen + 1
+extra = p.bonus * 2
+if extra > 10
+    p.mark = extra - 10
+else
+    p.mark = 0
+p.rank = seen + p.mark + p.length
+"""
+
+
+def _needs_bonus():
+    return compile_scheduling_program(
+        NEEDS_BONUS, state={"seen": 0}, name="needs_bonus")
+
+
+def _lang_outcome(call):
+    try:
+        return ("ok", call())
+    except RuntimeLangError as exc:
+        return ("err", str(exc), exc.line)
+
+
+def _run_lockstep(build, ops):
+    """Drive ``("enq", flow, length, fields, now)`` / ``("deq", now)`` ops
+    through a kernel and the class path; every outcome — a
+    ``RuntimeLangError``'s message and line included — and every node's
+    state must agree after every step.  Returns the kernel's scheduler and
+    the outcomes."""
+    sides = (ProgrammableScheduler(build()),
+             ProgrammableScheduler(build(), tree_kernel=False))
+    assert sides[0].tree_kernel is not None and sides[1].tree_kernel is None
+    index_of = ({}, {})
+    outcomes = []
+    for step, op in enumerate(ops):
+        results = []
+        for scheduler, names in zip(sides, index_of):
+            if op[0] == "enq":
+                _, flow, length, fields, now = op
+                packet = Packet(flow=flow, length=length, fields=dict(fields))
+                names[id(packet)] = step
+                results.append(_lang_outcome(
+                    lambda: scheduler.enqueue(packet, now=now)))
+            else:
+                kind, *rest = _lang_outcome(lambda: scheduler.dequeue(op[1]))
+                if kind == "ok" and rest[0] is not None:
+                    rest = [names[id(rest[0])], rest[0].fields]
+                results.append((kind, *rest))
+        assert results[0] == results[1], (step, op, results)
+        assert (_scheduler_state(sides[0], index_of[0])
+                == _scheduler_state(sides[1], index_of[1])), (step, op)
+        outcomes.append(results[0])
+    return sides[0], outcomes
+
+
+class TestSplicedPrograms:
+    def test_error_in_the_second_of_three_nodes_is_the_interpreters(self):
+        def build():
+            root = TreeNode(name="root", scheduling=stfq_program())
+            middle = root.add_child(TreeNode(
+                name="middle", predicate=FlowIn(["x", "y"]),
+                scheduling=_needs_bonus()))
+            middle.add_child(TreeNode(
+                name="leaf", predicate=FlowIn(["x"]),
+                scheduling=stfq_program(weights={"x": 2.0})))
+            return ScheduleTree(root)
+
+        fused, outcomes = _run_lockstep(build, [
+            ("enq", "x", 100, {"bonus": 7}, 0.0),
+            ("enq", "x", 200, {}, 1.0),           # fails in "middle"
+            ("enq", "x", 300, {"bonus": 1}, 2.0),
+            ("deq", 3.0), ("deq", 3.0), ("deq", 3.0),
+        ])
+        assert fused.tree_kernel.called_programs == ()
+        assert [kind for kind, *_ in outcomes] == [
+            "ok", "err", "ok", "ok", "ok", "ok"]
+        _, message, line = outcomes[1]
+        assert "packet has no field 'bonus'" in message and line == 2
+        # The leaf had already pushed, and line 1 of "middle" had run.
+        _, middle, leaf = fused.tree.nodes()
+        assert leaf.scheduling_pifo.pushes == 3
+        assert middle.scheduling_pifo.pushes == 2
+        assert middle.scheduling.state == {"seen": 3}
+
+    def test_error_inside_a_resume_block_is_the_interpreters(self):
+        def build():
+            root = TreeNode(name="root", scheduling=_needs_bonus())
+            root.add_child(TreeNode(
+                name="paced", predicate=FlowIn(["x"]),
+                scheduling=stfq_program(),
+                shaping=token_bucket_program(rate_bytes_per_s=1e6,
+                                             burst_bytes=100.0)))
+            return ScheduleTree(root)
+
+        fused, outcomes = _run_lockstep(build, [
+            ("enq", "x", 100, {"bonus": 9}, 0.0),
+            ("enq", "x", 100, {}, 0.0),           # suspends; fails on resume
+            ("enq", "x", 100, {"bonus": 2}, 0.0),
+            ("deq", 1.0),                         # releases the three tokens
+            ("deq", 1.0), ("deq", 1.0), ("deq", 1.0),
+        ])
+        assert fused.tree_kernel.called_programs == ()
+        assert [kind for kind, *_ in outcomes[:3]] == ["ok"] * 3
+        kind, message, line = outcomes[3]
+        assert kind == "err" and line == 2
+        assert "packet has no field 'bonus'" in message
+
+    def test_same_program_twice_on_one_path_keeps_its_locals_apart(self):
+        # Root and leaf run one program (one AST, one compiled object): each
+        # splice gets its node's prefix.
+        def build():
+            root = TreeNode(name="root", scheduling=_needs_bonus())
+            root.add_child(TreeNode(
+                name="leaf", predicate=FlowIn(["x", "y"]),
+                scheduling=_needs_bonus()))
+            return ScheduleTree(root)
+
+        ops = [("enq", "xyz"[i % 3], 64 + 37 * i, {"bonus": i % 9}, float(i))
+               for i in range(12)]
+        fused, outcomes = _run_lockstep(build, ops + [("deq", 20.0)] * 12)
+        assert fused.tree_kernel.called_programs == ()
+        assert all(kind == "ok" for kind, *_ in outcomes)
+        source = fused.tree_kernel.source
+        assert "r0_l_extra" in source and "r1_l_extra" in source
+
+    def test_two_tokens_released_in_one_dequeue_keep_their_locals_apart(self):
+        def build():
+            root = TreeNode(name="root", scheduling=_needs_bonus())
+            root.add_child(TreeNode(
+                name="paced", predicate=FlowIn(["x"]),
+                scheduling=FIFOTransaction(),
+                shaping=StopAndGoShapingTransaction(frame_length=1e-3)))
+            return ScheduleTree(root)
+
+        fused, outcomes = _run_lockstep(build, [
+            ("enq", "x", 100, {"bonus": 9}, 0.0),   # mark = 8
+            ("enq", "x", 900, {"bonus": 1}, 0.0),   # mark = 0
+            ("deq", 1.0),                           # both resume here
+            ("deq", 1.0),
+        ])
+        assert fused.stats.shaping_releases == 2
+        assert outcomes[2] == ("ok", 0, {"bonus": 9, "mark": 8})
+        assert outcomes[3] == ("ok", 1, {"bonus": 1, "mark": 0})
+
+    @pytest.mark.parametrize("source, reason", [
+        ("if p.length > 500\n    big = 1\np.rank = big\n",
+         "local 'big' may be read before it is assigned (line 3)"),
+        ("if p.length > 500\n    p.mark = 1\np.rank = p.mark\n",
+         "p.mark is read where only some paths have written it (line 3)"),
+        ("if p.length > 500\n    p.mark = 1\np.rank = p.length\n",
+         "packet field p.mark is written on some paths only"),
+    ])
+    def test_unprovable_program_is_called_listed_and_in_lockstep(
+            self, source, reason):
+        def build():
+            return single_node_tree(
+                compile_scheduling_program(source, name="unproven"))
+
+        clear_kernel_cache()
+        fused, outcomes = _run_lockstep(build, [
+            ("enq", "x", 900, {}, 0.0),
+            ("enq", "x", 100, {}, 0.0),
+            ("enq", "x", 100, {"mark": 5}, 0.0),
+            ("deq", 1.0), ("deq", 1.0), ("deq", 1.0),
+        ])
+        assert fused.tree.root.scheduling.backend == "compiled"
+        assert fused.tree_kernel.called_programs == (
+            ("root", "unproven", reason),)
+        assert kernel_cache_info()["called_programs"] == 1
+        assert "res = x0(packet, ectx, env)" in fused.tree_kernel.source
+        assert outcomes[0][0] == "ok"
+
+    def test_interpreted_program_is_called_and_listed(self):
+        scheduler = ProgrammableScheduler(single_node_tree(
+            stfq_program(backend="interpreted")))
+        assert scheduler.tree_kernel.called_programs == (
+            ("root", "stfq", "runs on the interpreted back end"),
+            ("root", "stfq.dequeue", "runs on the interpreted back end"),
+        )
+
+    def test_hook_that_reads_the_packet_is_called_on_references_only(self):
+        def build():
+            root = TreeNode(name="root", scheduling=compile_scheduling_program(
+                "p.rank = now\n", state={"bytes_out": 0},
+                dequeue_source="bytes_out = bytes_out + p.length\n",
+                name="counting"))
+            root.add_child(TreeNode(name="leaf", predicate=FlowIn(["x"]),
+                                    scheduling=FIFOTransaction()))
+            return ScheduleTree(root)
+
+        fused, _ = _run_lockstep(build, [
+            ("enq", "x", 100, {}, 0.0), ("enq", "y", 300, {}, 0.0),
+            ("deq", 1.0), ("deq", 1.0),
+        ])
+        ((node, program, reason),) = fused.tree_kernel.called_programs
+        assert (node, program) == ("root", "counting.dequeue")
+        assert "references" in reason
+
+    def test_custom_flow_fn_is_the_fragments_flow(self):
+        # ``p.flow`` in a program is the node's flow_fn result — called once
+        # per execution — or, when that is empty, the packet's own flow.
+        calls = []
+
+        def by_tenant(packet):
+            calls.append(packet.flow)
+            return packet.fields.get("tenant", "")
+
+        def build():
+            return ScheduleTree(TreeNode(
+                name="root", flow_fn=by_tenant,
+                scheduling=stfq_program(weights={"t1": 4.0, "b": 2.0})))
+
+        fused, _ = _run_lockstep(build, [
+            ("enq", "a", 400, {"tenant": "t1"}, 0.0),
+            ("enq", "b", 400, {}, 0.0),
+            ("enq", "a", 400, {"tenant": "t1"}, 0.0),
+            ("deq", 1.0), ("deq", 1.0), ("deq", 1.0),
+        ])
+        assert fused.tree_kernel.called_programs == ()
+        assert calls == ["a", "a", "b", "b", "a", "a"]  # one per side
+        assert fused.tree.root.scheduling.state["last_finish"] == {
+            "t1": 200.0, "b": 200.0}
+
+    def test_node_names_are_part_of_the_shape(self):
+        # A reference's flow is its child's name, embedded in the kernel:
+        # same shape under other names is another kernel.
+        def build(left, right):
+            root = TreeNode(name="root", scheduling=stfq_program(
+                weights={left: 1.0, right: 9.0}))
+            root.add_child(TreeNode(name=left, predicate=FlowIn(["a"]),
+                                    scheduling=stfq_program()))
+            root.add_child(TreeNode(name=right, predicate=FlowIn(["b"]),
+                                    scheduling=stfq_program()))
+            return ScheduleTree(root)
+
+        ops = [("enq", "ab"[i % 2], 100, {}, 0.0) for i in range(6)]
+        ops += [("deq", 0.0)] * 6
+        first, _ = _run_lockstep(lambda: build("L", "R"), ops)
+        second, _ = _run_lockstep(lambda: build("X", "Y"), ops)
+        assert first.tree_kernel.signature != second.tree_kernel.signature
+
+    def test_set_predicates_are_inlined(self):
+        def build():
+            root = TreeNode(name="root", scheduling=FIFOTransaction())
+            root.add_child(TreeNode(name="flows", predicate=FlowIn(["a", "b"]),
+                                    scheduling=FIFOTransaction()))
+            root.add_child(TreeNode(name="classes", predicate=ClassIn(["gold"]),
+                                    scheduling=FIFOTransaction()))
+            root.add_child(TreeNode(name="objects", predicate=FlowIn([("t", 1)]),
+                                    scheduling=FIFOTransaction()))
+            return ScheduleTree(root)
+
+        fused, _ = _run_lockstep(build, [
+            ("enq", flow, 100, {}, 0.0) for flow in "abcab"
+        ] + [("deq", 1.0)] * 5)
+        source = fused.tree_kernel.source
+        assert "m1 = packet.flow in {'a', 'b'}" in source
+        assert "m2 = packet.packet_class in {'gold'}" in source
+        # No literal form: the predicate object is called, as before.
+        assert "m3 = q3(packet)" in source
+
+
 def test_nothing_shipped_falls_back():
-    """The gate: every tree this package builds runs a kernel.
+    """The gate: every tree this package builds runs a kernel, and every
+    program it ships compiled is spliced into it.
 
     Every builder exported by :mod:`repro.lang.trees` (both lang back
-    ends), every shaped builder in :mod:`repro.algorithms`, and every
-    variant of every registered scenario — native and from programs.
+    ends), every shaped builder in :mod:`repro.algorithms`, every variant
+    of every registered scenario — native and from programs — and every
+    program in :mod:`repro.lang.programs` on a tree of its own.
     """
     import repro.lang.trees as lang_trees
     from repro.algorithms import build_shaped_hierarchy
@@ -561,6 +860,18 @@ def test_nothing_shipped_falls_back():
             build_hierarchical_round_robin_tree(
                 {"c": {"a": 1.0}}, {"c": 1e-3}),
     })
+    for name, factory in DEFAULT_FACTORIES.items():
+        if name in SHAPING_PROGRAMS:
+            def build(factory=factory):
+                root = TreeNode(name="root", scheduling=FIFOTransaction())
+                root.add_child(TreeNode(name="shaped",
+                                        scheduling=FIFOTransaction(),
+                                        shaping=factory()))
+                return ScheduleTree(root)
+        else:
+            def build(factory=factory):
+                return single_node_tree(factory())
+        builders[f"program:{name}"] = build
     clear_kernel_cache()
     schedulers = {name: ProgrammableScheduler(build())
                   for name, build in builders.items()}
@@ -578,6 +889,14 @@ def test_nothing_shipped_falls_back():
     assert {name: scheduler.kernel_fallback_reason
             for name, scheduler in schedulers.items()
             if scheduler.tree_kernel is None} == {}
+    # Only an interpreted program is ever called instead of spliced.
+    called = {name: scheduler.tree_kernel.called_programs
+              for name, scheduler in schedulers.items()
+              if scheduler.tree_kernel.called_programs}
+    assert called and all("[interpreted]" in name for name in called)
+    assert all(reason == "runs on the interpreted back end"
+               for programs in called.values() for _, _, reason in programs)
     info = kernel_cache_info()
     assert info["fallbacks"] == 0
     assert info["installs"] == len(schedulers)
+    assert info["called_programs"] == sum(map(len, called.values()))

@@ -260,6 +260,45 @@ class TestShapedKernelOnFusedPorts:
         assert conservation["in_flight"] == 0
         assert sim.now > 1.2e-3
 
+    def test_port_running_dry_matches_the_unfused_port(self, monkeypatch):
+        # A fused shaped port that finds nothing buffered skips the dequeue
+        # and the wake-up poll.  Suspended packets count as buffered: going
+        # idle over them must still poll and arm the wake-up, or they are
+        # stranded.  Both ways of running dry, against the unfused port.
+        from repro.sim.link import OutputPort
+
+        wakeups = []
+        on_wakeup = OutputPort._on_wakeup
+        monkeypatch.setattr(
+            OutputPort, "_on_wakeup",
+            lambda port: (wakeups.append(port.name), on_wakeup(port))[1])
+
+        def run(fused):
+            del wakeups[:]
+            sim, fabric = self._fabric(fused)
+            arrivals = (
+                # Unshaped only: the ports drain with no release pending.
+                [(0.0, flow) for flow in "ABAB"]
+                # Right's bucket passes two and holds the rest: the ports
+                # go idle over suspended packets, a release pending.
+                + [(2e-3, "C")] * 5
+                # And dry again, long after the last release.
+                + [(5e-2, flow) for flow in "AD"])
+            fabric.attach_source("h_src", [
+                (when, Packet(flow=flow, length=1500, dst="h_dst"))
+                for when, flow in arrivals])
+            fabric.run(drain=True)
+            conservation = fabric.conservation_check()
+            assert conservation["delivered"] == conservation["injected"] == 11
+            assert conservation["in_flight"] == 0
+            return ([(packet.flow, packet.departure_time)
+                     for packet in fabric.sink("h_dst").packets],
+                    sim.events_processed, list(wakeups))
+
+        departures, events, woken = run(True)
+        assert (departures, events, woken) == run(False)
+        assert len(woken) >= 3
+
     def test_compaction_rebuilds_the_heap_the_closures_hold(self):
         # Fused ports and PacketSource keep ``sim._raw_heap`` for the whole
         # run and heappush onto it, so EventQueue.compact() must rebuild
