@@ -4,13 +4,13 @@
 Usage::
 
     python benchmarks/check_perf_regression.py \
-        --baseline-dir baselines/ --current-dir . [--tolerance 0.20]
+        --baseline-dir . --current-dir benchmarks/out [--tolerance 0.20]
 
 Compares every throughput metric in the committed ``BENCH_*.json``
-artifacts (saved to ``--baseline-dir`` *before* the benchmarks overwrite
-them) against the freshly measured files in ``--current-dir`` and exits
-non-zero if any metric dropped more than ``--tolerance`` (default 20%)
-below its baseline.  All gated metrics are *rates* (packets/second,
+artifacts (``--baseline-dir``: the repo root, which the benchmarks never
+write) against the freshly measured files in ``--current-dir``
+(``benchmarks/out/``, where they do) and exits non-zero if any metric
+dropped more than ``--tolerance`` (default 20%) below its baseline.  All gated metrics are *rates* (packets/second,
 runs/second), which are workload-size independent, so the quick-mode CI
 run is comparable against the committed full-size baselines.
 
@@ -134,7 +134,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline-dir", type=Path, required=True,
                         help="directory holding the committed BENCH_*.json")
-    parser.add_argument("--current-dir", type=Path, default=Path("."),
+    parser.add_argument("--current-dir", type=Path,
+                        default=Path(__file__).resolve().parent / "out",
                         help="directory holding the fresh BENCH_*.json")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="maximum allowed fractional drop (default 0.20)")

@@ -11,11 +11,26 @@ Every module in this directory regenerates one table or figure of the paper
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from repro.core import ProgrammableScheduler
 from repro.sim import OutputPort, PacketSource, Simulator
 from repro.traffic import FlowSpec, cbr_arrivals, merge_arrivals
+
+
+#: Where fresh ``BENCH_*.json`` artifacts land (git-ignored).  The files of
+#: the same names at the repo root are the committed baselines the CI
+#: perf-regression job compares these against; no test rewrites them.
+BENCH_OUT_DIR = Path(__file__).resolve().parent / "out"
+
+
+def write_bench_artifact(name: str, artifact: Mapping) -> None:
+    """Write ``artifact`` to ``benchmarks/out/BENCH_<name>.json``."""
+    BENCH_OUT_DIR.mkdir(exist_ok=True)
+    (BENCH_OUT_DIR / f"BENCH_{name}.json").write_text(
+        json.dumps(artifact, indent=2) + "\n")
 
 
 def report(title: str, rows: Iterable[Mapping]) -> None:

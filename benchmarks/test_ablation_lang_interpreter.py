@@ -15,19 +15,17 @@ that:
   Figure 1 STFQ and Figure 4c token-bucket programs — the per-packet AST
   walk is gone — and the win survives the full ``sim`` stack end to end.
 
-The measured rates are written to ``BENCH_lang_compile.json`` at the repo
-root (the artifact CI uploads).  Set ``BENCH_QUICK=1`` to shrink the
+The measured rates are written to ``BENCH_lang_compile.json`` under
+``benchmarks/out/`` (the artifact CI uploads).  Set ``BENCH_QUICK=1`` to shrink the
 workload for smoke runs.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
-from conftest import report
+from conftest import report, write_bench_artifact
 
 from repro.algorithms import STFQTransaction
 from repro.core import Packet, ProgrammableScheduler, TransactionContext, single_node_tree
@@ -45,7 +43,6 @@ BENCH_QUICK = bool(os.environ.get("BENCH_QUICK"))
 RANK_COUNT = 5_000 if BENCH_QUICK else 30_000
 #: Simulated seconds for the end-to-end comparison.
 SIM_DURATION = 0.05 if BENCH_QUICK else 0.2
-BENCH_ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_lang_compile.json"
 
 #: The compiled backend must beat the interpreter by at least this factor on
 #: the paper's Figure 1 / Figure 4c programs (the tentpole acceptance gate).
@@ -190,26 +187,23 @@ def test_lang_compile_speedup_gate(benchmark):
         f"{SIM_DURATION}s simulated)",
         rows,
     )
-    BENCH_ARTIFACT.write_text(
-        json.dumps(
-            {
-                "rank_count": RANK_COUNT,
-                "sim_duration_s": SIM_DURATION,
-                "workloads": {
-                    "stfq": "Figure 1 STFQ scheduling program, ranks/second",
-                    "token_bucket": "Figure 4c token-bucket shaping program, "
-                                    "send-times/second",
-                    "end_to_end_fig4_sim": "Figure 4 program-built hierarchy "
-                                           "through the full sim stack, "
-                                           "simulated packets/second of "
-                                           "wall-clock",
-                },
-                "packets_per_second": rates,
-                "speedup_compiled_vs_interpreted": speedups,
+    write_bench_artifact(
+        "lang_compile",
+        {
+            "rank_count": RANK_COUNT,
+            "sim_duration_s": SIM_DURATION,
+            "workloads": {
+                "stfq": "Figure 1 STFQ scheduling program, ranks/second",
+                "token_bucket": "Figure 4c token-bucket shaping program, "
+                                "send-times/second",
+                "end_to_end_fig4_sim": "Figure 4 program-built hierarchy "
+                                       "through the full sim stack, "
+                                       "simulated packets/second of "
+                                       "wall-clock",
             },
-            indent=2,
-        )
-        + "\n"
+            "packets_per_second": rates,
+            "speedup_compiled_vs_interpreted": speedups,
+        },
     )
     # The per-packet program cost must drop to a direct function call: >= 3x
     # on both gated figures.  At smoke size the margin shrinks (fixed costs

@@ -20,21 +20,20 @@ engine.  Methodology fixes over the original benchmark:
   phase ran during a slow stretch.
 
 Every engine store is verified identical to the serial one modulo
-wall-clock fields, and the results land in ``BENCH_campaign.json`` at the
-repo root (the artifact CI uploads and the perf gate checks —
+wall-clock fields, and the results land in ``BENCH_campaign.json`` under
+``benchmarks/out/`` (the artifact CI uploads and the perf gate checks —
 ``speedup_max_workers_vs_serial`` must stay >= 1.0).  Set
 ``BENCH_QUICK=1`` to benchmark a fig6-only subset for smoke runs.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import replace
 from pathlib import Path
 
-from conftest import report
+from conftest import report, write_bench_artifact
 
 from repro.campaign import (
     Campaign,
@@ -47,7 +46,6 @@ from repro.campaign import (
 )
 
 BENCH_QUICK = bool(os.environ.get("BENCH_QUICK"))
-BENCH_ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_campaign.json"
 WORKER_COUNTS = [1, 2] if BENCH_QUICK else [1, 2, 4]
 #: Measured passes per configuration; the fastest is recorded.
 REPEATS = 2 if BENCH_QUICK else 3
@@ -174,4 +172,4 @@ def test_campaign_serial_vs_engine_throughput(tmp_path):
         headline["speedup_max_workers_vs_serial"])
     report("Campaign sweep throughput (paper_sweep, quick durations, "
            "warm phase)", rows)
-    BENCH_ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
+    write_bench_artifact("campaign", artifact)

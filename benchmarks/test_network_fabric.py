@@ -12,19 +12,17 @@ streaming sinks, packet recycling) — the same settings the campaign engine
 uses, and the configuration the hot path is tuned for; the lockstep suite
 (tests/net/test_telemetry_lockstep.py) proves results are identical with
 telemetry on.  Writes the measured rates to ``BENCH_network_fabric.json``
-at the repo root (the artifact CI uploads, and the committed baseline the
-perf-regression CI job gates on).  Set ``BENCH_QUICK=1`` to shrink the
+under ``benchmarks/out/`` (the artifact CI uploads; the perf-regression CI
+job gates it against the committed file at the repo root).  Set ``BENCH_QUICK=1`` to shrink the
 workloads for smoke runs.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 
 import pytest
-from conftest import report
+from conftest import report, write_bench_artifact
 
 from repro.perf import PACKET_SIZE, run_workload
 
@@ -36,7 +34,6 @@ CLOS_PACKETS = 2_000 if BENCH_QUICK else 10_000
 #: scheduler hiccup must not commit as a regression.
 ROUNDS = int(os.environ.get("BENCH_ROUNDS", "1" if BENCH_QUICK else "3"))
 BACKENDS = ["sorted", "calendar", "bucketed"]
-BENCH_ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_network_fabric.json"
 
 
 def _best_run(topology, count, **kwargs):
@@ -117,7 +114,7 @@ def test_fabric_throughput_summary():
             }
         )
     report("Fabric throughput (end-to-end packets/second)", rows)
-    BENCH_ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
+    write_bench_artifact("network_fabric", artifact)
     # A Python fabric should comfortably sustain thousands of packets/s on
     # every backend; anything lower signals a forwarding-path regression.
     assert all(row["packets_per_second"] > 1000 for row in rows)

@@ -5,7 +5,7 @@ registry costs the hot path one local ``is not None`` check per seam —
 nothing measurable — and that enabling then disabling collection leaves
 no residue (no leaked enabled state, no instruments still attached).
 This benchmark holds the implementation to that promise with numbers
-written to ``BENCH_obs_overhead.json``:
+written to ``benchmarks/out/BENCH_obs_overhead.json``:
 
 * ``metrics_off_pps`` — the chain3 fabric workload with the registry
   disabled, i.e. the product-default configuration.  The standard
@@ -24,7 +24,7 @@ written to ``BENCH_obs_overhead.json``:
   percent; the ratio is recorded so a collapse of the instrumented path
   is visible in the artifact.
 * ``fabric_chain3_sorted_pps`` — the chain3/sorted rate from
-  ``BENCH_network_fabric.json`` when present (informational: the fabric
+  ``benchmarks/out/BENCH_network_fabric.json`` when present (informational: the fabric
   benchmark takes a single shot per backend, so it is too noisy to gate
   a 2% floor against, but it anchors the obs numbers to the gated
   fabric artifact from the same session).
@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 
-from conftest import report
+from conftest import BENCH_OUT_DIR, report, write_bench_artifact
 
 from repro.obs import metrics
 from repro.perf import run_workload
@@ -46,8 +45,7 @@ from repro.perf import run_workload
 BENCH_QUICK = bool(os.environ.get("BENCH_QUICK"))
 PACKETS = 2_000 if BENCH_QUICK else 10_000
 ROUNDS = 3 if BENCH_QUICK else 5
-BENCH_ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_obs_overhead.json"
-FABRIC_ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_network_fabric.json"
+FABRIC_ARTIFACT = BENCH_OUT_DIR / "BENCH_network_fabric.json"
 
 
 def _round(tree_kernel: bool = True, enabled: bool = False) -> float:
@@ -116,7 +114,7 @@ def test_metrics_off_overhead_summary():
         {"config": "interpreted, metrics on", "pps": on_interp,
          "ratio": artifact["interpreted_metrics_on_vs_off"]},
     ])
-    BENCH_ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
+    write_bench_artifact("obs_overhead", artifact)
 
     # Collection itself must stay cheap even where it is not gated: a
     # halved instrumented rate means an instrument leaked into a loop.

@@ -9,22 +9,20 @@ when scaling simulation durations and when comparing against the paper's
 The PIFO-backend section at the bottom is parametrized over every
 registered backend (see ``repro.core.backend``) on a 50 000-packet FIFO
 workload, compares them against the seed's ``list.pop(0)``-based PIFO, and
-writes the measured packets/second to ``BENCH_pifo_backends.json`` at the
-repo root (the artifact CI uploads).  Set ``BENCH_QUICK=1`` to shrink the
+writes the measured packets/second to ``BENCH_pifo_backends.json`` under
+``benchmarks/out/`` (the artifact CI uploads).  Set ``BENCH_QUICK=1`` to shrink the
 workload for smoke runs.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
 import os
 import random
 import time
-from pathlib import Path
 
 import pytest
-from conftest import report
+from conftest import report, write_bench_artifact
 
 from repro.algorithms import (
     ArrivalSequenceTransaction,
@@ -45,7 +43,6 @@ PACKET_COUNT = 2000
 #: gates only apply at full size, where the seed's O(n^2) term dominates.
 BENCH_QUICK = bool(os.environ.get("BENCH_QUICK"))
 BACKEND_PACKET_COUNT = 10_000 if BENCH_QUICK else 50_000
-BENCH_ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_pifo_backends.json"
 
 
 class _SeedEntry:
@@ -202,20 +199,6 @@ def make_backend_packets(count, seed=1):
     ]
 
 
-def drive_batched(scheduler, packets):
-    """Enqueue via the scheduler's batch entry point, then drain.
-
-    Transactions are inherently per packet, so ``enqueue_many`` is a loop
-    over ``enqueue``; the backend comparison below measures PIFO storage
-    costs, not bulk-insert tricks.
-    """
-    scheduler.enqueue_many(packets, now=0.0)
-    count = 0
-    while scheduler.dequeue(now=0.0) is not None:
-        count += 1
-    return count
-
-
 def _fifo_scheduler(backend):
     return ProgrammableScheduler(
         single_node_tree(ArrivalSequenceTransaction(), pifo_backend=backend)
@@ -227,7 +210,7 @@ def test_throughput_backend_fifo_50k(benchmark, backend):
     """Each registered backend sustains the 50 k-packet FIFO workload."""
     packets = make_backend_packets(BACKEND_PACKET_COUNT)
     count = benchmark.pedantic(
-        lambda: drive_batched(_fifo_scheduler(backend), [p.copy() for p in packets]),
+        lambda: drive(_fifo_scheduler(backend), [p.copy() for p in packets]),
         rounds=1,
         iterations=1,
     )
@@ -292,7 +275,7 @@ def test_throughput_backends_vs_seed_50k(benchmark):
                 )
                 clones = [p.copy() for p in packets]
                 start = time.perf_counter()
-                count = drive_batched(scheduler, clones)
+                count = drive(scheduler, clones)
                 elapsed = time.perf_counter() - start
                 assert count == BACKEND_PACKET_COUNT
                 rates.setdefault(workload, {})[backend] = (
@@ -317,26 +300,23 @@ def test_throughput_backends_vs_seed_50k(benchmark):
         f"PIFO backend throughput ({BACKEND_PACKET_COUNT} packets per workload)",
         rows,
     )
-    BENCH_ARTIFACT.write_text(
-        json.dumps(
-            {
-                "packet_count": BACKEND_PACKET_COUNT,
-                "workloads": {
-                    "fifo": "single-node FIFO, monotone arrival-sequence ranks",
-                    "priority8": "single-node strict priority, 8 integer rank values",
-                },
-                "packets_per_second": rates,
-                "speedup_vs_seed": {
-                    workload: {
-                        name: rate / by_backend["seed-list"]
-                        for name, rate in by_backend.items()
-                    }
-                    for workload, by_backend in rates.items()
-                },
+    write_bench_artifact(
+        "pifo_backends",
+        {
+            "packet_count": BACKEND_PACKET_COUNT,
+            "workloads": {
+                "fifo": "single-node FIFO, monotone arrival-sequence ranks",
+                "priority8": "single-node strict priority, 8 integer rank values",
             },
-            indent=2,
-        )
-        + "\n"
+            "packets_per_second": rates,
+            "speedup_vs_seed": {
+                workload: {
+                    name: rate / by_backend["seed-list"]
+                    for name, rate in by_backend.items()
+                }
+                for workload, by_backend in rates.items()
+            },
+        },
     )
     if BENCH_QUICK:
         # At smoke size the seed's quadratic term barely registers; the

@@ -1,10 +1,9 @@
 """Warm-worker campaign execution engine: persistent pools, batch leases.
 
-The original pool path in :mod:`repro.campaign.runner` lost to serial
-execution on short runs (``speedup_max_workers_vs_serial < 1`` in
-``BENCH_campaign.json``): every task paid a pickle/IPC round trip, every
-fresh pool paid imports, and every worker re-compiled the tree kernels its
-first runs needed.  :class:`WarmWorkerEngine` removes all three costs:
+A fresh pool per campaign loses to serial execution on short runs: every
+task pays a pickle/IPC round trip, every fresh pool pays imports, and every
+worker re-compiles the tree kernels its first runs need.
+:class:`WarmWorkerEngine` removes all three costs:
 
 * **Warm workers.**  The pool is *persistent* — created once, reused across
   any number of campaign executions — and each worker's initializer imports
@@ -29,8 +28,8 @@ first runs needed.  :class:`WarmWorkerEngine` removes all three costs:
   bytes via :meth:`ResultStore.append_line` — the record is serialised
   exactly once, in parallel, and never re-encoded or deep-pickled.
 
-Ordering and failure semantics are unchanged from the classic runner:
-leases are committed in run-table order (a ``workers=N`` store is
+Ordering and failure semantics are those of serial execution: leases are
+committed in run-table order (a ``workers=N`` store is
 byte-identical to serial modulo the timing fields), per-run failures come
 back as structured records, and a dead or wedged worker trips the lease
 watchdog so the caller can degrade to crash-isolated execution.
@@ -261,7 +260,7 @@ class WarmWorkerEngine:
         Worker processes in the pool.
     policy:
         :class:`~repro.campaign.runner.WorkerPolicy` applied to every run
-        (timeouts, retry, backoff) — same semantics as the classic runner.
+        (timeouts, retry, backoff).
     warmup:
         Factor space whose kernel shapes each worker pre-compiles in its
         initializer (see :class:`WarmupSpec`).  ``None`` skips kernel

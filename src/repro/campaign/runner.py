@@ -366,8 +366,8 @@ class CampaignReport:
 class CampaignRunner:
     """Executes a campaign's run table against a result store.
 
-    Parameters beyond the original engine's:
-
+    Parameters
+    ----------
     timeout_s:
         Per-run wall-clock budget; an overrunning simulation is interrupted
         (SIGALRM) and recorded as a ``timeout`` failure.

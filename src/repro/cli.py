@@ -17,10 +17,10 @@ Subcommands
     Print a transaction's source, its state analysis and the Domino-style
     atom pipeline it compiles to.
 ``perf [--workload W] [--packets N] [--pifo-backend B] [--telemetry]
-[--batch-limit N] [--profile] [--json] [--out FILE]``
+[--profile] [--json] [--out FILE]``
     Measure (or cProfile) the simulation hot path on a canonical fabric
-    workload; prints which datapath variant (kernel fusion, batch limit,
-    telemetry) produced the numbers; see :mod:`repro.perf`.
+    workload; prints which datapath variant (kernel fusion, telemetry)
+    produced the numbers; see :mod:`repro.perf`.
 ``trace SCENARIO [--variant V] [--quick] [--out spans.jsonl]
 [--chrome FILE]``
     Run one scenario variant with the packet-trace collector attached
@@ -140,10 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
                              dest="tree_kernel",
                              help="measure the interpreted reference datapath "
                                   "(fused kernels and fused delivery off)")
-    perf_parser.add_argument("--batch-limit", type=int, default=None,
-                             dest="batch_limit", metavar="N",
-                             help="max back-to-back packets per transmit "
-                                  "callback (1 = single-step; default 32)")
     perf_parser.add_argument("--profile", action="store_true",
                              help="run under cProfile and print the hottest "
                                   "functions")
@@ -839,8 +835,7 @@ def _cmd_campaign_status(target: str, watch: bool, interval_s: float,
 
 
 def _cmd_perf(workload: str, packets: int, pifo_backend: str,
-              telemetry: bool, tree_kernel: bool,
-              batch_limit: Optional[int], profile: bool, top: int,
+              telemetry: bool, tree_kernel: bool, profile: bool, top: int,
               as_json: bool, out: Optional[str]) -> int:
     from .perf import profile_workload, run_workload
 
@@ -849,15 +844,13 @@ def _cmd_perf(workload: str, packets: int, pifo_backend: str,
             result = profile_workload(workload, packets=packets,
                                       pifo_backend=pifo_backend,
                                       telemetry=telemetry,
-                                      tree_kernel=tree_kernel,
-                                      batch_limit=batch_limit, top=top)
+                                      tree_kernel=tree_kernel, top=top)
             perf = result.perf
         else:
             perf = run_workload(workload, packets=packets,
                                 pifo_backend=pifo_backend,
                                 telemetry=telemetry,
-                                tree_kernel=tree_kernel,
-                                batch_limit=batch_limit)
+                                tree_kernel=tree_kernel)
             result = None
     except (KeyError, ValueError) as exc:
         print(str(exc.args[0]), file=sys.stderr)
@@ -1050,9 +1043,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_show(args.program, args.tree_kernel, args.pifo_backend)
     if args.command == "perf":
         return _cmd_perf(args.workload, args.packets, args.pifo_backend,
-                         args.telemetry, args.tree_kernel,
-                         args.batch_limit, args.profile, args.top,
-                         args.json, args.out)
+                         args.telemetry, args.tree_kernel, args.profile,
+                         args.top, args.json, args.out)
     if args.command == "trace":
         return _cmd_trace(args.scenario, args.variant, args.quick,
                           args.out, args.chrome, args.json)

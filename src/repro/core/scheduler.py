@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..exceptions import PIFOFullError, SchedulerError
 from .backend import BackendSpec
@@ -269,25 +269,6 @@ class ProgrammableScheduler:
         except KeyError:
             per_flow[packet.flow] = 1
         return True
-
-    def enqueue_many(
-        self, packets: Iterable[Packet], now: Optional[float] = None
-    ) -> int:
-        """Enqueue a batch of packets; returns how many were buffered.
-
-        The batch fast path used by the simulator's
-        :meth:`~repro.sim.link.OutputPort.receive_many` and the throughput
-        benchmarks; drops (full PIFOs) are counted, not raised, regardless
-        of ``drop_on_full``.
-        """
-        accepted = 0
-        for packet in packets:
-            try:
-                if self.enqueue(packet, now=now):
-                    accepted += 1
-            except PIFOFullError:
-                self.stats.dropped += 1
-        return accepted
 
     def _walk_up(
         self,

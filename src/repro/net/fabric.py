@@ -30,7 +30,6 @@ from ..core.scheduler import ProgrammableScheduler
 from ..core.tree import single_node_tree
 from ..exceptions import RoutingError
 from ..obs import metrics as obs_metrics
-from ..sim.link import DEFAULT_BATCH_LIMIT
 from ..sim.simulator import Simulator
 from ..sim.sink import PacketSink
 from ..sim.source import PacketSource
@@ -106,11 +105,6 @@ class Fabric:
         link, threshold-free admission on both ends; ``False`` disables
         fusion (the reference interpreted path); ``True`` requests it
         (still subject to the same per-port safety conditions).
-    batch_limit:
-        Max back-to-back packets a saturated port transmits per completion
-        event (the batched-transmit fast-forward loop; see
-        :mod:`repro.sim.link`).  ``1`` forces strict single-stepping;
-        ``None`` keeps the ports' default.
     """
 
     def __init__(
@@ -127,7 +121,6 @@ class Fabric:
         host_scheduler_factory: SchedulerFactory = _default_host_scheduler,
         fused_delivery: Optional[bool] = None,
         fault_plan: Optional[FaultPlan] = None,
-        batch_limit: Optional[int] = None,
     ) -> None:
         network.validate()
         self.sim = sim
@@ -180,15 +173,6 @@ class Fabric:
                 telemetry=telemetry,
                 name=name,
             )
-
-        if batch_limit is not None:
-            if batch_limit < 1:
-                raise ValueError("batch_limit must be >= 1")
-            for node_switch in self.node_switches.values():
-                for node_port in node_switch.ports.values():
-                    node_port.batch_limit = batch_limit
-        self.batch_limit = (batch_limit if batch_limit is not None
-                            else DEFAULT_BATCH_LIMIT)
 
         self._install_routes()
         #: Number of egress ports running the fused hot-path closure.
@@ -389,16 +373,11 @@ class Fabric:
         Rare/error paths (missing route, ``dst`` ``None``) fall back to the
         interpreted methods so diagnostics stay identical.
 
-        Two datapath-v3 optimisations live here.  **Per-flow target
-        memoisation**: route lookup + ECMP hash + port dict walk resolve to
-        the same next-hop egress for every packet of a flow, so the
-        resolved ``(dst, out_port, out_scheduler)`` is cached per flow
-        (guarded by ``dst``, invalidated by :meth:`reinstall_routes`).
-        **Batched transmit**: while the port stays saturated and nothing
-        else in the simulation can run before the next completion, the
-        closure fast-forwards the clock and transmits up to
-        ``batch_limit`` back-to-back packets in one event (same protocol
-        as ``OutputPort._on_tx_complete``; ties never fast-forward).
+        **Per-flow target memoisation**: route lookup + ECMP hash + port
+        dict walk resolve to the same next-hop egress for every packet of a
+        flow, so the resolved ``(dst, out_port, out_scheduler)`` is cached
+        per flow (guarded by ``dst``, invalidated by
+        :meth:`reinstall_routes`).
         """
         fabric = self
         sim = self.sim
@@ -406,7 +385,6 @@ class Fabric:
         heap = sim._raw_heap
         scheduler = port.scheduler
         inv_rate = port._inv_rate
-        batch_limit = port.batch_limit
         own_stats = switch.stats
         own_buffer = switch.buffer
         own_cell_bytes = own_buffer.cell_bytes
@@ -459,222 +437,190 @@ class Fabric:
         def _tx_complete() -> None:
             packet = port._tx_packet
             now = sim.now
-            budget = batch_limit
-            while True:
-                port._tx_packet = None
-                packet.departure_time = now
-                port.busy = False
-                port.transmitted_packets += 1
-                length = packet.length
-                port.transmitted_bytes += length
-                # Inlined delivery closure (telemetry off): stamp the
-                # in-band wait-time field the next hop's LSTF transaction
-                # consumes.
-                enq = packet.enqueue_time
-                deq = packet.dequeue_time
-                wait = (deq - enq
-                        if (enq is not None and deq is not None) else 0.0)
-                fields = packet.fields
-                if fields is EMPTY_FIELDS:
-                    packet.fields = {PREV_WAIT_FIELD: wait}
+            port._tx_packet = None
+            packet.departure_time = now
+            port.busy = False
+            port.transmitted_packets += 1
+            length = packet.length
+            port.transmitted_bytes += length
+            # Inlined delivery closure (telemetry off): stamp the
+            # in-band wait-time field the next hop's LSTF transaction
+            # consumes.
+            enq = packet.enqueue_time
+            deq = packet.dequeue_time
+            wait = (deq - enq
+                    if (enq is not None and deq is not None) else 0.0)
+            fields = packet.fields
+            if fields is EMPTY_FIELDS:
+                packet.fields = {PREV_WAIT_FIELD: wait}
+            else:
+                fields[PREV_WAIT_FIELD] = \
+                    fields.get(PREV_WAIT_FIELD, 0.0) + wait
+            if to_host:
+                if packet.dst != neighbor:
+                    raise RoutingError(
+                        f"packet for {packet.dst!r} delivered to host "
+                        f"{neighbor!r}; hosts do not forward transit "
+                        f"traffic"
+                    )
+                fabric.delivered_packets += 1
+                sink_record(packet)
+            else:
+                dst = packet.dst
+                flow = packet.flow
+                target = targets.get(flow)
+                if target is not None and target[0] == dst:
+                    out = target[1]
+                    osched = target[2]
+                    out_cb = target[3]
+                    out_inv = target[4]
                 else:
-                    fields[PREV_WAIT_FIELD] = \
-                        fields.get(PREV_WAIT_FIELD, 0.0) + wait
-                if to_host:
-                    if packet.dst != neighbor:
-                        raise RoutingError(
-                            f"packet for {packet.dst!r} delivered to host "
-                            f"{neighbor!r}; hosts do not forward transit "
-                            f"traffic"
-                        )
-                    fabric.delivered_packets += 1
-                    sink_record(packet)
-                else:
-                    dst = packet.dst
-                    flow = packet.flow
-                    target = targets.get(flow)
-                    if target is not None and target[0] == dst:
-                        out = target[1]
-                        osched = target[2]
-                        out_cb = target[3]
-                        out_inv = target[4]
+                    out = None
+                    candidates = nxt_routes.get(dst)
+                    if not candidates:
+                        # Missing/empty route (or dst None): the
+                        # interpreted path raises the canonical
+                        # RoutingError.
+                        nxt.forward(packet)
                     else:
-                        out = None
-                        candidates = nxt_routes.get(dst)
-                        if not candidates:
-                            # Missing/empty route (or dst None): the
-                            # interpreted path raises the canonical
-                            # RoutingError.
-                            nxt.forward(packet)
+                        if len(candidates) == 1:
+                            egress = candidates[0]
                         else:
-                            if len(candidates) == 1:
-                                egress = candidates[0]
-                            else:
-                                digest = nxt_hashes.get(flow)
-                                if digest is None:
-                                    digest = nxt_hashes[flow] = \
-                                        crc32(flow.encode())
-                                egress = candidates[digest % len(candidates)]
-                            out = nxt_ports[egress]
-                            osched = out.scheduler
-                            out_cb = out._tx_complete
-                            out_inv = out._inv_rate
-                            targets[flow] = (dst, out, osched, out_cb,
-                                             out_inv)
-                    if out is not None:
-                        # Inlined occupancy-only SharedMemorySwitch.receive.
-                        nxt_stats.received += 1
-                        cells = (length + nxt_cell_bytes - 1) // nxt_cell_bytes
-                        if (nxt_buffer.used_cells + cells
-                                > nxt_buffer.total_cells):
-                            nxt_stats.dropped_admission += 1
-                        else:
-                            nxt_buffer.used_cells += cells
-                            nxt_buffer.used_bytes += length
-                            # Inlined OutputPort.receive + _try_transmit.
-                            # On an idle port with a work-conserving kernel
-                            # the enqueue and immediate dequeue collapse
-                            # into the kernel's cut-through transfer (under
-                            # shaping a None could also mean "held back").
-                            packet.arrival_time = now
-                            if (not out.busy and nxt_kernelable
-                                    and osched.kernel_work_conserving):
-                                head = osched.transfer(packet, now)
-                                if head is None:
-                                    out.dropped_packets += 1
-                                    nxt_buffer.used_cells -= cells
-                                    nxt_buffer.used_bytes -= length
-                                    nxt_stats.dropped_scheduler += 1
-                                else:
-                                    nxt_stats.admitted += 1
-                                    out.busy = True
-                                    out._tx_packet = head
-                                    seq = queue._next_seq
-                                    queue._next_seq = seq + 1
-                                    entry = (now + head.length * out_inv,
-                                             seq, out_cb)
-                                    heappush(heap, entry)
-                            elif osched.enqueue(packet, now):
-                                nxt_stats.admitted += 1
-                                if not out.busy:
-                                    head = osched.dequeue(now)
-                                    if head is None:
-                                        out._arm_wakeup()
-                                    else:
-                                        out.busy = True
-                                        out._tx_packet = head
-                                        seq = queue._next_seq
-                                        queue._next_seq = seq + 1
-                                        entry = (now
-                                                 + head.length * out_inv,
-                                                 seq, out_cb)
-                                        heappush(heap, entry)
-                            else:
+                            digest = nxt_hashes.get(flow)
+                            if digest is None:
+                                digest = nxt_hashes[flow] = \
+                                    crc32(flow.encode())
+                            egress = candidates[digest % len(candidates)]
+                        out = nxt_ports[egress]
+                        osched = out.scheduler
+                        out_cb = out._tx_complete
+                        out_inv = out._inv_rate
+                        targets[flow] = (dst, out, osched, out_cb,
+                                         out_inv)
+                if out is not None:
+                    # Inlined occupancy-only SharedMemorySwitch.receive.
+                    nxt_stats.received += 1
+                    cells = (length + nxt_cell_bytes - 1) // nxt_cell_bytes
+                    if (nxt_buffer.used_cells + cells
+                            > nxt_buffer.total_cells):
+                        nxt_stats.dropped_admission += 1
+                    else:
+                        nxt_buffer.used_cells += cells
+                        nxt_buffer.used_bytes += length
+                        # Inlined OutputPort.receive + _try_transmit.
+                        # On an idle port with a work-conserving kernel
+                        # the enqueue and immediate dequeue collapse
+                        # into the kernel's cut-through transfer (under
+                        # shaping a None could also mean "held back").
+                        packet.arrival_time = now
+                        if (not out.busy and nxt_kernelable
+                                and osched.kernel_work_conserving):
+                            head = osched.transfer(packet, now)
+                            if head is None:
                                 out.dropped_packets += 1
                                 nxt_buffer.used_cells -= cells
                                 nxt_buffer.used_bytes -= length
                                 nxt_stats.dropped_scheduler += 1
-                # Departure callback: the switch release is inlined;
-                # anything else (a source wrapped it after construction) is
-                # called.
-                on_departure = port.on_departure
-                if on_departure is release:
-                    own_stats.transmitted += 1
-                    cells = (length + own_cell_bytes - 1) // own_cell_bytes
-                    if own_buffer.used_cells >= cells:
-                        own_buffer.used_cells -= cells
-                        own_buffer.used_bytes -= length
-                    else:
-                        own_buffer.used_cells = 0
-                        own_buffer.used_bytes = max(
-                            0, own_buffer.used_bytes - length)
-                elif on_departure is not None:
-                    on_departure(packet)
-                # Next packet.  Under a kernel an empty scheduler needs
-                # neither the dequeue call nor a shaping wakeup.
-                if kernelable and scheduler.kernel_work_conserving:
-                    if not scheduler._buffered_packets:
-                        # Arrival prefetch: the scheduler is dry, so the
-                        # only thing that can wake this port again is its
-                        # source's next arrival.  Pull it now and run the
-                        # fused injection at the arrival's own timestamp —
-                        # observably identical to the arrival event firing,
-                        # minus the event.  Arrivals past the run horizon
-                        # (or with degenerate dst) are parked back onto the
-                        # normal event path.
-                        if pull_box is None:
-                            return
-                        sr = pull_box[0]
-                        if sr is None:
-                            return
-                        src_source = sr[0]
-                        nic_receive = sr[1]
-                        horizon = sim._ff_horizon
-                        while True:
-                            # PacketSource._peek_arrival/_take_arrival,
-                            # inlined: the pull loop runs once per delivered
-                            # packet, where the two call frames alone are
-                            # measurable at fabric scale.  ``s_pending`` is
-                            # non-None only on the first pull after the
-                            # source owned the stream (the in-flight arrival
-                            # event gets tombstoned); afterwards the loop
-                            # walks the materialised batch directly.
-                            s_pending = src_source._pending
-                            if s_pending is not None:
-                                a_time = s_pending[0]
-                                stolen = src_source._pending_packet
                             else:
+                                nxt_stats.admitted += 1
+                                out.busy = True
+                                out._tx_packet = head
+                                seq = queue._next_seq
+                                queue._next_seq = seq + 1
+                                entry = (now + head.length * out_inv,
+                                         seq, out_cb)
+                                heappush(heap, entry)
+                        elif osched.enqueue(packet, now):
+                            nxt_stats.admitted += 1
+                            if not out.busy:
+                                head = osched.dequeue(now)
+                                if head is None:
+                                    out._arm_wakeup()
+                                else:
+                                    out.busy = True
+                                    out._tx_packet = head
+                                    seq = queue._next_seq
+                                    queue._next_seq = seq + 1
+                                    entry = (now
+                                             + head.length * out_inv,
+                                             seq, out_cb)
+                                    heappush(heap, entry)
+                        else:
+                            out.dropped_packets += 1
+                            nxt_buffer.used_cells -= cells
+                            nxt_buffer.used_bytes -= length
+                            nxt_stats.dropped_scheduler += 1
+            # Departure callback: the switch release is inlined;
+            # anything else (a source wrapped it after construction) is
+            # called.
+            on_departure = port.on_departure
+            if on_departure is release:
+                own_stats.transmitted += 1
+                cells = (length + own_cell_bytes - 1) // own_cell_bytes
+                if own_buffer.used_cells >= cells:
+                    own_buffer.used_cells -= cells
+                    own_buffer.used_bytes -= length
+                else:
+                    own_buffer.used_cells = 0
+                    own_buffer.used_bytes = max(
+                        0, own_buffer.used_bytes - length)
+            elif on_departure is not None:
+                on_departure(packet)
+            # Next packet.  Under a kernel an empty scheduler needs
+            # neither the dequeue call nor a shaping wakeup.
+            if kernelable and scheduler.kernel_work_conserving:
+                if not scheduler._buffered_packets:
+                    # Arrival prefetch: the scheduler is dry, so the
+                    # only thing that can wake this port again is its
+                    # source's next arrival.  Pull it now and run the
+                    # fused injection at the arrival's own timestamp —
+                    # observably identical to the arrival event firing,
+                    # minus the event.  Arrivals past the run horizon
+                    # (or with degenerate dst) are parked back onto the
+                    # normal event path.
+                    if pull_box is None:
+                        return
+                    sr = pull_box[0]
+                    if sr is None:
+                        return
+                    src_source = sr[0]
+                    nic_receive = sr[1]
+                    horizon = sim._ff_horizon
+                    while True:
+                        # PacketSource._peek_arrival/_take_arrival,
+                        # inlined: the pull loop runs once per delivered
+                        # packet, where the two call frames alone are
+                        # measurable at fabric scale.  ``s_pending`` is
+                        # non-None only on the first pull after the
+                        # source owned the stream (the in-flight arrival
+                        # event gets tombstoned); afterwards the loop
+                        # walks the materialised batch directly.
+                        s_pending = src_source._pending
+                        if s_pending is not None:
+                            a_time = s_pending[0]
+                            stolen = src_source._pending_packet
+                        else:
+                            s_batch = src_source._batch
+                            s_index = src_source._index
+                            if s_index < len(s_batch):
+                                a_time, stolen = s_batch[s_index]
+                            elif src_source._refill():
                                 s_batch = src_source._batch
-                                s_index = src_source._index
-                                if s_index < len(s_batch):
-                                    a_time, stolen = s_batch[s_index]
-                                elif src_source._refill():
-                                    s_batch = src_source._batch
-                                    s_index = 0
-                                    a_time, stolen = s_batch[0]
-                                else:
-                                    stolen = None
-                            if stolen is None:
-                                if scheduler._buffered_packets:
-                                    break
-                                return
-                            if a_time < now:
-                                # The port outpaced the stream inside an
-                                # overload window: enqueue at the true
-                                # arrival instant (port marked busy so the
-                                # injection cannot cut through), keep
-                                # pulling until the stream catches up with
-                                # the clock, then dequeue at ``now`` below.
-                                src_source.generated_packets += 1
-                                if s_pending is not None:
-                                    sim.cancel(s_pending)
-                                    src_source._pending = None
-                                    src_source._pending_packet = None
-                                else:
-                                    s_batch[s_index] = None
-                                    src_source._index = s_index + 1
-                                    src_source._last_time = a_time
-                                sim.events_processed += 1
-                                sim.now = a_time
-                                port.busy = True
-                                nic_receive(stolen)
-                                port.busy = False
-                                sim.now = now
-                                continue
-                            if (a_time + stolen.length * inv_rate > horizon
-                                    or stolen.dst is None
-                                    or stolen.dst == node
-                                    or scheduler._buffered_packets):
-                                # Ownership may only persist while the next
-                                # completion provably lands inside this run
-                                # (a stopped drain must not discard
-                                # arrivals the event path would have
-                                # fired), and never across a backlog.
-                                # Re-arm the normal arrival event.
-                                src_source._park_arrival()
-                                if scheduler._buffered_packets:
-                                    break
-                                return
+                                s_index = 0
+                                a_time, stolen = s_batch[0]
+                            else:
+                                stolen = None
+                        if stolen is None:
+                            if scheduler._buffered_packets:
+                                break
+                            return
+                        if a_time < now:
+                            # The port outpaced the stream inside an
+                            # overload window: enqueue at the true
+                            # arrival instant (port marked busy so the
+                            # injection cannot cut through), keep
+                            # pulling until the stream catches up with
+                            # the clock, then dequeue at ``now`` below.
                             src_source.generated_packets += 1
                             if s_pending is not None:
                                 sim.cancel(s_pending)
@@ -686,61 +632,71 @@ class Fabric:
                                 src_source._last_time = a_time
                             sim.events_processed += 1
                             sim.now = a_time
-                            ok = nic_receive(stolen)
+                            port.busy = True
+                            nic_receive(stolen)
+                            port.busy = False
                             sim.now = now
-                            if ok:
-                                if port.busy:
-                                    # Cut-through scheduled this port's
-                                    # next completion; the pull chain
-                                    # continues there.
-                                    return
-                                # Enqueued without transmitting (shaped
-                                # NIC awaiting a wakeup): hand the stream
-                                # back to the event path.
-                                src_source._park_arrival()
-                                return
-                            # Admission-dropped the stolen arrival; the
-                            # port is still idle — pull the next one.
-                    next_packet = scheduler.dequeue(now)
-                    if next_packet is None:
-                        return
-                elif (kernelable and scheduler.tree_kernel is not None
-                        and not scheduler._buffered_packets):
-                    # Shaped kernel run dry.  A suspended packet counts as
-                    # buffered, so every calendar entry left is stale: the
-                    # dequeue and the wake-up would both find nothing.
-                    return
-                else:
-                    next_packet = scheduler.dequeue(now)
-                    if next_packet is None:
-                        port._arm_wakeup()
-                        return
-                port.busy = True
-                port._tx_packet = next_packet
-                t_next = now + next_packet.length * inv_rate
-                # Fast-forward: transmit the next packet inside this event
-                # when provably nothing else can run before it completes
-                # (fused ports never run under fault plans, so no faulted
-                # check is needed here).
-                if budget > 1 and t_next <= sim._ff_horizon:
-                    deferred = sim._deferred
-                    if deferred is None or deferred[0] > t_next:
-                        if not heap or heap[0][0] > t_next:
-                            budget -= 1
-                            sim.now = now = t_next
-                            sim.events_processed += 1
-                            packet = next_packet
                             continue
-                # Schedule our own completion.  Fused paths push straight
-                # to the queue rather than through the deferral slot: the
-                # slot only pays off for back-to-back self-reschedules,
-                # which the fast-forward loop above now handles without
-                # any event at all.
-                seq = queue._next_seq
-                queue._next_seq = seq + 1
-                entry = (t_next, seq, _tx_complete)
-                heappush(heap, entry)
+                        if (a_time + stolen.length * inv_rate > horizon
+                                or stolen.dst is None
+                                or stolen.dst == node
+                                or scheduler._buffered_packets):
+                            # Ownership may only persist while the next
+                            # completion provably lands inside this run
+                            # (a stopped drain must not discard
+                            # arrivals the event path would have
+                            # fired), and never across a backlog.
+                            # Re-arm the normal arrival event.
+                            src_source._park_arrival()
+                            if scheduler._buffered_packets:
+                                break
+                            return
+                        src_source.generated_packets += 1
+                        if s_pending is not None:
+                            sim.cancel(s_pending)
+                            src_source._pending = None
+                            src_source._pending_packet = None
+                        else:
+                            s_batch[s_index] = None
+                            src_source._index = s_index + 1
+                            src_source._last_time = a_time
+                        sim.events_processed += 1
+                        sim.now = a_time
+                        ok = nic_receive(stolen)
+                        sim.now = now
+                        if ok:
+                            if port.busy:
+                                # Cut-through scheduled this port's
+                                # next completion; the pull chain
+                                # continues there.
+                                return
+                            # Enqueued without transmitting (shaped
+                            # NIC awaiting a wakeup): hand the stream
+                            # back to the event path.
+                            src_source._park_arrival()
+                            return
+                        # Admission-dropped the stolen arrival; the
+                        # port is still idle — pull the next one.
+                next_packet = scheduler.dequeue(now)
+                if next_packet is None:
+                    return
+            elif (kernelable and scheduler.tree_kernel is not None
+                    and not scheduler._buffered_packets):
+                # Shaped kernel run dry.  A suspended packet counts as
+                # buffered, so every calendar entry left is stale: the
+                # dequeue and the wake-up would both find nothing.
                 return
+            else:
+                next_packet = scheduler.dequeue(now)
+                if next_packet is None:
+                    port._arm_wakeup()
+                    return
+            port.busy = True
+            port._tx_packet = next_packet
+            seq = queue._next_seq
+            queue._next_seq = seq + 1
+            entry = (now + next_packet.length * inv_rate, seq, _tx_complete)
+            heappush(heap, entry)
 
         return _tx_complete
 

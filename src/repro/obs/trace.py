@@ -18,8 +18,8 @@ The collector attaches to an *unfused* fabric (``tree_kernel=False`` —
 the fused per-port closures bypass the wrappable seams by design, which
 is exactly why tracing forces them off) and observes three seams:
 
-* ``scheduler.enqueue`` / ``enqueue_many`` — instance-level wrap that
-  snapshots queue depth before admission;
+* ``scheduler.enqueue`` — instance-level wrap that snapshots queue depth
+  before admission;
 * each leaf ``TreeNode.scheduling`` — a delegating proxy that records
   the first rank computed for each packet;
 * ``port.delivery`` — fires after transmit, when all four timestamps of
@@ -119,14 +119,6 @@ class TraceCollector:
             return accepted
 
         scheduler.enqueue = enqueue
-        if hasattr(scheduler, "enqueue_many"):
-            # Trace runs trade the batched fast path for per-packet
-            # depth/rank capture; results are identical, only slower.
-            def enqueue_many(packets: Iterable[Any],
-                             now: Optional[float] = None) -> int:
-                return sum(1 for packet in packets if enqueue(packet, now=now))
-
-            scheduler.enqueue_many = enqueue_many
 
         orig_delivery = port.delivery
 

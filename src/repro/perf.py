@@ -33,7 +33,6 @@ from .core.tree import single_node_tree
 from .lang.treekernel import kernel_cache_info
 from .net import Fabric, leaf_spine, linear_chain
 from .obs.resources import rss_peak_bytes
-from .sim.link import DEFAULT_BATCH_LIMIT
 from .sim.simulator import Simulator
 from .traffic.flows import FlowSpec
 from .traffic.generators import cbr_arrivals
@@ -67,15 +66,13 @@ def _host_factory(tree_kernel: bool) -> Callable[[str, str], ProgrammableSchedul
 
 
 def _build_chain(sim: Simulator, packets: int, pifo_backend, telemetry: bool,
-                 tree_kernel: bool = True,
-                 batch_limit: Optional[int] = None) -> Fabric:
+                 tree_kernel: bool = True) -> Fabric:
     """CBR overload across a 3-switch linear chain."""
     fabric = Fabric(sim, linear_chain(3, link_rate_bps=LINK_RATE_BPS),
                     _fifo_factory(tree_kernel), pifo_backend=pifo_backend,
                     keep_packets=False, telemetry=telemetry,
                     host_scheduler_factory=_host_factory(tree_kernel),
-                    fused_delivery=None if tree_kernel else False,
-                    batch_limit=batch_limit)
+                    fused_delivery=None if tree_kernel else False)
     duration = packets * PACKET_SIZE * 8.0 / (LOAD_FRACTION * LINK_RATE_BPS)
     spec = FlowSpec(name="load", rate_bps=LOAD_FRACTION * LINK_RATE_BPS,
                     packet_size=PACKET_SIZE, dst="h_dst")
@@ -88,8 +85,7 @@ def _build_chain(sim: Simulator, packets: int, pifo_backend, telemetry: bool,
 
 
 def _build_leaf_spine(sim: Simulator, packets: int, pifo_backend,
-                      telemetry: bool, tree_kernel: bool = True,
-                      batch_limit: Optional[int] = None) -> Fabric:
+                      telemetry: bool, tree_kernel: bool = True) -> Fabric:
     """Four cross-leaf CBR senders over a 4x2 leaf-spine Clos with ECMP."""
     fabric = Fabric(sim, leaf_spine(leaves=4, spines=2, hosts_per_leaf=1,
                                     host_rate_bps=LINK_RATE_BPS),
@@ -97,8 +93,7 @@ def _build_leaf_spine(sim: Simulator, packets: int, pifo_backend,
                     pifo_backend=pifo_backend,
                     keep_packets=False, telemetry=telemetry,
                     host_scheduler_factory=_host_factory(tree_kernel),
-                    fused_delivery=None if tree_kernel else False,
-                    batch_limit=batch_limit)
+                    fused_delivery=None if tree_kernel else False)
     pairs = [("h0_0", "h2_0"), ("h1_0", "h3_0"),
              ("h2_0", "h0_0"), ("h3_0", "h1_0")]
     per_sender = max(1, packets // len(pairs))
@@ -134,8 +129,6 @@ class PerfResult:
     pool_recycled: int
     #: Whether the fused tree kernel (and fused fabric delivery) was on.
     tree_kernel: bool = True
-    #: Per-callback transmit batch limit of the fabric's ports.
-    batch_limit: int = DEFAULT_BATCH_LIMIT
     #: Kernel-cache activity during this run (deltas of
     #: :func:`repro.lang.treekernel.kernel_cache_info`).
     kernel_cache_hits: int = 0
@@ -157,8 +150,7 @@ class PerfResult:
     def datapath(self) -> str:
         """One-line description of the datapath variant that was measured."""
         kernels = "fused kernels" if self.tree_kernel else "interpreted"
-        return (f"{kernels} · batch_limit={self.batch_limit} · "
-                f"telemetry={'on' if self.telemetry else 'off'}")
+        return f"{kernels} · telemetry={'on' if self.telemetry else 'off'}"
 
     def to_dict(self) -> Dict:
         return {
@@ -173,7 +165,6 @@ class PerfResult:
             "events_per_second": self.events_per_second,
             "pool_recycled": self.pool_recycled,
             "tree_kernel": self.tree_kernel,
-            "batch_limit": self.batch_limit,
             "kernel_cache_hits": self.kernel_cache_hits,
             "kernel_compiles": self.kernel_compiles,
             "kernel_installs": self.kernel_installs,
@@ -198,7 +189,6 @@ def run_workload(
     pifo_backend: Optional[str] = "sorted",
     telemetry: bool = False,
     tree_kernel: bool = True,
-    batch_limit: Optional[int] = None,
 ) -> PerfResult:
     """Drive one throughput workload to completion and time it.
 
@@ -206,7 +196,6 @@ def run_workload(
     tuned for; pass ``True`` to measure the figure-run configuration.
     ``tree_kernel=False`` measures the interpreted reference datapath
     (no fused scheduler kernels, no fused fabric delivery).
-    ``batch_limit`` caps the ports' per-callback transmit bursts.
     """
     try:
         builder = WORKLOADS[workload]
@@ -218,8 +207,7 @@ def run_workload(
     pool_before = pool_size()
     cache_before = kernel_cache_info()
     sim = Simulator()
-    fabric = builder(sim, packets, pifo_backend, telemetry, tree_kernel,
-                     batch_limit=batch_limit)
+    fabric = builder(sim, packets, pifo_backend, telemetry, tree_kernel)
     # The timed section runs with the cyclic collector paused (the campaign
     # workers do the same): the datapath allocates at a rate that makes
     # gen-0 sweeps a double-digit share of wall time, and the slotted
@@ -249,7 +237,6 @@ def run_workload(
         events=sim.events_processed,
         pool_recycled=max(0, pool_size() - pool_before),
         tree_kernel=tree_kernel,
-        batch_limit=fabric.batch_limit,
         kernel_cache_hits=cache_after["hits"] - cache_before["hits"],
         kernel_compiles=cache_after["misses"] - cache_before["misses"],
         kernel_installs=cache_after["installs"] - cache_before["installs"],
@@ -263,7 +250,6 @@ def profile_workload(
     pifo_backend: Optional[str] = "sorted",
     telemetry: bool = False,
     tree_kernel: bool = True,
-    batch_limit: Optional[int] = None,
     top: int = 20,
 ) -> ProfileResult:
     """Run a workload under :mod:`cProfile` and return the hottest functions.
@@ -282,8 +268,7 @@ def profile_workload(
     pool_before = pool_size()
     cache_before = kernel_cache_info()
     sim = Simulator()
-    fabric = builder(sim, packets, pifo_backend, telemetry, tree_kernel,
-                     batch_limit=batch_limit)
+    fabric = builder(sim, packets, pifo_backend, telemetry, tree_kernel)
     profiler = cProfile.Profile()
     started = time.perf_counter()
     profiler.enable()
@@ -305,7 +290,6 @@ def profile_workload(
         events=sim.events_processed,
         pool_recycled=max(0, pool_size() - pool_before),
         tree_kernel=tree_kernel,
-        batch_limit=fabric.batch_limit,
         kernel_cache_hits=cache_after["hits"] - cache_before["hits"],
         kernel_compiles=cache_after["misses"] - cache_before["misses"],
         kernel_installs=cache_after["installs"] - cache_before["installs"],

@@ -28,22 +28,12 @@ no per-packet state.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from ..core.backend import BackendSpec
 from ..core.packet import Packet
 from .simulator import Simulator
 from .sink import PacketSink
-
-#: Expected backlog (packets) above which ``pifo_backend="auto"`` selects
-#: the heap-backed ``"calendar"`` backend: beyond a few thousand buffered
-#: elements the sorted list's O(n) inserts dominate a simulation's runtime.
-AUTO_CALENDAR_THRESHOLD = 4096
-
-#: Default cap on back-to-back packets a saturated port transmits per
-#: completion event (the batched-transmit fast-forward loop).  ``1``
-#: disables batching (strict one-event-per-packet single-stepping).
-DEFAULT_BATCH_LIMIT = 32
 
 
 class OutputPort:
@@ -81,16 +71,8 @@ class OutputPort:
         ingress; the terminal hop keeps ``delivery=None`` and sinks locally.
     pifo_backend:
         Optional PIFO backend spec applied to the scheduler's tree (see
-        :mod:`repro.core.backend`).  The special value ``"auto"`` lets the
-        simulator choose: when the expected backlog
-        (``expected_backlog``, defaulting to unbounded) reaches
-        :data:`AUTO_CALENDAR_THRESHOLD` packets the O(log n) ``"calendar"``
-        backend is selected, otherwise the scheduler's current backend is
-        kept.  Ignored for schedulers without a swappable tree (the classic
-        baselines).
-    expected_backlog:
-        Optional hint of the worst-case number of buffered packets, used
-        only by ``pifo_backend="auto"``.
+        :mod:`repro.core.backend`).  Ignored for schedulers without a
+        swappable tree (the classic baselines).
     """
 
     __slots__ = (
@@ -98,7 +80,7 @@ class OutputPort:
         "on_departure", "propagation_delay", "delivery", "busy",
         "transmitted_packets", "transmitted_bytes", "dropped_packets",
         "_wakeup", "_tx_packet", "_wire", "_inv_rate", "_has_release",
-        "_tx_complete", "faulted", "batch_limit",
+        "_tx_complete", "faulted",
     )
 
     def __init__(
@@ -110,20 +92,16 @@ class OutputPort:
         sink: Optional[PacketSink] = None,
         on_departure: Optional[Callable[[Packet], None]] = None,
         pifo_backend: BackendSpec = None,
-        expected_backlog: Optional[int] = None,
         propagation_delay: float = 0.0,
         delivery: Optional[Callable[[Packet], None]] = None,
-        batch_limit: int = DEFAULT_BATCH_LIMIT,
     ) -> None:
         if rate_bps <= 0:
             raise ValueError("rate_bps must be positive")
         if propagation_delay < 0:
             raise ValueError("propagation_delay must be non-negative")
-        if batch_limit < 1:
-            raise ValueError("batch_limit must be >= 1")
         self.sim = sim
         self.scheduler = scheduler
-        self.pifo_backend = self._apply_backend(pifo_backend, expected_backlog)
+        self.pifo_backend = self._apply_backend(pifo_backend)
         self.rate_bps = rate_bps
         self._inv_rate = 8.0 / rate_bps  # seconds per byte
         self.name = name
@@ -152,21 +130,10 @@ class OutputPort:
         #: starts a new transmission; the fault layer (``repro.net.faults``)
         #: wraps ``_tx_complete`` to blackhole the packet already in flight.
         self.faulted = False
-        #: Max back-to-back packets transmitted per completion event while
-        #: the link stays saturated (see :meth:`_on_tx_complete`).
-        self.batch_limit = batch_limit
 
-    def _apply_backend(
-        self, pifo_backend: BackendSpec, expected_backlog: Optional[int]
-    ) -> BackendSpec:
-        """Resolve ``"auto"`` and swap the scheduler's tree if possible."""
-        if pifo_backend is None:
-            return None
-        if pifo_backend == "auto":
-            if expected_backlog is not None and expected_backlog < AUTO_CALENDAR_THRESHOLD:
-                return None
-            pifo_backend = "calendar"
-        if hasattr(self.scheduler, "use_backend"):
+    def _apply_backend(self, pifo_backend: BackendSpec) -> BackendSpec:
+        """Swap the scheduler's tree onto ``pifo_backend`` if it has one."""
+        if pifo_backend is not None and hasattr(self.scheduler, "use_backend"):
             self.scheduler.use_backend(pifo_backend)
             return pifo_backend
         return None
@@ -183,30 +150,6 @@ class OutputPort:
             self._try_transmit()
         return True
 
-    def receive_many(self, packets: Iterable[Packet]) -> int:
-        """Hand a burst of packets to the scheduler in one batch.
-
-        Uses the scheduler's ``enqueue_many`` fast path when available and
-        kicks the transmitter once for the whole burst instead of once per
-        packet; returns the number of packets buffered.
-        """
-        batch = list(packets)
-        for packet in batch:
-            packet.arrival_time = self.sim.now
-        if hasattr(self.scheduler, "enqueue_many"):
-            accepted = self.scheduler.enqueue_many(batch, now=self.sim.now)
-            self.dropped_packets += len(batch) - accepted
-        else:
-            accepted = 0
-            for packet in batch:
-                if self.scheduler.enqueue(packet, now=self.sim.now):
-                    accepted += 1
-                else:
-                    self.dropped_packets += 1
-        if accepted and not self.busy:
-            self._try_transmit()
-        return accepted
-
     # -- egress ------------------------------------------------------------------
     def _try_transmit(self) -> None:
         if self.busy or self.faulted:
@@ -221,73 +164,37 @@ class OutputPort:
         sim.schedule(packet.length * self._inv_rate, self._tx_complete)
 
     def _on_tx_complete(self) -> None:
-        # Batched transmit: while the link stays saturated (another packet
-        # ready the instant one finishes) and *provably* nothing else in
-        # the simulation can run before the next completion — no queued
-        # event, no deferred event, no horizon/budget crossing at or
-        # before it — the port **fast-forwards**: it advances the clock to
-        # the completion time and transmits the next packet inside the
-        # same callback, amortising one event reschedule over up to
-        # ``batch_limit`` back-to-back packets.  Timestamps, delivery
-        # order and counters (``events_processed`` included) are exactly
-        # those of single-stepping; ties are never fast-forwarded, since a
-        # same-instant event could share state with this port.
         sim = self.sim
-        scheduler = self.scheduler
-        budget = self.batch_limit
         packet = self._tx_packet
         now = sim.now
-        while True:
-            self._tx_packet = None
-            packet.departure_time = now
-            self.busy = False
-            self.transmitted_packets += 1
-            self.transmitted_bytes += packet.length
-            if self.propagation_delay > 0.0:
-                # The link frees up immediately (pipelining); the packet
-                # lands at the far end one wire latency later.  FIFO: same
-                # delay per port.
-                self._wire.append(packet)
-                sim.schedule(self.propagation_delay, self._on_wire_arrival)
-            elif self.delivery is not None:
-                self.delivery(packet)
-            else:
-                self.sink.record(packet)
-            if self.on_departure is not None:
-                self.on_departure(packet)
-            # Self-reschedule: pull the next packet without leaving the event.
-            next_packet = scheduler.dequeue(now=now)
-            if next_packet is None:
-                self._arm_wakeup()
-                return
-            self.busy = True
-            self._tx_packet = next_packet
-            t_next = now + next_packet.length * self._inv_rate
-            if budget > 1 and not self.faulted and t_next <= sim._ff_horizon:
-                deferred = sim._deferred
-                if deferred is None or deferred[0] > t_next:
-                    head_time = sim._queue.peek_time()
-                    if head_time is None or head_time > t_next:
-                        budget -= 1
-                        sim.now = now = t_next
-                        sim.events_processed += 1
-                        packet = next_packet
-                        continue
-            # Fast path: a busy port's next completion is usually the very
-            # next event — let the run loop prefetch it from the deferral
-            # slot.
-            sim.schedule_fast(t_next - now, self._tx_complete)
-            return
-
-    def _on_wire_arrival(self) -> None:
-        packet = self._wire.popleft()
-        if self.delivery is not None:
+        self._tx_packet = None
+        packet.departure_time = now
+        self.busy = False
+        self.transmitted_packets += 1
+        self.transmitted_bytes += packet.length
+        if self.propagation_delay > 0.0:
+            # The link frees up immediately (pipelining); the packet
+            # lands at the far end one wire latency later.  FIFO: same
+            # delay per port.
+            self._wire.append(packet)
+            sim.schedule(self.propagation_delay, self._on_wire_arrival)
+        elif self.delivery is not None:
             self.delivery(packet)
         else:
             self.sink.record(packet)
+        if self.on_departure is not None:
+            self.on_departure(packet)
+        # Self-reschedule: pull the next packet without leaving the event.
+        next_packet = self.scheduler.dequeue(now=now)
+        if next_packet is None:
+            self._arm_wakeup()
+            return
+        self.busy = True
+        self._tx_packet = next_packet
+        sim.schedule(next_packet.length * self._inv_rate, self._tx_complete)
 
-    def _deliver(self, packet: Packet) -> None:
-        """Immediate delivery (kept for subclass/test hooks)."""
+    def _on_wire_arrival(self) -> None:
+        packet = self._wire.popleft()
         if self.delivery is not None:
             self.delivery(packet)
         else:

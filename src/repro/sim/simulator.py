@@ -55,8 +55,8 @@ class _SimMetrics:
 class Simulator:
     """Discrete-event simulation kernel."""
 
-    __slots__ = ("now", "_queue", "events_processed", "_running", "_deferred",
-                 "_metrics", "_raw_heap", "_ff_horizon")
+    __slots__ = ("now", "_queue", "events_processed", "_metrics", "_raw_heap",
+                 "_ff_horizon")
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -66,16 +66,11 @@ class Simulator:
         #: keep it across a run: EventQueue.compact rebuilds it in place.
         self._raw_heap = self._queue._heap
         self.events_processed = 0
-        self._running = False
-        #: One-slot deferral buffer (see :meth:`schedule_fast`): the most
-        #: recently fast-scheduled event, kept out of the heap while it is
-        #: a plausible next-event candidate.
-        self._deferred: Optional[Event] = None
-        #: Latest time a port may fast-forward a transmit completion to
-        #: without going through the event loop (see the batched-transmit
-        #: loop in :mod:`repro.sim.link`).  run() raises it to the active
-        #: horizon while events are unbounded; -inf disables fast-forward
-        #: outside run() and under ``max_events``.
+        #: The active run horizon, read by the fused NIC arrival prefetch
+        #: (:mod:`repro.net.fabric`): an arrival may be pulled ahead of its
+        #: event only if its completion lands at or before this time.
+        #: run() sets it to ``until`` while events are unbounded; -inf
+        #: (outside run() and under ``max_events``) disables the prefetch.
         self._ff_horizon: float = _NEG_INF
         # None unless a metrics registry was enabled when this simulator
         # was built; run() binds it to a local, so the disabled cost is
@@ -111,40 +106,8 @@ class Simulator:
         heappush(self._raw_heap, entry)
         return entry
 
-    def schedule_fast(self, delay: float, callback: Callable[[], Any]) -> Event:
-        """Like :meth:`schedule`, but keep the event in a one-slot deferral
-        buffer instead of the heap.
-
-        Intended for self-rescheduling hot loops (a port's back-to-back
-        transmit completions): the completion just scheduled is very often
-        the next event to run, so the run loop can *prefetch* it — compare
-        it against the heap head and execute it without ever paying the
-        heappush/heappop pair.  A previously deferred event is demoted to
-        the heap; ordering is unaffected either way because the run loop
-        always picks the (time, seq)-smallest of the slot and the heap head.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay}s in the past")
-        queue = self._queue
-        seq = queue._next_seq
-        queue._next_seq = seq + 1
-        entry = (self.now + delay, seq, callback)
-        if self._running:
-            previous = self._deferred
-            if previous is not None:
-                heappush(self._raw_heap, previous)
-            self._deferred = entry
-        else:
-            # Outside run() the slot is never drained; keep the queue
-            # authoritative so peek/len stay exact.
-            heappush(self._raw_heap, entry)
-        return entry
-
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event (handle returned by ``schedule*``)."""
-        if event is self._deferred:
-            self._deferred = None
-            return
         self._queue.cancel(event)
 
     # -- execution ------------------------------------------------------------
@@ -160,10 +123,8 @@ class Simulator:
         until_f = _INF if until is None else until
         max_f = _INF if max_events is None else max_events
         heap = self._raw_heap
-        self._running = True
-        # Ports may fast-forward back-to-back transmit completions (the
-        # batched-transmit loop) only while the event budget is unbounded
-        # and never past the run horizon.
+        # The NIC arrival prefetch may run ahead of the event loop only
+        # while the event budget is unbounded and never past the horizon.
         self._ff_horizon = until_f if max_events is None else _NEG_INF
         processed = 0
         stop = False
@@ -177,33 +138,12 @@ class Simulator:
             # rebuilds in place.
             tombstones = queue._tombstones
             pop = heappop
-            while not stop:
-                # Candidate: the (time, seq)-smallest of the deferred
-                # slot and the heap head.  The slot is the previous
-                # iteration's prefetched transmit completion
-                # (schedule_fast) and very often wins, skipping the
-                # heappush/heappop pair entirely.
-                deferred = self._deferred
-                if deferred is None:
-                    if not heap:
-                        break
-                    entry = heap[0]
-                    time = entry[0]
-                    if time > until_f:
-                        break
-                    pop(heap)
-                elif heap and heap[0] < deferred:
-                    entry = heap[0]
-                    time = entry[0]
-                    if time > until_f:
-                        break
-                    pop(heap)
-                else:
-                    entry = deferred
-                    time = entry[0]
-                    if time > until_f:
-                        break
-                    self._deferred = None
+            while heap and not stop:
+                entry = heap[0]
+                time = entry[0]
+                if time > until_f:
+                    break
+                pop(heap)
                 if tombstones and entry[1] in tombstones:
                     tombstones.discard(entry[1])
                     continue
@@ -215,37 +155,24 @@ class Simulator:
                 # Batch drain: every heap event already due at this
                 # exact instant is eligible — run them without
                 # re-checking the horizon or re-advancing the clock.
-                # Bail to the outer loop the moment a callback
-                # prefetches a deferred event (it may order before the
-                # heap head).  A fast-forwarding port advances the
-                # clock past ``time`` only when no due event remains,
-                # so the drain condition still holds.
-                if self._deferred is None:
-                    batch_start = processed
-                    while heap:
-                        entry = heap[0]
-                        if entry[0] != time or self._deferred is not None:
-                            break
-                        pop(heap)
-                        if tombstones and entry[1] in tombstones:
-                            tombstones.discard(entry[1])
-                            continue
-                        entry[2]()
-                        processed += 1
-                        if processed >= max_f:
-                            stop = True
-                            break
-                    if m is not None:
-                        m.drain_width.observe(processed - batch_start)
+                batch_start = processed
+                while heap:
+                    entry = heap[0]
+                    if entry[0] != time:
+                        break
+                    pop(heap)
+                    if tombstones and entry[1] in tombstones:
+                        tombstones.discard(entry[1])
+                        continue
+                    entry[2]()
+                    processed += 1
+                    if processed >= max_f:
+                        stop = True
+                        break
+                if m is not None:
+                    m.drain_width.observe(processed - batch_start)
         finally:
-            self._running = False
             self._ff_horizon = _NEG_INF
-            # Flush the deferral slot so the queue is authoritative again
-            # for peek/len/next run().
-            deferred = self._deferred
-            if deferred is not None:
-                heappush(heap, deferred)
-                self._deferred = None
             self.events_processed += processed
             if m is not None:
                 m.run_wall_s.observe(perf_counter() - wall_start)
@@ -264,9 +191,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still queued."""
-        # The deferral slot only holds an event mid-run(); count it so
-        # callbacks observing the queue see a consistent total.
-        return len(self._queue) + (1 if self._deferred is not None else 0)
+        return len(self._queue)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Simulator(now={self.now:.6f}, pending={self.pending_events})"

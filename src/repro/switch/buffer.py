@@ -15,7 +15,7 @@ occupancy counters; admission policies live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence
+from typing import Dict
 
 from ..core.packet import Packet
 from ..exceptions import BufferError_
@@ -120,36 +120,6 @@ class SharedBuffer:
         if port:
             self.cells_by_port[port] = self.cells_by_port.get(port, 0) + cells
         return cells
-
-    def allocate_many(self, packets: Sequence[Packet], port: str = "") -> int:
-        """Reserve cells for a whole burst in one accounting pass.
-
-        All-or-nothing: raises :class:`~repro.exceptions.BufferError_`
-        without allocating anything when the burst does not fit, so callers
-        can fall back to per-packet admission.  Returns the cells taken.
-        """
-        cell_counts = [self.cells_for(packet) for packet in packets]
-        total = sum(cell_counts)
-        if total > self.free_cells:
-            self.drops_no_space += 1
-            raise BufferError_(
-                f"buffer full: burst needs {total} cells, only "
-                f"{self.free_cells} free"
-            )
-        self.used_cells += total
-        for packet, cells in zip(packets, cell_counts):
-            self.used_bytes += packet.length
-            self.cells_by_flow[packet.flow] = (
-                self.cells_by_flow.get(packet.flow, 0) + cells
-            )
-        if port and packets:
-            self.cells_by_port[port] = self.cells_by_port.get(port, 0) + total
-        return total
-
-    def release_many(self, packets: Iterable[Packet], port: str = "") -> None:
-        """Return a burst's cells to the free pool (batch fast path)."""
-        for packet in packets:
-            self.release(packet, port=port)
 
     def release(self, packet: Packet, port: str = "") -> None:
         """Return a packet's cells to the free pool (on transmit or drop)."""

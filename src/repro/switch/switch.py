@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.backend import BackendSpec
 from ..core.packet import Packet
@@ -105,8 +105,8 @@ class SharedMemorySwitch:
         Shared buffer and admission policy guarding it.
     pifo_backend:
         Optional PIFO backend spec (see :mod:`repro.core.backend`) applied
-        to every port's scheduler (``"auto"`` defers to the simulator's
-        selection rule; schedulers without a swappable tree are left alone).
+        to every port's scheduler (schedulers without a swappable tree
+        are left alone).
     port_specs:
         Optional explicit port list (:class:`PortSpec`) overriding
         ``port_count`` / ``port_rate_bps``; used by the fabric layer to give
@@ -173,7 +173,6 @@ class SharedMemorySwitch:
                 name=spec.name,
                 on_departure=self._make_release_callback(spec.name),
                 pifo_backend=pifo_backend,
-                expected_backlog=self.buffer.total_cells,
                 propagation_delay=spec.propagation_delay,
                 delivery=spec.delivery,
             )
@@ -306,85 +305,6 @@ class SharedMemorySwitch:
             return False
         stats.admitted += 1
         return True
-
-    def receive_many(self, packets: Iterable[Packet], output_port: str) -> int:
-        """Admit a burst of packets destined for one output port.
-
-        Admission and buffer accounting stay packet by packet (dynamic
-        thresholds depend on instantaneous occupancy), but the burst goes
-        to the scheduler through the port's batch path and the transmitter
-        is kicked once.  Scheduler-full rejects are identified by their
-        unset ``enqueue_time`` (every scheduler stamps it on success) and
-        their cells released through the buffer's batch path.  Returns the
-        number of packets buffered.
-        """
-        if output_port not in self.ports:
-            raise KeyError(f"unknown output port {output_port!r}")
-        if self._untracked_buffer:
-            # Occupancy-only twin of the tracked batch path below: admit
-            # packet by packet against free cells, hand the whole burst to
-            # the port in one receive_many, kick the transmitter once —
-            # identical service order to the telemetry-on batch path.
-            stats = self.stats
-            buffer = self.buffer
-            cell_bytes = buffer.cell_bytes
-            admitted = []
-            for packet in packets:
-                stats.received += 1
-                cells = (packet.length + cell_bytes - 1) // cell_bytes
-                if buffer.used_cells + cells > buffer.total_cells:
-                    stats.dropped_admission += 1
-                    continue
-                buffer.used_cells += cells
-                buffer.used_bytes += packet.length
-                packet.enqueue_time = None
-                admitted.append(packet)
-            accepted = self.ports[output_port].receive_many(admitted)
-            if accepted < len(admitted):
-                for packet in admitted:
-                    if packet.enqueue_time is None:
-                        buffer.used_cells -= (
-                            (packet.length + cell_bytes - 1) // cell_bytes
-                        )
-                        buffer.used_bytes -= packet.length
-                        stats.dropped_scheduler += 1
-            stats.admitted += accepted
-            return accepted
-        port = self.ports[output_port]
-        packets = list(packets)
-        if isinstance(self.admission, AlwaysAdmit) and (
-            sum(self.buffer.cells_for(p) for p in packets)
-            <= self.buffer.free_cells
-        ):
-            # Threshold-free admission and a burst that fits as a whole:
-            # commit it through the buffer's batch accounting.
-            self.stats.received += len(packets)
-            self.buffer.allocate_many(packets, port=output_port)
-            admitted = packets
-        else:
-            admitted = []
-            for packet in packets:
-                self.stats.received += 1
-                if not self.admission.admit(self.buffer, packet, port=output_port):
-                    self.stats.dropped_admission += 1
-                    if self.telemetry:
-                        self.stats.port(output_port).dropped_admission += 1
-                    continue
-                self.buffer.allocate(packet, port=output_port)
-                admitted.append(packet)
-        for packet in admitted:
-            # A packet arriving from an upstream hop still carries that
-            # hop's enqueue stamp; clear it so rejects are identifiable.
-            packet.enqueue_time = None
-        accepted = port.receive_many(admitted)
-        if accepted < len(admitted):
-            rejected = [p for p in admitted if p.enqueue_time is None]
-            self.buffer.release_many(rejected, port=output_port)
-            self.stats.dropped_scheduler += len(rejected)
-            if self.telemetry:
-                self.stats.port(output_port).dropped_scheduler += len(rejected)
-        self.stats.admitted += accepted
-        return accepted
 
     # -- queries -------------------------------------------------------------------------
     def port(self, name: str) -> OutputPort:

@@ -452,17 +452,16 @@ class TestTraceCommand:
 
 class TestPerfCommand:
     def test_perf_prints_datapath_variant(self, capsys):
-        assert main(["perf", "--packets", "500", "--batch-limit", "4"]) == 0
+        assert main(["perf", "--packets", "500"]) == 0
         out = capsys.readouterr().out
-        assert "fused kernels · batch_limit=4 · telemetry=off" in out
+        assert "fused kernels · telemetry=off" in out
 
     def test_perf_json_records_datapath_knobs(self, capsys):
         assert main(["perf", "--packets", "500", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["tree_kernel"] is True
-        assert payload["batch_limit"] == 32
-        # One event queue: nothing to record about it.
-        assert not any("queue" in key for key in payload)
+        # One event queue, one packet per event: nothing to record.
+        assert not any("queue" in key or "batch" in key for key in payload)
         assert payload["delivered"] >= 495
 
     def test_perf_reports_peak_rss(self, capsys):

@@ -10,7 +10,7 @@ from repro.algorithms import FIFOTransaction
 from repro.core import Packet, ProgrammableScheduler, single_node_tree
 from repro.exceptions import RoutingError
 from repro.lang.trees import build_fig4_tree_from_programs
-from repro.net import Fabric, dumbbell, leaf_spine, linear_chain
+from repro.net import Fabric, Network, dumbbell, leaf_spine, linear_chain
 from repro.obs import metrics
 from repro.sim import Simulator
 
@@ -167,6 +167,54 @@ class TestDrainSemantics:
         fabric.attach_source("h_src", arrivals)
         fabric.run(until=5e-3, drain=True)
         assert fabric.conservation_check()["in_flight"] == 0
+
+
+class TestDrainTail:
+    """Once its source has stopped, a backlogged port is the only actor
+    left: it must still serialise one packet per event, back to back."""
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_backlog_departs_back_to_back_one_event_per_packet(self, fused):
+        # Fast NIC into a 10x-slower egress: s1's port backlogs at once
+        # and keeps draining long after the NIC has sent its last packet.
+        network = Network("bottleneck")
+        network.add_host("h_src")
+        network.add_switch("s1")
+        network.add_host("h_dst")
+        network.add_link("h_src", "s1", rate_bps=1e8)
+        network.add_link("s1", "h_dst", rate_bps=1e7)
+
+        def factory(switch, port):
+            return ProgrammableScheduler(single_node_tree(FIFOTransaction()),
+                                         tree_kernel=fused)
+
+        sim = Simulator()
+        fabric = Fabric(sim, network, factory, telemetry=not fused,
+                        host_scheduler_factory=factory,
+                        fused_delivery=None if fused else False)
+        assert (fabric.fused_ports > 0) == fused
+        lengths = [500 + 37 * (i % 28) for i in range(120)]
+        fabric.attach_source("h_src", [
+            (0.0, Packet(flow="f", length=length, dst="h_dst"))
+            for length in lengths])
+
+        fabric.run(until=0.02)
+        assert fabric.injected_packets == len(lengths)
+        assert not fabric.switch("h_src").port("to_s1").busy
+        events_before = sim.events_processed
+        left = len(lengths) - fabric.delivered_packets
+        assert left > 90
+        fabric.run(drain=True)
+        assert sim.events_processed - events_before == left
+
+        # Packet 0 cuts through s1 the instant the NIC finishes it; from
+        # then on the port never idles, so departures are a running sum.
+        expected, t = [], lengths[0] * (8.0 / 1e8)
+        for length in lengths:
+            t = t + length * (8.0 / 1e7)
+            expected.append(t)
+        sink = fabric.sink("h_dst")
+        assert [p.departure_time for p in sink.packets] == expected
 
 
 class TestAccounting:

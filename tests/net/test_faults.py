@@ -367,3 +367,39 @@ class TestHypothesisFaultConservation:
         assert fused.fault_summary() == plain.fault_summary()
         assert (fused.sink("h_dst").departure_order()
                 == plain.sink("h_dst").departure_order())
+
+
+class TestMidDrainConservation:
+    @given(
+        down_packet=st.integers(min_value=1, max_value=40),
+        probe_delay=st.floats(min_value=0.0, max_value=0.005,
+                              allow_nan=False, allow_infinity=False),
+        recover=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_linkdown_mid_drain_conserves_at_every_instant(
+            self, down_packet, probe_delay, recover):
+        """Conservation holds at every instant, not just at quiescence.
+
+        A 60-packet burst saturates the chain; the fault time is placed
+        mid-serialisation of the ``down_packet``-th packet on the s1->s2
+        link, i.e. between two back-to-back transmissions of a draining
+        port.
+        """
+        tx_time = 1500 * 8 / 1e7           # per-packet serialisation time
+        down_at = (down_packet + 0.5) * tx_time
+        events = [LinkDown(down_at, "s1", "s2")]
+        if recover:
+            events.append(LinkUp(down_at + 0.01, "s1", "s2"))
+        sim, fabric = chain_fabric(FaultPlan(events=events), hops=3)
+        fabric.attach_source("h_src", back_to_back(60, gap=0.0))
+        probes = []
+        sim.schedule_at(down_at + probe_delay,
+                        lambda: probes.append(assert_conserved(fabric)))
+        fabric.run(drain=True)
+
+        assert probes, "probe never fired"
+        final = assert_conserved(fabric)
+        assert final["lost_to_faults"] >= 1  # the mid-drain victim
+        if recover:
+            assert final["delivered"] > down_packet  # queued burst drained

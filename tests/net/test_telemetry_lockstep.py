@@ -131,33 +131,3 @@ class TestScenarioLockstep:
         off = scenario.run(telemetry=False)["FIFO"]
         assert _strip_observability(on) == _strip_observability(off)
         assert on.delivered() > 0
-
-
-class TestSwitchBurstLockstep:
-    def _burst_switch(self, telemetry):
-        from repro.switch import SharedMemorySwitch
-
-        sim = Simulator()
-        switch = SharedMemorySwitch(
-            sim,
-            lambda port: ProgrammableScheduler(
-                single_node_tree(FIFOTransaction())),
-            port_count=1, port_rate_bps=1e8, telemetry=telemetry,
-        )
-        accepted = switch.receive_many(
-            [Packet(flow=f"f{i % 3}", length=400 + 100 * (i % 5))
-             for i in range(40)],
-            "port0",
-        )
-        sim.run()
-        return switch, accepted
-
-    def test_receive_many_service_order_identical(self):
-        on, accepted_on = self._burst_switch(telemetry=True)
-        off, accepted_off = self._burst_switch(telemetry=False)
-        assert accepted_on == accepted_off == 40
-        order_on = on.port("port0").sink.departure_order()
-        order_off = off.port("port0").sink.departure_order()
-        assert order_on == order_off
-        assert on.stats.transmitted == off.stats.transmitted
-        assert on.buffer.used_cells == off.buffer.used_cells == 0

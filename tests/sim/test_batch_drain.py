@@ -1,22 +1,17 @@
-"""Batch event draining and the schedule_fast deferral slot.
+"""Batch event draining.
 
 The run loop drains every heap event due at the current timestamp in one
-inner loop (no re-advancing the clock per event) and prefetches
-self-rescheduled transmit completions in a one-slot deferral buffer
-(:meth:`~repro.sim.Simulator.schedule_fast`).  These properties pin the
-ordering contract both optimisations must preserve: events execute in
-(time, seq) order — exactly as if every event went through the heap — and
-cancellation works identically whether the victim sits in the heap or in
-the deferral slot.
+inner loop (no re-advancing the clock per event).  These properties pin
+the ordering contract that must survive it: events execute in (time, seq)
+order — exactly as if the outer loop popped each one — and cancellation
+and the ``max_events`` budget are honoured inside a batch.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import SimulationError
 from repro.sim import Simulator
 
 
@@ -46,26 +41,11 @@ class TestSameTimestampOrder:
         assert log == ([("parent", i) for i in range(5)]
                        + [("child", i) for i in range(5)])
 
-    def test_fast_scheduled_event_interleaves_by_seq(self):
-        # A deferred (fast) event at the same timestamp must not jump
-        # ahead of earlier-seq heap events already due at that instant.
-        sim = Simulator()
-        log = []
-
-        def first():
-            log.append("first")
-            sim.schedule_fast(0.0, lambda: log.append("fast"))
-
-        sim.schedule_at(1.0, first)
-        sim.schedule_at(1.0, lambda: log.append("second"))
-        sim.run()
-        assert log == ["first", "second", "fast"]
-
 
 # Command stream: each event's callback schedules up to two children with
-# (delay on a coarse grid, fast or heap scheduling).  Coarse delays force
-# timestamp collisions so the batch drain actually engages.
-child_spec = st.tuples(st.integers(min_value=0, max_value=3), st.booleans())
+# a delay on a coarse grid.  Coarse delays force timestamp collisions so
+# the batch drain actually engages.
+child_spec = st.integers(min_value=0, max_value=3)
 event_specs = st.lists(
     st.tuples(st.integers(min_value=0, max_value=3),
               st.lists(child_spec, max_size=2)),
@@ -79,24 +59,23 @@ class TestOrderingProperty:
     @given(specs=event_specs)
     def test_execution_order_is_time_seq_order(self, specs):
         # Every event logs its own (time, seq) when it fires; children are
-        # spawned from inside callbacks through schedule / schedule_fast.
-        # Whatever mix of heap and deferral-slot routing the events take,
-        # the observable firing order must equal (time, seq) order.
+        # spawned from inside callbacks.  Whether an event is popped by the
+        # outer loop or by the batch drain, the observable firing order
+        # must equal (time, seq) order.
         sim = Simulator()
         log = []
 
-        def spawn(schedule, delay, children):
+        def spawn(delay, children):
             record = {}
             def cb():
                 log.append(record["key"])
-                for delay_step, fast in children:
-                    spawn(sim.schedule_fast if fast else sim.schedule,
-                          delay_step * 0.5, ())
-            entry = schedule(delay, cb)
+                for delay_step in children:
+                    spawn(delay_step * 0.5, ())
+            entry = sim.schedule(delay, cb)
             record["key"] = (entry[0], entry[1])
 
         for delay_step, children in specs:
-            spawn(sim.schedule, delay_step * 0.5, children)
+            spawn(delay_step * 0.5, children)
         sim.run()
         assert len(log) > 0
         assert log == sorted(log)
@@ -113,9 +92,8 @@ class TestOrderingProperty:
         def make_cb(children):
             def cb():
                 fired.append(sim.now)
-                for delay_step, fast in children:
-                    schedule = sim.schedule_fast if fast else sim.schedule
-                    schedule(delay_step * 0.5, make_cb(()))
+                for delay_step in children:
+                    sim.schedule(delay_step * 0.5, make_cb(()))
             return cb
 
         for delay_step, children in specs:
@@ -123,7 +101,7 @@ class TestOrderingProperty:
         horizon = horizon_step * 0.5
         sim.run(until=horizon)
         assert all(t <= horizon for t in fired)
-        # Whatever remains (including a flushed deferral slot) fires later.
+        # Whatever remains fires later.
         sim.run()
         assert sim.pending_events == 0
 
@@ -148,90 +126,8 @@ class TestCancellation:
         assert log == ["killer", "survivor"]
         assert sim.events_processed == 2
 
-    def test_cancel_deferred_slot_event(self):
-        sim = Simulator()
-        log = []
 
-        def first():
-            log.append("first")
-            deferred = sim.schedule_fast(0.0, lambda: log.append("fast"))
-            assert sim.pending_events >= 1
-            sim.cancel(deferred)
-
-        sim.schedule_at(1.0, first)
-        sim.schedule_at(1.0, lambda: log.append("second"))
-        sim.run()
-        assert log == ["first", "second"]
-
-    def test_cancel_then_reschedule_fast(self):
-        sim = Simulator()
-        log = []
-
-        def first():
-            stale = sim.schedule_fast(0.0, lambda: log.append("stale"))
-            sim.cancel(stale)
-            sim.schedule_fast(0.0, lambda: log.append("fresh"))
-
-        sim.schedule(0.0, first)
-        sim.run()
-        assert log == ["fresh"]
-
-    def test_demoted_deferred_event_still_cancellable(self):
-        # A second schedule_fast demotes the first deferred event to the
-        # heap; cancelling the demoted handle must still work.
-        sim = Simulator()
-        log = []
-
-        def first():
-            a = sim.schedule_fast(1.0, lambda: log.append("a"))
-            sim.schedule_fast(2.0, lambda: log.append("b"))
-            sim.cancel(a)  # a now lives in the heap
-
-        sim.schedule(0.0, first)
-        sim.run()
-        assert log == ["b"]
-
-
-class TestDeferralSlotAccounting:
-    def test_pending_events_counts_slot(self):
-        sim = Simulator()
-        seen = []
-
-        def first():
-            sim.schedule_fast(1.0, lambda: None)
-            seen.append(sim.pending_events)
-
-        sim.schedule(0.0, first)
-        sim.run()
-        assert seen == [1]
-
-    def test_slot_flushed_after_run_until(self):
-        sim = Simulator()
-        log = []
-
-        def first():
-            sim.schedule_fast(5.0, lambda: log.append("late"))
-
-        sim.schedule(0.0, first)
-        sim.run(until=1.0)
-        assert log == []
-        assert sim.pending_events == 1
-        sim.run()
-        assert log == ["late"]
-
-    def test_schedule_fast_outside_run_goes_to_heap(self):
-        sim = Simulator()
-        log = []
-        sim.schedule_fast(1.0, lambda: log.append("x"))
-        assert sim.pending_events == 1
-        sim.run()
-        assert log == ["x"]
-
-    def test_schedule_fast_negative_delay_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule_fast(-0.1, lambda: None)
-
+class TestMaxEvents:
     def test_max_events_mid_batch_preserves_rest(self):
         sim = Simulator()
         log = []

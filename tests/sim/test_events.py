@@ -111,7 +111,7 @@ class TestOrderModel:
     def test_simulator_fires_in_time_then_scheduling_order(
             self, events, until, max_events):
         """``Simulator`` fires in (time, scheduling order), children that
-        callbacks add through ``schedule_fast`` included; ``until=`` and
+        callbacks add included; ``until=`` and
         ``max_events=`` cut a prefix of that order and a second ``run()``
         finishes it."""
         n = len(events)
@@ -122,7 +122,7 @@ class TestOrderModel:
             fired.append((sim.now, label))
             delay = events[label][1] if label < n else None
             if delay is not None:
-                sim.schedule_fast(delay, lambda: fire(n + label))
+                sim.schedule(delay, lambda: fire(n + label))
 
         for i, (time, _delay) in enumerate(events):
             sim.schedule_at(time, lambda i=i: fire(i))

@@ -228,6 +228,29 @@ class TestSharedMemorySwitch:
         assert not switch.receive(Packet(flow="A", length=200), output_port="port0")
         assert switch.stats.dropped_admission == 1
 
+    @pytest.mark.parametrize("telemetry", [True, False])
+    def test_scheduler_full_reject_releases_cells(self, telemetry):
+        sim = Simulator()
+        switch = SharedMemorySwitch(
+            sim=sim,
+            scheduler_factory=lambda name: ProgrammableScheduler(
+                single_node_tree(FIFOTransaction(), pifo_capacity=2)
+            ),
+            port_count=1,
+            port_rate_bps=8e6,
+            telemetry=telemetry,
+        )
+        burst = [Packet(flow="A", length=1000) for _ in range(5)]
+        accepted = [p for p in burst if switch.receive(p, output_port="port0")]
+        # Capacity 2 plus the head already on the transmitter.
+        assert len(accepted) == switch.stats.admitted == 3
+        assert switch.stats.dropped_scheduler == 2
+        assert switch.buffer.used_cells == sum(
+            switch.buffer.cells_for(p) for p in accepted)
+        sim.run()
+        assert switch.total_transmitted() == 3
+        assert switch.buffer.used_cells == 0
+
     def test_unknown_port_raises(self):
         _sim, switch = self.make_switch()
         with pytest.raises(KeyError):
