@@ -125,13 +125,26 @@ class PIFOBase(Generic[T]):
     def __init__(self, capacity: Optional[int] = None, name: str = "pifo") -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError("capacity must be positive or None")
+        #: Accepted pushes so far: the next entry's ``seq``, and what
+        #: :attr:`pushes` reads.
         self._seq = 0
         self.capacity = capacity
         self.name = name
-        # Counters useful for experiments and ablations.
-        self.pushes = 0
-        self.pops = 0
+        #: Pushes refused by the capacity bound.
         self.drops = 0
+        #: Elements taken out by :meth:`clear` / :meth:`remove`, not popped.
+        self.removed = 0
+
+    @property
+    def pushes(self) -> int:
+        """Elements accepted so far."""
+        return self._seq
+
+    @property
+    def pops(self) -> int:
+        """Elements dequeued from the head so far: every accepted element
+        is still buffered, was removed, or was popped."""
+        return self._seq - len(self) - self.removed
 
     # -- storage hooks (implemented by each backend) -------------------------
     def _insert(self, entry: _Stored) -> None:
@@ -171,14 +184,11 @@ class PIFOBase(Generic[T]):
             )
         self._insert((rank, self._seq, element))
         self._seq += 1
-        self.pushes += 1
 
     def _pop(self) -> _Stored:
         if not len(self):
             raise PIFOEmptyError(f"pop from empty PIFO {self.name!r}")
-        entry = self._pop_head()
-        self.pops += 1
-        return entry
+        return self._pop_head()
 
     def _peek(self) -> _Stored:
         if not len(self):
@@ -232,7 +242,6 @@ class PIFOBase(Generic[T]):
         operation; used by the simulator and benchmarks as a fast path.
         """
         entries = self._sorted_entries()
-        self.pops += len(entries)
         self._clear_storage()
         return [entry[2] for entry in entries]
 
@@ -258,6 +267,7 @@ class PIFOBase(Generic[T]):
 
     def clear(self) -> None:
         """Drop all buffered elements."""
+        self.removed += len(self)
         self._clear_storage()
 
     # -- extended operations used by the switch substrate --------------------
@@ -277,6 +287,7 @@ class PIFOBase(Generic[T]):
             else:
                 kept.append(entry)
         self._rebuild(kept)
+        self.removed += len(removed)
         return removed
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -317,7 +328,6 @@ class SortedListPIFO(PIFOBase[T]):
                 f"PIFO {self.name!r} is full (capacity={self.capacity})"
             )
         seq = self._seq
-        self._seq = seq + 1
         entry = (rank, seq, element)
         if not entries or entry >= entries[-1]:
             # Monotone ranks (FIFO, arrival-sequence, virtual times under
@@ -327,7 +337,7 @@ class SortedListPIFO(PIFOBase[T]):
             # bisect_right on (rank, seq): seq is strictly increasing, so an
             # equal rank lands after earlier pushes of that rank (FIFO ties).
             entries.insert(bisect_right(entries, entry, lo=self._front), entry)
-        self.pushes += 1
+        self._seq = seq + 1
 
     def _pop_head(self) -> _Stored:
         entries = self._entries
@@ -371,7 +381,6 @@ class SortedListPIFO(PIFOBase[T]):
             return 0
         batch.sort()  # (rank, seq) decides: FIFO ties preserved
         self._rebuild(list(heapq.merge(self._sorted_entries(), batch)))
-        self.pushes += len(batch)
         return len(batch)
 
 
@@ -470,7 +479,6 @@ class BucketedPIFO(PIFOBase[T]):
         self._seq = seq + 1
         bucket.append((rank, seq, element))
         self._size += 1
-        self.pushes += 1
 
     def _insert(self, entry: _Stored) -> None:
         key = self._bucket_key(entry[0])

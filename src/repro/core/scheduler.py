@@ -66,15 +66,24 @@ class ShapingToken:
 
 @dataclass
 class SchedulerStats:
-    """Counters maintained by the reference scheduler."""
+    """Counters maintained by the reference scheduler.
 
-    enqueued: int = 0
-    dequeued: int = 0
+    A packet is counted once, under its flow; the totals are read off the
+    per-flow tallies.
+    """
+
     dropped: int = 0
     shaping_releases: int = 0
-    transactions_executed: int = 0
     per_flow_enqueued: dict = field(default_factory=dict)
     per_flow_dequeued: dict = field(default_factory=dict)
+
+    @property
+    def enqueued(self) -> int:
+        return sum(self.per_flow_enqueued.values())
+
+    @property
+    def dequeued(self) -> int:
+        return sum(self.per_flow_dequeued.values())
 
 
 def _tree_kernel_default(flag: Optional[bool]) -> bool:
@@ -250,7 +259,6 @@ class ProgrammableScheduler:
                 ctx.element_flow = (packet.flow if flow_fn is _packet_flow
                                     else flow_fn(packet))
                 node.scheduling_pifo.push(packet, node.scheduling(packet, ctx))
-                self.stats.transactions_executed += 1
             else:
                 self._walk_up(packet, path, start_index=0, now=time_now,
                               from_child=None)
@@ -261,9 +269,7 @@ class ProgrammableScheduler:
             return False
         packet.enqueue_time = time_now
         self._buffered_packets += 1
-        stats = self.stats
-        stats.enqueued += 1
-        per_flow = stats.per_flow_enqueued
+        per_flow = self.stats.per_flow_enqueued
         try:
             per_flow[packet.flow] += 1
         except KeyError:
@@ -299,12 +305,10 @@ class ProgrammableScheduler:
                                     else flow_fn(packet))
             rank = node.scheduling(packet, ctx)
             node.scheduling_pifo.push(element, rank)
-            self.stats.transactions_executed += 1
 
             has_parent_on_path = index + 1 < len(path)
             if node.shaping is not None and has_parent_on_path:
                 send_time = node.shaping(packet, ctx)
-                self.stats.transactions_executed += 1
                 token = ShapingToken(
                     node=node,
                     packet=packet,
@@ -421,9 +425,7 @@ class ProgrammableScheduler:
             packet: Packet = element
             packet.dequeue_time = now
             self._buffered_packets -= 1
-            stats = self.stats
-            stats.dequeued += 1
-            per_flow = stats.per_flow_dequeued
+            per_flow = self.stats.per_flow_dequeued
             try:
                 per_flow[packet.flow] += 1
             except KeyError:

@@ -236,7 +236,8 @@ class HardwareScheduler:
         self._walk_up(packet, path, 0, time_now, from_child=None)
         packet.enqueue_time = time_now
         self._buffered_packets += 1
-        self.stats.enqueued += 1
+        per_flow = self.stats.per_flow_enqueued
+        per_flow[packet.flow] = per_flow.get(packet.flow, 0) + 1
         return True
 
     def _walk_up(
@@ -264,11 +265,9 @@ class HardwareScheduler:
                 slot.logical_pifo, rank=rank, flow=flow, metadata=element
             )
             self._node_elements[node.name] += 1
-            self.stats.transactions_executed += 1
 
             if node.shaping is not None and index + 1 < len(path):
                 send_time = node.shaping(packet, ctx)
-                self.stats.transactions_executed += 1
                 token = ShapingToken(
                     node=node,
                     packet=packet,
@@ -399,7 +398,8 @@ class HardwareScheduler:
             packet: Packet = element
             packet.dequeue_time = now
             self._buffered_packets -= 1
-            self.stats.dequeued += 1
+            per_flow = self.stats.per_flow_dequeued
+            per_flow[packet.flow] = per_flow.get(packet.flow, 0) + 1
             return packet
 
     # -- misc -----------------------------------------------------------------------------

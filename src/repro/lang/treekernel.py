@@ -476,14 +476,13 @@ def _emit_push(em: _Emitter, ind: int, p: str, backend: str, capped: bool,
             em.w(ind + 1, f"{p}.drops += 1")
             em.w(ind + 1, f"raise _PIFOFullError('{full})")
         em.w(ind, f"seq = {p}._seq")
-        em.w(ind, f"{p}._seq = seq + 1")
         em.w(ind, f"item = ({rank}, seq, {element})")
         em.w(ind, "if not entries or item >= entries[-1]:")
         em.w(ind + 1, "entries.append(item)")
         em.w(ind, "else:")
         em.w(ind + 1, f"entries.insert(_bisect_right(entries, item, "
                       f"lo={p}._front), item)")
-        em.w(ind, f"{p}.pushes += 1")
+        em.w(ind, f"{p}._seq = seq + 1")
     elif backend in ("bucketed", "quantized"):
         if capped:
             em.w(ind, f"if {p}._size >= {p}_cap:")
@@ -508,16 +507,14 @@ def _emit_push(em: _Emitter, ind: int, p: str, backend: str, capped: bool,
         em.w(ind, f"{p}._seq = seq + 1")
         em.w(ind, f"bucket.append(({rank}, seq, {element}))")
         em.w(ind, f"{p}._size += 1")
-        em.w(ind, f"{p}.pushes += 1")
     elif backend == "calendar":
         if capped:
             em.w(ind, f"if len({p}._heap) >= {p}_cap:")
             em.w(ind + 1, f"{p}.drops += 1")
             em.w(ind + 1, f"raise _PIFOFullError('{full})")
         em.w(ind, f"seq = {p}._seq")
-        em.w(ind, f"{p}._seq = seq + 1")
         em.w(ind, f"_heappush({p}._heap, ({rank}, seq, {element}))")
-        em.w(ind, f"{p}.pushes += 1")
+        em.w(ind, f"{p}._seq = seq + 1")
     else:
         em.w(ind, f"{p}.push({element}, {rank})")
 
@@ -546,7 +543,6 @@ def _emit_pop(em: _Emitter, ind: int, p: str, backend: str,
         em.w(ind + 1, f"{p}._front = 0")
         em.w(ind, "else:")
         em.w(ind + 1, f"{p}._front = front")
-        em.w(ind, f"{p}.pops += 1")
     elif backend in ("bucketed", "quantized"):
         if on_empty is not None:
             em.w(ind, f"if not {p}._size:")
@@ -564,14 +560,12 @@ def _emit_pop(em: _Emitter, ind: int, p: str, backend: str,
         em.w(ind, f"{p}._size -= 1")
         em.w(ind, "if not bucket:")
         em.w(ind + 1, "del bks[key]")
-        em.w(ind, f"{p}.pops += 1")
     elif backend == "calendar":
         if on_empty is not None:
             em.w(ind, f"heap = {p}._heap")
             em.w(ind, "if not heap:")
             em.w(ind + 1, on_empty)
         em.w(ind, "entry = _heappop(heap)")
-        em.w(ind, f"{p}.pops += 1")
     else:
         if on_empty is not None:
             em.w(ind, f"if {p}.is_empty:")
@@ -781,10 +775,8 @@ def _generate(signature: Tuple[_NodeSig, ...],
                 w(ind, f"ectx.element_flow = {flow}")
             _emit_rank(em, ind, i, sig, flow, nodes[i].scheduling)
             _emit_push(em, ind, f"p{i}", sig.backend, sig.capped, element)
-            w(ind, "stats.transactions_executed += 1")
         if suspends:
             _emit_send_time(em, ind, i, sig, flow, nodes[i].shaping)
-            w(ind, "stats.transactions_executed += 1")
             w(ind, f"token = _ShapingToken(n{i}, packet, {path}, "
                    f"{index}{len(run)}, send_time)")
             _emit_push(em, ind, f"h{i}", sig.shaping_backend, False, "token",
@@ -854,7 +846,6 @@ def _generate(signature: Tuple[_NodeSig, ...],
     w(3, "return False")
     w(2, "packet.enqueue_time = time_now")
     w(2, "S._buffered_packets += 1")
-    w(2, "stats.enqueued += 1")
     w(2, "flow = packet.flow")
     w(2, "try:")
     w(3, "pfe[flow] += 1")
@@ -936,7 +927,6 @@ def _generate(signature: Tuple[_NodeSig, ...],
     emit_level(2, 0)
     w(2, "element.dequeue_time = now")
     w(2, "S._buffered_packets -= 1")
-    w(2, "stats.dequeued += 1")
     w(2, "flow = element.flow")
     w(2, "try:")
     w(3, "pfd[flow] += 1")
@@ -948,11 +938,12 @@ def _generate(signature: Tuple[_NodeSig, ...],
     # Enqueue + immediate dequeue for an idle transmitter.  The cut-through
     # body below only exists for single-node trees on a fused backend; it
     # performs every observable effect of the enqueue/dequeue pair — rank
-    # computation, capacity/drop accounting, seq/push/pop counters, stamps,
-    # per-flow tallies, the on_dequeue hook — but skips the push/pop round
-    # trip through the PIFO's backing store, which is a no-op on an empty
-    # queue.  (``_buffered_packets`` net-zeroes across the pair, so the
-    # counter is untouched.)
+    # computation, capacity/drop accounting, the PIFO's sequence number
+    # (one more accepted, none buffered: a push and a pop), stamps, per-flow
+    # tallies, the on_dequeue hook — but skips the push/pop round trip
+    # through the PIFO's backing store, which is a no-op on an empty queue.
+    # (``_buffered_packets`` net-zeroes across the pair, so the counter is
+    # untouched.)
     root_sig = sigs[0]
     w(1, "def transfer(packet, now):")
     w(2, f"if {guard}:")
@@ -1002,8 +993,6 @@ def _generate(signature: Tuple[_NodeSig, ...],
                 "got %r' % (p0.name, rank))",
             )
         w(ind, "p0._seq += 1")
-        w(ind, "p0.pushes += 1")
-        w(ind, "stats.transactions_executed += 1")
         if has_cap:
             w(2, "except _PIFOFullError:")
             w(3, "if not S.drop_on_full:")
@@ -1011,16 +1000,13 @@ def _generate(signature: Tuple[_NodeSig, ...],
             w(3, "stats.dropped += 1")
             w(3, "return None")
         w(2, "packet.enqueue_time = time_now")
-        w(2, "stats.enqueued += 1")
         w(2, "flow = packet.flow")
         w(2, "try:")
         w(3, "pfe[flow] += 1")
         w(2, "except KeyError:")
         w(3, "pfe[flow] = 1")
-        w(2, "p0.pops += 1")
         _emit_hook(em, 2, 0, root_sig, nodes[0].scheduling, "packet", "rank")
         w(2, "packet.dequeue_time = now")
-        w(2, "stats.dequeued += 1")
         w(2, "try:")
         w(3, "pfd[flow] += 1")
         w(2, "except KeyError:")

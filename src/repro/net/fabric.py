@@ -385,7 +385,6 @@ class Fabric:
         heap = sim._raw_heap
         scheduler = port.scheduler
         inv_rate = port._inv_rate
-        own_stats = switch.stats
         own_buffer = switch.buffer
         own_cell_bytes = own_buffer.cell_bytes
         #: The switch-installed release callback; identity-checked per call
@@ -499,7 +498,6 @@ class Fabric:
                                          out_inv)
                 if out is not None:
                     # Inlined occupancy-only SharedMemorySwitch.receive.
-                    nxt_stats.received += 1
                     cells = (length + nxt_cell_bytes - 1) // nxt_cell_bytes
                     if (nxt_buffer.used_cells + cells
                             > nxt_buffer.total_cells):
@@ -555,7 +553,6 @@ class Fabric:
             # called.
             on_departure = port.on_departure
             if on_departure is release:
-                own_stats.transmitted += 1
                 cells = (length + own_cell_bytes - 1) // own_cell_bytes
                 if own_buffer.used_cells >= cells:
                     own_buffer.used_cells -= cells
@@ -804,7 +801,6 @@ class Fabric:
                 targets[flow] = (dst, out, osched, out_cb, out_inv)
             # Inlined occupancy-only ingress + OutputPort.receive + kick
             # (same straight-line path as the egress fusion).
-            stats.received += 1
             length = packet.length
             cells = (length + cell_bytes - 1) // cell_bytes
             if buffer.used_cells + cells > buffer.total_cells:

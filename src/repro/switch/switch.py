@@ -49,9 +49,14 @@ class PortSpec:
 class PortCounters:
     """Per-port transmitted/dropped breakdown inside :class:`SwitchStats`."""
 
-    transmitted: int = 0
+    port: OutputPort = field(repr=False)
     dropped_admission: int = 0
     dropped_scheduler: int = 0
+
+    @property
+    def transmitted(self) -> int:
+        """The port's own count: a port transmits, the switch only reads."""
+        return self.port.transmitted_packets
 
     def to_dict(self) -> Dict[str, int]:
         return {
@@ -63,20 +68,33 @@ class PortCounters:
 
 @dataclass
 class SwitchStats:
-    """Aggregate counters for a switch run, with per-port breakdowns."""
+    """Aggregate counters for a switch run, with per-port breakdowns.
 
-    received: int = 0
+    Ingress stores one outcome per packet (``admitted`` or one of the two
+    drops); ``received`` and ``transmitted`` are computed when read, the
+    latter from the counts the switch's ``ports`` keep themselves.
+    """
+
+    ports: Dict[str, OutputPort] = field(repr=False)
     admitted: int = 0
     dropped_admission: int = 0
     dropped_scheduler: int = 0
-    transmitted: int = 0
     per_port: Dict[str, PortCounters] = field(default_factory=dict)
 
     def port(self, name: str) -> PortCounters:
         counters = self.per_port.get(name)
         if counters is None:
-            counters = self.per_port[name] = PortCounters()
+            counters = self.per_port[name] = PortCounters(self.ports[name])
         return counters
+
+    @property
+    def received(self) -> int:
+        """Every packet offered to the switch met exactly one outcome."""
+        return self.admitted + self.dropped_admission + self.dropped_scheduler
+
+    @property
+    def transmitted(self) -> int:
+        return sum(port.transmitted_packets for port in self.ports.values())
 
     @property
     def dropped(self) -> int:
@@ -115,9 +133,8 @@ class SharedMemorySwitch:
     telemetry:
         Maintain per-port transmitted/dropped breakdowns in
         :class:`SwitchStats` (default).  Sweeps that only consume aggregate
-        results disable this to drop two dict updates per packet; the
-        aggregate counters (received / admitted / dropped / transmitted)
-        are always maintained.
+        results disable this; the aggregate counters (received / admitted /
+        dropped / transmitted) read the same either way.
     name:
         Switch label (node name inside a fabric).
     """
@@ -155,8 +172,8 @@ class SharedMemorySwitch:
         self._untracked_buffer = (
             not telemetry and type(self.admission) is AlwaysAdmit
         )
-        self.stats = SwitchStats()
         self.ports: Dict[str, OutputPort] = {}
+        self.stats = SwitchStats(self.ports)
         #: Forwarding table: destination address -> candidate egress port
         #: names (several under ECMP).  Installed by the fabric's routing
         #: pass; single-switch experiments never touch it.
@@ -177,15 +194,16 @@ class SharedMemorySwitch:
                 delivery=spec.delivery,
             )
             self.ports[spec.name] = port
+            if telemetry:
+                # The breakdown lists every port, whether or not it saw traffic.
+                self.stats.port(spec.name)
 
     # -- buffer release on transmit -------------------------------------------------
     def _make_release_callback(self, port_name: str) -> Callable[[Packet], None]:
-        stats = self.stats
         buffer = self.buffer
         if self._untracked_buffer:
 
             def _release(packet: Packet) -> None:
-                stats.transmitted += 1
                 cells = (packet.length + buffer.cell_bytes - 1) // buffer.cell_bytes
                 if buffer.used_cells >= cells:
                     buffer.used_cells -= cells
@@ -196,27 +214,14 @@ class SharedMemorySwitch:
                     buffer.used_bytes = max(0, buffer.used_bytes - packet.length)
 
             return _release
-        if self.telemetry:
-            port_counters = stats.port(port_name)
 
-            def _release(packet: Packet) -> None:
-                stats.transmitted += 1
-                port_counters.transmitted += 1
-                try:
-                    buffer.release(packet, port=port_name)
-                except BufferError_:
-                    # The packet was admitted before accounting existed (e.g.
-                    # a test feeding ports directly); ignore, don't crash.
-                    pass
-
-        else:
-
-            def _release(packet: Packet) -> None:
-                stats.transmitted += 1
-                try:
-                    buffer.release(packet, port=port_name)
-                except BufferError_:
-                    pass
+        def _release(packet: Packet) -> None:
+            try:
+                buffer.release(packet, port=port_name)
+            except BufferError_:
+                # The packet was admitted before accounting existed (e.g.
+                # a test feeding ports directly); ignore, don't crash.
+                pass
 
         return _release
 
@@ -272,7 +277,6 @@ class SharedMemorySwitch:
         if output_port not in self.ports:
             raise KeyError(f"unknown output port {output_port!r}")
         stats = self.stats
-        stats.received += 1
         buffer = self.buffer
         if self._untracked_buffer:
             cells = (packet.length + buffer.cell_bytes - 1) // buffer.cell_bytes
@@ -317,7 +321,7 @@ class SharedMemorySwitch:
         return sum(port.backlog_packets() for port in self.ports.values())
 
     def total_transmitted(self) -> int:
-        return sum(port.transmitted_packets for port in self.ports.values())
+        return self.stats.transmitted
 
     def metrics_snapshot(self) -> Dict[str, float]:
         """Flat ``<switch>.<metric>`` counters for the metrics registry.

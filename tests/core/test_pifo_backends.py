@@ -332,6 +332,86 @@ def test_property_drain_equals_pop_loop(ranks):
         assert drained.is_empty
 
 
+counter_ops = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["push", "push", "push"]),
+                  st.integers(min_value=0, max_value=12)),
+        st.tuples(st.sampled_from(["pop", "pop", "drain", "clear"]),
+                  st.none()),
+        st.tuples(st.just("remove"), st.integers(min_value=2, max_value=4)),
+        st.tuples(st.just("enqueue_many"),
+                  st.lists(st.integers(min_value=0, max_value=12), max_size=9)),
+        st.tuples(st.just("migrate"), st.sampled_from(ALL_BACKENDS)),
+    ),
+    max_size=100,
+)
+
+
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+@given(operations=counter_ops)
+@settings(max_examples=80, deadline=None)
+def test_property_counters_match_a_hand_kept_tally(name, operations):
+    """``pushes`` and ``pops`` are computed when read (accepted so far;
+    accepted minus buffered minus removed).  Whatever way elements enter
+    and leave — a push the capacity bound refuses, a batch partly
+    refused, a bulk drain, ``clear`` / ``remove`` (which are not pops), a
+    migration to another backend (counters restart at what migrated) —
+    they read what a tally of the calls themselves says."""
+    from repro.algorithms import FIFOTransaction
+    from repro.core import TreeNode
+
+    capacity = 6
+    node = TreeNode("n", FIFOTransaction(), pifo_backend=name,
+                    pifo_capacity=capacity)
+    pifo = node.scheduling_pifo
+    pushes = pops = drops = 0
+    buffered = []
+    payload = 0
+    for op, arg in operations:
+        if op == "push":
+            if len(buffered) < capacity:
+                pifo.push(payload, arg)
+                buffered.append(payload)
+                pushes += 1
+            else:
+                with pytest.raises(PIFOFullError):
+                    pifo.push(payload, arg)
+                drops += 1
+            payload += 1
+        elif op == "enqueue_many":
+            room = capacity - len(buffered)
+            batch = [(payload + i, rank) for i, rank in enumerate(arg)]
+            assert pifo.enqueue_many(batch) == min(room, len(batch))
+            buffered.extend(element for element, _ in batch[:room])
+            pushes += min(room, len(batch))
+            drops += max(0, len(batch) - room)
+            payload += len(batch)
+        elif op == "pop":
+            if buffered:
+                buffered.remove(pifo.pop())
+                pops += 1
+            else:
+                with pytest.raises(PIFOEmptyError):
+                    pifo.pop()
+        elif op == "drain":
+            assert sorted(pifo.drain()) == sorted(buffered)
+            pops += len(buffered)
+            buffered = []
+        elif op == "clear":
+            pifo.clear()
+            buffered = []
+        elif op == "remove":
+            gone = pifo.remove(lambda x: x % arg == 0)
+            assert sorted(gone) == [x for x in sorted(buffered) if x % arg == 0]
+            buffered = [x for x in buffered if x % arg]
+        else:
+            node.use_backend(arg)
+            pifo = node.scheduling_pifo
+            pushes, pops, drops = len(buffered), 0, 0
+        assert (pifo.pushes, pifo.pops, pifo.drops, len(pifo)) == (
+            pushes, pops, drops, len(buffered)), (op, arg)
+
+
 # --------------------------------------------------------------------------- #
 # Tree / scheduler integration                                                #
 # --------------------------------------------------------------------------- #

@@ -46,6 +46,8 @@ class TestExactEquivalenceWithoutTies:
         ref_order = [p.get("seq") for p in reference.drain()]
         hw_order = [p.get("seq") for p in hardware.drain()]
         assert ref_order == hw_order
+        assert hardware.stats == reference.stats
+        assert hardware.stats.enqueued == hardware.stats.dequeued == 100
 
     def test_edf_with_unique_deadlines(self):
         reference = ProgrammableScheduler(
@@ -87,6 +89,7 @@ class TestHierarchicalEquivalence:
             1 for a, b in zip(ref_out, hw_out) if a.get("seq") != b.get("seq")
         )
         assert mismatches <= len(ref_out) * 0.05
+        assert hardware.stats == reference.stats
 
     def test_shaped_tree_same_eligibility_times(self):
         reference = ProgrammableScheduler(build_fig4_tree(right_burst_bytes=1500))
@@ -101,10 +104,14 @@ class TestHierarchicalEquivalence:
         ref_now = [p.get("seq") for p in reference.drain(now=0.0)]
         hw_now = [p.get("seq") for p in hardware.drain(now=0.0)]
         assert ref_now == hw_now
+        # Mid-run: some packets still suspended behind the token bucket.
+        assert hardware.stats == reference.stats
         later = 1.0
         assert [p.get("seq") for p in reference.drain(now=later)] == [
             p.get("seq") for p in hardware.drain(now=later)
         ]
+        assert hardware.stats == reference.stats
+        assert hardware.stats.shaping_releases == 10
 
 
 @given(
@@ -126,6 +133,7 @@ def test_property_hpfq_service_counts_match(arrivals):
     ref_out = reference.drain()
     hw_out = hardware.drain()
     assert per_flow_order(ref_out) == per_flow_order(hw_out)
+    assert hardware.stats == reference.stats
 
 
 class TestDocumentedDeviation:

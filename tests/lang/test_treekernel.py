@@ -23,6 +23,9 @@ pin the contract that makes that safe:
 
 from __future__ import annotations
 
+import re
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -31,6 +34,7 @@ from repro.algorithms import (
     ArrivalSequenceTransaction,
     FieldRankTransaction,
     FIFOTransaction,
+    SRPTTransaction,
     STFQTransaction,
     StopAndGoShapingTransaction,
     build_fig3_tree,
@@ -827,6 +831,119 @@ class TestSplicedPrograms:
         assert "m2 = packet.packet_class in {'gold'}" in source
         # No literal form: the predicate object is called, as before.
         assert "m3 = q3(packet)" in source
+
+
+# --------------------------------------------------------------------------- #
+# Counters: one store per fact, totals computed when read                      #
+# --------------------------------------------------------------------------- #
+#: Trees whose counters the two tests below pin: name -> (builder taking
+#: the PIFO backend, backends it can run on).
+COUNTED_TREES = {
+    "arrival_seq": (lambda backend: single_node_tree(
+        ArrivalSequenceTransaction(), pifo_backend=backend), BACKENDS),
+    "srpt": (lambda backend: single_node_tree(
+        SRPTTransaction(), pifo_backend=backend), BACKENDS),
+    "fig4": (lambda backend: build_fig4_tree_from_programs(
+        pifo_backend=backend), FLOAT_BACKENDS),
+    "capped": (lambda backend: single_node_tree(
+        ArrivalSequenceTransaction(), pifo_capacity=3, pifo_backend=backend),
+        BACKENDS),
+}
+
+scheduler_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["enqueue", "enqueue", "enqueue", "transfer",
+                         "dequeue", "dequeue", "reset"]),
+        st.sampled_from("ABCD"),
+        st.integers(min_value=1, max_value=40),   # remaining size / length
+        st.integers(min_value=0, max_value=3),    # clock advance, ms
+    ),
+    max_size=80,
+)
+
+
+@pytest.mark.parametrize("fused", [True, False], ids=["kernel", "interpreted"])
+@pytest.mark.parametrize("label", sorted(COUNTED_TREES))
+@given(ops=scheduler_ops, backend_index=st.integers(min_value=0, max_value=3))
+@settings(max_examples=40, deadline=None)
+def test_scheduler_stats_match_a_hand_kept_tally(label, fused, ops,
+                                                 backend_index):
+    """``stats.enqueued`` / ``dequeued`` are read off the per-flow tallies;
+    with ``dropped`` and ``shaping_releases`` they must say what the calls
+    themselves returned — through the cut-through ``transfer``, push-in
+    ranks, suspended packets, a leaf that drops, and a ``reset()``."""
+    build, backends = COUNTED_TREES[label]
+    scheduler = ProgrammableScheduler(
+        build(backends[backend_index % len(backends)]), tree_kernel=fused)
+    assert (scheduler.tree_kernel is not None) == fused
+    shaped = [node for node in scheduler.tree.nodes()
+              if node.shaping is not None]
+    # A port only calls transfer on a work-conserving kernel; everywhere
+    # else the op is the enqueue + dequeue pair transfer stands for.
+    cut_through = fused and scheduler.kernel_work_conserving
+    enqueued, dequeued = Counter(), Counter()
+    dropped = suspended = 0     # suspended: ever pushed into a shaping PIFO
+    now = 0.0
+    for op, flow, size, advance in ops:
+        now += advance * 1e-3
+        buffered = sum(enqueued.values()) - sum(dequeued.values())
+        head = None
+        if op == "reset":
+            scheduler.reset()
+            enqueued, dequeued = Counter(), Counter()
+            dropped = suspended = 0
+        elif op == "dequeue":
+            head = scheduler.dequeue(now=now)
+            assert head is not None or shaped or not buffered
+        else:
+            packet = Packet(flow=flow, length=size * 40,
+                            fields={"remaining_size": size})
+            if op == "transfer" and cut_through:
+                head = scheduler.transfer(packet, now)
+                accepted = head is not None
+            else:
+                accepted = scheduler.enqueue(packet, now=now)
+                if op == "transfer" and accepted:
+                    head = scheduler.dequeue(now=now)
+            if label == "capped":
+                assert accepted == (buffered < 3)
+            if accepted:
+                enqueued[flow] += 1
+                suspended += any(node.predicate(packet) for node in shaped)
+            else:
+                dropped += 1
+        if head is not None:
+            dequeued[head.flow] += 1
+        stats = scheduler.stats
+        assert stats.per_flow_enqueued == dict(enqueued)
+        assert stats.per_flow_dequeued == dict(dequeued)
+        assert (stats.enqueued, stats.dequeued, stats.dropped) == (
+            sum(enqueued.values()), sum(dequeued.values()), dropped)
+        assert len(scheduler) == stats.enqueued - stats.dequeued
+        # Every suspended packet is still parked or was released.
+        assert stats.shaping_releases == suspended - sum(
+            len(node.shaping_pifo) for node in shaped)
+
+
+#: What a kernel may not emit: a counter another counter already implies.
+_DUPLICATE_COUNTER = re.compile(
+    r"transactions_executed"
+    r"|stats\.(enqueued|dequeued) \+="
+    r"|\.(pushes|pops) \+=")
+
+
+@pytest.mark.parametrize("label", ["arrival_seq", "srpt", "fig4"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_kernels_store_each_fact_once(label, backend):
+    """The generated source of every backend's push / pop / walk /
+    cut-through emitters (shaping PIFOs included) bumps no derived
+    counter — so a new emitter cannot quietly bring one back."""
+    scheduler = ProgrammableScheduler(COUNTED_TREES[label][0](backend))
+    source = scheduler.tree_kernel.source
+    assert "_seq" in source and "pfe[flow] += 1" in source
+    assert not _DUPLICATE_COUNTER.search(source), [
+        line.strip() for line in source.splitlines()
+        if _DUPLICATE_COUNTER.search(line)]
 
 
 def test_nothing_shipped_falls_back():

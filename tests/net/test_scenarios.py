@@ -10,6 +10,8 @@ These assert the two acceptance claims of the fabric layer:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.algorithms import FIFOTransaction
@@ -226,6 +228,84 @@ class TestLeafSpineFCT:
         leaf0 = stats["leaf0"]["per_port"]
         assert leaf0["to_spine0"]["transmitted"] > 0
         assert leaf0["to_spine1"]["transmitted"] > 0
+
+
+class TestSwitchCounterViews:
+    """``SwitchStats.received`` / ``transmitted`` are computed when read:
+    from the ingress outcomes, and from the ports' own counts.  Pin both
+    against counts taken from outside the switch: what was offered to it —
+    calls to ``receive`` on the interpreted hop; where a fused hop inlines
+    that, what sources and upstream ports handed over — and calls to each
+    port's departure callback, which every completion path must run."""
+
+    @pytest.mark.parametrize("telemetry", [True, False])
+    @pytest.mark.parametrize(
+        "name", [scenario.name for scenario in list_scenarios()])
+    def test_views_match_counts_taken_outside_the_switch(self, name,
+                                                         telemetry):
+        """Every registered scenario, both ways: ``chain_flap`` /
+        ``dead_spine`` run a fault plan (interpreted delivery, the
+        in-flight blackhole wrapper), telemetry on tracks the buffer and
+        keeps per-port counters, telemetry off fuses ``fig6_chain`` /
+        ``leaf_spine_fct`` ports (where a link has no latency) and their
+        injection."""
+        fabrics = []
+        receive_calls, departed = Counter(), Counter()
+
+        def tap(fabric):
+            fabrics.append(fabric)
+            for switch in fabric.node_switches.values():
+                def receive(packet, port, switch=switch,
+                            inner=switch.receive):
+                    receive_calls[switch] += 1
+                    return inner(packet, port)
+
+                switch.receive = receive
+                for port in switch.ports.values():
+                    def on_departure(packet, port=port,
+                                     inner=port.on_departure):
+                        departed[port] += 1
+                        inner(packet)
+
+                    port.on_departure = on_departure
+
+        scenario = get_scenario(name)
+        scenario.run(quick=True, telemetry=telemetry, trace_hook=tap)
+        assert fabrics
+        for fabric in fabrics:
+            assert bool(fabric.fused_ports) == (
+                not telemetry and scenario.fault_plan is None)
+            # Without faults every packet a source emits or an upstream
+            # port transmits reaches the next switch (the run drains).
+            handed_over = Counter()
+            for source in fabric._sources:
+                handed_over[fabric.switch(source.destination.host)] += \
+                    source.generated_packets
+            for node, switch in fabric.node_switches.items():
+                for neighbor in fabric.network.links[node]:
+                    if not fabric.network.is_host(neighbor):
+                        handed_over[fabric.switch(neighbor)] += switch.port(
+                            fabric.port_to(neighbor)).transmitted_packets
+            for switch in fabric.node_switches.values():
+                stats = switch.stats
+                assert stats.received == (
+                    stats.admitted + stats.dropped_admission
+                    + stats.dropped_scheduler)
+                if not fabric.fused_ports:
+                    assert stats.received == receive_calls[switch]
+                if scenario.fault_plan is None:
+                    assert stats.received == handed_over[switch]
+                ports = switch.ports.values()
+                assert stats.transmitted == sum(
+                    departed[port] for port in ports) == sum(
+                    port.transmitted_packets for port in ports)
+                assert set(stats.per_port) == (
+                    set(switch.ports) if telemetry else set())
+                for port_name, counters in stats.per_port.items():
+                    assert counters.transmitted == departed[
+                        switch.port(port_name)]
+            assert sum(s.stats.transmitted
+                       for s in fabric.node_switches.values()) > 0
 
 
 class TestExperimentRegistryIntegration:
