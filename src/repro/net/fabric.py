@@ -100,11 +100,11 @@ class Fabric:
         Replace each eligible egress port's transmit-completion callback
         with a fused per-hop closure inlining delivery, next-hop ingress
         and buffer release into straight-line code (see
-        :meth:`_fuse_hot_path`).  ``None`` (default) fuses automatically
-        whenever it is observationally safe — telemetry off, zero-latency
-        link, threshold-free admission on both ends; ``False`` disables
-        fusion (the reference interpreted path); ``True`` requests it
-        (still subject to the same per-port safety conditions).
+        :meth:`_fuse_hot_path`).  ``None`` (default) and ``True`` behave
+        the same: every port is fused where that is observationally safe
+        — telemetry off, zero-latency link, threshold-free admission on
+        both ends.  ``False`` disables fusion (the reference interpreted
+        path).
     """
 
     def __init__(
@@ -177,13 +177,16 @@ class Fabric:
         self._install_routes()
         #: Number of egress ports running the fused hot-path closure.
         self.fused_ports = 0
+        #: node -> fused ingress (:meth:`_fused_ingress`); a host's is its
+        #: fused injection.  Empty unless some port is fused.
+        self._ingress: Dict[str, Callable[[Packet], bool]] = {}
         #: host -> one-slot box read by that host's fused NIC egress for
         #: arrival prefetch.  ``attach_source`` fills the slot with
-        #: ``(source, fused_receive)`` when the host has exactly one source
+        #: ``(source, fused_ingress)`` when the host has exactly one source
         #: (and clears it back to ``None`` if a second one is attached).
         self._arrival_pull_boxes: Dict[str, list] = {}
         self._host_source_count: Dict[str, int] = {}
-        #: Per-port fused next-hop target caches (flow -> resolved egress);
+        #: Per-node fused ingress target caches (flow -> resolved egress);
         #: cleared whenever routing changes (see :meth:`reinstall_routes`).
         self._fused_target_caches: list = []
         if self._fault_plan is not None:
@@ -235,53 +238,20 @@ class Fabric:
             for dst, hops in tables[node].items():
                 if hops:
                     switch.install_route(dst, [self.port_to(h) for h in hops])
-        # Fused ports memoise resolved next-hop targets per flow; a routing
-        # change invalidates them all.
+        # Fused ingresses memoise resolved egress targets per flow; a
+        # routing change invalidates them all.
         for cache in self._fused_target_caches:
             cache.clear()
 
     def _make_delivery(self, node: str, neighbor: str) -> Callable[[Packet], None]:
-        if self._fault_plan is not None:
-            return self._make_faulted_delivery(node, neighbor)
-        to_host = self.network.is_host(neighbor)
-        telemetry = self.telemetry
+        """Delivery hook of the link ``node -> neighbor``.
 
-        def deliver(packet: Packet) -> None:
-            # ``prev_wait_time`` is in-band data the paper's LSTF transaction
-            # consumes downstream — it is stamped regardless of the telemetry
-            # flag so scheduling semantics never depend on observability.
-            enq = packet.enqueue_time
-            deq = packet.dequeue_time
-            wait = deq - enq if (enq is not None and deq is not None) else 0.0
-            if telemetry:
-                packet.record_hop(node, packet.arrival_time, wait,
-                                  packet.departure_time)
-            stamp_wait_time(packet, wait)
-            if to_host:
-                if packet.dst != neighbor:
-                    # Routing never transits an end host; landing here with
-                    # a different destination means a corrupted route.
-                    raise RoutingError(
-                        f"packet for {packet.dst!r} delivered to host "
-                        f"{neighbor!r}; hosts do not forward transit traffic"
-                    )
-                self._arrive(neighbor, packet)
-            else:
-                self.node_switches[neighbor].forward(packet)
-
-        return deliver
-
-    def _make_faulted_delivery(self, node: str,
-                               neighbor: str) -> Callable[[Packet], None]:
-        """Delivery hook for fabrics running under a fault plan.
-
-        Identical to the plain closure plus three fault checks at the
-        moment the packet lands at the far end of the wire: the link may
-        have died while the packet was propagating (blackhole), a
-        probabilistic-loss draw may eat it, and the next hop may have no
-        route left after a reconvergence (blackhole, counted as
-        ``no_route``).  The injector is resolved per call because it is
-        constructed after the ports.
+        Under a fault plan three fault checks run at the moment the packet
+        lands at the far end of the wire: the link may have died while the
+        packet was propagating (blackhole), a probabilistic-loss draw may
+        eat it, and the next hop may have no route left after a
+        reconvergence (blackhole, counted as ``no_route``).  The injector
+        is resolved per call because it is constructed after the ports.
         """
         to_host = self.network.is_host(neighbor)
         telemetry = self.telemetry
@@ -296,6 +266,9 @@ class Fabric:
                 if injector.loss_roll(node, neighbor, self.sim.now):
                     injector.record_loss(packet, "loss")
                     return
+            # ``prev_wait_time`` is in-band data the paper's LSTF transaction
+            # consumes downstream — it is stamped regardless of the telemetry
+            # flag so scheduling semantics never depend on observability.
             enq = packet.enqueue_time
             deq = packet.dequeue_time
             wait = deq - enq if (enq is not None and deq is not None) else 0.0
@@ -305,6 +278,8 @@ class Fabric:
             stamp_wait_time(packet, wait)
             if to_host:
                 if packet.dst != neighbor:
+                    # Routing never transits an end host; landing here with
+                    # a different destination means a corrupted route.
                     raise RoutingError(
                         f"packet for {packet.dst!r} delivered to host "
                         f"{neighbor!r}; hosts do not forward transit traffic"
@@ -343,8 +318,11 @@ class Fabric:
         Ports that fail the check keep the generic method.
         """
         network = self.network
+        ingress = {name: self._fused_ingress(name)
+                   for name, switch in self.node_switches.items()
+                   if switch._untracked_buffer}
         for name, switch in self.node_switches.items():
-            if not switch._untracked_buffer:
+            if name not in ingress:
                 continue
             for neighbor in network.links[name]:
                 port = switch.ports.get(self.port_to(neighbor))
@@ -353,31 +331,139 @@ class Fabric:
                 if port.propagation_delay != 0.0:
                     continue
                 to_host = network.is_host(neighbor)
-                if not to_host:
-                    if not self.node_switches[neighbor]._untracked_buffer:
-                        continue
-                port._tx_complete = self._fuse_port(port, switch, name,
-                                                    neighbor, to_host)
+                if not to_host and neighbor not in ingress:
+                    continue
+                port._tx_complete = self._fuse_port(
+                    port, switch, name, neighbor,
+                    None if to_host else ingress[neighbor])
                 self.fused_ports += 1
+        if self.fused_ports:
+            self._ingress = ingress
+
+    def _fused_ingress(self, node: str) -> Callable[[Packet], bool]:
+        """The fused ingress of one node: ``ingress(packet) -> bool``.
+
+        Inlines, with identical observable effects and at ``sim.now``:
+        the route lookup + ECMP hash, the occupancy-only
+        ``SharedMemorySwitch.receive``, ``OutputPort.receive`` and the
+        transmit kick, pushing the completion straight onto the event
+        queue.  Fused egress ports call it for the next hop.  Hosts never
+        forward transit traffic, so a host's ingress is its injection and
+        also does the :meth:`inject` stamping.  Rare/error paths (``dst``
+        ``None`` or the host itself, a missing route) fall back to the
+        interpreted methods so diagnostics stay identical.
+
+        **Per-flow target memoisation**: route lookup + ECMP hash + port
+        dict walk resolve to the same egress for every packet of a flow,
+        so the resolved ``(dst, out_port, out_scheduler, out_tx_complete,
+        out_inv_rate)`` is cached per flow.  The dst is stored as a guard
+        (a flow name reused toward another dst just re-resolves); the
+        cache is invalidated by :meth:`reinstall_routes`.  Caching the
+        completion callback is safe because fused ports never run under
+        fault plans, so it is never re-wrapped after fusion.
+        """
+        fabric = self
+        sim = self.sim
+        queue = sim._queue
+        heap = sim._raw_heap
+        is_host = self.network.is_host(node)
+        switch = self.node_switches[node]
+        stats = switch.stats
+        buffer = switch.buffer
+        cell_bytes = buffer.cell_bytes
+        routes = switch.routes
+        ports = switch.ports
+        hashes = switch._flow_hashes
+        kernelable = all(
+            isinstance(p.scheduler, ProgrammableScheduler)
+            for p in ports.values()
+        )
+        targets: Dict[str, tuple] = {}
+        self._fused_target_caches.append(targets)
+
+        def ingress(packet: Packet) -> bool:
+            now = sim.now
+            dst = packet.dst
+            if is_host:
+                if dst is None or dst == node:
+                    return fabric.inject(node, packet)  # canonical errors
+                if packet.src is None:
+                    packet.src = node
+                packet.injection_time = now
+                fabric.injected_packets += 1
+            flow = packet.flow
+            target = targets.get(flow)
+            if target is not None and target[0] == dst:
+                _, out, osched, out_cb, out_inv = target
+            else:
+                candidates = routes.get(dst)
+                if not candidates:
+                    # Missing route (or dst None): the interpreted path
+                    # raises the canonical RoutingError.
+                    return switch.forward(packet)
+                if len(candidates) == 1:
+                    egress = candidates[0]
+                else:
+                    digest = hashes.get(flow)
+                    if digest is None:
+                        digest = hashes[flow] = crc32(flow.encode())
+                    egress = candidates[digest % len(candidates)]
+                out = ports[egress]
+                osched = out.scheduler
+                out_cb = out._tx_complete
+                out_inv = out._inv_rate
+                targets[flow] = (dst, out, osched, out_cb, out_inv)
+            length = packet.length
+            cells = (length + cell_bytes - 1) // cell_bytes
+            if buffer.used_cells + cells > buffer.total_cells:
+                stats.dropped_admission += 1
+                return False
+            buffer.used_cells += cells
+            buffer.used_bytes += length
+            packet.arrival_time = now
+            if not out.busy and kernelable and osched.kernel_work_conserving:
+                # On an idle port with a work-conserving kernel the enqueue
+                # and immediate dequeue collapse into the kernel's
+                # cut-through transfer (under shaping a None dequeue could
+                # also mean "held back").
+                head = osched.transfer(packet, now)
+                admitted = head is not None
+            else:
+                head = None
+                admitted = osched.enqueue(packet, now)
+            if not admitted:
+                out.dropped_packets += 1
+                buffer.used_cells -= cells
+                buffer.used_bytes -= length
+                stats.dropped_scheduler += 1
+                return False
+            stats.admitted += 1
+            if head is None:
+                if out.busy:
+                    return True
+                head = osched.dequeue(now)
+                if head is None:
+                    out._arm_wakeup()
+                    return True
+            out.busy = True
+            out._tx_packet = head
+            seq = queue._next_seq
+            queue._next_seq = seq + 1
+            heappush(heap, (now + head.length * out_inv, seq, out_cb))
+            return True
+
+        return ingress
 
     def _fuse_port(self, port, switch, node: str, neighbor: str,
-                   to_host: bool):
+                   nxt_ingress: Optional[Callable[[Packet], bool]]):
         """Build the fused transmit-completion closure for one egress port.
 
         Inlines, in order and with identical observable effects:
         ``_on_tx_complete`` bookkeeping, the fabric delivery closure
-        (wait-time stamp; hop records are off by construction), the
-        next-hop switch's route lookup + occupancy-only ingress (or the
-        host arrival), the departure callback, and the next dequeue with
-        its completion pushed straight onto the event queue.
-        Rare/error paths (missing route, ``dst`` ``None``) fall back to the
-        interpreted methods so diagnostics stay identical.
-
-        **Per-flow target memoisation**: route lookup + ECMP hash + port
-        dict walk resolve to the same next-hop egress for every packet of a
-        flow, so the resolved ``(dst, out_port, out_scheduler)`` is cached
-        per flow (guarded by ``dst``, invalidated by
-        :meth:`reinstall_routes`).
+        (wait-time stamp; hop records are off by construction), the host
+        arrival or a call to the next hop's fused ingress
+        (:meth:`_fused_ingress`), the departure callback, and the next
+        dequeue with its completion pushed straight onto the event queue.
         """
         fabric = self
         sim = self.sim
@@ -401,37 +487,8 @@ class Fabric:
             pull_box = self._arrival_pull_boxes.setdefault(node, [None])
         else:
             pull_box = None
-        if to_host:
-            sink = self.host_sinks[neighbor]
-            sink_record = sink.record
-            nxt = nxt_stats = nxt_buffer = nxt_routes = None
-            nxt_ports = nxt_hashes = None
-            nxt_cell_bytes = 0
-            targets = None
-        else:
-            sink = sink_record = None
-            nxt = self.node_switches[neighbor]
-            nxt_stats = nxt.stats
-            nxt_buffer = nxt.buffer
-            nxt_cell_bytes = nxt_buffer.cell_bytes
-            nxt_routes = nxt.routes
-            nxt_ports = nxt.ports
-            nxt_hashes = nxt._flow_hashes
-            nxt_kernelable = all(
-                isinstance(p.scheduler, ProgrammableScheduler)
-                for p in nxt_ports.values()
-            )
-            #: flow -> (dst, out_port, out_scheduler, out_tx_complete,
-            #: out_inv_rate).  Keyed by flow with the dst stored as a
-            #: guard: flows normally map to one dst, so the common case is
-            #: one dict probe; a flow name reused toward a different dst
-            #: just misses the cache and re-resolves.  The completion
-            #: callback and inverse rate ride along so the forwarding path
-            #: skips their per-packet attribute loads (safe: fused ports
-            #: never run under fault plans, so the callback is never
-            #: re-wrapped after fusion).
-            targets: Dict[str, tuple] = {}
-            self._fused_target_caches.append(targets)
+        to_host = nxt_ingress is None
+        sink_record = self.host_sinks[neighbor].record if to_host else None
 
         def _tx_complete() -> None:
             packet = port._tx_packet
@@ -465,89 +522,7 @@ class Fabric:
                 fabric.delivered_packets += 1
                 sink_record(packet)
             else:
-                dst = packet.dst
-                flow = packet.flow
-                target = targets.get(flow)
-                if target is not None and target[0] == dst:
-                    out = target[1]
-                    osched = target[2]
-                    out_cb = target[3]
-                    out_inv = target[4]
-                else:
-                    out = None
-                    candidates = nxt_routes.get(dst)
-                    if not candidates:
-                        # Missing/empty route (or dst None): the
-                        # interpreted path raises the canonical
-                        # RoutingError.
-                        nxt.forward(packet)
-                    else:
-                        if len(candidates) == 1:
-                            egress = candidates[0]
-                        else:
-                            digest = nxt_hashes.get(flow)
-                            if digest is None:
-                                digest = nxt_hashes[flow] = \
-                                    crc32(flow.encode())
-                            egress = candidates[digest % len(candidates)]
-                        out = nxt_ports[egress]
-                        osched = out.scheduler
-                        out_cb = out._tx_complete
-                        out_inv = out._inv_rate
-                        targets[flow] = (dst, out, osched, out_cb,
-                                         out_inv)
-                if out is not None:
-                    # Inlined occupancy-only SharedMemorySwitch.receive.
-                    cells = (length + nxt_cell_bytes - 1) // nxt_cell_bytes
-                    if (nxt_buffer.used_cells + cells
-                            > nxt_buffer.total_cells):
-                        nxt_stats.dropped_admission += 1
-                    else:
-                        nxt_buffer.used_cells += cells
-                        nxt_buffer.used_bytes += length
-                        # Inlined OutputPort.receive + _try_transmit.
-                        # On an idle port with a work-conserving kernel
-                        # the enqueue and immediate dequeue collapse
-                        # into the kernel's cut-through transfer (under
-                        # shaping a None could also mean "held back").
-                        packet.arrival_time = now
-                        if (not out.busy and nxt_kernelable
-                                and osched.kernel_work_conserving):
-                            head = osched.transfer(packet, now)
-                            if head is None:
-                                out.dropped_packets += 1
-                                nxt_buffer.used_cells -= cells
-                                nxt_buffer.used_bytes -= length
-                                nxt_stats.dropped_scheduler += 1
-                            else:
-                                nxt_stats.admitted += 1
-                                out.busy = True
-                                out._tx_packet = head
-                                seq = queue._next_seq
-                                queue._next_seq = seq + 1
-                                entry = (now + head.length * out_inv,
-                                         seq, out_cb)
-                                heappush(heap, entry)
-                        elif osched.enqueue(packet, now):
-                            nxt_stats.admitted += 1
-                            if not out.busy:
-                                head = osched.dequeue(now)
-                                if head is None:
-                                    out._arm_wakeup()
-                                else:
-                                    out.busy = True
-                                    out._tx_packet = head
-                                    seq = queue._next_seq
-                                    queue._next_seq = seq + 1
-                                    entry = (now
-                                             + head.length * out_inv,
-                                             seq, out_cb)
-                                    heappush(heap, entry)
-                        else:
-                            out.dropped_packets += 1
-                            nxt_buffer.used_cells -= cells
-                            nxt_buffer.used_bytes -= length
-                            nxt_stats.dropped_scheduler += 1
+                nxt_ingress(packet)
             # Departure callback: the switch release is inlined;
             # anything else (a source wrapped it after construction) is
             # called.
@@ -570,8 +545,8 @@ class Fabric:
                     # Arrival prefetch: the scheduler is dry, so the
                     # only thing that can wake this port again is its
                     # source's next arrival.  Pull it now and run the
-                    # fused injection at the arrival's own timestamp —
-                    # observably identical to the arrival event firing,
+                    # host's fused ingress at the arrival's own timestamp
+                    # — observably identical to the arrival event firing,
                     # minus the event.  Arrivals past the run horizon
                     # (or with degenerate dst) are parked back onto the
                     # normal event path.
@@ -580,18 +555,15 @@ class Fabric:
                     sr = pull_box[0]
                     if sr is None:
                         return
-                    src_source = sr[0]
-                    nic_receive = sr[1]
+                    src_source, nic_ingress = sr
                     horizon = sim._ff_horizon
                     while True:
-                        # PacketSource._peek_arrival/_take_arrival,
-                        # inlined: the pull loop runs once per delivered
-                        # packet, where the two call frames alone are
-                        # measurable at fabric scale.  ``s_pending`` is
-                        # non-None only on the first pull after the
-                        # source owned the stream (the in-flight arrival
-                        # event gets tombstoned); afterwards the loop
-                        # walks the materialised batch directly.
+                        # Read the source's next arrival, inlined: the
+                        # pull loop runs once per delivered packet.
+                        # ``s_pending`` is non-None only on the first pull
+                        # after the source owned the stream (the in-flight
+                        # arrival event gets tombstoned); afterwards the
+                        # loop walks the materialised batch directly.
                         s_pending = src_source._pending
                         if s_pending is not None:
                             a_time = s_pending[0]
@@ -611,30 +583,15 @@ class Fabric:
                             if scheduler._buffered_packets:
                                 break
                             return
-                        if a_time < now:
-                            # The port outpaced the stream inside an
-                            # overload window: enqueue at the true
-                            # arrival instant (port marked busy so the
-                            # injection cannot cut through), keep
-                            # pulling until the stream catches up with
-                            # the clock, then dequeue at ``now`` below.
-                            src_source.generated_packets += 1
-                            if s_pending is not None:
-                                sim.cancel(s_pending)
-                                src_source._pending = None
-                                src_source._pending_packet = None
-                            else:
-                                s_batch[s_index] = None
-                                src_source._index = s_index + 1
-                                src_source._last_time = a_time
-                            sim.events_processed += 1
-                            sim.now = a_time
-                            port.busy = True
-                            nic_receive(stolen)
-                            port.busy = False
-                            sim.now = now
-                            continue
-                        if (a_time + stolen.length * inv_rate > horizon
+                        # An arrival behind the clock means the port
+                        # outpaced the stream inside an overload window:
+                        # it is enqueued at its true instant (port marked
+                        # busy so it cannot cut through) and the loop
+                        # keeps pulling until the stream catches up with
+                        # the clock, then dequeues at ``now`` below.
+                        behind = a_time < now
+                        if not behind and (
+                                a_time + stolen.length * inv_rate > horizon
                                 or stolen.dst is None
                                 or stolen.dst == node
                                 or scheduler._buffered_packets):
@@ -659,21 +616,18 @@ class Fabric:
                             src_source._last_time = a_time
                         sim.events_processed += 1
                         sim.now = a_time
-                        ok = nic_receive(stolen)
+                        port.busy = behind
+                        nic_ingress(stolen)
                         sim.now = now
-                        if ok:
-                            if port.busy:
-                                # Cut-through scheduled this port's
-                                # next completion; the pull chain
-                                # continues there.
-                                return
-                            # Enqueued without transmitting (shaped
-                            # NIC awaiting a wakeup): hand the stream
-                            # back to the event path.
-                            src_source._park_arrival()
+                        if behind:
+                            port.busy = False
+                        elif port.busy:
+                            # Cut-through scheduled this port's next
+                            # completion; the pull chain continues there.
                             return
-                        # Admission-dropped the stolen arrival; the
-                        # port is still idle — pull the next one.
+                        # Otherwise the arrival was dropped (an admitted
+                        # one cuts through on this work-conserving
+                        # kernel) and the port is idle: pull the next one.
                 next_packet = scheduler.dequeue(now)
                 if next_packet is None:
                     return
@@ -728,126 +682,15 @@ class Fabric:
     def injector(self, host: str) -> HostInjector:
         """A receive()-compatible endpoint for :class:`PacketSource`.
 
-        When the host NIC runs in occupancy-only mode and fusion is on,
-        the injector's ``receive`` is a fused closure inlining
-        :meth:`inject` + the NIC switch's ingress, mirroring the egress
-        fusion in :meth:`_fuse_port`.
+        On a fused fabric the injector's ``receive`` is the host's fused
+        ingress (:meth:`_fused_ingress`), which inlines :meth:`inject`.
         """
         self.network.node(host)
         injector = HostInjector(self, host)
-        fused = self._fuse_injection(host)
-        if fused is not None:
-            injector.receive = fused  # type: ignore[method-assign]
+        ingress = self._ingress.get(host)
+        if ingress is not None:
+            injector.receive = ingress  # type: ignore[method-assign]
         return injector
-
-    def _fuse_injection(self, host: str):
-        """Fused ``inject`` for one source host, or ``None`` if ineligible."""
-        if not self.fused_ports:
-            return None
-        switch = self.node_switches.get(host)
-        if switch is None or not switch._untracked_buffer:
-            return None
-        fabric = self
-        sim = self.sim
-        queue = sim._queue
-        heap = sim._raw_heap
-        stats = switch.stats
-        buffer = switch.buffer
-        cell_bytes = buffer.cell_bytes
-        routes = switch.routes
-        ports = switch.ports
-        hashes = switch._flow_hashes
-        kernelable = all(
-            isinstance(p.scheduler, ProgrammableScheduler)
-            for p in ports.values()
-        )
-        #: flow -> (dst, out_port, out_scheduler, out_tx_complete,
-        #: out_inv_rate); same per-flow target memoisation as the egress
-        #: fusion.
-        targets: Dict[str, tuple] = {}
-        self._fused_target_caches.append(targets)
-
-        def receive(packet: Packet) -> bool:
-            dst = packet.dst
-            if dst is None or dst == host:
-                return fabric.inject(host, packet)  # canonical errors
-            if packet.src is None:
-                packet.src = host
-            now = sim.now
-            packet.injection_time = now
-            fabric.injected_packets += 1
-            flow = packet.flow
-            target = targets.get(flow)
-            if target is not None and target[0] == dst:
-                out = target[1]
-                osched = target[2]
-                out_cb = target[3]
-                out_inv = target[4]
-            else:
-                candidates = routes.get(dst)
-                if not candidates:
-                    return switch.forward(packet)
-                if len(candidates) == 1:
-                    egress = candidates[0]
-                else:
-                    digest = hashes.get(flow)
-                    if digest is None:
-                        digest = hashes[flow] = crc32(flow.encode())
-                    egress = candidates[digest % len(candidates)]
-                out = ports[egress]
-                osched = out.scheduler
-                out_cb = out._tx_complete
-                out_inv = out._inv_rate
-                targets[flow] = (dst, out, osched, out_cb, out_inv)
-            # Inlined occupancy-only ingress + OutputPort.receive + kick
-            # (same straight-line path as the egress fusion).
-            length = packet.length
-            cells = (length + cell_bytes - 1) // cell_bytes
-            if buffer.used_cells + cells > buffer.total_cells:
-                stats.dropped_admission += 1
-                return False
-            buffer.used_cells += cells
-            buffer.used_bytes += length
-            packet.arrival_time = now
-            if (not out.busy and kernelable
-                    and osched.kernel_work_conserving):
-                head = osched.transfer(packet, now)
-                if head is None:
-                    out.dropped_packets += 1
-                    buffer.used_cells -= cells
-                    buffer.used_bytes -= length
-                    stats.dropped_scheduler += 1
-                    return False
-                stats.admitted += 1
-                out.busy = True
-                out._tx_packet = head
-                seq = queue._next_seq
-                queue._next_seq = seq + 1
-                entry = (now + head.length * out_inv,
-                         seq, out_cb)
-                heappush(heap, entry)
-                return True
-            if not osched.enqueue(packet, now):
-                out.dropped_packets += 1
-                buffer.used_cells -= cells
-                buffer.used_bytes -= length
-                stats.dropped_scheduler += 1
-                return False
-            stats.admitted += 1
-            if not out.busy:
-                head = osched.dequeue(now)
-                if head is None:
-                    out._arm_wakeup()
-                else:
-                    out.busy = True
-                    out._tx_packet = head
-                    seq = queue._next_seq
-                    queue._next_seq = seq + 1
-                    entry = (now + head.length * out_inv, seq, out_cb)
-                    heappush(heap, entry)
-            return True
-
-        return receive
 
     def attach_source(self, host: str,
                       arrivals: Iterable[Tuple[float, Packet]],
@@ -858,7 +701,7 @@ class Fabric:
                               name=name or f"{host}.source")
         self._sources.append(source)
         # Arrival prefetch: hand the host's fused NIC egress a handle to
-        # this source (and the fused injection path) so it can pull
+        # this source (and the host's fused ingress) so it can pull
         # arrivals at its own completions.  Only valid with exactly one
         # source per host — a second attach disables the box for good,
         # since interleaving two streams needs the event queue.

@@ -20,7 +20,6 @@ packets in flight, not the run length.
 
 from __future__ import annotations
 
-from heapq import heappush
 from itertools import islice
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
@@ -77,14 +76,7 @@ class PacketSource:
             # path — and walk a pointer copy: clearing consumed slots must
             # never alias the caller's list.
             self._iterator: Iterator[Tuple[float, Packet]] = iter(())
-            last = self._last_time
-            for time, _packet in arrivals:
-                if time < last - 1e-12:
-                    raise TrafficError(
-                        f"source {self.name!r} produced arrivals out of "
-                        f"order ({time} after {last})"
-                    )
-                last = time
+            self._check_order(arrivals)
             self._batch = arrivals[:]
         else:
             self._iterator = iter(arrivals)
@@ -94,19 +86,23 @@ class PacketSource:
         self._receive = destination.receive
         self._schedule_next()
 
-    def _refill(self) -> bool:
-        """Pull the next chunk of arrivals; returns False at end of stream."""
-        batch = list(islice(self._iterator, PREFETCH_CHUNK))
-        if not batch:
-            return False
+    def _check_order(self, arrivals: List[Tuple[float, Packet]]) -> None:
+        """Raise unless ``arrivals`` continue the stream in time order."""
         last = self._last_time
-        for time, _packet in batch:
+        for time, _packet in arrivals:
             if time < last - 1e-12:
                 raise TrafficError(
                     f"source {self.name!r} produced arrivals out of order "
                     f"({time} after {last})"
                 )
             last = time
+
+    def _refill(self) -> bool:
+        """Pull the next chunk of arrivals; returns False at end of stream."""
+        batch = list(islice(self._iterator, PREFETCH_CHUNK))
+        if not batch:
+            return False
+        self._check_order(batch)
         self._batch = batch
         self._index = 0
         return True
@@ -124,76 +120,18 @@ class PacketSource:
         self._pending = self.sim.schedule_at(time, self._arrival_cb)
 
     def _on_arrival(self) -> None:
-        packet = self._pending_packet
         self.generated_packets += 1
-        self._receive(packet)
-        # _schedule_next with Simulator.schedule_at inlined: one arrival
-        # event per generated packet makes the two calls measurable at
-        # fabric scale.  Arrivals in the simulated past (a non-monotone
-        # stream racing the clock) take the checked slow path.
-        batch = self._batch
-        index = self._index
-        if index >= len(batch):
-            if not self._refill():
-                self._pending = None
-                self._pending_packet = None
-                return
-            batch = self._batch
-            index = 0
-        time, nxt = batch[index]
-        batch[index] = None
-        self._index = index + 1
-        self._last_time = time
-        self._pending_packet = nxt
-        sim = self.sim
-        if time >= sim.now:
-            queue = sim._queue
-            seq = queue._next_seq
-            queue._next_seq = seq + 1
-            entry = (time, seq, self._arrival_cb)
-            heappush(sim._raw_heap, entry)
-            self._pending = entry
-        else:
-            self._pending = sim.schedule_at(time, self._arrival_cb)
+        self._receive(self._pending_packet)
+        self._schedule_next()
 
     # -- arrival prefetch (fused NIC egress) -------------------------------
-    # A fused NIC egress that owns this source's host can *pull* arrivals
-    # at its own transmit completions instead of waiting for the scheduled
-    # arrival event: peek the next arrival, and either take it (consuming
-    # it without ever scheduling an event — cancelling the one in flight if
-    # this is the first pull) or park it (re-arming the normal event so the
-    # source regains ownership, e.g. past the current run horizon).
-
-    def _peek_arrival(self) -> Tuple[float, Optional[Packet]]:
-        """Next arrival as ``(time, packet)`` without consuming it.
-
-        Returns ``(0.0, None)`` at end of stream.
-        """
-        if self._pending is not None:
-            return self._pending[0], self._pending_packet
-        if self._index >= len(self._batch) and not self._refill():
-            return 0.0, None
-        time, packet = self._batch[self._index]
-        return time, packet
-
-    def _take_arrival(self) -> None:
-        """Consume the arrival last returned by :meth:`_peek_arrival`.
-
-        The caller is now responsible for injecting the packet; no arrival
-        event remains scheduled afterwards.
-        """
-        pending = self._pending
-        self.generated_packets += 1
-        if pending is not None:
-            # First pull after the source owned the stream: unschedule the
-            # in-flight arrival event (tombstoned, discarded on pop).
-            self.sim.cancel(pending)
-            self._pending = None
-            self._pending_packet = None
-            return
-        self._last_time = self._batch[self._index][0]
-        self._batch[self._index] = None
-        self._index += 1
+    # A fused NIC egress that owns this source's host *pulls* arrivals at
+    # its own transmit completions instead of waiting for the scheduled
+    # arrival event: its pull loop (``repro.net.fabric``) reads the next
+    # arrival and either takes it (consuming it without ever scheduling an
+    # event — cancelling the one in flight if this is the first pull) or
+    # parks it (re-arming the normal event so the source regains ownership,
+    # e.g. past the current run horizon).
 
     def _park_arrival(self) -> None:
         """Hand stream ownership back to the source (schedule the event)."""

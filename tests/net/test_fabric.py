@@ -132,6 +132,43 @@ class TestECMP:
         assert len(used) == 1
 
 
+class TestReinstallRoutes:
+    """Rerouting a live fabric reaches the fused ingresses: every flow's
+    memoised egress is forgotten, so no packet follows the old path."""
+
+    @staticmethod
+    def run(fused):
+        sim = Simulator()
+        fabric = Fabric(sim, leaf_spine(2, 2, 2, host_rate_bps=1e9),
+                        fifo_factory, ecmp=True, telemetry=False,
+                        fused_delivery=None if fused else False)
+        assert (fabric.fused_ports > 0) == fused
+        # Eight flows into h1_0, in bursts every 100 us that drain in
+        # between: nothing is in flight when the routes change.
+        for index, host in enumerate(("h0_0", "h0_1")):
+            fabric.attach_source(host, [
+                ((k + 0.5) * 1e-4,
+                 Packet(flow=f"f{4 * index + i}", length=500, dst="h1_0"))
+                for k in range(80) for i in range(4)])
+        fabric.run(until=4e-3)
+        assert fabric.conservation_check()["in_flight"] == 0
+        port = fabric.switch("spine0").port("to_leaf1")
+        before = port.transmitted_packets
+        fabric.reinstall_routes(
+            link_filter=lambda a, b: "spine0" not in (a, b))
+        fabric.run(drain=True)
+        departures = [(p.flow, p.departure_time)
+                      for p in fabric.sink("h1_0").packets]
+        return before, port.transmitted_packets - before, departures
+
+    def test_reroute_clears_the_fused_target_caches(self):
+        before, after, departures = self.run(fused=True)
+        assert before > 0
+        assert len(departures) == 640
+        assert (before, after, departures) == self.run(fused=False)
+        assert after == 0
+
+
 class TestRoutingErrors:
     def test_packet_without_dst_is_rejected(self):
         sim, fabric = make_chain_fabric(2)
@@ -471,3 +508,46 @@ class TestArrivalOwnership:
         assert len(parks) >= 39
         assert len(segmented) == 3000
         assert segmented == run(fused=False, segments=1)
+
+    def test_overload_burst_is_pulled_behind_the_clock(self):
+        """A burst above the NIC's line rate after an idle gap: the pull
+        loop takes the burst's first arrival, and at that packet's
+        completion the next ones are already behind the clock — each is
+        enqueued at its true instant with the port marked busy, so it
+        cannot cut through a transmission still on the wire."""
+
+        def bursts():
+            # Six cycles of 100 arrivals at twice the line rate (500 B
+            # every 2 us on 1 Gbit/s), then idle until the next 500 us.
+            return [(cycle * 5e-4 + i * 2e-6,
+                     Packet(flow=f"burst{cycle}", length=500, dst="h_dst"))
+                    for cycle in range(6) for i in range(100)]
+
+        def run(fused, segments):
+            _, fabric = self.streaming_chain(
+                keep_packets=True, fused_delivery=None if fused else False)
+            source = fabric.attach_source("h_src", bursts())
+            behind = []
+            if fused:
+                nic = fabric.switch("h_src").port("to_s1")
+                box = fabric._arrival_pull_boxes["h_src"]
+                _, ingress = box[0]
+
+                def pulled(packet):
+                    # The loop marks the port busy only around an arrival
+                    # behind the clock.
+                    behind.append(nic.busy)
+                    return ingress(packet)
+
+                box[0] = (source, pulled)
+            for k in range(1, segments):
+                fabric.run(until=k * 3.15e-3 / segments)
+            fabric.run(drain=True)
+            return ([(p.flow, p.arrival_time, p.departure_time)
+                     for p in fabric.sink("h_dst").packets],
+                    source.generated_packets, sum(behind))
+
+        departures, generated, behind = run(fused=True, segments=9)
+        assert behind >= 1
+        assert generated == len(departures) == 600
+        assert (departures, generated) == run(fused=False, segments=1)[:2]
