@@ -13,8 +13,8 @@ engine.  Methodology fixes over the original benchmark:
   configuration execute the campaign ``REPEATS`` times in round-robin
   order (serial, w1, w2, ... then again) and the fastest pass per
   configuration is recorded: the first round doubles as warm-up (kernel
-  compilation in the serial process, lease-size EMA learning in the
-  engine), and interleaving means slow machine-wide drift — dominant on
+  compilation in the serial process, first-touch caches in the engine's
+  workers), and interleaving means slow machine-wide drift — dominant on
   a 1-CPU CI box, where back-to-back identical configs spread ~5% —
   lands on all configurations equally instead of biasing whichever
   phase ran during a slow stretch.

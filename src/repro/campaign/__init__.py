@@ -13,8 +13,8 @@ is that execution layer:
 * :mod:`~repro.campaign.runner` — :class:`CampaignRunner` drives the run
   table serially or through the warm engine (``workers=1`` is
   bit-identical to serial execution, modulo wall-clock fields);
-* :mod:`~repro.campaign.engine` — :class:`WarmWorkerEngine`, a
-  persistent pre-warmed worker pool leasing adaptive batches of runs and
+* :mod:`~repro.campaign.engine` — :class:`WarmWorkerEngine`, persistent
+  pre-warmed worker processes fed single runs over one pipe each and
   returning pre-encoded store lines;
 * :mod:`~repro.campaign.queue` — :class:`LeaseQueue`, a shared-directory
   work queue letting many executors (processes or hosts) drain one run
@@ -33,9 +33,9 @@ is that execution layer:
 Execution is crash-isolated: exceptions, per-run timeouts and dead worker
 processes become structured failure records in the store (see
 :func:`~repro.campaign.runner.execute_spec_guarded`) instead of killing
-the sweep, bounded retry with backoff covers transient failures, and the
-runner degrades from pool to per-spec subprocesses when the pool itself
-breaks.
+the sweep, and bounded retry with backoff covers transient failures.  A
+worker that dies or wedges costs only the run it held: the engine records
+it and carries on with a fresh worker.
 
 Aggregation of store records into grouped summary tables lives in
 :mod:`repro.reporting.campaign`; the CLI front end is
@@ -59,7 +59,6 @@ from .runner import (
     failure_record,
 )
 from .engine import (
-    EngineBroken,
     EngineStats,
     WarmupSpec,
     WarmWorkerEngine,
@@ -95,7 +94,6 @@ __all__ = [
     "failure_record",
     "WarmWorkerEngine",
     "WarmupSpec",
-    "EngineBroken",
     "EngineStats",
     "warm_kernel_cache",
     "LeaseQueue",

@@ -1,38 +1,32 @@
-"""Warm-worker campaign execution engine: persistent pools, batch leases.
+"""Warm-worker campaign execution engine: persistent workers, one pipe each.
 
 A fresh pool per campaign loses to serial execution on short runs: every
-task pays a pickle/IPC round trip, every fresh pool pays imports, and every
-worker re-compiles the tree kernels its first runs need.
-:class:`WarmWorkerEngine` removes all three costs:
+fresh pool pays imports, and every worker re-compiles the tree kernels its
+first runs need.  :class:`WarmWorkerEngine` removes both costs:
 
-* **Warm workers.**  The pool is *persistent* — created once, reused across
-  any number of campaign executions — and each worker's initializer imports
-  :mod:`repro`, registers the scenario catalogue and **pre-warms the
-  tree-kernel cache** for the campaign's factor space (every
-  scenario x variant x PIFO backend x lang backend shape is compiled
-  before the first lease arrives).  All of that is *cold-start* cost, paid
+* **Warm workers.**  Workers are started once and reused across any
+  number of campaign executions; each imports :mod:`repro`, registers the
+  scenario catalogue and **pre-warms the tree-kernel cache** for the
+  campaign's factor space (every scenario x variant x PIFO backend x
+  lang backend shape) before its first run.  That cold-start cost is paid
   once and measured separately from sweep throughput.
+* **One pipe per worker, two specs in hand.**  The parent sends each
+  worker single RunSpecs over its own pipe and keeps
+  :data:`SPECS_PER_WORKER` with it — one running, one queued — so a
+  worker never waits on the parent between runs, and the parent always
+  knows which specs each worker holds.
+* **Compact encoded results.**  Workers return each record encoded as its
+  canonical JSONL store line, which the parent appends verbatim via
+  :meth:`ResultStore.append_line`: one serialisation, done in parallel.
 
-* **Batch leases, adaptively sized.**  Workers lease contiguous *batches*
-  of RunSpecs instead of single runs.  The lease size adapts to the
-  observed per-run wall clock (exponential moving average, persisted
-  across campaigns on the same engine): short runs get large leases so the
-  per-task IPC cost amortises away, long runs get small leases so the pool
-  stays load-balanced.  The cyclic GC is suspended for the duration of a
-  lease (the simulation substrate is reference-count clean) and re-enabled
-  between leases.
-
-* **Compact encoded result rows.**  Workers return each record already
-  encoded as its canonical JSONL store line (plus a tiny
-  ``(run_id, status, attempts)`` header tuple), so the parent appends raw
-  bytes via :meth:`ResultStore.append_line` — the record is serialised
-  exactly once, in parallel, and never re-encoded or deep-pickled.
-
-Ordering and failure semantics are those of serial execution: leases are
-committed in run-table order (a ``workers=N`` store is
-byte-identical to serial modulo the timing fields), per-run failures come
-back as structured records, and a dead or wedged worker trips the lease
-watchdog so the caller can degrade to crash-isolated execution.
+Records commit in run-table order (a ``workers=N`` store is
+byte-identical to serial modulo the timing fields) and per-run failures
+come back as structured records.  The parent waits on every worker's
+pipe and process sentinel: a worker that dies costs exactly its running
+spec (a ``worker_lost`` record carrying the exit code), and one still
+running past the per-spec deadline is terminated and its spec recorded
+as ``timeout``.  The spec queued behind either goes back to the front of
+the queue, and a fresh worker takes the slot.
 """
 
 from __future__ import annotations
@@ -42,38 +36,32 @@ import json
 import multiprocessing
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import merge_counts
 from .spec import Campaign, RunSpec
-from .store import encode_record
-from .runner import (
-    DEFAULT_WATCHDOG_RUN_S,
-    WorkerPolicy,
-    _start_method,
-    execute_spec_guarded,
-)
+from .store import STATUS_TIMEOUT, STATUS_WORKER_LOST, encode_record
+from .runner import WorkerPolicy, execute_spec_guarded, failure_record
 
-#: Target wall-clock seconds per lease.  Large enough that the per-lease
-#: IPC round trip (~1 ms) is noise, small enough that a pool never idles
-#: behind one long lease.
-DEFAULT_TARGET_LEASE_S = 0.5
+#: Specs a worker holds at once: one running, one queued behind it, so a
+#: worker never waits on the parent between runs.  (One per worker makes
+#: every run pay a parent round trip and loses to serial on short sweeps.)
+SPECS_PER_WORKER = 2
 
-#: Hard cap on runs per lease, whatever the EMA says.
-MAX_LEASE_RUNS = 64
-
-#: Leases kept in flight per worker.  Two: one executing, one queued, so a
-#: worker never waits on the parent between leases.
-LEASES_PER_WORKER = 2
+#: Per-run wall-clock bound behind the parent-side deadline when the
+#: policy sets no ``timeout_s``.  Generous: any legitimate single run
+#: finishes orders of magnitude faster.
+DEFAULT_WATCHDOG_RUN_S = 300.0
 
 
 @dataclass(frozen=True)
 class WarmupSpec:
-    """What the worker initializer pre-warms: the campaign's factor space.
+    """What each worker pre-warms: the campaign's factor space.
 
-    Built from a :class:`Campaign` with :meth:`for_campaign`; shipped to
-    workers as plain tuples so it pickles under any start method.
+    Built from a :class:`Campaign` with :meth:`for_campaign`; plain
+    tuples throughout, so it pickles to workers under any start method.
     """
 
     scenarios: Tuple[str, ...] = ()
@@ -89,23 +77,6 @@ class WarmupSpec:
             variants=tuple(campaign.variants or ()),
             pifo_backends=tuple(campaign.pifo_backends),
             lang_backends=tuple(campaign.lang_backends),
-        )
-
-    def to_dict(self) -> Dict:
-        return {
-            "scenarios": list(self.scenarios),
-            "variants": list(self.variants),
-            "pifo_backends": list(self.pifo_backends),
-            "lang_backends": list(self.lang_backends),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "WarmupSpec":
-        return cls(
-            scenarios=tuple(data["scenarios"]),
-            variants=tuple(data["variants"]),
-            pifo_backends=tuple(data["pifo_backends"]),
-            lang_backends=tuple(data["lang_backends"]),
         )
 
 
@@ -146,127 +117,112 @@ def warm_kernel_cache(warmup: WarmupSpec) -> Dict[str, int]:
 # --------------------------------------------------------------------------- #
 # Worker side                                                                  #
 # --------------------------------------------------------------------------- #
+def _engine_worker_init(warmup: Optional[WarmupSpec]) -> None:
+    """Worker warm-up: import, register, pre-warm — once per worker.
 
-#: Installed by the initializer; module global keeps the lease entry point a
-#: picklable top-level function.
-_LEASE_POLICY = WorkerPolicy()
-
-
-def _engine_worker_init(policy_dict: Optional[Dict],
-                        warmup_dict: Optional[Dict]) -> None:
-    """Pool initializer: import, register, pre-warm — once per worker.
-
-    Everything here is cold-start cost the leases never see: the
+    Everything here is cold-start cost the runs never see: the
     :mod:`repro.net` import populates the scenario registry, and
     :func:`warm_kernel_cache` compiles the campaign's kernel shapes.
     """
     from .. import net  # noqa: F401  (side effect: scenario registry)
 
     net.list_scenarios()
-    if policy_dict is not None:
-        global _LEASE_POLICY
-        _LEASE_POLICY = WorkerPolicy.from_dict(policy_dict)
-    if warmup_dict is not None:
-        warm_kernel_cache(WarmupSpec.from_dict(warmup_dict))
+    if warmup is not None:
+        warm_kernel_cache(warmup)
     # The warm heap (imports, registries, compiled kernels) is permanent:
     # freeze it out of the collector's scan set, then raise the gen-0
     # threshold so simulation churn triggers a handful of collections per
     # sweep instead of hundreds.  Cycle collection stays enabled — a
-    # long-lived pool must not leak cyclic garbage — it just stops paying
-    # rent on objects that will never die.
+    # long-lived worker must not leak cyclic garbage — it just stops
+    # paying rent on objects that will never die.
     gc.collect()
     gc.freeze()
     gc.set_threshold(50_000, 20, 20)
 
 
-def _engine_ping(_: int) -> int:
-    """No-op task: completing one proves this worker's initializer ran."""
-    return os.getpid()
+def _engine_worker(conn, policy_dict: Dict,
+                   warmup: Optional[WarmupSpec]) -> None:
+    """Worker process body: warm up, report ready, run specs until killed.
 
-
-def _execute_lease(start: int, payloads: List[Dict]) -> Tuple:
-    """Execute one lease of runs; return compact encoded rows.
-
-    The hot path is reference-count clean, and the initializer already
-    froze the warm heap and widened the collector thresholds, so the
-    lease body is just the runs — no per-lease GC ceremony.
-
-    Returns ``(start, rows, elapsed_s, pid, kernel_info)`` where each row
-    is ``(run_id, status, attempts, line)`` and ``line`` is the record's
+    The ready message is this worker's kernel-cache counters; each reply
+    after it is ``(line, kernel_info)``, where ``line`` is the record's
     canonical JSONL store line — the parent appends it verbatim.
     """
     from ..lang.treekernel import kernel_cache_info
 
-    started = time.perf_counter()
-    rows = []
-    for payload in payloads:
-        record = execute_spec_guarded(RunSpec.from_dict(payload),
-                                      _LEASE_POLICY)
-        rows.append((record["run_id"], record["status"],
-                     record.get("attempts", 1), encode_record(record)))
-    elapsed = time.perf_counter() - started
-    return (start, rows, elapsed, os.getpid(), kernel_cache_info())
+    _engine_worker_init(warmup)
+    policy = WorkerPolicy.from_dict(policy_dict)
+    conn.send(kernel_cache_info())
+    while True:
+        record = execute_spec_guarded(RunSpec.from_dict(conn.recv()), policy)
+        conn.send((encode_record(record), kernel_cache_info()))
 
 
 # --------------------------------------------------------------------------- #
 # Parent side                                                                  #
 # --------------------------------------------------------------------------- #
-class EngineBroken(Exception):
-    """The pool stalled or died; ``committed`` runs made it to the store."""
+class _Worker:
+    """One worker process, the parent's end of its pipe, and its specs."""
 
-    def __init__(self, reason: str, committed: int) -> None:
-        super().__init__(reason)
-        self.reason = reason
-        self.committed = committed
+    def __init__(self, context, args: Tuple) -> None:
+        self.conn, child = context.Pipe()
+        self.process = context.Process(target=_engine_worker,
+                                       args=(child, *args), daemon=True)
+        self.process.start()
+        child.close()
+        #: Run-table indices sent, not yet answered; the head is running
+        #: since ``head_started`` (``perf_counter``).
+        self.held: Deque[int] = deque()
+        self.head_started = 0.0
 
-
-@dataclass
-class _Lease:
-    start: int
-    size: int
-    result: object  # multiprocessing.pool.AsyncResult
+    def stop(self, grace_s: float = 0.0) -> Optional[int]:
+        """Reap the process, terminating it if it outlives ``grace_s``
+        (a dying worker closes its pipe a moment before it is reapable);
+        return its exit code."""
+        self.process.join(grace_s)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join()
+        self.conn.close()
+        return self.process.exitcode
 
 
 @dataclass
 class EngineStats:
     """Observability counters the engine accumulates across executions."""
 
-    leases: int = 0
     runs: int = 0
-    #: EMA of per-run wall clock (drives adaptive lease sizing).
-    mean_run_s: Optional[float] = None
-    #: Wall clock spent creating + warming the pool (cold-start cost).
+    #: Wall clock spent starting + warming the workers (cold-start cost).
     cold_start_s: float = 0.0
     #: Latest kernel-cache counters per worker pid.
     kernel_by_pid: Dict[int, Dict[str, int]] = field(default_factory=dict)
 
     def kernel_cache_totals(self) -> Dict[str, int]:
-        """Kernel cache counters summed across the pool's workers."""
+        """Kernel cache counters summed across the engine's workers."""
         totals = merge_counts(self.kernel_by_pid.values())
         totals["workers"] = len(self.kernel_by_pid)
         return totals
 
 
 class WarmWorkerEngine:
-    """A persistent, pre-warmed worker pool that leases batches of runs.
+    """Persistent, pre-warmed worker processes, each fed over its own pipe.
 
-    Create once, call :meth:`execute` any number of times (the pool and
-    its warm caches persist between calls), then :meth:`close`.  Also a
-    context manager.
+    Create once, call :meth:`execute` any number of times (the workers
+    and their warm caches persist between calls), then :meth:`close`.
+    Also a context manager.
 
     Parameters
     ----------
     workers:
-        Worker processes in the pool.
+        Worker processes to run.
     policy:
         :class:`~repro.campaign.runner.WorkerPolicy` applied to every run
-        (timeouts, retry, backoff).
+        (timeouts, retry, backoff); it also sets the parent-side deadline
+        for one spec.
     warmup:
-        Factor space whose kernel shapes each worker pre-compiles in its
-        initializer (see :class:`WarmupSpec`).  ``None`` skips kernel
+        Factor space whose kernel shapes each worker pre-compiles before
+        its first run (see :class:`WarmupSpec`).  ``None`` skips kernel
         pre-warming (imports and scenario registration still happen).
-    target_lease_s:
-        Wall-clock size leases adapt towards.
     """
 
     def __init__(
@@ -274,58 +230,46 @@ class WarmWorkerEngine:
         workers: int,
         policy: Optional[WorkerPolicy] = None,
         warmup: Optional[WarmupSpec] = None,
-        target_lease_s: float = DEFAULT_TARGET_LEASE_S,
-        max_lease_runs: int = MAX_LEASE_RUNS,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         #: Requested worker count, capped at the machine's cores: the
         #: runs are CPU-bound simulations, so oversubscribing past the
-        #: core count buys only context-switch thrash (on a 1-core box a
-        #: 4-worker pool *loses* to serial; one warm worker beats it).
+        #: core count buys only context-switch thrash (on a 1-core box 4
+        #: workers *lose* to serial; one warm worker beats it).
         self.workers = max(1, min(workers, os.cpu_count() or workers))
         self.policy = policy or WorkerPolicy()
         self.warmup = warmup
-        self.target_lease_s = target_lease_s
-        self.max_lease_runs = max_lease_runs
         self.stats = EngineStats()
-        self._pool = None
+        # Prefer fork (cheap, inherits the warm parent); spawn works too,
+        # because everything a worker receives pickles.
+        methods = multiprocessing.get_all_start_methods()
+        self._context = multiprocessing.get_context(
+            "fork" if "fork" in methods else methods[0])
+        self._workers: List[_Worker] = []
 
     # -- lifecycle ---------------------------------------------------------
     def warm(self) -> float:
-        """Ensure the pool exists and every initializer has finished.
+        """Ensure every worker is started and has finished its warm-up.
 
-        Returns the cumulative cold-start seconds (pool creation, imports,
-        scenario registration, kernel pre-warming).  Idempotent: a warm
-        pool returns immediately.
+        Returns the cumulative cold-start seconds (process start, imports,
+        scenario registration, kernel pre-warming).  Idempotent: warm
+        workers return immediately.
         """
-        if self._pool is None:
+        if not self._workers:
             started = time.perf_counter()
             # Warm the parent too: under fork every worker inherits the
             # imported scenario registry instead of rebuilding it.
-            _engine_worker_init(None, None)
-            context = multiprocessing.get_context(_start_method())
-            warmup_dict = (self.warmup.to_dict()
-                           if self.warmup is not None else None)
-            self._pool = context.Pool(
-                processes=self.workers,
-                initializer=_engine_worker_init,
-                initargs=(self.policy.to_dict(), warmup_dict),
-            )
-            # A barrier of no-op tasks: the pool spawns all workers up
-            # front and each runs its initializer before its first task,
-            # so once these complete every worker is warm.
-            self._pool.map(_engine_ping, range(self.workers * 2),
-                           chunksize=1)
+            _engine_worker_init(None)
             self.stats.cold_start_s += time.perf_counter() - started
+            self._workers = self._spawn(self.workers)
         return self.stats.cold_start_s
 
     def close(self) -> None:
-        """Shut the pool down (gracefully when healthy)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        """Terminate and reap every worker."""
+        for worker in self._workers:
+            worker.stop()
+        self._workers = []
 
     def __enter__(self) -> "WarmWorkerEngine":
         self.warm()
@@ -334,6 +278,23 @@ class WarmWorkerEngine:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    def _spawn(self, count: int) -> List[_Worker]:
+        """Start ``count`` workers and wait until every one is warm; the
+        wait (a replacement's too) counts as cold start."""
+        started = time.perf_counter()
+        args = (self.policy.to_dict(), self.warmup)
+        workers = [_Worker(self._context, args) for _ in range(count)]
+        try:
+            for worker in workers:
+                self.stats.kernel_by_pid[worker.process.pid] = \
+                    worker.conn.recv()
+        except BaseException:
+            for worker in workers:
+                worker.stop()
+            raise
+        self.stats.cold_start_s += time.perf_counter() - started
+        return workers
+
     # -- execution ---------------------------------------------------------
     def execute(
         self,
@@ -341,123 +302,111 @@ class WarmWorkerEngine:
         commit: Callable[[Dict, Optional[str]], None],
         heartbeat: Optional[Callable[[int], None]] = None,
     ) -> int:
-        """Run every spec through the pool; commit records in table order.
+        """Run every spec on the workers; commit records in table order.
 
         ``commit(record, line)`` is called once per run, in run-table
         order, with the decoded record *and* its pre-encoded canonical
         store line (append the line, not a re-serialisation).  Returns the
         number of committed runs.
 
-        ``heartbeat`` (if given) is called with the number of runs
-        currently leased out whenever the in-flight set changes — the
-        live-status sidecar hangs off this so an operator can watch a
-        long lease make progress before any record commits.
+        ``heartbeat`` (if given) is called with the number of runs the
+        workers hold whenever the parent wakes — the live-status sidecar
+        hangs off this.
 
-        Raises :class:`EngineBroken` — with the committed count — when the
-        pool stalls beyond the lease watchdog budget (dead or wedged
-        worker); the caller decides how to execute the remainder.  Any
-        exception out of ``commit`` (failure-budget aborts) and
-        ``KeyboardInterrupt`` tear the pool down and propagate; the engine
-        rebuilds it lazily on the next call.
+        A dead worker's running spec gets a ``worker_lost`` record, a
+        wedged one's (past the per-spec deadline) a ``timeout`` record; the
+        spec queued behind it is re-run on a fresh worker.  Any exception
+        out of ``commit`` (failure-budget aborts) and ``KeyboardInterrupt``
+        terminate the workers and propagate; the next call restarts them.
         """
+        from multiprocessing.connection import wait  # not on the serial path
+
         self.warm()
+        policy = self.policy
+        # The parent-side bound on one spec: every attempt at the policy's
+        # timeout (or the generous default) plus its backoff, plus slack.
+        # A worker's own alarm fires first; this catches what it cannot.
+        deadline_s = ((policy.timeout_s or DEFAULT_WATCHDOG_RUN_S)
+                      + policy.backoff_s * policy.max_attempts) \
+            * policy.max_attempts + 5.0
         payloads = [spec.to_dict() for spec in specs]
-        total = len(payloads)
-        next_submit = 0
+        queue: Deque[int] = deque(range(len(specs)))
+        lines: Dict[int, str] = {}
         committed = 0
-        inflight: List[_Lease] = []
-        ready: Dict[int, Tuple] = {}
         try:
-            while committed < total:
-                while (next_submit < total
-                       and len(inflight) < self.workers * LEASES_PER_WORKER):
-                    size = self._lease_size(total - next_submit)
-                    batch = payloads[next_submit:next_submit + size]
-                    result = self._pool.apply_async(
-                        _execute_lease, (next_submit, batch))
-                    inflight.append(_Lease(next_submit, size, result))
-                    next_submit += size
+            while committed < len(specs):
+                for worker in self._workers:
+                    while queue and len(worker.held) < SPECS_PER_WORKER:
+                        if not worker.held:
+                            worker.head_started = time.perf_counter()
+                        worker.held.append(queue.popleft())
+                        try:
+                            worker.conn.send(payloads[worker.held[-1]])
+                        except OSError:
+                            # Died since _collect looked: the spec stays
+                            # held, and the sentinel, which fires on the
+                            # next wait, lets _collect settle it.
+                            break
+                busy = [worker for worker in self._workers if worker.held]
                 if heartbeat is not None:
-                    heartbeat(sum(lease.size for lease in inflight))
-                head = inflight[0]
-                try:
-                    outcome = head.result.get(timeout=self._budget(inflight))
-                except multiprocessing.TimeoutError:
-                    # The pool's result pipeline is stalled for good: a
-                    # worker died mid-lease (its task is never re-queued)
-                    # or is wedged beyond every per-run bound.
-                    self._teardown()
-                    raise EngineBroken(
-                        "lease watchdog expired: worker died or wedged",
-                        committed,
-                    ) from None
-                inflight.pop(0)
-                self._observe(outcome)
-                ready[outcome[0]] = outcome
-                while committed in ready:
-                    start, rows, *_ = ready.pop(committed)
-                    for run_id, status, attempts, line in rows:
-                        commit(json.loads(line), line)
-                        committed += 1
+                    heartbeat(sum(len(worker.held) for worker in busy))
+                first_due = min(worker.head_started for worker in busy)
+                wait([worker.conn for worker in busy]
+                     + [worker.process.sentinel for worker in busy],
+                     max(0.0, first_due + deadline_s - time.perf_counter()))
+                for slot in range(len(self._workers)):
+                    self._collect(slot, specs, lines, queue, deadline_s)
+                while committed in lines:
+                    line = lines.pop(committed)
+                    commit(json.loads(line), line)
+                    committed += 1
             return committed
         except BaseException:
-            # Failure-budget abort / Ctrl-C: kill outstanding leases and
+            # Failure-budget abort / Ctrl-C: kill outstanding runs and
             # reap the workers.  The next execute() re-warms lazily.
-            self._teardown()
+            self.close()
             raise
 
-    def _teardown(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    # -- adaptive sizing & watchdog ---------------------------------------
-    def _lease_size(self, remaining: int) -> int:
-        """Runs in the next lease, adapted to the observed per-run cost."""
-        mean = self.stats.mean_run_s
-        if mean is None:
-            # No observations yet: small first wave, so the EMA learns the
-            # per-run cost without serialising the whole table behind one
-            # blind guess.
-            size = max(1, min(4, remaining // (self.workers * 4)))
-        elif mean <= 0:
-            size = self.max_lease_runs
+    def _collect(self, slot: int, specs: Sequence[RunSpec],
+                 lines: Dict[int, str], queue: Deque[int],
+                 deadline_s: float) -> None:
+        """Take one worker's replies; replace it if it died or wedged."""
+        worker = self._workers[slot]
+        # Read the exit status before draining: whatever a dead worker
+        # sent before it died is then already in the pipe.
+        dead = worker.process.exitcode is not None
+        try:
+            while worker.conn.poll():
+                line, kernel_info = worker.conn.recv()
+                lines[worker.held.popleft()] = line
+                self.stats.runs += 1
+                self.stats.kernel_by_pid[worker.process.pid] = kernel_info
+                worker.head_started = time.perf_counter()
+        except (EOFError, OSError):
+            dead = True
+        if dead:
+            code = worker.stop(grace_s=5.0)
+            status, attempts, wall_s = STATUS_WORKER_LOST, 1, 0.0
+            error: Exception = ChildProcessError(
+                f"worker died with exit code {code}")
+        elif (worker.held and time.perf_counter() - worker.head_started
+              > deadline_s):
+            worker.stop()
+            status, attempts, wall_s = (STATUS_TIMEOUT,
+                                        self.policy.max_attempts, deadline_s)
+            error = TimeoutError(f"run exceeded {deadline_s:.0f}s")
         else:
-            size = int(self.target_lease_s / mean) or 1
-        # Never leave workers idle at the tail: cap leases so the
-        # remaining runs still spread across the pool.
-        fair = max(1, -(-remaining // self.workers))  # ceil division
-        return max(1, min(size, self.max_lease_runs, fair))
-
-    def _budget(self, inflight: List[_Lease]) -> float:
-        """Watchdog seconds to wait on the head lease while healthy.
-
-        Covers every in-flight run (the head lease may be queued behind
-        others on a busy pool) at the worst-case per-run bound, doubled
-        for scheduler noise.
-        """
-        per_run = self.policy.timeout_s or DEFAULT_WATCHDOG_RUN_S
-        per_run = (per_run + self.policy.backoff_s
-                   * self.policy.max_attempts) * self.policy.max_attempts
-        runs = sum(lease.size for lease in inflight)
-        return 2.0 * per_run * max(1, runs) / max(1, self.workers) + 5.0
-
-    def _observe(self, outcome: Tuple) -> None:
-        """Fold one lease's telemetry into the engine stats."""
-        start, rows, elapsed, pid, kernel_info = outcome
-        self.stats.leases += 1
-        self.stats.runs += len(rows)
-        self.stats.kernel_by_pid[pid] = kernel_info
-        if rows:
-            per_run = elapsed / len(rows)
-            if self.stats.mean_run_s is None:
-                self.stats.mean_run_s = per_run
-            else:
-                self.stats.mean_run_s += 0.4 * (per_run
-                                                - self.stats.mean_run_s)
+            return
+        if worker.held:
+            index = worker.held.popleft()
+            lines[index] = encode_record(failure_record(
+                specs[index], status, error, attempts, wall_s, trace=""))
+            self.stats.runs += 1
+            queue.extendleft(reversed(worker.held))
+        del self.stats.kernel_by_pid[worker.process.pid]
+        self._workers[slot], = self._spawn(1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "warm" if self._pool is not None else "cold"
+        state = "warm" if self._workers else "cold"
         return (f"WarmWorkerEngine(workers={self.workers}, {state}, "
-                f"runs={self.stats.runs}, leases={self.stats.leases})")
+                f"runs={self.stats.runs})")

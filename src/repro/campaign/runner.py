@@ -1,18 +1,18 @@
 """Sharded campaign execution with deterministic, resumable results.
 
 :class:`CampaignRunner` executes a campaign's run table either serially
-(``workers=1``) or across a :mod:`multiprocessing` pool.  Three invariants
-make the parallelism safe to trust:
+(``workers=1``) or on the warm worker processes of
+:class:`~repro.campaign.engine.WarmWorkerEngine`.  Three invariants make
+the parallelism safe to trust:
 
 * **Seeds are data, not state.**  Every :class:`~repro.campaign.spec.RunSpec`
   carries its own derived seed, so a run's result is a pure function of the
   spec — which worker executed it, and in what order, cannot matter.
 * **Ordered collection.**  Workers may *finish* in any order, but
-  :meth:`~repro.campaign.engine.WarmWorkerEngine.execute` submits leases
-  (contiguous slices of the run table) with ``apply_async``, awaits the
-  oldest outstanding lease first and commits records in run-table order,
-  so a ``workers=N`` store is byte-identical to the serial one modulo the
-  :data:`~repro.campaign.store.TIMING_FIELDS`.
+  :meth:`~repro.campaign.engine.WarmWorkerEngine.execute` holds finished
+  records until every earlier spec has one and commits in run-table
+  order, so a ``workers=N`` store is byte-identical to the serial one
+  modulo the :data:`~repro.campaign.store.TIMING_FIELDS`.
 * **Resume by fingerprint.**  Completed runs are identified by their config
   fingerprint in the store; ``resume=True`` executes exactly the missing
   *and failed* specs and appends them behind the surviving records.
@@ -38,11 +38,12 @@ retry state machine per run::
         process death ────────────────────► STATUS_WORKER_LOST record
                                             (detected by the parent)
 
-Retries run *inside* the worker, so a lease still yields exactly one
-record per spec.  A dead worker never completes its lease; the parent's
-watchdog detects the stall, terminates the pool and degrades to
-crash-isolated execution — one subprocess per remaining spec — so a single
-poisoned run cannot take down the sweep.
+Retries run *inside* the worker, so a spec still yields exactly one
+record.  The engine's parent knows which spec each worker is running: a
+worker that dies costs that spec a ``worker_lost`` record (with the exit
+code), one that wedges past the per-spec deadline is terminated and its
+spec recorded as ``timeout``, and a fresh worker finishes the rest — so
+a single poisoned run cannot take down the sweep.
 
 ``REPRO_CAMPAIGN_FAULT=<run_id substring>:<mode>[:<arg>]`` injects faults
 for testing: ``raise`` (every attempt raises), ``flaky:N`` (raises until
@@ -53,7 +54,6 @@ process).  Matching is by substring against the spec's ``run_id``.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 import signal
 import threading
@@ -70,17 +70,11 @@ from .store import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_TIMEOUT,
-    STATUS_WORKER_LOST,
     ResultStore,
 )
 
 #: Environment variable enabling injected faults (see module docstring).
 FAULT_ENV = "REPRO_CAMPAIGN_FAULT"
-
-#: Per-run wall-clock bound assumed by the dead-worker watchdog when the
-#: campaign sets no explicit ``timeout_s``.  Generous: any legitimate
-#: single run finishes orders of magnitude faster.
-DEFAULT_WATCHDOG_RUN_S = 300.0
 
 #: Maximum length of the error message stored in a failure record.
 ERROR_MESSAGE_LIMIT = 500
@@ -185,8 +179,8 @@ def _run_alarm(timeout_s: Optional[float]):
 
     Uses ``setitimer``/``SIGALRM`` so a hung simulation is interrupted at
     an arbitrary bytecode boundary.  Silently a no-op where alarms are
-    unavailable (non-POSIX, or called off the main thread) — the parent's
-    dead-worker watchdog still bounds those cases.
+    unavailable (non-POSIX, or called off the main thread) — the engine's
+    parent-side deadline still bounds those cases.
     """
     usable = (timeout_s is not None and timeout_s > 0
               and hasattr(signal, "SIGALRM")
@@ -311,29 +305,6 @@ def execute_spec_guarded(spec: RunSpec,
     )
 
 
-def _worker_init() -> None:
-    """Warm a crash-isolated subprocess before its run.
-
-    Imports :mod:`repro.net` (which populates the scenario registry) and
-    pre-compiles the built-in lang programs' factories lazily imported by
-    the scenarios, so the run pays none of the import/registry cost inside
-    its measured section.  Under ``fork`` the parent's warm interpreter is
-    inherited and this is nearly free.
-    """
-    from .. import net  # noqa: F401  (import side effect: scenario registry)
-
-    net.list_scenarios()
-
-
-def _isolated_entry(conn, payload: Dict, policy_dict: Dict) -> None:
-    """Entry point for crash-isolated per-spec subprocesses."""
-    _worker_init()
-    record = execute_spec_guarded(RunSpec.from_dict(payload),
-                                  WorkerPolicy.from_dict(policy_dict))
-    conn.send(record)
-    conn.close()
-
-
 class CampaignAborted(Exception):
     """Internal control flow: the failure budget was exhausted."""
 
@@ -358,9 +329,6 @@ class CampaignReport:
     failed: int = 0
     #: Reason the campaign stopped early, or ``None`` if it ran to the end.
     aborted: Optional[str] = None
-    #: Whether the pool broke and execution degraded to crash-isolated
-    #: per-spec subprocesses.
-    degraded: bool = False
 
 
 class CampaignRunner:
@@ -383,8 +351,8 @@ class CampaignRunner:
         ``None`` (default) never aborts.
     engine:
         An existing :class:`~repro.campaign.engine.WarmWorkerEngine` to
-        execute on (its warm pool, kernel caches and lease-size EMA
-        persist across campaigns).  ``None`` (default) creates a
+        execute on (its warm workers and kernel caches persist across
+        campaigns).  ``None`` (default) creates a
         per-invocation engine sized to ``workers`` and closes it when the
         run finishes.
     """
@@ -417,7 +385,7 @@ class CampaignRunner:
                                    max_attempts=max_attempts,
                                    backoff_s=retry_backoff_s)
         #: Kernel-cache totals across the execution substrate, populated
-        #: by :meth:`run` (worker-aggregated in pool mode).
+        #: by :meth:`run` (worker-aggregated on the engine).
         self.kernel_cache_totals: Optional[Dict] = None
 
     def pending_specs(self) -> List[RunSpec]:
@@ -441,7 +409,7 @@ class CampaignRunner:
         are committed as structured records, never raised; the campaign
         stops early only when ``max_failures`` is exceeded (recorded in
         the report's ``aborted`` field) or on ``KeyboardInterrupt``, which
-        terminates the pool cleanly and re-raises with the store flushed
+        terminates the workers cleanly and re-raises with the store flushed
         and resumable.
         """
         total = self.campaign.size()
@@ -450,7 +418,6 @@ class CampaignRunner:
         records: List[Dict] = []
         failures = 0
         aborted: Optional[str] = None
-        degraded = False
         # Live-status sidecar (``<store>.progress``): atomic, throttled,
         # best-effort.  ``repro campaign status`` reads it while the sweep
         # runs; readers of the store itself are unaffected.
@@ -463,7 +430,7 @@ class CampaignRunner:
 
         def commit(record: Dict, line: Optional[str] = None) -> None:
             nonlocal failures
-            # Engine leases arrive with the record already encoded as its
+            # Engine records arrive already encoded as their
             # canonical store line — append the bytes, don't re-serialise.
             if line is not None:
                 self.store.append_line(line)
@@ -486,12 +453,12 @@ class CampaignRunner:
             # A caller-supplied engine is used even at workers=1 — its warm
             # GC-free worker beats in-process serial execution; without one,
             # a single-worker (or single-spec) table runs serially in-process
-            # rather than paying pool start-up for no parallelism.
+            # rather than paying worker start-up for no parallelism.
             if self.engine is None and (self.workers == 1 or len(specs) <= 1):
                 for spec in specs:
                     commit(execute_spec_guarded(spec, self.policy))
             else:
-                degraded = self._run_engine(specs, commit, status.heartbeat)
+                self._run_engine(specs, commit, status.heartbeat)
         except CampaignAborted as stop:
             aborted = stop.reason
         except BaseException:
@@ -518,106 +485,28 @@ class CampaignRunner:
             records=records,
             failed=failures,
             aborted=aborted,
-            degraded=degraded,
         )
 
     def _run_engine(self, specs: List[RunSpec],
                     commit: Callable[[Dict], None],
-                    heartbeat: Optional[Callable[[int], None]] = None) -> bool:
-        """Warm-engine execution with a lease watchdog.
+                    heartbeat: Optional[Callable[[int], None]] = None) -> None:
+        """Execute on a :class:`~repro.campaign.engine.WarmWorkerEngine`.
 
-        Delegates to a :class:`~repro.campaign.engine.WarmWorkerEngine`
-        (the caller's persistent one, or a per-invocation engine warmed
-        for this campaign's factor space).  Returns ``True`` if the pool
-        broke and the remaining specs were executed in crash-isolated
-        per-spec subprocesses instead.
+        The caller's persistent engine, or a per-invocation engine warmed
+        for this campaign's factor space and closed afterwards.
         """
-        from .engine import EngineBroken, WarmupSpec, WarmWorkerEngine
+        from .engine import WarmupSpec, WarmWorkerEngine
 
         engine = self.engine
-        owned = engine is None
-        if owned:
+        if engine is None:
             engine = WarmWorkerEngine(
                 workers=self.workers,
                 policy=self.policy,
                 warmup=WarmupSpec.for_campaign(self.campaign),
             )
         try:
-            try:
-                engine.execute(specs, commit, heartbeat=heartbeat)
-                return False
-            except EngineBroken as broken:
-                # A worker died mid-lease or wedged past every bound: the
-                # pool is gone.  Finish the remaining specs crash-isolated,
-                # one subprocess each, so a poisoned run cannot take the
-                # sweep down with it.
-                context = multiprocessing.get_context(_start_method())
-                self._run_isolated(specs[broken.committed:], commit, context)
-                return True
+            engine.execute(specs, commit, heartbeat=heartbeat)
         finally:
             self.kernel_cache_totals = engine.stats.kernel_cache_totals()
-            if owned:
+            if engine is not self.engine:
                 engine.close()
-
-    def _run_isolated(self, specs: List[RunSpec],
-                      commit: Callable[[Dict], None], context) -> None:
-        """Degraded mode: one subprocess per spec, crash-isolated.
-
-        A run that kills its process (segfault, ``os._exit``, OOM kill)
-        produces a ``worker_lost`` record with the exit code; a run that
-        wedges past every bound is terminated and recorded as ``timeout``.
-        Slower than the pool, but no single run can take anything else
-        down with it.
-        """
-        policy_dict = self.policy.to_dict()
-        per_run = self.policy.timeout_s or DEFAULT_WATCHDOG_RUN_S
-        budget = (per_run + self.policy.backoff_s * self.policy.max_attempts) \
-            * self.policy.max_attempts + 5.0
-        for spec in specs:
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_isolated_entry,
-                args=(sender, spec.to_dict(), policy_dict),
-                name=f"campaign-run-{spec.run_id}",
-            )
-            process.start()
-            sender.close()
-            record: Optional[Dict] = None
-            try:
-                if receiver.poll(budget):
-                    record = receiver.recv()
-            except (EOFError, OSError):
-                record = None  # worker died before sending
-            if record is None:
-                # A dying worker closes its pipe end a moment before the
-                # process is reapable — give it a beat so death is not
-                # misclassified as a hang.
-                process.join(timeout=5.0)
-                if process.is_alive():
-                    process.terminate()
-                    process.join()
-                    record = failure_record(
-                        spec, STATUS_TIMEOUT,
-                        TimeoutError(f"isolated run exceeded {budget:.0f}s"),
-                        self.policy.max_attempts, budget, trace="",
-                    )
-                else:
-                    process.join()
-                    code = process.exitcode
-                    record = failure_record(
-                        spec, STATUS_WORKER_LOST,
-                        ChildProcessError(
-                            f"worker died with exit code {code}"),
-                        1, 0.0, trace="",
-                    )
-            else:
-                process.join()
-            receiver.close()
-            commit(record)
-
-
-def _start_method() -> str:
-    """Prefer fork (cheap, inherits the warm interpreter); fall back to
-    whatever the platform offers (spawn works because payloads are dicts)."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else methods[0]

@@ -480,7 +480,7 @@ def _cmd_campaign_run(name: str, quick: bool, workers: int,
         print(str(exc), file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        # The runner terminated its pool and flushed every committed
+        # The runner terminated its workers and flushed every committed
         # record before re-raising — tell the user how to pick it back up.
         print(f"\ninterrupted; store {store.path} is flushed and "
               f"resumable — rerun with --resume to finish",
@@ -498,8 +498,6 @@ def _cmd_campaign_run(name: str, quick: bool, workers: int,
     }
     if report.aborted:
         summary["aborted"] = report.aborted
-    if report.degraded:
-        summary["degraded"] = True
     if machine_readable:
         # Kernel-cache telemetry (hits/misses/installs summed across the
         # engine's workers) rides along in the machine-readable summary

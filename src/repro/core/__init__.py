@@ -24,7 +24,6 @@ from .backend import (
     available_backends,
     backend_name,
     make_pifo,
-    register_backend,
     resolve_backend,
 )
 from .packet import Packet, make_packets
@@ -82,7 +81,6 @@ __all__ = [
     "available_backends",
     "backend_name",
     "make_pifo",
-    "register_backend",
     "resolve_backend",
     "derive_seed",
     "Predicate",

@@ -10,10 +10,9 @@ without touching any scheduler, simulator, switch or hardware code.
 Every layer of the stack accepts a *backend spec*:
 
 * ``None`` — the default backend (:data:`DEFAULT_BACKEND`);
-* a registry name: ``"sorted"`` (alias ``"list"``), ``"calendar"``
-  (alias ``"heap"``), ``"bucketed"`` (alias ``"bucket"``), ``"quantized"``
-  (alias ``"quantized_bucket"`` — the bucket queue with real-valued ranks
-  quantised to integer slots);
+* a registry name: ``"sorted"``, ``"calendar"``, ``"bucketed"`` or
+  ``"quantized"`` (the bucket queue with real-valued ranks quantised to
+  integer slots);
 * a backend class (anything implementing :class:`PIFOBackend`), or a
   zero-config callable ``f(capacity=..., name=...)`` returning one.
 
@@ -77,16 +76,12 @@ class PIFOBackend(Protocol):
 #: Spec accepted everywhere a backend can be chosen.
 BackendSpec = Union[None, str, Type, Callable[..., "PIFOBackend"]]
 
-#: Name -> class registry.  Aliases map to the same class.
+#: Name -> class registry.
 PIFO_BACKENDS: Dict[str, Type[PIFOBase]] = {
     "sorted": SortedListPIFO,
-    "list": SortedListPIFO,
     "calendar": CalendarPIFO,
-    "heap": CalendarPIFO,
     "bucketed": BucketedPIFO,
-    "bucket": BucketedPIFO,
     "quantized": QuantizedBucketedPIFO,
-    "quantized_bucket": QuantizedBucketedPIFO,
 }
 
 #: Backend used when a spec is ``None``.
@@ -94,15 +89,8 @@ DEFAULT_BACKEND = "sorted"
 
 
 def available_backends() -> List[str]:
-    """Canonical (alias-free) registry names, sorted."""
-    return sorted({cls.backend_name for cls in PIFO_BACKENDS.values()})
-
-
-def register_backend(name: str, cls: Type[PIFOBase]) -> None:
-    """Add a backend class to the registry under ``name`` (lower-cased)."""
-    if not callable(cls):
-        raise TypeError(f"backend {name!r} must be a class or factory, got {cls!r}")
-    PIFO_BACKENDS[name.lower()] = cls
+    """Registry names, sorted."""
+    return sorted(PIFO_BACKENDS)
 
 
 def resolve_backend(backend: BackendSpec = None) -> Callable[..., PIFOBackend]:

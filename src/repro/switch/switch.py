@@ -320,9 +320,6 @@ class SharedMemorySwitch:
     def buffered_packets(self) -> int:
         return sum(port.backlog_packets() for port in self.ports.values())
 
-    def total_transmitted(self) -> int:
-        return self.stats.transmitted
-
     def metrics_snapshot(self) -> Dict[str, float]:
         """Flat ``<switch>.<metric>`` counters for the metrics registry.
 

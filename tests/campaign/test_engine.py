@@ -1,16 +1,16 @@
-"""The warm-worker engine: determinism, reuse, sizing, telemetry.
+"""The warm-worker engine: determinism, reuse, warm-up, telemetry.
 
-The engine's contract mirrors the classic pool path it replaced — a
-``workers=N`` store is byte-identical to serial modulo timing fields —
-plus the properties that make it *fast*: the pool persists across
-campaign executions (cold start paid once), leases adapt to the observed
-per-run wall clock, and records arrive pre-encoded so the parent never
+The engine's contract is serial execution's — a ``workers=N`` store is
+byte-identical to serial modulo timing fields — plus the properties that
+make it *fast*: the workers persist across campaign executions (cold
+start paid once) and records arrive pre-encoded so the parent never
 re-serialises.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -23,7 +23,6 @@ from repro.campaign import (
     strip_timing,
     warm_kernel_cache,
 )
-from repro.campaign.engine import _execute_lease, _engine_worker_init
 
 
 def small_campaign() -> Campaign:
@@ -58,7 +57,6 @@ class TestEngineDeterminism:
             report = CampaignRunner(small_campaign(), store, workers=2,
                                     quick=True, engine=engine).run()
         assert report.executed == len(serial_records)
-        assert not report.degraded
         assert canonical(store.load()) == canonical(serial_records)
 
     def test_commit_line_matches_record(self, tmp_path):
@@ -94,10 +92,9 @@ class TestEnginePersistence:
                 CampaignRunner(small_campaign(), store, workers=2,
                                quick=True, engine=engine).run()
                 assert canonical(store.load()) == canonical(serial_records)
-            # Reuse pays no second cold start and keeps its lease telemetry.
+            # Reuse pays no second cold start and keeps its telemetry.
             assert engine.stats.cold_start_s == cold
             assert engine.stats.runs == 2 * len(serial_records)
-            assert engine.stats.mean_run_s is not None
         finally:
             engine.close()
 
@@ -114,8 +111,8 @@ class TestEnginePersistence:
         totals = runner.kernel_cache_totals
         assert totals is not None
         assert totals["workers"] >= 1
-        # The initializer pre-warms every shape the campaign needs, so
-        # workers report cache installs even before their first lease.
+        # The warm-up pre-compiles every shape the campaign needs, so
+        # workers report cache installs even before their first run.
         assert totals["installs"] > 0
 
     def test_workers_capped_at_cpu_count(self):
@@ -128,9 +125,9 @@ class TestEnginePersistence:
                                                     serial_records):
         """workers=1 + a caller's engine runs on the engine, not in-process.
 
-        The warm worker beats serial even without parallelism (GC stays
-        off during leases, appends overlap with execution), so a provided
-        engine is never silently bypassed.
+        The warm worker beats serial even without parallelism (its GC
+        thresholds stay widened, appends overlap with execution), so a
+        provided engine is never silently bypassed.
         """
         store = ResultStore(tmp_path / "r.jsonl")
         with WarmWorkerEngine(
@@ -152,45 +149,12 @@ class TestEnginePersistence:
         assert runner.kernel_cache_totals["workers"] == 0
 
 
-class TestLeaseSizing:
-    def make_engine(self, workers=4):
-        engine = WarmWorkerEngine(workers=workers)
-        # Pin the pool size: the constructor caps it at os.cpu_count(),
-        # but the sizing math below is specified for exactly N workers.
-        engine.workers = workers
-        return engine
-
-    def test_first_wave_is_small(self):
-        engine = self.make_engine()
-        assert engine._lease_size(1000) <= 4
-
-    def test_adapts_to_fast_runs(self):
-        engine = self.make_engine()
-        engine.stats.mean_run_s = 0.001  # 1 ms runs -> big leases
-        assert engine._lease_size(10_000) == engine.max_lease_runs
-
-    def test_adapts_to_slow_runs(self):
-        engine = self.make_engine()
-        engine.stats.mean_run_s = 10.0  # slow runs -> one per lease
-        assert engine._lease_size(10_000) == 1
-
-    def test_tail_fair_share(self):
-        engine = self.make_engine(workers=4)
-        engine.stats.mean_run_s = 0.001
-        # 8 runs left on 4 workers: leases cap at 2 so nobody idles.
-        assert engine._lease_size(8) == 2
-
-    def test_never_zero(self):
-        engine = self.make_engine()
-        engine.stats.mean_run_s = 100.0
-        assert engine._lease_size(1) == 1
-
-
 class TestWarmup:
     def test_for_campaign_round_trip(self):
         warmup = WarmupSpec.for_campaign(small_campaign())
         assert warmup.scenarios == ("fig6_chain",)
-        assert WarmupSpec.from_dict(warmup.to_dict()) == warmup
+        # Workers receive the spec itself, under fork or spawn alike.
+        assert pickle.loads(pickle.dumps(warmup)) == warmup
 
     def test_warm_kernel_cache_compiles_shapes(self):
         from repro.lang.treekernel import clear_kernel_cache
@@ -198,27 +162,3 @@ class TestWarmup:
         clear_kernel_cache()
         info = warm_kernel_cache(WarmupSpec.for_campaign(small_campaign()))
         assert info["size"] > 0
-
-    def test_execute_lease_returns_encoded_rows(self):
-        import gc
-
-        thresholds = gc.get_threshold()
-        try:
-            _engine_worker_init(None, None)
-            specs = small_campaign().expand(quick=True)[:1]
-            start, rows, elapsed, pid, info = _execute_lease(
-                0, [spec.to_dict() for spec in specs])
-        finally:
-            # The initializer tunes process-global GC state for a worker
-            # lifetime; running it in-process must not leak that into the
-            # rest of the test session.
-            gc.set_threshold(*thresholds)
-            gc.unfreeze()
-        assert start == 0
-        assert len(rows) == 1
-        run_id, status, attempts, line = rows[0]
-        assert status == "ok"
-        record = json.loads(line)
-        assert record["run_id"] == run_id
-        assert elapsed > 0
-        assert info["size"] >= 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import signal
 import threading
+import time
 
 import pytest
 
@@ -22,9 +23,11 @@ from repro.campaign import (
     STATUS_OK,
     STATUS_TIMEOUT,
     STATUS_WORKER_LOST,
+    WarmWorkerEngine,
     WorkerPolicy,
     execute_spec_guarded,
     record_is_ok,
+    strip_timing,
 )
 from repro.campaign.runner import FAULT_ENV
 
@@ -80,7 +83,6 @@ class TestInjectedExceptions:
         report = CampaignRunner(probe_campaign(), pooled, workers=2,
                                 quick=True).run()
         assert report.failed == 1
-        assert not report.degraded
         assert run_ids(pooled.load()) == run_ids(serial.load())
 
     def test_flaky_run_succeeds_on_retry(self, tmp_path, monkeypatch):
@@ -134,22 +136,101 @@ class TestTimeouts:
             signal.signal(signal.SIGALRM, previous)
 
 
+def queued_behind_campaign() -> Campaign:
+    """The probe reordered so FIFO/quantized is not last.
+
+    Run table: LSTF/quantized, LSTF/sorted, FIFO/quantized, FIFO/sorted.
+    Each worker holds two specs, so whichever worker runs FIFO/quantized
+    holds FIFO/sorted queued behind it (on one or two workers alike).
+    """
+    return Campaign(
+        name="resilience_probe",
+        title="resilience probe",
+        scenarios=["fig6_chain"],
+        pifo_backends=["quantized", "sorted"],
+    )
+
+
+@pytest.fixture(scope="module")
+def queued_behind_serial(tmp_path_factory):
+    store = ResultStore(tmp_path_factory.mktemp("serial") / "r.jsonl")
+    CampaignRunner(queued_behind_campaign(), store, quick=True).run()
+    return store.load()
+
+
 class TestDeadWorkers:
-    def test_dead_worker_degrades_to_isolated_and_completes(self, tmp_path,
-                                                            monkeypatch):
+    def assert_only_head_spec_failed(self, records, serial, status):
+        """One failure record for FIFO/quantized, in run-table order; the
+        spec queued behind it ran once on a fresh worker; every other
+        record equals the serial store modulo timing fields."""
+        assert run_ids(records) == run_ids(serial)
+        failed = [r for r in records if not record_is_ok(r)]
+        assert [r["run_id"] for r in failed] == [
+            "fig6_chain/FIFO/quantized/native/x1/r0"]
+        assert failed[0]["status"] == status
+        queued = records[3]
+        assert queued["run_id"].startswith("fig6_chain/FIFO/sorted/")
+        assert record_is_ok(queued)
+        assert [strip_timing(r) for r in records if record_is_ok(r)] == [
+            strip_timing(r) for r in serial if "FIFO/quantized" not in r["run_id"]]
+        return failed[0]
+
+    def test_dead_worker_costs_one_record(self, tmp_path, monkeypatch,
+                                          queued_behind_serial):
+        # Default policy: no timeout_s.  The parent sees the worker's pipe
+        # close at once instead of waiting out a 300 s per-run bound.
         monkeypatch.setenv(FAULT_ENV, "FIFO/quantized:exit:42")
         store = ResultStore(tmp_path / "r.jsonl")
-        report = CampaignRunner(probe_campaign(), store, workers=2,
-                                quick=True, timeout_s=5.0).run()
-        assert report.degraded
+        report = CampaignRunner(queued_behind_campaign(), store, workers=2,
+                                quick=True).run()
         assert report.executed == 4
         assert report.failed == 1
-        records = store.load()
-        expected = [s.run_id for s in probe_campaign().expand(quick=True)]
-        assert run_ids(records) == expected
-        lost = next(r for r in records if not record_is_ok(r))
-        assert lost["status"] == STATUS_WORKER_LOST
+        assert report.wall_clock_s < 30.0
+        lost = self.assert_only_head_spec_failed(
+            store.load(), queued_behind_serial, STATUS_WORKER_LOST)
         assert "exit code 42" in lost["error"]
+
+    def test_worker_dying_on_a_refilled_spec(self, monkeypatch,
+                                             queued_behind_serial):
+        # One worker: FIFO/quantized (run-table index 2) reaches it as a
+        # refill, not in the first fill, and it dies the moment it starts
+        # that spec.  A slow commit holds the parent until the worker is
+        # gone, so the next refill meets a closed pipe: that must cost the
+        # one record, not the sweep.
+        monkeypatch.setenv(FAULT_ENV, "FIFO/quantized:exit:42")
+        records = []
+
+        def slow_commit(record, line):
+            records.append(record)
+            time.sleep(0.3)
+
+        specs = queued_behind_campaign().expand(quick=True)
+        with WarmWorkerEngine(1) as engine:
+            assert engine.execute(specs, slow_commit) == 4
+            # The dead worker's counters left with it.
+            assert engine.stats.kernel_cache_totals()["workers"] == 1
+        lost = self.assert_only_head_spec_failed(
+            records, queued_behind_serial, STATUS_WORKER_LOST)
+        assert "exit code 42" in lost["error"]
+
+    def test_wedged_worker_hits_parent_side_deadline(self, tmp_path,
+                                                     monkeypatch,
+                                                     queued_behind_serial):
+        # No policy timeout, so no in-worker alarm: only the parent's
+        # per-spec deadline ((0.1 s + 0) x 1 attempt + 5 s) ends the hang.
+        import repro.campaign.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "DEFAULT_WATCHDOG_RUN_S", 0.1)
+        monkeypatch.setenv(FAULT_ENV, "FIFO/quantized:hang:60")
+        store = ResultStore(tmp_path / "r.jsonl")
+        report = CampaignRunner(queued_behind_campaign(), store, workers=2,
+                                quick=True).run()
+        assert report.executed == 4
+        assert report.failed == 1
+        assert report.wall_clock_s < 15.0
+        timed_out = self.assert_only_head_spec_failed(
+            store.load(), queued_behind_serial, STATUS_TIMEOUT)
+        assert "exceeded" in timed_out["error"]
 
 
 class TestFailureBudget:

@@ -23,10 +23,9 @@ from repro.core import (
     available_backends,
     backend_name,
     make_pifo,
-    register_backend,
     resolve_backend,
 )
-from repro.core.backend import PIFO_BACKENDS, PIFOBackend
+from repro.core.backend import PIFOBackend
 from repro.exceptions import PIFOEmptyError, PIFOFullError
 
 #: Canonical names of all built-in backends; the equivalence properties run
@@ -44,11 +43,8 @@ class TestFactory:
 
     @pytest.mark.parametrize("name,cls", [
         ("sorted", SortedListPIFO),
-        ("list", SortedListPIFO),
         ("calendar", CalendarPIFO),
-        ("heap", CalendarPIFO),
         ("bucketed", BucketedPIFO),
-        ("bucket", BucketedPIFO),
     ])
     def test_registry_names(self, name, cls):
         assert type(make_pifo(name)) is cls
@@ -69,16 +65,6 @@ class TestFactory:
         pifo = make_pifo("calendar", capacity=7, name="portq")
         assert pifo.capacity == 7
         assert pifo.name == "portq"
-
-    def test_register_backend(self):
-        class MyPIFO(SortedListPIFO):
-            backend_name = "mine"
-
-        register_backend("mine", MyPIFO)
-        try:
-            assert type(make_pifo("mine")) is MyPIFO
-        finally:
-            del PIFO_BACKENDS["mine"]
 
     def test_backends_satisfy_protocol(self):
         for name in ALL_BACKENDS:

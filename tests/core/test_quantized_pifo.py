@@ -11,7 +11,6 @@ from repro.core.backend import backend_requires_integer_ranks
 class TestQuantizedBucketedPIFO:
     def test_registry_names(self):
         assert type(make_pifo("quantized")) is QuantizedBucketedPIFO
-        assert type(make_pifo("quantized_bucket")) is QuantizedBucketedPIFO
 
     def test_accepts_float_ranks(self):
         pifo = QuantizedBucketedPIFO()

@@ -248,7 +248,7 @@ class TestSharedMemorySwitch:
         assert switch.buffer.used_cells == sum(
             switch.buffer.cells_for(p) for p in accepted)
         sim.run()
-        assert switch.total_transmitted() == 3
+        assert switch.stats.transmitted == 3
         assert switch.buffer.used_cells == 0
 
     def test_unknown_port_raises(self):
