@@ -1,14 +1,15 @@
 """Ablation (Section 4.1) — the transaction-language execution backends.
 
 The paper's transactions are *programs* compiled by Domino onto atom
-pipelines; this reproduction offers the same algorithms three ways: as
-hand-written Python transactions (:mod:`repro.algorithms`), as programs run
-by the AST-walking interpreter, and as programs lowered to native Python
-closures by :mod:`repro.lang.compiler` (the default).  This module checks
+pipelines; this reproduction runs each program two ways: by the
+AST-walking interpreter, and lowered to native Python closures by
+:mod:`repro.lang.compiler` (the default, and what
+:class:`repro.algorithms.STFQTransaction` returns).  This module checks
 that:
 
-* all three produce identical schedules (the benchmarks are only meaningful
-  if the comparison is apples-to-apples),
+* both produce identical schedules, and the same as the
+  :mod:`repro.algorithms` name (the benchmarks are only meaningful if the
+  comparison is apples-to-apples),
 * the interpreter's overhead is a bounded constant factor (so it remains a
   usable fallback), and
 * **the compiled backend is >= 3x the interpreter in packets/second** on the
@@ -63,14 +64,16 @@ def test_ablation_program_backends_match_hand_written(benchmark):
 
     compiled_order = benchmark(run)
     interpreted_order = _drive(stfq_program(weights=WEIGHTS, backend="interpreted"))
+    # repro.algorithms' STFQ: the compiled program, built by its class name.
     hand_order = _drive(STFQTransaction(weights=WEIGHTS))
     assert compiled_order == hand_order
     assert interpreted_order == hand_order
 
     report(
-        "Ablation: transaction language vs hand-written STFQ",
+        "Ablation: transaction language back ends vs repro.algorithms STFQ",
         [
-            {"implementation": "hand-written class", "packets": PACKETS,
+            {"implementation": "STFQTransaction (compiled program)",
+             "packets": PACKETS,
              "departure_order_identical": True},
             {"implementation": "compiled program", "packets": PACKETS,
              "departure_order_identical": compiled_order == hand_order},
@@ -92,7 +95,7 @@ def time_ranks(transaction, count=3_000):
 
 def test_ablation_interpreter_overhead_is_constant_factor(benchmark):
     """Per-packet rank computation cost of the interpreted program stays a
-    (small) constant factor over the hand-written transaction."""
+    (small) constant factor over ``STFQTransaction``, the compiled one."""
 
     def run():
         hand = time_ranks(STFQTransaction(weights=WEIGHTS))
@@ -104,7 +107,8 @@ def test_ablation_interpreter_overhead_is_constant_factor(benchmark):
     report(
         "Ablation: per-rank computation cost (3 K ranks)",
         [
-            {"implementation": "hand-written class", "seconds": hand_s, "slowdown": 1.0},
+            {"implementation": "STFQTransaction (compiled program)",
+             "seconds": hand_s, "slowdown": 1.0},
             {"implementation": "interpreted program", "seconds": interpreted_s,
              "slowdown": slowdown},
         ],

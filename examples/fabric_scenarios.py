@@ -36,6 +36,15 @@ def transaction_factory(transaction_class):
     return factory
 
 
+def single_node_variant(transaction_class):
+    """A scenario variant: ``lang_backend -> (switch, port) -> scheduler``.
+
+    This example ignores the lang back end; a scenario swept over it would
+    pass it to the program factories in :mod:`repro.lang.programs`.
+    """
+    return lambda lang_backend: transaction_factory(transaction_class)
+
+
 def stop1_builtin_scenario() -> None:
     print("== 1. Built-in scenario: LSTF vs per-hop FIFO on a chain ==")
     scenario = get_scenario("fig6_chain")
@@ -60,8 +69,8 @@ def stop2_custom_scenario() -> None:
             Demand(src="l1", dst="r1", kind="flows", rate_bps=0.35e9, seed=2),
         ],
         variants={
-            "SRPT": transaction_factory(SRPTTransaction),
-            "FIFO": transaction_factory(FIFOTransaction),
+            "SRPT": single_node_variant(SRPTTransaction),
+            "FIFO": single_node_variant(FIFOTransaction),
         },
         duration=0.1,
         keep_packets=False,

@@ -53,7 +53,7 @@ def run_stfq_from_source() -> None:
         scheduler.enqueue(Packet(flow="bulk", length=1500))
     order = [packet.flow for packet in scheduler.drain()]
     print("\ndeparture order:", " ".join(order))
-    print("video holds 3 of every 4 slots, exactly like the hand-written STFQ\n")
+    print("video holds 3 of every 4 slots: Figure 1's 3:1 weighted share\n")
 
 
 def run_custom_algorithm() -> None:

@@ -5,8 +5,16 @@ as a scheduling/shaping transaction (or a tree builder for hierarchical
 algorithms).  All of them run unmodified on both the reference engine
 (:mod:`repro.core.scheduler`) and the cycle-level hardware model
 (:mod:`repro.hardware`).
+
+The algorithms the paper lists as programs are programs: STFQ/WFQ,
+token-bucket shaping, LSTF, strict priority and SJF/SRPT/EDF/field rank
+return the compiled transaction of their text in
+:mod:`repro.lang.programs`, the one definition the tree kernel splices.
+The rest are native classes; DESIGN.md ("Algorithms are programs") says
+why each stays.
 """
 
+from ..lang.programs import stfq_program as STFQTransaction
 from .cbq import CBQClass, build_cbq_tree
 from .fifo import ArrivalSequenceTransaction, FIFOTransaction
 from .fine_grained import (
@@ -49,10 +57,12 @@ from .rcsd import (
     stamp_jitter_slack,
 )
 from .sced import LatencyRateCurve, SCEDTransaction, admissible
-from .stfq import STFQTransaction, WFQTransaction
 from .stop_and_go import StopAndGoShapingTransaction, worst_case_delay_bound
 from .strict_priority import ClassPriorityTransaction, StrictPriorityTransaction
 from .token_bucket import TokenBucketSchedulingGate, TokenBucketShapingTransaction
+
+#: Figures 3 and 4 call Figure 1's STFQ by its WFQ name.
+WFQTransaction = STFQTransaction
 
 __all__ = [
     "STFQTransaction",

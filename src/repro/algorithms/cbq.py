@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 from ..core.backend import BackendSpec
 from ..core.predicates import FlowIn
 from ..core.tree import ScheduleTree, TreeNode
-from .stfq import STFQTransaction
+from ..lang.programs import stfq_program
 from .strict_priority import ClassPriorityTransaction
 
 
@@ -54,7 +54,7 @@ def build_cbq_tree(
             TreeNode(
                 name=cbq_class.name,
                 predicate=FlowIn(cbq_class.flows),
-                scheduling=STFQTransaction(weights=dict(cbq_class.flows)),
+                scheduling=stfq_program(weights=dict(cbq_class.flows)),
             )
         )
     return ScheduleTree(root, pifo_backend=pifo_backend)

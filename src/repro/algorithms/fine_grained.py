@@ -4,10 +4,13 @@ These algorithms schedule the packet with the lowest value of a field
 initialised by the end host: Shortest Job First (flow size), Shortest
 Remaining Processing Time (remaining flow size), Least Attained Service
 (service received so far) and Earliest Deadline First (time to deadline).
-Each is a one-line scheduling transaction setting the rank to the field.
+Each is the one-line program ``p.rank = p.<field>``
+(:func:`repro.lang.programs.fine_grained_program`); a packet without the
+field fails with :class:`~repro.lang.errors.RuntimeLangError`.
 
-For convenience the LAS transaction can also maintain the attained-service
-counter inside the switch when end hosts do not tag packets.
+The LAS transaction stays a class: it honours a host-tagged
+``attained_service`` and otherwise maintains the attained-service counter
+inside the switch.
 """
 
 from __future__ import annotations
@@ -17,59 +20,38 @@ from typing import Any, Dict
 from ..core.packet import Packet
 from ..core.pifo import Rank
 from ..core.transaction import SchedulingTransaction, TransactionContext
-from ..exceptions import TransactionError
+from ..lang.bridge import CompiledSchedulingTransaction
+from ..lang.programs import fine_grained_program
+
+#: ``FieldRankTransaction(field_name)``: rank = an end-host-initialised
+#: packet field, the generic building block behind SJF/SRPT/EDF.
+FieldRankTransaction = fine_grained_program
 
 
-class FieldRankTransaction(SchedulingTransaction):
-    """rank = an end-host-initialised packet field.
-
-    The generic building block behind SJF/SRPT/EDF: anything the end host can
-    encode in a header field becomes a scheduling policy.
-    """
-
-    state_variables = ()
-
-    def __init__(self, field_name: str) -> None:
-        self.field_name = field_name
-        super().__init__()
-
-    def compute_rank(self, packet: Packet, ctx: TransactionContext) -> Rank:
-        value = packet.get(self.field_name)
-        if value is None:
-            raise TransactionError(
-                f"packet {packet!r} is missing field {self.field_name!r} "
-                f"required by {type(self).__name__}"
-            )
-        return value
-
-    def describe(self) -> str:
-        return f"{type(self).__name__}(rank = p.{self.field_name})"
-
-
-class ShortestJobFirstTransaction(FieldRankTransaction):
+def ShortestJobFirstTransaction(
+    field_name: str = "flow_size",
+) -> CompiledSchedulingTransaction:
     """SJF: rank = total flow size, tagged by the end host."""
-
-    def __init__(self, field_name: str = "flow_size") -> None:
-        super().__init__(field_name)
+    return fine_grained_program(field_name)
 
 
-class SRPTTransaction(FieldRankTransaction):
+def SRPTTransaction(
+    field_name: str = "remaining_size",
+) -> CompiledSchedulingTransaction:
     """SRPT: rank = remaining flow size, tagged by the end host.
 
     pFabric-style switch-local SRPT; Section 3.5 explains that full pFabric
     (which reorders *all* of a flow's buffered packets on each arrival) is
-    beyond a single PIFO — see ``tests/integration/test_sec35_limitations.py``.
+    beyond a single PIFO — see ``benchmarks/test_sec35_pfabric_gap.py``.
     """
-
-    def __init__(self, field_name: str = "remaining_size") -> None:
-        super().__init__(field_name)
+    return fine_grained_program(field_name)
 
 
-class EarliestDeadlineFirstTransaction(FieldRankTransaction):
+def EarliestDeadlineFirstTransaction(
+    field_name: str = "deadline",
+) -> CompiledSchedulingTransaction:
     """EDF: rank = absolute deadline carried by the packet."""
-
-    def __init__(self, field_name: str = "deadline") -> None:
-        super().__init__(field_name)
+    return fine_grained_program(field_name)
 
 
 class LeastAttainedServiceTransaction(SchedulingTransaction):

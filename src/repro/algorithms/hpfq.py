@@ -3,8 +3,8 @@ hierarchy builder used by every tree-structured example in the paper.
 
 HPFQ apportions link capacity between classes, then recursively between
 sub-classes, down to individual flows; each node of the hierarchy runs WFQ
-(realised with the STFQ transaction) over its children.  The paper programs
-it as a tree of scheduling transactions — one WFQ/STFQ transaction per node.
+(realised with Figure 1's STFQ program) over its children.  The paper
+programs it as a tree of scheduling transactions — one STFQ program per node.
 
 :func:`build_hierarchy` turns a declarative specification (nested
 :class:`HierarchySpec`) into a :class:`~repro.core.tree.ScheduleTree`,
@@ -21,8 +21,7 @@ from ..core.backend import BackendSpec
 from ..core.predicates import FlowIn, MatchAll
 from ..core.tree import ScheduleTree, TreeNode
 from ..exceptions import TreeConfigurationError
-from .stfq import STFQTransaction
-from .token_bucket import TokenBucketShapingTransaction
+from ..lang.programs import stfq_program, token_bucket_program
 
 
 @dataclass
@@ -67,7 +66,8 @@ class HierarchySpec:
         return flows
 
 
-def _build_node(spec: HierarchySpec, is_root: bool) -> TreeNode:
+def _build_node(spec: HierarchySpec, is_root: bool,
+                backend: Optional[str]) -> TreeNode:
     if spec.flows and spec.children:
         raise TreeConfigurationError(
             f"class {spec.name!r} declares both flows and children; "
@@ -77,7 +77,7 @@ def _build_node(spec: HierarchySpec, is_root: bool) -> TreeNode:
         weights = {child.name: child.weight for child in spec.children}
     else:
         weights = dict(spec.flows)
-    scheduling = STFQTransaction(weights=weights)
+    scheduling = stfq_program(weights=weights, backend=backend)
     shaping = None
     if spec.shaping is not None:
         if is_root:
@@ -85,9 +85,9 @@ def _build_node(spec: HierarchySpec, is_root: bool) -> TreeNode:
                 "shaping cannot be attached to the root class; shape the "
                 "child classes instead"
             )
-        shaping = TokenBucketShapingTransaction(
-            rate_bps=spec.shaping.rate_bps,
-            burst_bytes=spec.shaping.burst_bytes,
+        shaping = token_bucket_program(
+            spec.shaping.rate_bps / 8.0, spec.shaping.burst_bytes,
+            backend=backend,
         )
     predicate = MatchAll() if is_root else FlowIn(spec.all_flows())
     node = TreeNode(
@@ -97,21 +97,26 @@ def _build_node(spec: HierarchySpec, is_root: bool) -> TreeNode:
         shaping=shaping,
     )
     for child_spec in spec.children:
-        node.add_child(_build_node(child_spec, is_root=False))
+        node.add_child(_build_node(child_spec, is_root=False, backend=backend))
     return node
 
 
 def build_hierarchy(
-    spec: HierarchySpec, pifo_backend: BackendSpec = None
+    spec: HierarchySpec,
+    pifo_backend: BackendSpec = None,
+    backend: Optional[str] = None,
 ) -> ScheduleTree:
     """Build a scheduling tree from a hierarchy specification.
 
     Packets are routed to classes by their flow identifier: a class matches
     every flow declared anywhere beneath it, so only ``Packet.flow`` needs to
     be set by the workload.  ``pifo_backend`` selects the PIFO storage
-    backend for every node (see :mod:`repro.core.backend`).
+    backend for every node (see :mod:`repro.core.backend`); ``backend`` the
+    execution back end of every node's STFQ and token-bucket program (see
+    :func:`repro.lang.bridge.resolve_backend`).
     """
-    return ScheduleTree(_build_node(spec, is_root=True), pifo_backend=pifo_backend)
+    return ScheduleTree(_build_node(spec, is_root=True, backend=backend),
+                        pifo_backend=pifo_backend)
 
 
 def fig3_spec() -> HierarchySpec:
@@ -140,7 +145,7 @@ def build_wfq_tree(
     """Single-node WFQ over a set of flows (the Section 2.1 configuration)."""
     root = TreeNode(
         name="WFQ",
-        scheduling=STFQTransaction(weights=dict(weights)),
+        scheduling=stfq_program(weights=dict(weights)),
         pifo_backend=pifo_backend,
     )
     return ScheduleTree(root)
@@ -188,9 +193,5 @@ def hierarchy_flows(tree: ScheduleTree) -> Dict[str, List[str]]:
     """Map each leaf class to the flows it serves (handy for workloads)."""
     mapping: Dict[str, List[str]] = {}
     for leaf in tree.leaves():
-        scheduling = leaf.scheduling
-        if isinstance(scheduling, STFQTransaction):
-            mapping[leaf.name] = list(scheduling.weights)
-        else:  # pragma: no cover - defensive
-            mapping[leaf.name] = []
+        mapping[leaf.name] = list(getattr(leaf.scheduling, "weights", ()))
     return mapping

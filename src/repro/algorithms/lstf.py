@@ -7,57 +7,24 @@ decremented by the wait time experienced at each switch queue.  Figure 6::
     p.slack = p.slack - p.prev_wait_time
     p.rank  = p.slack
 
-``prev_wait_time`` is the queueing delay at the previous switch, which the
-paper suggests carrying in the packet via in-band telemetry; the simulator
-stamps it automatically when a packet traverses multiple hops
-(:mod:`repro.sim.link` records enqueue and dequeue timestamps).
+The transaction is that program (:data:`repro.lang.programs.LSTF_SOURCE`),
+which also resets ``prev_wait_time`` once consumed.  ``prev_wait_time`` is
+the queueing delay at the previous hops, which the paper suggests carrying
+in the packet via in-band telemetry; the fabric stamps it with
+:func:`stamp_wait_time` whenever a packet leaves a queue.
 """
 
 from __future__ import annotations
 
 from ..core.packet import EMPTY_FIELDS, Packet
-from ..core.pifo import Rank
-from ..core.transaction import SchedulingTransaction, TransactionContext
-from ..exceptions import TransactionError
+from ..lang.programs import lstf_program
 
-#: Packet field carrying the remaining slack (seconds).
-SLACK_FIELD = "slack"
 #: Packet field carrying the wait time at the previous hop (seconds).
 PREV_WAIT_FIELD = "prev_wait_time"
 
-
-class LSTFTransaction(SchedulingTransaction):
-    """rank = slack remaining after subtracting the previous hop's wait."""
-
-    state_variables = ()
-
-    def __init__(
-        self,
-        slack_field: str = SLACK_FIELD,
-        prev_wait_field: str = PREV_WAIT_FIELD,
-    ) -> None:
-        self.slack_field = slack_field
-        self.prev_wait_field = prev_wait_field
-        super().__init__()
-
-    def compute_rank(self, packet: Packet, ctx: TransactionContext) -> Rank:
-        slack = packet.get(self.slack_field)
-        if slack is None:
-            raise TransactionError(
-                f"packet {packet!r} carries no {self.slack_field!r} field; "
-                "LSTF requires end hosts to initialise slack"
-            )
-        prev_wait = packet.get(self.prev_wait_field, 0.0)
-        new_slack = slack - prev_wait
-        # The transaction updates the packet's slack in place, exactly as the
-        # paper's pseudo-code writes back to p.slack, so downstream switches
-        # see the decremented value.
-        packet.set(self.slack_field, new_slack)
-        packet.set(self.prev_wait_field, 0.0)
-        return new_slack
-
-    def describe(self) -> str:
-        return "LSTF(rank = remaining slack)"
+#: ``LSTFTransaction(slack_field="slack", prev_wait_field="prev_wait_time")``:
+#: rank = slack remaining after subtracting the previous hops' wait.
+LSTFTransaction = lstf_program
 
 
 def stamp_wait_time(packet: Packet, wait_time: float) -> None:

@@ -25,10 +25,13 @@ from typing import Any, Dict, Mapping
 from ..core.backend import BackendSpec
 from ..core.packet import Packet
 from ..core.predicates import FlowIn
-from ..core.transaction import ShapingTransaction, TransactionContext
+from ..core.transaction import (
+    SchedulingTransaction,
+    ShapingTransaction,
+    TransactionContext,
+)
 from ..core.tree import ScheduleTree, TreeNode
 from .fifo import FIFOTransaction
-from .fine_grained import EarliestDeadlineFirstTransaction
 from .stop_and_go import StopAndGoShapingTransaction
 
 #: Packet field carrying the jitter slack (seconds) recorded upstream.
@@ -55,7 +58,7 @@ class JitterEDDRegulator(ShapingTransaction):
         return "JitterEDD regulator (hold for jitter slack)"
 
 
-class PerHopDeadlineTransaction(EarliestDeadlineFirstTransaction):
+class PerHopDeadlineTransaction(SchedulingTransaction):
     """EDF over per-hop deadlines: deadline = eligibility time + delay bound.
 
     The packet's ``delay_bound`` field is the local delay bound negotiated
@@ -63,8 +66,7 @@ class PerHopDeadlineTransaction(EarliestDeadlineFirstTransaction):
     interleave correctly.
     """
 
-    def __init__(self) -> None:
-        super().__init__(field_name=DELAY_BOUND_FIELD)
+    state_variables = ()
 
     def compute_rank(self, packet: Packet, ctx: TransactionContext):
         bound = packet.get(DELAY_BOUND_FIELD)

@@ -2,7 +2,9 @@
 
 The packet's rank is its priority field (lower value = more important, the
 IP TOS convention used in the paper).  Within a priority level, packets keep
-FIFO order because the PIFO breaks rank ties by enqueue order.
+FIFO order because the PIFO breaks rank ties by enqueue order.  The
+transaction is the one-line program
+:data:`repro.lang.programs.STRICT_PRIORITY_SOURCE`.
 """
 
 from __future__ import annotations
@@ -12,18 +14,11 @@ from typing import Mapping, Optional
 from ..core.packet import Packet
 from ..core.pifo import Rank
 from ..core.transaction import SchedulingTransaction, TransactionContext
+from ..lang.programs import strict_priority_program
 
-
-class StrictPriorityTransaction(SchedulingTransaction):
-    """rank = packet priority (lower dequeues first)."""
-
-    state_variables = ()
-
-    def compute_rank(self, packet: Packet, ctx: TransactionContext) -> Rank:
-        return packet.priority
-
-    def describe(self) -> str:
-        return "StrictPriority(rank = p.priority)"
+#: ``StrictPriorityTransaction()``: rank = packet priority (lower dequeues
+#: first).
+StrictPriorityTransaction = strict_priority_program
 
 
 class ClassPriorityTransaction(SchedulingTransaction):

@@ -16,76 +16,33 @@ for it to depart.  Figure 4c::
 
 Note that tokens may go negative, which is what spaces out a long burst at
 exactly rate *r* — each subsequent packet's send time moves further into the
-future.
+future.  The transaction is that program
+(:data:`repro.lang.programs.TOKEN_BUCKET_SOURCE`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Optional
 
-from ..core.packet import Packet
-from ..core.transaction import ShapingTransaction, TransactionContext
+from ..lang.bridge import CompiledShapingTransaction
+from ..lang.programs import token_bucket_program
 
 
-class TokenBucketShapingTransaction(ShapingTransaction):
-    """Shaping transaction implementing a token bucket filter.
+def TokenBucketShapingTransaction(
+    rate_bps: float,
+    burst_bytes: float,
+    initial_tokens_bytes: Optional[float] = None,
+) -> CompiledShapingTransaction:
+    """Figure 4c's token bucket limiting a node to ``rate_bps`` bits/s.
 
-    Parameters
-    ----------
-    rate_bps:
-        Token generation rate in bits per second (the rate limit).
-    burst_bytes:
-        Bucket depth in bytes (the burst allowance ``B``).
-    initial_tokens_bytes:
-        Initial fill of the bucket; defaults to a full bucket, matching the
-        common configuration where an idle class may send one burst at line
-        rate.
+    ``burst_bytes`` is the bucket depth ``B``; the bucket starts with
+    ``initial_tokens_bytes`` (default: full, the common configuration where
+    an idle class may send one burst at line rate).
     """
-
-    state_variables = ("tokens", "last_time")
-
-    def __init__(
-        self,
-        rate_bps: float,
-        burst_bytes: float,
-        initial_tokens_bytes: float = None,
-    ) -> None:
-        if rate_bps <= 0:
-            raise ValueError("rate_bps must be positive")
-        if burst_bytes <= 0:
-            raise ValueError("burst_bytes must be positive")
-        self.rate_bps = rate_bps
-        self.rate_bytes_per_s = rate_bps / 8.0
-        self.burst_bytes = burst_bytes
-        self.initial_tokens_bytes = (
-            burst_bytes if initial_tokens_bytes is None else initial_tokens_bytes
-        )
-        super().__init__()
-
-    def initial_state(self) -> Dict[str, Any]:
-        return {"tokens": self.initial_tokens_bytes, "last_time": 0.0}
-
-    def compute_send_time(self, packet: Packet, ctx: TransactionContext) -> float:
-        now = ctx.now
-        length = ctx.element_length or packet.length
-        tokens = min(
-            self.state["tokens"]
-            + self.rate_bytes_per_s * (now - self.state["last_time"]),
-            self.burst_bytes,
-        )
-        if length <= tokens:
-            send_time = now
-        else:
-            send_time = now + (length - tokens) / self.rate_bytes_per_s
-        self.state["tokens"] = tokens - length
-        self.state["last_time"] = now
-        return send_time
-
-    def describe(self) -> str:
-        return (
-            f"TokenBucket(rate={self.rate_bps / 1e6:.3g} Mbit/s, "
-            f"burst={self.burst_bytes:.0f} B)"
-        )
+    if rate_bps <= 0:
+        raise ValueError("rate_bps must be positive")
+    return token_bucket_program(rate_bps / 8.0, burst_bytes,
+                                initial_tokens_bytes)
 
 
 class TokenBucketSchedulingGate:

@@ -75,8 +75,9 @@ PAPER_SWEEP = register_campaign(Campaign(
         "the substrate's interchangeable layers."
     ),
     notes=(
-        "All runs use the scenarios' program variants (the lang backend is "
-        "a real factor); seeds derive from (base_seed, workload_id), so "
-        "every backend combination replays the identical workload."
+        "Every variant's programs run on the swept lang backend (FIFO "
+        "runs its program too, off its native fast path); seeds derive "
+        "from (base_seed, workload_id), so every backend combination "
+        "replays the identical workload."
     ),
 ))

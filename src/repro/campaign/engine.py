@@ -102,10 +102,7 @@ def warm_kernel_cache(warmup: WarmupSpec) -> Dict[str, int]:
             if label not in scenario.variants:
                 continue
             for lang_backend in (warmup.lang_backends or (None,)):
-                try:
-                    factory = scenario.scheduler_factory(label, lang_backend)
-                except KeyError:
-                    continue  # scenario has no program twin for this label
+                factory = scenario.scheduler_factory(label, lang_backend)
                 for pifo_backend in (warmup.pifo_backends or (None,)):
                     scheduler = factory("warm", "port0")
                     if (pifo_backend is not None

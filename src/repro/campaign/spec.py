@@ -52,8 +52,8 @@ class RunSpec:
     variant: str
     #: PIFO backend registry name; ``None`` = the substrate default.
     pifo_backend: Optional[str]
-    #: ``"compiled"`` / ``"interpreted"`` selects the scenario's lang-program
-    #: variant twins; ``None`` = the native hand-written transactions.
+    #: ``"compiled"`` / ``"interpreted"`` selects the back end every
+    #: variant's programs run on; ``None`` = each variant's default.
     lang_backend: Optional[str]
     load_scale: float
     replicate: int

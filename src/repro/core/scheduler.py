@@ -24,7 +24,6 @@ ground truth against which the cycle-level hardware model
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
@@ -86,14 +85,6 @@ class SchedulerStats:
         return sum(self.per_flow_dequeued.values())
 
 
-def _tree_kernel_default(flag: Optional[bool]) -> bool:
-    """Resolve the fused-kernel switch against ``REPRO_TREE_KERNEL``."""
-    if flag is not None:
-        return flag
-    value = os.environ.get("REPRO_TREE_KERNEL", "").strip().lower()
-    return value not in ("0", "off", "false", "no")
-
-
 class ProgrammableScheduler:
     """Reference implementation of a PIFO-programmed packet scheduler.
 
@@ -113,8 +104,7 @@ class ProgrammableScheduler:
         Whether to fuse the whole tree into a generated per-shape kernel
         (:mod:`repro.lang.treekernel`) replacing :meth:`enqueue` /
         :meth:`dequeue` with specialised straight-line code.  Defaults to
-        on (overridable per process via ``REPRO_TREE_KERNEL=0``) and covers
-        every tree, shaping included; only a scheduler *subclass* stays on
+        on and covers every tree, shaping included; only a scheduler *subclass* stays on
         the interpreted methods, with the reason in
         ``kernel_fallback_reason``.  ``tree_kernel=False`` selects those
         methods on purpose: they are the executable statement of Sections
@@ -133,7 +123,7 @@ class ProgrammableScheduler:
         tree: ScheduleTree,
         drop_on_full: bool = True,
         pifo_backend: BackendSpec = None,
-        tree_kernel: Optional[bool] = None,
+        tree_kernel: bool = True,
     ) -> None:
         self.tree = tree
         self.drop_on_full = drop_on_full
@@ -160,7 +150,7 @@ class ProgrammableScheduler:
         self.kernel_work_conserving = False
         #: Why the fused kernel is not installed (None when it is).
         self.kernel_fallback_reason: Optional[str] = None
-        self._tree_kernel_enabled = _tree_kernel_default(tree_kernel)
+        self._tree_kernel_enabled = tree_kernel
         self._install_kernel()
 
     def use_backend(self, backend: BackendSpec) -> None:

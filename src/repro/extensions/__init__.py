@@ -15,10 +15,6 @@ PIFO quantitatively:
 * :mod:`repro.extensions.multi_pipeline` — the Section 6.3 sketch: a PIFO
   block servicing several ingress and egress pipelines, i.e. multiple
   enqueues and dequeues per clock cycle.
-
-(Priority Flow Control, the other Section 6 sketch, is implemented with the
-switch substrate in :mod:`repro.switch.pfc` because it is a per-port switch
-feature rather than a scheduler-core extension.)
 """
 
 from .multi_pipeline import (

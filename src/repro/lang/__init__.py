@@ -23,7 +23,7 @@ pipeline of atoms.  This package reproduces that workflow in Python:
 * :mod:`repro.lang.bridge` — wraps a compiled program as a
   :class:`~repro.core.transaction.SchedulingTransaction` or
   :class:`~repro.core.transaction.ShapingTransaction`, so programs written in
-  the language can be attached to tree nodes exactly like the hand-written
+  the language can be attached to tree nodes exactly like the native
   algorithm classes.
 * :mod:`repro.lang.programs` — the source text of every transaction the
   paper's figures show (Figures 1, 4c, 6, 7 and 8) plus the Section 3.4

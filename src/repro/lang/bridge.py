@@ -3,7 +3,7 @@
 This is the glue between :mod:`repro.lang` and :mod:`repro.core`: a compiled
 program becomes a :class:`~repro.core.transaction.SchedulingTransaction` or
 :class:`~repro.core.transaction.ShapingTransaction` and can be attached to a
-:class:`~repro.core.tree.TreeNode` exactly like the hand-written algorithm
+:class:`~repro.core.tree.TreeNode` exactly like the native algorithm
 classes in :mod:`repro.algorithms`.
 
 Three details deserve a note:

@@ -126,6 +126,7 @@ from .errors import LangError, RuntimeLangError
 from .interpreter import (
     _BUILTIN_FUNCTIONS,
     _PACKET_BUILTIN_FIELDS,
+    _PACKET_FIELD_DEFAULTS,
     ExecutionResult,
     Interpreter,
     ProgramEnvironment,
@@ -726,7 +727,8 @@ class _Codegen:
                 )
             if self.inline and name in self._written:
                 return self._field(name)
-        # Mirrors ``_PACKET_BUILTIN_FIELDS`` in the interpreter.
+        # Mirrors ``_PACKET_BUILTIN_FIELDS`` and ``_PACKET_FIELD_DEFAULTS``
+        # in the interpreter.
         if name == "flow":
             self.uses_element_flow = True
             fallback = names.flow
@@ -736,6 +738,10 @@ class _Codegen:
         elif name in _PACKET_BUILTIN_FIELDS:
             attribute = "packet_class" if name == "class" else name
             fallback = f"{names.packet}.{attribute}"
+        elif name in _PACKET_FIELD_DEFAULTS:
+            self.uses_packet_fields = True
+            default = _PACKET_FIELD_DEFAULTS[name]
+            fallback = f"{names.prefix}pf.get({name!r}, {default!r})"
         else:
             self.uses_packet_fields = True
             fallback = f"{names.prefix}pf[{name!r}]"

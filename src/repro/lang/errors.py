@@ -8,7 +8,7 @@ lexer, the parser and the interpreter.
 
 from __future__ import annotations
 
-from ..exceptions import ReproError
+from ..exceptions import ReproError, TransactionError
 
 
 class LangError(ReproError):
@@ -30,10 +30,12 @@ class ParseError(LangError):
     """Raised when the token stream does not form a valid program."""
 
 
-class RuntimeLangError(LangError):
+class RuntimeLangError(LangError, TransactionError):
     """Raised when a program fails while executing.
 
     Examples: reading an undefined variable, subscripting a non-mapping
     state variable, dividing by zero, or finishing a scheduling program
-    without assigning ``p.rank``.
+    without assigning ``p.rank``.  It is also a
+    :class:`~repro.exceptions.TransactionError`: a program *is* the
+    transaction, so callers catching a misbehaving transaction catch it.
     """

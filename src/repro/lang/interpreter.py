@@ -61,6 +61,11 @@ _PACKET_BUILTIN_FIELDS = {
     "priority": lambda packet, ctx: packet.priority,
 }
 
+#: In-band telemetry a switch stamps for the next hop (Section 3.1; Figure
+#: 6's LSTF reads it).  A packet no hop has stamped yet reads the default,
+#: as an unset header field reads zero.
+_PACKET_FIELD_DEFAULTS = {"prev_wait_time": 0.0}
+
 
 @dataclass
 class ProgramEnvironment:
@@ -299,6 +304,8 @@ class Interpreter:
             return _PACKET_BUILTIN_FIELDS[name](frame.packet, frame.ctx)
         if name in frame.packet.fields:
             return frame.packet.fields[name]
+        if name in _PACKET_FIELD_DEFAULTS:
+            return _PACKET_FIELD_DEFAULTS[name]
         raise RuntimeLangError(
             f"packet has no field {name!r} (set it in Packet.fields or via an "
             "earlier assignment in the program)",

@@ -6,13 +6,11 @@ Python-ish and C-ish syntax; the language accepts both styles).  The
 factory functions below compile each program into a ready-to-use
 transaction with the right state, parameters and flow attributes.
 
-These are used three ways:
-
-* as a programmability demonstration (the same algorithms exist hand-written
-  in :mod:`repro.algorithms`; equivalence between the two is tested),
-* as input to the Domino-style atom analysis (Section 4.1), and
-* by the examples and the CLI to show end-to-end "program text in,
-  scheduler out".
+This text is the only definition of STFQ, token-bucket shaping, LSTF,
+strict priority and the rank-from-field family: their names in
+:mod:`repro.algorithms` return these compiled programs, which the tree
+kernel splices into its walk.  The same text feeds the Domino-style atom
+analysis (Section 4.1) and ``repro show``.
 """
 
 from __future__ import annotations
@@ -66,8 +64,10 @@ p.rank = p.send_time
 # Figure 6 — Least Slack-Time First                                           #
 # --------------------------------------------------------------------------- #
 LSTF_SOURCE = """
-// Figure 6: scheduling transaction for LSTF
+// Figure 6: scheduling transaction for LSTF.  The fabric adds every hop's
+// wait to prev_wait_time, so the hop that consumes it resets it.
 p.slack = p.slack - p.prev_wait_time;
+p.prev_wait_time = 0;
 p.rank = p.slack;
 """
 
@@ -181,16 +181,26 @@ def stfq_program(
     default_weight: float = 1.0,
     backend: Optional[str] = None,
 ) -> CompiledSchedulingTransaction:
-    """Figure 1's STFQ as a compiled program, with per-flow weights."""
+    """Figure 1's STFQ as a compiled program, with per-flow weights.
+
+    A flow with weight *w* receives a share of link capacity proportional
+    to *w* while backlogged; flows absent from ``weights`` use
+    ``default_weight``.  The table is the transaction's ``weights``.
+    """
     # Converted once: the accessor runs on every rank computation.
     weight_table = {flow: float(weight)
                     for flow, weight in (weights or {}).items()}
     default_weight = float(default_weight)
+    if default_weight <= 0:
+        raise ValueError("default_weight must be positive")
+    for flow, weight in weight_table.items():
+        if weight <= 0:
+            raise ValueError(f"weight of flow {flow!r} must be positive")
 
     def weight_of(flow: object) -> float:
         return weight_table.get(flow, default_weight)
 
-    return compile_scheduling_program(
+    transaction = compile_scheduling_program(
         STFQ_SOURCE,
         state=PROGRAM_STATE["stfq"],
         flow_attrs={"weight": weight_of},
@@ -198,25 +208,30 @@ def stfq_program(
         name="stfq",
         backend=backend,
     )
+    transaction.weights = weight_table
+    return transaction
 
 
 def token_bucket_program(
     rate_bytes_per_s: float,
     burst_bytes: float,
-    start_full: bool = True,
+    initial_tokens_bytes: Optional[float] = None,
     backend: Optional[str] = None,
 ) -> CompiledShapingTransaction:
     """Figure 4c's token bucket as a compiled shaping program.
 
     ``rate_bytes_per_s`` is the token fill rate ``r`` and ``burst_bytes`` the
-    bucket depth ``B``; both are in bytes to match ``p.length``.
+    bucket depth ``B``; both are in bytes to match ``p.length``.  The
+    bucket starts with ``initial_tokens_bytes`` (default: full, so an idle
+    class may send one burst at line rate).
     """
     if rate_bytes_per_s <= 0:
         raise ValueError("rate_bytes_per_s must be positive")
     if burst_bytes <= 0:
         raise ValueError("burst_bytes must be positive")
     state = dict(PROGRAM_STATE["token_bucket"])
-    state["tokens"] = float(burst_bytes) if start_full else 0.0
+    state["tokens"] = float(
+        burst_bytes if initial_tokens_bytes is None else initial_tokens_bytes)
     return compile_shaping_program(
         TOKEN_BUCKET_SOURCE,
         state=state,
@@ -226,13 +241,25 @@ def token_bucket_program(
     )
 
 
-def lstf_program(backend: Optional[str] = None) -> CompiledSchedulingTransaction:
+def lstf_program(
+    slack_field: str = "slack",
+    prev_wait_field: str = "prev_wait_time",
+    backend: Optional[str] = None,
+) -> CompiledSchedulingTransaction:
     """Figure 6's LSTF as a compiled program.
 
-    Packets must carry ``slack`` and ``prev_wait_time`` fields, set by the
-    end host and the upstream switches respectively.
+    Packets must carry the ``slack`` field, set by the end host; the
+    upstream hops add their queueing delay to ``prev_wait_time`` (see
+    :func:`repro.algorithms.lstf.stamp_wait_time`), which reads 0 until the
+    first hop stamps it.  Other field names must be set on every packet.
     """
-    return compile_scheduling_program(LSTF_SOURCE, name="lstf", backend=backend)
+    source = LSTF_SOURCE
+    if (slack_field, prev_wait_field) != ("slack", "prev_wait_time"):
+        if not (slack_field.isidentifier() and prev_wait_field.isidentifier()):
+            raise ValueError("LSTF field names must be identifiers")
+        source = source.replace("p.prev_wait_time", f"p.{prev_wait_field}")
+        source = source.replace("p.slack", f"p.{slack_field}")
+    return compile_scheduling_program(source, name="lstf", backend=backend)
 
 
 def stop_and_go_program(
@@ -291,18 +318,18 @@ def strict_priority_program(
 
 
 def fine_grained_program(
-    field: str, backend: Optional[str] = None
+    field_name: str, backend: Optional[str] = None
 ) -> CompiledSchedulingTransaction:
-    """A Section 3.4 fine-grained priority program: rank = ``p.<field>``.
+    """A Section 3.4 fine-grained priority program: rank = ``p.<field_name>``.
 
-    ``field`` is typically ``flow_size`` (SJF), ``remaining_size`` (SRPT) or
-    ``deadline`` (EDF).
+    ``field_name`` is typically ``flow_size`` (SJF), ``remaining_size``
+    (SRPT) or ``deadline`` (EDF).
     """
-    if not field.isidentifier():
-        raise ValueError(f"invalid packet field name {field!r}")
-    source = f"p.rank = p.{field}\n"
+    if not field_name.isidentifier():
+        raise ValueError(f"invalid packet field name {field_name!r}")
+    source = f"p.rank = p.{field_name}\n"
     return compile_scheduling_program(
-        source, name=f"rank-from-{field}", backend=backend
+        source, name=f"rank-from-{field_name}", backend=backend
     )
 
 

@@ -14,8 +14,8 @@ with the full per-packet path inlined into straight-line code:
 * the leaf-to-root transaction walk is unrolled per matching leaf (the
   predicate descent becomes an ``if``/``elif`` chain over the static tree
   shape, including the paper's disjointness check);
-* rank computation is specialised per transaction class — FIFO, arrival
-  sequence and LSTF are inlined, and a compiled lang program is *spliced*:
+* rank computation is specialised per transaction class — FIFO and arrival
+  sequence are inlined, and a compiled lang program is *spliced*:
   its statements are emitted into the walk as an inline fragment
   (:meth:`repro.lang.compiler.CompiledProgram.fragment`), with this node's
   names for its inputs and outputs and a per-node prefix for its locals —
@@ -220,9 +220,8 @@ def _splice_key(compiled, owner) -> Tuple[bool, Any]:
 def _tx_tag(tx) -> Tuple:
     """Specialisation tag for a scheduling transaction (part of the key)."""
     from ..algorithms.fifo import ArrivalSequenceTransaction, FIFOTransaction
-    from ..algorithms.lstf import LSTFTransaction
     # Imported lazily: the bridge pulls in the hardware analyser, which this
-    # module must not require just to fuse hand-written transaction trees.
+    # module must not require just to fuse native transaction trees.
     from .bridge import CompiledSchedulingTransaction
 
     cls = type(tx)
@@ -230,8 +229,6 @@ def _tx_tag(tx) -> Tuple:
         return ("fifo",)
     if cls is ArrivalSequenceTransaction:
         return ("arrival_seq",)
-    if cls is LSTFTransaction:
-        return ("lstf", tx.slack_field, tx.prev_wait_field)
     if cls is CompiledSchedulingTransaction:
         return ("lang", tx.program_name, *_splice_key(tx._compiled, tx))
     return ("generic", cls.__qualname__)
@@ -404,19 +401,6 @@ def _emit_rank(em: _Emitter, ind: int, i: int, sig: _NodeSig, flow: str,
         em.w(ind, f"tx{i}.executions += 1")
         em.w(ind, f"rank = st{i}['counter']")
         em.w(ind, f"st{i}['counter'] = rank + 1")
-    elif kind == "lstf":
-        slack, prev = tag[1], tag[2]
-        em.w(ind, f"tx{i}.executions += 1")
-        em.w(ind, "fields = packet.fields")
-        em.w(ind, f"slack = fields.get({slack!r})")
-        em.w(ind, "if slack is None:")
-        em.w(ind + 1, f"tx{i}.compute_rank(packet, None)")
-        em.w(ind, f"rank = slack - fields.get({prev!r}, 0.0)")
-        em.w(ind, "if fields is _EMPTY_FIELDS:")
-        em.w(ind + 1, f"packet.fields = {{{slack!r}: rank, {prev!r}: 0.0}}")
-        em.w(ind, "else:")
-        em.w(ind + 1, f"fields[{slack!r}] = rank")
-        em.w(ind + 1, f"fields[{prev!r}] = 0.0")
     elif kind == "lang":
         name = tag[1]
         msg = (

@@ -1,102 +1,41 @@
-"""Scheduling hierarchies built *entirely* from transaction-language programs.
+"""Figures 3 and 4 built from program text, on a chosen lang back end.
 
 The strongest programmability claim in the paper is that whole hierarchies —
 Figure 3's HPFQ and Figure 4's Hierarchies-with-Shaping — are expressible as
-program text alone, with no hand-written transaction classes.  These
-builders construct exactly those trees from :mod:`repro.lang.programs`
-sources; the integration suite compares them against the hand-written trees
-in :mod:`repro.algorithms`, and the lang-compile benchmark drives them
-through the full simulation stack.
-
-Every builder threads two knobs:
-
-* ``backend`` — the lang execution backend (``"compiled"``, the default, or
-  ``"interpreted"``), passed to each program factory;
-* ``pifo_backend`` — the PIFO storage backend (see :mod:`repro.core.backend`)
-  applied to every node.
+program text alone.  Every node of
+:func:`repro.algorithms.build_fig3_tree` and
+:func:`repro.algorithms.build_fig4_tree` already runs a compiled STFQ or
+token-bucket program, so these builders return the very same trees; they
+add the ``backend`` knob, the lang execution back end (``"compiled"``, the
+default, or ``"interpreted"``) passed to every program.  ``pifo_backend``
+selects the PIFO storage backend (see :mod:`repro.core.backend`).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from ..algorithms.hierarchies_with_shaping import FIG4_RIGHT_RATE_BPS, fig4_spec
+from ..algorithms.hpfq import build_hierarchy as _build_hierarchy, fig3_spec
 from ..core.backend import BackendSpec
-from ..core.predicates import FlowIn
-from ..core.tree import ScheduleTree, TreeNode
-from .programs import stfq_program, token_bucket_program
+from ..core.tree import ScheduleTree
 
 
 def build_fig3_tree_from_programs(
     backend: Optional[str] = None,
     pifo_backend: BackendSpec = None,
 ) -> ScheduleTree:
-    """Figure 3's HPFQ hierarchy with every transaction compiled from text."""
-    root = TreeNode(
-        name="Root",
-        scheduling=stfq_program(
-            weights={"Left": 1.0, "Right": 9.0}, backend=backend
-        ),
-        pifo_backend=pifo_backend,
-    )
-    root.add_child(
-        TreeNode(
-            name="Left",
-            predicate=FlowIn(["A", "B"]),
-            scheduling=stfq_program(
-                weights={"A": 3.0, "B": 7.0}, backend=backend
-            ),
-            pifo_backend=pifo_backend,
-        )
-    )
-    root.add_child(
-        TreeNode(
-            name="Right",
-            predicate=FlowIn(["C", "D"]),
-            scheduling=stfq_program(
-                weights={"C": 4.0, "D": 6.0}, backend=backend
-            ),
-            pifo_backend=pifo_backend,
-        )
-    )
-    return ScheduleTree(root)
+    """Figure 3's HPFQ hierarchy (:func:`repro.algorithms.build_fig3_tree`)."""
+    return _build_hierarchy(fig3_spec(), pifo_backend=pifo_backend,
+                            backend=backend)
 
 
 def build_fig4_tree_from_programs(
-    right_rate_bps: float = 10e6,
+    right_rate_bps: float = FIG4_RIGHT_RATE_BPS,
     backend: Optional[str] = None,
     pifo_backend: BackendSpec = None,
 ) -> ScheduleTree:
-    """Figure 4: HPFQ plus a token-bucket shaping program on class Right."""
-    root = TreeNode(
-        name="Root",
-        scheduling=stfq_program(
-            weights={"Left": 1.0, "Right": 9.0}, backend=backend
-        ),
-        pifo_backend=pifo_backend,
-    )
-    root.add_child(
-        TreeNode(
-            name="Left",
-            predicate=FlowIn(["A", "B"]),
-            scheduling=stfq_program(
-                weights={"A": 3.0, "B": 7.0}, backend=backend
-            ),
-            pifo_backend=pifo_backend,
-        )
-    )
-    root.add_child(
-        TreeNode(
-            name="Right",
-            predicate=FlowIn(["C", "D"]),
-            scheduling=stfq_program(
-                weights={"C": 4.0, "D": 6.0}, backend=backend
-            ),
-            shaping=token_bucket_program(
-                rate_bytes_per_s=right_rate_bps / 8.0,
-                burst_bytes=3000.0,
-                backend=backend,
-            ),
-            pifo_backend=pifo_backend,
-        )
-    )
-    return ScheduleTree(root)
+    """Figure 4: HPFQ plus a token-bucket program on class Right
+    (:func:`repro.algorithms.build_fig4_tree`)."""
+    return _build_hierarchy(fig4_spec(right_rate_bps=right_rate_bps),
+                            pifo_backend=pifo_backend, backend=backend)

@@ -44,7 +44,6 @@ from .routing import build_forwarding_tables, hop_distances, next_hops, path
 from .scenario import (
     SCENARIOS,
     Demand,
-    ProgramVariantBuilder,
     Scenario,
     ScenarioResult,
     get_scenario,
@@ -81,7 +80,6 @@ __all__ = [
     "Demand",
     "Scenario",
     "ScenarioResult",
-    "ProgramVariantBuilder",
     "SCENARIOS",
     "register",
     "get_scenario",

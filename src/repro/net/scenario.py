@@ -2,7 +2,8 @@
 
 A :class:`Scenario` is a description, not a run: a topology builder, a list
 of :class:`Demand` entries (the traffic matrix), one or more named
-scheduler *variants* (e.g. ``{"SRPT": ..., "FIFO": ...}``) and a duration.
+scheduler *variants* (e.g. ``{"SRPT": ..., "FIFO": ...}``, each a
+:data:`VariantBuilder`) and a duration.
 ``Scenario.run()`` instantiates a fresh :class:`~repro.net.fabric.Fabric`
 per variant, replays the demands, and returns a :class:`ScenarioResult`
 per variant with per-flow delay aggregates, flow-completion times, packet
@@ -239,11 +240,12 @@ def _pin_tree_kernel(factory: SchedulerFactory,
     return pinned
 
 
-#: Program-variant builder: ``lang_backend -> (switch, port) -> scheduler``.
+#: One scheduler variant: ``lang_backend -> (switch, port) -> scheduler``.
 #: The outer call fixes the transaction-language execution backend
-#: (``"compiled"`` / ``"interpreted"``), so sweeping engines can compare
-#: both backends of the *same* program on the identical workload.
-ProgramVariantBuilder = Callable[[Optional[str]], SchedulerFactory]
+#: (``"compiled"`` / ``"interpreted"``; ``None`` is the default compiled
+#: program), so sweeping engines can compare both backends of the *same*
+#: program on the identical workload.
+VariantBuilder = Callable[[Optional[str]], SchedulerFactory]
 
 
 @dataclass
@@ -254,16 +256,12 @@ class Scenario:
     title: str
     topology: Callable[[], Network]
     demands: List[Demand]
-    #: Variant label -> scheduler factory ``(switch, port) -> scheduler``.
-    variants: Mapping[str, SchedulerFactory]
+    #: Variant label -> its :data:`VariantBuilder`.
+    variants: Mapping[str, VariantBuilder]
     duration: float
     ecmp: bool = False
     keep_packets: bool = False
     quick_duration: Optional[float] = None
-    #: Optional lang-program twins of ``variants`` (same labels): used when
-    #: ``run(lang_backend=...)`` selects a transaction-language execution
-    #: backend.  Default runs keep using the native ``variants`` factories.
-    program_variants: Optional[Mapping[str, ProgramVariantBuilder]] = None
     #: Base seed for derived per-demand seeds (see :meth:`Demand.effective_seed`).
     base_seed: int = 0
     #: Optional fault schedule executed against every variant's fabric —
@@ -283,14 +281,7 @@ class Scenario:
                 f"unknown variant {label!r} of scenario {self.name!r}; "
                 f"known variants: {known}"
             )
-        if lang_backend is None:
-            return self.variants[label]
-        if not self.program_variants or label not in self.program_variants:
-            raise KeyError(
-                f"scenario {self.name!r} has no program variant for "
-                f"{label!r}; cannot run with lang_backend={lang_backend!r}"
-            )
-        return self.program_variants[label](lang_backend)
+        return self.variants[label](lang_backend)
 
     def run(self, quick: bool = False, pifo_backend=None,
             variant: Optional[str] = None,
@@ -304,11 +295,12 @@ class Scenario:
             ) -> Dict[str, ScenarioResult]:
         """Run each scheduler variant on a fresh fabric; results by label.
 
-        ``lang_backend`` switches to the scenario's transaction-language
-        ``program_variants`` compiled/interpreted twins; ``load_scale``
-        multiplies every rate-driven demand's offered load (explicit
-        arrival lists replay unscaled); ``base_seed`` overrides the
-        scenario's base seed for derived per-demand seeds.
+        ``lang_backend`` selects the transaction-language execution
+        backend every variant's programs run on (``None``: the default
+        compiled programs); ``load_scale`` multiplies every rate-driven
+        demand's offered load (explicit arrival lists replay unscaled);
+        ``base_seed`` overrides the scenario's base seed for derived
+        per-demand seeds.
 
         ``telemetry=False`` (campaign sweeps) skips per-hop traces and
         per-port stat breakdowns; departure order, per-flow aggregates,

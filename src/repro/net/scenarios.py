@@ -23,63 +23,41 @@ import random
 from typing import Iterator, Tuple
 
 from ..algorithms.fifo import FIFOTransaction
-from ..algorithms.fine_grained import SRPTTransaction
-from ..algorithms.lstf import LSTFTransaction
 from ..core.packet import Packet
 from ..core.scheduler import ProgrammableScheduler
 from ..core.tree import single_node_tree
-from ..lang.programs import fifo_program, fine_grained_program
-from ..lang.bridge import compile_scheduling_program
+from ..lang.programs import fifo_program, fine_grained_program, lstf_program
 from .faults import FaultPlan, LinkLoss, SwitchDown, flapping_link
-from .scenario import Demand, Scenario, register
+from .scenario import Demand, Scenario, VariantBuilder, register
 from .topology import leaf_spine, linear_chain
 
 
-def _transaction_factory(transaction_class):
-    """A per-port scheduler factory for a single-node transaction tree."""
-
-    def factory(switch: str, port: str) -> ProgrammableScheduler:
-        return ProgrammableScheduler(single_node_tree(transaction_class()))
-
-    return factory
-
-
-def _program_variant(program_builder, **kwargs):
-    """A :data:`~repro.net.scenario.ProgramVariantBuilder` for one program.
-
-    ``program_builder(backend=..., **kwargs)`` must return a lang-bridge
-    transaction; the campaign engine uses these twins to sweep the
-    compiled-vs-interpreted execution backend over identical workloads.
-    """
+def _single_node(make_transaction) -> VariantBuilder:
+    """A variant running ``make_transaction(lang_backend)`` as a one-node
+    tree on every switch port."""
 
     def for_backend(lang_backend):
         def factory(switch: str, port: str) -> ProgrammableScheduler:
-            transaction = program_builder(backend=lang_backend, **kwargs)
-            return ProgrammableScheduler(single_node_tree(transaction))
+            return ProgrammableScheduler(
+                single_node_tree(make_transaction(lang_backend)))
 
         return factory
 
     return for_backend
 
 
-#: Figure 6's LSTF transaction as program text, adapted to the fabric's
-#: in-band telemetry: the fabric *accumulates* each hop's wait into
-#: ``prev_wait_time`` (see :func:`repro.algorithms.lstf.stamp_wait_time`),
-#: so the transaction consumes it and resets the field — the exact
-#: behaviour of the native :class:`~repro.algorithms.lstf.LSTFTransaction`.
-LSTF_FABRIC_SOURCE = """
-// Figure 6 on a fabric: consume the previous hop's wait, re-rank on slack
-p.slack = p.slack - p.prev_wait_time;
-p.prev_wait_time = 0;
-p.rank = p.slack;
-"""
+def _fifo(lang_backend):
+    """FIFO stays native, the fused fast path; naming a lang back end runs
+    its program so the campaign's back-end factor reaches every variant."""
+    if lang_backend is None:
+        return FIFOTransaction()
+    return fifo_program(backend=lang_backend)
 
 
-def lstf_fabric_program(backend=None):
-    """Fabric-telemetry LSTF as a compiled/interpreted program."""
-    return compile_scheduling_program(
-        LSTF_FABRIC_SOURCE, name="lstf_fabric", backend=backend
-    )
+_FIFO = _single_node(_fifo)
+_LSTF = _single_node(lambda backend: lstf_program(backend=backend))
+_SRPT = _single_node(
+    lambda backend: fine_grained_program("remaining_size", backend=backend))
 
 
 # --------------------------------------------------------------------------- #
@@ -129,14 +107,7 @@ def build_fig6_chain() -> Scenario:
             CHAIN_HOPS, link_rate_bps=CHAIN_LINK_RATE, cross_hosts=True
         ),
         demands=demands,
-        variants={
-            "LSTF": _transaction_factory(LSTFTransaction),
-            "FIFO": _transaction_factory(FIFOTransaction),
-        },
-        program_variants={
-            "LSTF": _program_variant(lstf_fabric_program),
-            "FIFO": _program_variant(fifo_program),
-        },
+        variants={"LSTF": _LSTF, "FIFO": _FIFO},
         duration=0.2,
         quick_duration=0.12,
         keep_packets=False,
@@ -179,15 +150,7 @@ def build_leaf_spine_fct() -> Scenario:
             host_rate_bps=LEAF_SPINE_RATE,
         ),
         demands=demands,
-        variants={
-            "SRPT": _transaction_factory(SRPTTransaction),
-            "FIFO": _transaction_factory(FIFOTransaction),
-        },
-        program_variants={
-            "SRPT": _program_variant(fine_grained_program,
-                                     field="remaining_size"),
-            "FIFO": _program_variant(fifo_program),
-        },
+        variants={"SRPT": _SRPT, "FIFO": _FIFO},
         duration=0.15,
         quick_duration=0.05,
         ecmp=True,
@@ -236,14 +199,7 @@ def build_chain_flap() -> Scenario:
         topology=lambda: linear_chain(CHAIN_HOPS,
                                       link_rate_bps=CHAIN_LINK_RATE),
         demands=demands,
-        variants={
-            "LSTF": _transaction_factory(LSTFTransaction),
-            "FIFO": _transaction_factory(FIFOTransaction),
-        },
-        program_variants={
-            "LSTF": _program_variant(lstf_fabric_program),
-            "FIFO": _program_variant(fifo_program),
-        },
+        variants={"LSTF": _LSTF, "FIFO": _FIFO},
         duration=0.2,
         quick_duration=0.1,
         keep_packets=False,
@@ -284,15 +240,7 @@ def build_dead_spine() -> Scenario:
             host_rate_bps=LEAF_SPINE_RATE,
         ),
         demands=demands,
-        variants={
-            "SRPT": _transaction_factory(SRPTTransaction),
-            "FIFO": _transaction_factory(FIFOTransaction),
-        },
-        program_variants={
-            "SRPT": _program_variant(fine_grained_program,
-                                     field="remaining_size"),
-            "FIFO": _program_variant(fifo_program),
-        },
+        variants={"SRPT": _SRPT, "FIFO": _FIFO},
         duration=0.15,
         quick_duration=0.05,
         ecmp=True,

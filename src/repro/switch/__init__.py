@@ -1,4 +1,4 @@
-"""Shared-memory switch substrate: buffer, admission control, PFC, switch."""
+"""Shared-memory switch substrate: buffer, admission control, switch."""
 
 from .buffer import (
     BufferOccupancy,
@@ -6,8 +6,6 @@ from .buffer import (
     DEFAULT_CELL_BYTES,
     SharedBuffer,
 )
-from .pfc import PFCController, PFCFilteredScheduler
-from .red import REDPolicy
 from .switch import (
     DEFAULT_PORT_COUNT,
     DEFAULT_PORT_RATE_BPS,
@@ -32,9 +30,6 @@ __all__ = [
     "AlwaysAdmit",
     "StaticThresholdPolicy",
     "DynamicThresholdPolicy",
-    "REDPolicy",
-    "PFCController",
-    "PFCFilteredScheduler",
     "SharedMemorySwitch",
     "SwitchStats",
     "PortCounters",

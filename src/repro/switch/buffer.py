@@ -9,7 +9,7 @@ them.
 
 :class:`SharedBuffer` implements the cell accounting and per-flow / per-port
 occupancy counters; admission policies live in
-:mod:`repro.switch.thresholds` and :mod:`repro.switch.red`.
+:mod:`repro.switch.thresholds`.
 """
 
 from __future__ import annotations

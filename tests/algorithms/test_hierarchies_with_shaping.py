@@ -20,7 +20,8 @@ class TestTreeConstruction:
         tree = build_fig4_tree()
         assert tree.node("Right").shaping is not None
         assert tree.node("Left").shaping is None
-        assert tree.node("Right").shaping.rate_bps == FIG4_RIGHT_RATE_BPS
+        # Figure 4c's token-bucket program: r is the rate in bytes/s.
+        assert tree.node("Right").shaping.params["r"] * 8 == FIG4_RIGHT_RATE_BPS
 
     def test_generic_builder_applies_limits_selectively(self):
         tree = build_shaped_hierarchy(

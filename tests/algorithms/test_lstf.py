@@ -7,6 +7,11 @@ import pytest
 from repro.algorithms import LSTFTransaction, stamp_wait_time
 from repro.core import Packet, ProgrammableScheduler, TransactionContext, single_node_tree
 from repro.exceptions import TransactionError
+from repro.lang.programs import lstf_program
+from repro.net import Fabric, get_scenario
+from repro.net.scenarios import URGENT_SLACK
+from repro.sim import Simulator
+from repro.traffic import merge_arrivals
 
 
 def pkt(flow="A", slack=None, prev_wait=0.0):
@@ -74,3 +79,36 @@ class TestLSTFOrdering:
         hop2.enqueue(out, now=0.04)
         final = hop2.dequeue(now=0.04)
         assert final.get("slack") == pytest.approx(0.06)
+
+
+class TestLSTFOnAChain:
+    @pytest.mark.parametrize("make_lstf", [LSTFTransaction, lstf_program],
+                             ids=["LSTFTransaction", "lstf_program"])
+    def test_slack_is_budget_minus_upstream_waits(self, make_lstf):
+        """On fig6_chain's input (three switches, cross traffic at every
+        hop), each hop subtracts only the wait since the previous one: an
+        urgent packet leaves the last switch with its 20 ms budget minus
+        every wait but the last (stamped after the last LSTF ran)."""
+        scenario = get_scenario("fig6_chain")
+        duration = scenario.quick_duration
+        fabric = Fabric(
+            Simulator(), scenario.topology(),
+            lambda switch, port: ProgrammableScheduler(
+                single_node_tree(make_lstf())),
+            keep_packets=True, telemetry=True)
+        by_host = {}
+        for demand in scenario.demands:
+            by_host.setdefault(demand.src, []).append(
+                demand.build_arrivals(duration))
+        for host, streams in sorted(by_host.items()):
+            fabric.attach_source(host, merge_arrivals(*streams))
+        fabric.run(until=duration, drain=True)
+        urgent = [packet for packet in fabric.sink("h_dst").packets
+                  if packet.flow == "urgent"]
+        assert len(urgent) == 20
+        for packet in urgent:
+            waits = [queueing for _node, _arrival, queueing, _departure
+                     in packet.hops]
+            assert len(waits) == 4  # h_src's NIC, s1, s2, s3
+            assert packet.get("slack") == pytest.approx(
+                URGENT_SLACK - sum(waits[:-1]), abs=1e-12)

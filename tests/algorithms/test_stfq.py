@@ -58,15 +58,6 @@ class TestSTFQTransaction:
             STFQTransaction(weights={"A": 0.0})
         with pytest.raises(ValueError):
             STFQTransaction(default_weight=-1.0)
-        txn = STFQTransaction()
-        with pytest.raises(ValueError):
-            txn.set_weight("A", 0.0)
-
-    def test_set_weight_updates_future_ranks(self):
-        txn = STFQTransaction()
-        txn.set_weight("A", 4.0)
-        txn(Packet(flow="A", length=1000), ctx("A", 1000))
-        assert txn.state["last_finish"]["A"] == pytest.approx(250.0)
 
     def test_wfq_alias(self):
         assert WFQTransaction is STFQTransaction

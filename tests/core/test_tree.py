@@ -162,4 +162,4 @@ class TestTreeRuntimeHelpers:
 
     def test_describe_contains_node_names(self):
         description = build_two_level_tree().describe()
-        assert "Root" in description and "Left" in description and "STFQ" in description
+        assert "Root" in description and "Left" in description and "stfq" in description

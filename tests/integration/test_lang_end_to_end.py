@@ -3,9 +3,9 @@
 The strongest programmability claim is that the Figure 3/Figure 4 hierarchies
 can be expressed as program text only — no hand-written transaction classes —
 and still produce the paper's bandwidth shares on the simulated switch.
-These tests rebuild HPFQ and Hierarchies-with-Shaping from
+These tests build HPFQ and Hierarchies-with-Shaping from
 :mod:`repro.lang.programs` sources and compare against both the expected
-shares and the hand-written trees.
+shares and the :mod:`repro.algorithms` builders of the same trees.
 """
 
 from __future__ import annotations

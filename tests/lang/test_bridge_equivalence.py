@@ -1,11 +1,13 @@
-"""Compiled programs must behave like the hand-written algorithm classes.
+"""Compiled programs must implement the paper's figures.
 
-The same scheduling algorithms exist twice in the library: hand-written
-transaction classes in :mod:`repro.algorithms` and program text in
-:mod:`repro.lang.programs`.  These tests drive both with identical packet
-sequences (including hypothesis-generated ones) and require identical ranks,
-send times and departure orders — the strongest evidence that the language
-implements the paper's figures faithfully.
+STFQ, token-bucket shaping, LSTF and the rank-from-field family are defined
+once, as program text in :mod:`repro.lang.programs`; their names in
+:mod:`repro.algorithms` return those programs.  These tests restate each
+figure's arithmetic in a few lines of plain Python, drive the program with
+identical packet sequences (including hypothesis-generated ones) and
+require identical ranks, send times and departure orders.  Stop-and-go and
+minimum-rate guarantees still have a native class, which the program is
+compared against.
 """
 
 from __future__ import annotations
@@ -16,12 +18,9 @@ from hypothesis import strategies as st
 
 from repro.core import Packet, ProgrammableScheduler, TransactionContext, single_node_tree
 from repro.algorithms import (
-    LSTFTransaction,
     MinRateTransaction,
-    STFQTransaction,
     SRPTTransaction,
     StopAndGoShapingTransaction,
-    TokenBucketShapingTransaction,
 )
 from repro.exceptions import TransactionError
 from repro.lang import RuntimeLangError, compile_scheduling_program, compile_shaping_program
@@ -41,23 +40,45 @@ def make_ctx(flow, length, now=0.0):
     return TransactionContext(now=now, node="n", element_flow=flow, element_length=length)
 
 
+def stfq_reference(arrivals, weights):
+    """Figure 1 by hand: the start tags of ``(flow, length)`` arrivals that
+    are all enqueued before any dequeue (virtual time stays 0)."""
+    virtual_time, last_finish, starts = 0.0, {}, []
+    for flow, length in arrivals:
+        start = max(virtual_time, last_finish.get(flow, virtual_time))
+        last_finish[flow] = start + length / weights.get(flow, 1.0)
+        starts.append(start)
+    return starts
+
+
+def token_bucket_reference(arrivals, rate, burst):
+    """Figure 4c by hand: send times of ``(now, length)`` arrivals and the
+    final ``(tokens, last_time)``, starting from a full bucket."""
+    tokens, last_time, send_times = burst, 0.0, []
+    for now, length in arrivals:
+        tokens = min(tokens + rate * (now - last_time), burst)
+        if length <= tokens:
+            send_times.append(now)
+        else:
+            send_times.append(now + (length - tokens) / rate)
+        tokens -= length
+        last_time = now
+    return send_times, (tokens, last_time)
+
+
 # --------------------------------------------------------------------------- #
 # STFQ (Figure 1)                                                             #
 # --------------------------------------------------------------------------- #
 class TestSTFQEquivalence:
-    def make_pair(self, weights=None):
-        weights = weights or {}
-        return (
-            STFQTransaction(weights=weights),
-            stfq_program(weights=weights),
-        )
+    def ranks(self, arrivals, weights):
+        compiled = stfq_program(weights=weights)
+        return [compiled(Packet(flow=flow, length=length),
+                         make_ctx(flow, length))
+                for flow, length in arrivals]
 
     def test_single_flow_ranks_match(self):
-        hand, compiled = self.make_pair()
-        for i in range(20):
-            packet = Packet(flow="a", length=1000)
-            ctx = make_ctx("a", 1000)
-            assert hand(packet, ctx) == compiled(packet, make_ctx("a", 1000))
+        arrivals = [("a", 1000)] * 20
+        assert self.ranks(arrivals, {}) == [1000.0 * i for i in range(20)]
 
     def test_weights_are_converted_once_at_construction(self):
         # The accessor runs per rank computation and only looks up; integer
@@ -71,26 +92,20 @@ class TestSTFQEquivalence:
 
     def test_two_flows_with_weights(self):
         weights = {"gold": 4.0, "bronze": 1.0}
-        hand, compiled = self.make_pair(weights)
         sequence = ["gold", "bronze", "gold", "gold", "bronze", "gold", "bronze"]
-        for flow in sequence:
-            packet = Packet(flow=flow, length=1500)
-            assert hand(packet, make_ctx(flow, 1500)) == pytest.approx(
-                compiled(packet, make_ctx(flow, 1500))
-            )
+        arrivals = [(flow, 1500) for flow in sequence]
+        assert self.ranks(arrivals, weights) == pytest.approx(
+            stfq_reference(arrivals, weights))
 
     def test_dequeue_side_virtual_time_update(self):
-        hand, compiled = self.make_pair()
+        compiled = stfq_program()
         packet = Packet(flow="a", length=1000)
-        hand(packet, make_ctx("a", 1000))
         compiled(packet, make_ctx("a", 1000))
-        # Simulate dequeuing an element with rank 123: both must advance
-        # virtual_time identically.
+        # Dequeuing an element with rank 123 advances virtual_time to it.
         ctx = TransactionContext(now=0.0, node="n", element_flow="a",
                                  element_length=1000, extras={"rank": 123.0})
-        hand.on_dequeue(packet, ctx)
         compiled.on_dequeue(packet, ctx)
-        assert hand.state["virtual_time"] == compiled.state["virtual_time"] == 123.0
+        assert compiled.state["virtual_time"] == 123.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -105,51 +120,42 @@ class TestSTFQEquivalence:
     )
     def test_property_identical_ranks_on_random_sequences(self, arrivals):
         weights = {"a": 1.0, "b": 2.0, "c": 0.5, "d": 4.0}
-        hand, compiled = self.make_pair(weights)
-        for flow, length in arrivals:
-            packet = Packet(flow=flow, length=length)
-            rank_hand = hand(packet, make_ctx(flow, length))
-            rank_prog = compiled(packet, make_ctx(flow, length))
-            assert rank_prog == pytest.approx(rank_hand)
+        assert self.ranks(arrivals, weights) == pytest.approx(
+            stfq_reference(arrivals, weights))
 
     def test_full_scheduler_departure_order_matches(self):
         weights = {"a": 3.0, "b": 1.0}
-        hand_sched = ProgrammableScheduler(single_node_tree(STFQTransaction(weights=weights)))
-        prog_sched = ProgrammableScheduler(single_node_tree(stfq_program(weights=weights)))
-        packets = []
-        for i in range(30):
-            flow = "a" if i % 3 else "b"
-            packets.append((flow, 1000 + (i % 5) * 100))
-        for flow, length in packets:
-            hand_sched.enqueue(Packet(flow=flow, length=length))
-            prog_sched.enqueue(Packet(flow=flow, length=length))
-        hand_order = [(p.flow, p.length) for p in hand_sched.drain()]
-        prog_order = [(p.flow, p.length) for p in prog_sched.drain()]
-        assert hand_order == prog_order
+        scheduler = ProgrammableScheduler(single_node_tree(stfq_program(weights=weights)))
+        arrivals = [("a" if i % 3 else "b", 1000 + (i % 5) * 100)
+                    for i in range(30)]
+        for index, (flow, length) in enumerate(arrivals):
+            scheduler.enqueue(Packet(flow=flow, length=length,
+                                     fields={"index": index}))
+        starts = stfq_reference(arrivals, weights)
+        expected = sorted(range(len(arrivals)), key=lambda i: (starts[i], i))
+        assert [p.get("index") for p in scheduler.drain()] == expected
 
 
 # --------------------------------------------------------------------------- #
 # Token bucket (Figure 4c)                                                    #
 # --------------------------------------------------------------------------- #
 class TestTokenBucketEquivalence:
-    RATE_BPS = 10e6
+    RATE = 10e6 / 8.0
     BURST = 3000.0
 
-    def make_pair(self):
-        hand = TokenBucketShapingTransaction(rate_bps=self.RATE_BPS, burst_bytes=self.BURST)
-        compiled = token_bucket_program(
-            rate_bytes_per_s=self.RATE_BPS / 8.0, burst_bytes=self.BURST
-        )
-        return hand, compiled
+    def send_times(self, compiled, arrivals):
+        return [compiled(Packet(flow="r", length=length),
+                         make_ctx("r", length, now))
+                for now, length in arrivals]
 
     def test_burst_then_spacing(self):
-        hand, compiled = self.make_pair()
-        now = 0.0
-        for i in range(10):
-            packet = Packet(flow="r", length=1500)
-            ctx_h = make_ctx("r", 1500, now)
-            ctx_c = make_ctx("r", 1500, now)
-            assert hand(packet, ctx_h) == pytest.approx(compiled(packet, ctx_c))
+        compiled = token_bucket_program(rate_bytes_per_s=self.RATE,
+                                        burst_bytes=self.BURST)
+        arrivals = [(0.0, 1500)] * 10
+        expected, _ = token_bucket_reference(arrivals, self.RATE, self.BURST)
+        assert self.send_times(compiled, arrivals) == pytest.approx(expected)
+        # Two packets ride the full bucket; the rest are spaced at rate r.
+        assert expected[:2] == [0.0, 0.0] and expected[2] > 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -163,25 +169,26 @@ class TestTokenBucketEquivalence:
         )
     )
     def test_property_identical_send_times(self, gaps_and_lengths):
-        hand, compiled = self.make_pair()
-        now = 0.0
+        compiled = token_bucket_program(rate_bytes_per_s=self.RATE,
+                                        burst_bytes=self.BURST)
+        arrivals, now = [], 0.0
         for gap, length in gaps_and_lengths:
             now += gap
-            packet = Packet(flow="r", length=length)
-            send_hand = hand(packet, make_ctx("r", length, now))
-            send_prog = compiled(packet, make_ctx("r", length, now))
-            assert send_prog == pytest.approx(send_hand)
-            assert send_prog >= now - 1e-12
+            arrivals.append((now, length))
+        expected, _ = token_bucket_reference(arrivals, self.RATE, self.BURST)
+        send_times = self.send_times(compiled, arrivals)
+        assert send_times == pytest.approx(expected)
+        assert all(send >= now - 1e-12 for send, (now, _) in zip(send_times, arrivals))
 
     def test_state_trajectories_match(self):
-        hand, compiled = self.make_pair()
-        times = [0.0, 0.0001, 0.0002, 0.01, 0.0101, 0.5]
-        for now in times:
-            packet = Packet(flow="r", length=1200)
-            hand(packet, make_ctx("r", 1200, now))
-            compiled(packet, make_ctx("r", 1200, now))
-        assert compiled.state["tokens"] == pytest.approx(hand.state["tokens"])
-        assert compiled.state["last_time"] == pytest.approx(hand.state["last_time"])
+        compiled = token_bucket_program(rate_bytes_per_s=self.RATE,
+                                        burst_bytes=self.BURST)
+        arrivals = [(now, 1200) for now in (0.0, 0.0001, 0.0002, 0.01, 0.0101, 0.5)]
+        self.send_times(compiled, arrivals)
+        _, (tokens, last_time) = token_bucket_reference(
+            arrivals, self.RATE, self.BURST)
+        assert compiled.state["tokens"] == pytest.approx(tokens)
+        assert compiled.state["last_time"] == pytest.approx(last_time)
 
 
 # --------------------------------------------------------------------------- #
@@ -189,11 +196,10 @@ class TestTokenBucketEquivalence:
 # --------------------------------------------------------------------------- #
 class TestLSTFEquivalence:
     def test_rank_is_decremented_slack(self):
-        hand = LSTFTransaction()
-        compiled = lstf_program()
-        packet_h = Packet(flow="a", length=500, fields={"slack": 10.0, "prev_wait_time": 3.0})
-        packet_c = Packet(flow="a", length=500, fields={"slack": 10.0, "prev_wait_time": 3.0})
-        assert hand(packet_h, make_ctx("a", 500)) == compiled(packet_c, make_ctx("a", 500)) == 7.0
+        packet = Packet(flow="a", length=500, fields={"slack": 10.0, "prev_wait_time": 3.0})
+        assert lstf_program()(packet, make_ctx("a", 500)) == 7.0
+        # The consumed wait is reset, so the next hop subtracts only its own.
+        assert packet.get("prev_wait_time") == 0
 
     def test_slack_written_back_to_packet(self):
         compiled = lstf_program()
@@ -219,15 +225,14 @@ class TestLSTFEquivalence:
         )
     )
     def test_property_departure_order_matches(self, slack_wait_pairs):
-        hand_sched = ProgrammableScheduler(single_node_tree(LSTFTransaction()))
-        prog_sched = ProgrammableScheduler(single_node_tree(lstf_program()))
+        scheduler = ProgrammableScheduler(single_node_tree(lstf_program()))
         for index, (slack, wait) in enumerate(slack_wait_pairs):
             fields = {"slack": slack, "prev_wait_time": wait, "index": index}
-            hand_sched.enqueue(Packet(flow="f", length=100, fields=dict(fields)))
-            prog_sched.enqueue(Packet(flow="f", length=100, fields=dict(fields)))
-        hand_order = [p.get("index") for p in hand_sched.drain()]
-        prog_order = [p.get("index") for p in prog_sched.drain()]
-        assert hand_order == prog_order
+            scheduler.enqueue(Packet(flow="f", length=100, fields=fields))
+        expected = sorted(range(len(slack_wait_pairs)),
+                          key=lambda i: (slack_wait_pairs[i][0]
+                                         - slack_wait_pairs[i][1], i))
+        assert [p.get("index") for p in scheduler.drain()] == expected
 
 
 # --------------------------------------------------------------------------- #
@@ -305,11 +310,12 @@ class TestMinRateEquivalence:
 # --------------------------------------------------------------------------- #
 class TestFineGrainedEquivalence:
     def test_srpt_matches_hand_written(self):
-        hand = SRPTTransaction()
-        compiled = fine_grained_program("remaining_size")
+        # Section 3.4's SRPT is the one-line program p.rank = p.remaining_size.
+        srpt = SRPTTransaction()
+        assert srpt.program_name == "rank-from-remaining_size"
         for remaining in (100, 5000, 1, 250000):
             packet = Packet(flow="x", length=1500, fields={"remaining_size": remaining})
-            assert hand(packet, make_ctx("x", 1500)) == compiled(packet, make_ctx("x", 1500))
+            assert srpt(packet, make_ctx("x", 1500)) == remaining
 
     def test_invalid_field_name_rejected(self):
         with pytest.raises(ValueError):

@@ -32,11 +32,17 @@ from hypothesis import strategies as st
 
 from repro.algorithms import (
     ArrivalSequenceTransaction,
+    EarliestDeadlineFirstTransaction,
     FieldRankTransaction,
     FIFOTransaction,
+    LSTFTransaction,
+    ShortestJobFirstTransaction,
     SRPTTransaction,
     STFQTransaction,
     StopAndGoShapingTransaction,
+    StrictPriorityTransaction,
+    TokenBucketShapingTransaction,
+    WFQTransaction,
     build_fig3_tree,
     build_fig4_tree,
     build_hierarchical_round_robin_tree,
@@ -103,17 +109,6 @@ class TestInstall:
         assert "enqueue" in scheduler.__dict__
         assert "dequeue" in scheduler.__dict__
         assert "transfer" in scheduler.__dict__
-
-    def test_env_var_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TREE_KERNEL", "0")
-        scheduler = _fifo_scheduler()
-        assert scheduler.tree_kernel is None
-        assert "enqueue" not in scheduler.__dict__
-
-    def test_explicit_flag_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TREE_KERNEL", "0")
-        scheduler = _fifo_scheduler(tree_kernel=True)
-        assert scheduler.tree_kernel is not None
 
     def test_set_tree_kernel_toggles(self):
         scheduler = _fifo_scheduler()
@@ -946,13 +941,57 @@ def test_kernels_store_each_fact_once(label, backend):
         if _DUPLICATE_COUNTER.search(line)]
 
 
+#: The paper's listed algorithms, by their :mod:`repro.algorithms` names.
+PAPER_CATALOGUE = {
+    "STFQTransaction": lambda: STFQTransaction(weights={"a": 2.0}),
+    "WFQTransaction": WFQTransaction,
+    "StrictPriorityTransaction": StrictPriorityTransaction,
+    "FieldRankTransaction": lambda: FieldRankTransaction("deadline"),
+    "ShortestJobFirstTransaction": ShortestJobFirstTransaction,
+    "SRPTTransaction": SRPTTransaction,
+    "EarliestDeadlineFirstTransaction": EarliestDeadlineFirstTransaction,
+    "LSTFTransaction": LSTFTransaction,
+}
+
+
+def _catalogue_packet(index):
+    return Packet(flow="ab"[index % 2], length=500 + index, priority=index % 3,
+                  fields={"deadline": 9 - index, "flow_size": index,
+                          "remaining_size": 5 - index, "slack": 1.0 - index})
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_CATALOGUE))
+def test_the_paper_catalogue_is_spliced(name):
+    """Each listed algorithm is its program text, spliced into the kernel:
+    no fallback, nothing called per packet."""
+    scheduler = ProgrammableScheduler(single_node_tree(PAPER_CATALOGUE[name]()))
+    assert scheduler.kernel_fallback_reason is None
+    assert scheduler.tree_kernel.called_programs == ()
+    (node,) = scheduler.tree_kernel.signature
+    assert node.tx[0] == "lang" and node.tx[2] is True, node.tx
+    for index in range(6):
+        assert scheduler.enqueue(_catalogue_packet(index), now=0.0)
+    assert len(_drain(scheduler)) == 6
+
+
+def test_token_bucket_shaping_is_spliced():
+    root = TreeNode(name="root", scheduling=FIFOTransaction())
+    root.add_child(TreeNode(
+        name="shaped", scheduling=FIFOTransaction(),
+        shaping=TokenBucketShapingTransaction(rate_bps=1e6, burst_bytes=1500)))
+    scheduler = ProgrammableScheduler(ScheduleTree(root))
+    assert scheduler.kernel_fallback_reason is None
+    assert scheduler.tree_kernel.called_programs == ()
+    assert scheduler.tree_kernel.signature[1].shaping[0] == "splice"
+
+
 def test_nothing_shipped_falls_back():
     """The gate: every tree this package builds runs a kernel, and every
     program it ships compiled is spliced into it.
 
     Every builder exported by :mod:`repro.lang.trees` (both lang back
     ends), every shaped builder in :mod:`repro.algorithms`, every variant
-    of every registered scenario — native and from programs — and every
+    of every registered scenario on every lang back end, and every
     program in :mod:`repro.lang.programs` on a tree of its own.
     """
     import repro.lang.trees as lang_trees
@@ -996,10 +1035,7 @@ def test_nothing_shipped_falls_back():
     assert scenarios
     for scenario in scenarios:
         for label in scenario.variants:
-            backends = [None]
-            if scenario.program_variants and label in scenario.program_variants:
-                backends += ["compiled", "interpreted"]
-            for backend in backends:
+            for backend in (None, "compiled", "interpreted"):
                 factory = scenario.scheduler_factory(label, backend)
                 schedulers[f"{scenario.name}/{label}[{backend}]"] = (
                     factory("s1", "to_s2"))

@@ -43,21 +43,21 @@ from repro.net.scenario import ScenarioResult
 from repro.sim import Simulator
 
 
-def fifo_factory(tree_kernel=None):
+def fifo_factory(tree_kernel=True):
     def factory(switch, port):
         return ProgrammableScheduler(single_node_tree(FIFOTransaction()),
                                      tree_kernel=tree_kernel)
     return factory
 
 
-def chain_fabric(plan, link_rate_bps=1e7, hops=2, tree_kernel=None):
+def chain_fabric(plan, link_rate_bps=1e7, hops=2, tree_kernel=True):
     sim = Simulator()
     fabric = Fabric(
         sim,
         linear_chain(hops, link_rate_bps=link_rate_bps),
         fifo_factory(tree_kernel),
         fault_plan=plan,
-        fused_delivery=None if tree_kernel is not False else False,
+        fused_delivery=None if tree_kernel else False,
     )
     return sim, fabric
 

@@ -30,6 +30,11 @@ def fifo_factory(switch, port):
     return ProgrammableScheduler(single_node_tree(FIFOTransaction()))
 
 
+def fifo_variant(lang_backend):
+    """A scenario variant: every lang back end runs native FIFO."""
+    return fifo_factory
+
+
 def _strip_observability(result):
     """ScenarioResult fields that must match across telemetry modes."""
     return {
@@ -124,7 +129,7 @@ class TestScenarioLockstep:
                 Demand(src="h_src", dst="h_dst", kind="cbr",
                        rate_bps=4e5, packet_size=300, flow="c"),
             ],
-            variants={"FIFO": fifo_factory},
+            variants={"FIFO": fifo_variant},
             duration=0.2,
         )
         on = scenario.run(telemetry=True)["FIFO"]

@@ -29,6 +29,11 @@ def fifo_factory(switch, port):
     return ProgrammableScheduler(single_node_tree(FIFOTransaction()))
 
 
+def fifo_variant(lang_backend):
+    """A scenario variant: every lang back end runs native FIFO."""
+    return fifo_factory
+
+
 def _tiny_scenario() -> Scenario:
     return Scenario(
         name="trace_tiny",
@@ -38,7 +43,7 @@ def _tiny_scenario() -> Scenario:
             Demand(src="h_src", dst="h_dst", kind="cbr",
                    rate_bps=8e5, packet_size=500, flow="c"),
         ],
-        variants={"FIFO": fifo_factory},
+        variants={"FIFO": fifo_variant},
         duration=0.05,
     )
 

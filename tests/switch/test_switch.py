@@ -1,5 +1,5 @@
-"""Tests for the shared-memory switch substrate (buffer, thresholds, RED,
-PFC, switch)."""
+"""Tests for the shared-memory switch substrate (buffer, thresholds,
+switch)."""
 
 from __future__ import annotations
 
@@ -12,9 +12,6 @@ from repro.sim import Simulator
 from repro.switch import (
     AlwaysAdmit,
     DynamicThresholdPolicy,
-    PFCController,
-    PFCFilteredScheduler,
-    REDPolicy,
     SharedBuffer,
     SharedMemorySwitch,
     StaticThresholdPolicy,
@@ -114,81 +111,6 @@ class TestAdmissionPolicies:
             DynamicThresholdPolicy(alpha=0)
         with pytest.raises(ValueError):
             DynamicThresholdPolicy(key="queue")
-
-
-class TestRED:
-    def test_no_drops_below_min_threshold(self):
-        buffer = SharedBuffer(capacity_bytes=20000, cell_bytes=200)
-        policy = REDPolicy(min_threshold_cells=50, max_threshold_cells=80, seed=1)
-        assert all(
-            policy.admit(buffer, Packet(flow="A", length=200)) for _ in range(20)
-        )
-
-    def test_forced_drop_above_max_threshold(self):
-        buffer = SharedBuffer(capacity_bytes=200000, cell_bytes=200)
-        policy = REDPolicy(min_threshold_cells=2, max_threshold_cells=5,
-                           weight=1.0, seed=1)
-        for _ in range(10):
-            buffer.allocate(Packet(flow="A", length=200))
-        assert not policy.admit(buffer, Packet(flow="A", length=200))
-        assert policy.forced_drops == 1
-
-    def test_drop_probability_ramp(self):
-        policy = REDPolicy(min_threshold_cells=10, max_threshold_cells=20,
-                           max_drop_probability=0.5)
-        policy.average_cells = 15.0
-        assert policy.drop_probability() == pytest.approx(0.25)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            REDPolicy(min_threshold_cells=10, max_threshold_cells=5)
-        with pytest.raises(ValueError):
-            REDPolicy(min_threshold_cells=1, max_threshold_cells=2,
-                      max_drop_probability=0)
-
-
-class TestPFC:
-    def make_scheduler(self):
-        return PFCFilteredScheduler(
-            ProgrammableScheduler(single_node_tree(FIFOTransaction()))
-        )
-
-    def test_paused_flow_not_dequeued(self):
-        wrapped = self.make_scheduler()
-        wrapped.enqueue(Packet(flow="A", length=100), now=0.0)
-        wrapped.enqueue(Packet(flow="B", length=100), now=0.0)
-        wrapped.controller.pause_flow("A")
-        assert wrapped.dequeue(now=0.0).flow == "B"
-        assert wrapped.dequeue(now=0.0) is None
-        assert wrapped.parked_packets == 1
-        assert len(wrapped) == 1
-
-    def test_resume_restores_parked_packets_in_order(self):
-        wrapped = self.make_scheduler()
-        first = Packet(flow="A", length=100)
-        second = Packet(flow="A", length=100)
-        wrapped.enqueue(first, now=0.0)
-        wrapped.enqueue(second, now=0.0)
-        wrapped.controller.pause_flow("A")
-        assert wrapped.dequeue(now=0.0) is None
-        wrapped.controller.resume_flow("A")
-        assert wrapped.dequeue(now=0.0) is first
-        assert wrapped.dequeue(now=0.0) is second
-
-    def test_pause_by_priority_class(self):
-        controller = PFCController()
-        controller.pause_priority(3)
-        assert controller.is_paused(Packet(flow="x", length=10, priority=3))
-        assert not controller.is_paused(Packet(flow="x", length=10, priority=0))
-        controller.resume_priority(3)
-        assert not controller.is_paused(Packet(flow="x", length=10, priority=3))
-
-    def test_message_counters(self):
-        controller = PFCController()
-        controller.pause_flow("A")
-        controller.resume_flow("A")
-        assert controller.pause_messages == 1
-        assert controller.resume_messages == 1
 
 
 class TestSharedMemorySwitch:
