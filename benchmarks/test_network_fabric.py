@@ -33,7 +33,7 @@ CLOS_PACKETS = 2_000 if BENCH_QUICK else 10_000
 #: Best-of-N rounds per configuration: the artifact gates CI, so one
 #: scheduler hiccup must not commit as a regression.
 ROUNDS = int(os.environ.get("BENCH_ROUNDS", "1" if BENCH_QUICK else "3"))
-BACKENDS = ["sorted", "calendar", "bucketed"]
+BACKENDS = ["sorted", "calendar", "quantized"]
 
 
 def _best_run(topology, count, **kwargs):

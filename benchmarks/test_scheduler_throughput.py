@@ -205,7 +205,7 @@ def _fifo_scheduler(backend):
     )
 
 
-@pytest.mark.parametrize("backend", ["sorted", "calendar", "bucketed"])
+@pytest.mark.parametrize("backend", ["sorted", "calendar", "quantized"])
 def test_throughput_backend_fifo_50k(benchmark, backend):
     """Each registered backend sustains the 50 k-packet FIFO workload."""
     packets = make_backend_packets(BACKEND_PACKET_COUNT)
@@ -263,7 +263,7 @@ def test_throughput_backends_vs_seed_50k(benchmark):
             ],
         ),
     }
-    candidates = ["seed-list", "sorted", "calendar", "bucketed"]
+    candidates = ["seed-list", "sorted", "calendar", "quantized"]
 
     def run_all():
         rates = {}
@@ -327,7 +327,7 @@ def test_throughput_backends_vs_seed_50k(benchmark):
     gates = {
         "sorted": "fifo",
         "calendar": "fifo",
-        "bucketed": "priority8",
+        "quantized": "priority8",
     }
     for backend, workload in gates.items():
         ratio = rates[workload][backend] / rates[workload]["seed-list"]
@@ -335,7 +335,7 @@ def test_throughput_backends_vs_seed_50k(benchmark):
             f"{backend} is only {ratio:.2f}x the seed scheduler on {workload}"
         )
     for workload, by_backend in rates.items():
-        for backend in ("sorted", "calendar", "bucketed"):
+        for backend in ("sorted", "calendar", "quantized"):
             assert by_backend[backend] >= 0.9 * by_backend["seed-list"], (
                 f"{backend} lost to the seed scheduler on {workload}"
             )

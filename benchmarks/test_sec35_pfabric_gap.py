@@ -59,9 +59,10 @@ def test_sec35_buffered_elements_order_is_immutable(benchmark):
         violations = 0
         for op_index in range(operations):
             snapshot = [id(e) for e in pifo]
+            buffered = set(snapshot)
             pifo.push(object(), rng.randint(0, 100))
             after = [id(e) for e in pifo]
-            after_filtered = [e for e in after if e in set(snapshot)]
+            after_filtered = [e for e in after if e in buffered]
             if after_filtered != snapshot:
                 violations += 1
             if op_index % 7 == 0 and pifo:

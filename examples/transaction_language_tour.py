@@ -118,7 +118,7 @@ def show_generated_code() -> None:
         return
     print(generated.rstrip())
     print("\nper-packet cost is one function call; the interpreter AST walk")
-    print("is only a fallback (backend='interpreted' or REPRO_LANG_BACKEND)")
+    print("is only a fallback (or forced with backend='interpreted')")
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ import gc
 import json
 import multiprocessing
 import os
+import signal
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -54,6 +55,9 @@ SPECS_PER_WORKER = 2
 #: policy sets no ``timeout_s``.  Generous: any legitimate single run
 #: finishes orders of magnitude faster.
 DEFAULT_WATCHDOG_RUN_S = 300.0
+
+#: Seconds a terminated worker gets to exit before it is killed outright.
+KILL_AFTER_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -147,6 +151,10 @@ def _engine_worker(conn, policy_dict: Dict,
     """
     from ..lang.treekernel import kernel_cache_info
 
+    # A forked worker inherits the parent's Python-level SIGTERM handler.
+    # One that raises an ``Exception`` would be caught by the run guard
+    # and keep a wedged worker alive; the parent's terminate must end it.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _engine_worker_init(warmup)
     policy = WorkerPolicy.from_dict(policy_dict)
     conn.send(kernel_cache_info())
@@ -174,12 +182,16 @@ class _Worker:
 
     def stop(self, grace_s: float = 0.0) -> Optional[int]:
         """Reap the process, terminating it if it outlives ``grace_s``
-        (a dying worker closes its pipe a moment before it is reapable);
-        return its exit code."""
+        (a dying worker closes its pipe a moment before it is reapable)
+        and killing it if it outlives the terminate by
+        :data:`KILL_AFTER_S`; return its exit code."""
         self.process.join(grace_s)
         if self.process.is_alive():
             self.process.terminate()
-            self.process.join()
+            self.process.join(KILL_AFTER_S)
+            if self.process.is_alive():
+                self.process.kill()
+                self.process.join()
         self.conn.close()
         return self.process.exitcode
 

@@ -16,6 +16,7 @@ dropping completed results would make reports lie.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -154,20 +155,16 @@ class ResultStore:
                 handle.seek(0, 2)
                 handle.write(b"\n")
 
-    def _lines(self) -> Iterator[str]:
-        if not self.path.exists():
-            return
-        with self.path.open("r", encoding="utf-8") as handle:
-            yield from handle
-
     def _iter_positioned_lines(self) -> Iterator[Tuple[Tuple[int, int, bytes], bool]]:
         """Stream ``((line_no, offset, raw), is_last)`` without buffering.
 
-        Mirrors :meth:`_scan`'s coordinates and trailing-blank handling —
-        trailing blank lines are dropped, interior ones are surfaced — but
-        holds at most one record line in memory, so multi-gigabyte stores
-        stream.  ``is_last`` marks the final surfaced line (the only
-        position where a torn record is tolerated).
+        ``line_no`` is 1-based, ``offset`` is where the line starts in the
+        file — the coordinates corruption diagnostics report so a bad
+        record can be located with ``dd``/``sed`` directly.  Trailing blank
+        lines are dropped, interior ones are surfaced; at most one record
+        line is held in memory, so multi-gigabyte stores stream.
+        ``is_last`` marks the final surfaced line (the only position where
+        a torn record is tolerated).
         """
         if not self.path.exists():
             return
@@ -216,38 +213,23 @@ class ResultStore:
         Two passes over the file: the first builds a fingerprint ->
         last-position index (ints only — memory is O(distinct runs), not
         O(file)), the second yields exactly the surviving records in
-        append order.  The streamed sequence equals
-        :meth:`effective_records`.
+        append order.  The result is a snapshot of the records the first
+        pass counted: records a running campaign appends between the
+        passes are left for the next read.  This is what reports should
+        aggregate — running a campaign twice into the same store must not
+        double its counts.
         """
         last_index: Dict[str, int] = {}
-        for index, record in enumerate(self.iter_records()):
+        count = 0
+        for record in self.iter_records():
             fingerprint = record.get("fingerprint")
             if fingerprint is not None:
-                last_index[fingerprint] = index
-        for index, record in enumerate(self.iter_records()):
+                last_index[fingerprint] = count
+            count += 1
+        for index, record in enumerate(islice(self.iter_records(), count)):
             fingerprint = record.get("fingerprint")
             if fingerprint is None or last_index[fingerprint] == index:
                 yield record
-
-    def _scan(self) -> List[Tuple[int, int, bytes]]:
-        """Raw lines with their positions: ``(line_no, byte_offset, bytes)``.
-
-        ``line_no`` is 1-based, ``byte_offset`` is where the line starts in
-        the file — the coordinates corruption diagnostics report so a bad
-        record can be located with ``dd``/``sed`` directly.  Trailing blank
-        lines are dropped.
-        """
-        if not self.path.exists():
-            return []
-        out: List[Tuple[int, int, bytes]] = []
-        offset = 0
-        with self.path.open("rb") as handle:
-            for index, raw in enumerate(handle):
-                out.append((index + 1, offset, raw.rstrip(b"\r\n")))
-                offset += len(raw)
-        while out and not out[-1][2].strip():
-            out.pop()
-        return out
 
     def load(self) -> List[Dict]:
         """All records in append order.
@@ -289,13 +271,11 @@ class ResultStore:
 
         issues: List[str] = []
         records: List[Dict] = []
-        lines = self._scan()
-        for position, (line_no, offset, raw) in enumerate(lines):
+        for (line_no, offset, raw), is_last in self._iter_positioned_lines():
             try:
                 records.append(json.loads(raw.decode("utf-8")))
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                label = ("torn trailing line"
-                         if position == len(lines) - 1 else "corrupt record")
+                label = "torn trailing line" if is_last else "corrupt record"
                 issues.append(f"line {line_no} (byte offset {offset}): "
                               f"{label}: {exc}")
         ok = failed = 0
@@ -346,20 +326,8 @@ class ResultStore:
         return latest
 
     def effective_records(self) -> List[Dict]:
-        """Records with re-runs deduplicated: the last record wins per
-        fingerprint.  This is what reports should aggregate — running a
-        campaign twice into the same store must not double its counts."""
-        records = self.load()
-        last_index: Dict[str, int] = {}
-        for index, record in enumerate(records):
-            fingerprint = record.get("fingerprint")
-            if fingerprint is not None:
-                last_index[fingerprint] = index
-        return [
-            record for index, record in enumerate(records)
-            if (record.get("fingerprint") is None
-                or last_index[record["fingerprint"]] == index)
-        ]
+        """:meth:`iter_effective_records` as a list."""
+        return list(self.iter_effective_records())
 
     def clear(self) -> None:
         if self.path.exists():

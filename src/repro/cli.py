@@ -951,6 +951,14 @@ def _cmd_show(program: str, tree_kernel: bool = False,
         print(f"unknown program {program!r}; known programs: {known}",
               file=sys.stderr)
         return 2
+    if tree_kernel:
+        from .core.backend import resolve_backend
+
+        try:
+            resolve_backend(pifo_backend)
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
     source = PROGRAM_SOURCES[program]
     state = PROGRAM_STATE[program]
     kind = "shaping" if program in SHAPING_PROGRAMS else "scheduling"

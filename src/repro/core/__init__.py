@@ -29,7 +29,6 @@ from .backend import (
 from .packet import Packet, make_packets
 from .pifo import (
     PIFO,
-    BucketedPIFO,
     CalendarPIFO,
     PIFOBase,
     PIFOEntry,
@@ -69,7 +68,6 @@ __all__ = [
     "PIFO",
     "SortedListPIFO",
     "CalendarPIFO",
-    "BucketedPIFO",
     "QuantizedBucketedPIFO",
     "PIFOBase",
     "PIFOEntry",

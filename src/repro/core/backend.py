@@ -3,26 +3,22 @@
 The paper's thesis is that *one* PIFO primitive can express every scheduling
 algorithm; this module makes the primitive's *storage* a first-class,
 swappable subsystem so the same algorithm can run on the reference sorted
-list, a heap calendar, or an integer-rank bucket queue — and so new storage
-experiments (software sharding, SIMD sort, an FFI kernel) can slot in
-without touching any scheduler, simulator, switch or hardware code.
+list, a heap calendar, or a bucket queue keyed by quantised rank — and so
+new storage experiments (software sharding, SIMD sort, an FFI kernel) can
+slot in without touching any scheduler or simulator code.
 
-Every layer of the stack accepts a *backend spec*:
+A *backend spec* is one of:
 
 * ``None`` — the default backend (:data:`DEFAULT_BACKEND`);
-* a registry name: ``"sorted"``, ``"calendar"``, ``"bucketed"`` or
-  ``"quantized"`` (the bucket queue with real-valued ranks quantised to
-  integer slots);
+* a registry name: ``"sorted"``, ``"calendar"`` or ``"quantized"`` (the
+  bucket queue, ranks quantised to integer slots);
 * a backend class (anything implementing :class:`PIFOBackend`), or a
   zero-config callable ``f(capacity=..., name=...)`` returning one.
 
-The spec threads through :class:`~repro.core.tree.TreeNode` /
-:class:`~repro.core.tree.ScheduleTree`,
-:class:`~repro.core.scheduler.ProgrammableScheduler`, the simulator's
-:class:`~repro.sim.link.OutputPort`, the
-:class:`~repro.switch.switch.SharedMemorySwitch`, the hardware
-:class:`~repro.hardware.pifo_block.PIFOBlock` and every tree builder in
-:mod:`repro.algorithms`.
+The layers that build PIFOs accept one: :class:`~repro.core.tree.TreeNode` /
+:class:`~repro.core.tree.ScheduleTree`, every tree builder in
+:mod:`repro.algorithms`, :class:`~repro.core.scheduler.ProgrammableScheduler`
+and, for the switch ports it builds, :class:`~repro.net.fabric.Fabric`.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Protocol, Type, Union, runtime_checkable
 
 from .pifo import (
-    BucketedPIFO,
     CalendarPIFO,
     PIFOBase,
     PIFOEntry,
@@ -80,7 +75,6 @@ BackendSpec = Union[None, str, Type, Callable[..., "PIFOBackend"]]
 PIFO_BACKENDS: Dict[str, Type[PIFOBase]] = {
     "sorted": SortedListPIFO,
     "calendar": CalendarPIFO,
-    "bucketed": BucketedPIFO,
     "quantized": QuantizedBucketedPIFO,
 }
 
@@ -122,8 +116,8 @@ def make_pifo(
 ) -> PIFOBackend:
     """Create a PIFO using the given backend spec.
 
-    This is the single construction point the tree, scheduler, simulator,
-    switch and hardware layers all go through.
+    This is the single construction point every PIFO of a scheduling tree
+    goes through.
     """
     return resolve_backend(backend)(capacity=capacity, name=name)
 
@@ -131,14 +125,3 @@ def make_pifo(
 def backend_name(pifo: PIFOBackend) -> str:
     """Registry name of a PIFO instance's backend (class name otherwise)."""
     return getattr(pifo, "backend_name", type(pifo).__name__)
-
-
-def backend_requires_integer_ranks(backend: BackendSpec) -> bool:
-    """Whether a spec resolves to an integer-rank-only backend.
-
-    Used by :class:`~repro.core.tree.TreeNode` to keep *shaping* PIFOs —
-    whose ranks are wall-clock send times, i.e. floats — off bucket-queue
-    backends even when the tree's scheduling PIFOs use one.
-    """
-    factory = resolve_backend(backend)
-    return bool(getattr(factory, "requires_integer_ranks", False))

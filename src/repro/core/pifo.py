@@ -36,12 +36,13 @@ behaviourally identical (a property-based suite in
     the simulator for large workloads.  The heap holds the entries
     themselves, so heap ordering is PIFO order (rank, then arrival order).
 
-:class:`BucketedPIFO`
-    A bucket queue for *integer* ranks (the hardware uses 16- or 32-bit rank
-    fields, Section 5.1): a dict of per-rank FIFO deques plus a small heap of
-    occupied ranks.  Push is O(1) amortised, pop is O(1) amortised, making
-    it the fastest backend for workloads whose transactions emit integral
-    ranks (strict priority, arrival sequence numbers, per-hop deadlines).
+:class:`QuantizedBucketedPIFO`
+    A bucket queue keyed by quantised rank, as the hardware's fixed-width
+    integer rank fields (Section 5.1) quantise it: a dict of per-slot FIFO
+    deques plus a small heap of occupied slots, O(1) amortised push and
+    pop.  Elements within one quantum dequeue FIFO; at the default 1 µs
+    quantum distinct integer ranks land in distinct slots, so on integer
+    ranks it dequeues exactly as :class:`SortedListPIFO` does.
 
 All accept arbitrary elements: packets at the leaves of a scheduling tree,
 or references to other PIFOs at interior nodes.  The factory and registry
@@ -119,8 +120,6 @@ class PIFOBase(Generic[T]):
 
     #: Registry name of the backend (see :mod:`repro.core.backend`).
     backend_name = "abstract"
-    #: True for backends that only accept integral ranks (bucket queues).
-    requires_integer_ranks = False
 
     def __init__(self, capacity: Optional[int] = None, name: str = "pifo") -> None:
         if capacity is not None and capacity <= 0:
@@ -223,8 +222,7 @@ class PIFOBase(Generic[T]):
         Unlike :meth:`push`, elements that would exceed the capacity bound
         are *dropped* (counted in :attr:`drops`) instead of raising, so one
         oversized burst does not abort the rest of the batch — the behaviour
-        a switch exhibits on buffer exhaustion.  Backends may override this
-        with a bulk implementation; the semantics must stay identical.
+        a switch exhibits on buffer exhaustion.
         """
         accepted = 0
         for element, rank in items:
@@ -368,21 +366,6 @@ class SortedListPIFO(PIFOBase[T]):
     def __len__(self) -> int:
         return len(self._entries) - self._front
 
-    def enqueue_many(self, items: Iterable[Tuple[T, Rank]]) -> int:
-        """Bulk push: append then one stable merge instead of n inserts."""
-        batch: List[_Stored] = []
-        for element, rank in items:
-            if self.capacity is not None and len(self) + len(batch) >= self.capacity:
-                self.drops += 1
-                continue
-            batch.append((rank, self._seq, element))
-            self._seq += 1
-        if not batch:
-            return 0
-        batch.sort()  # (rank, seq) decides: FIFO ties preserved
-        self._rebuild(list(heapq.merge(self._sorted_entries(), batch)))
-        return len(batch)
-
 
 #: Backwards-compatible name: the reference PIFO used throughout the seed.
 PIFO = SortedListPIFO
@@ -429,37 +412,44 @@ class CalendarPIFO(PIFOBase[T]):
         return len(self._heap)
 
 
-class BucketedPIFO(PIFOBase[T]):
-    """Bucket-queue PIFO for integer-rank workloads.
+class QuantizedBucketedPIFO(PIFOBase[T]):
+    """Bucket-queue PIFO keyed by quantised rank.
 
-    The hardware stores ranks in fixed-width integer fields (Section 5.1);
-    many algorithms (strict priority, FIFO sequence numbers, per-hop
-    deadlines in slots) therefore only ever emit integral ranks.  For those
-    workloads a dict of per-rank FIFO buckets plus a heap of occupied ranks
-    gives O(1) amortised push *and* pop: the heap only sees one entry per
-    distinct rank, not one per element.
+    The hardware's rank fields are fixed-width integers, so a virtual-time
+    or wall-clock rank must be quantised to a slot number before it can be
+    stored (Section 5.1's 16/32-bit rank fields are exactly such slots).
+    This backend makes that explicit in software: ranks are bucketed by
+    ``floor(rank / quantum)``, elements within one quantum dequeue FIFO,
+    and the entry keeps its exact rank (``peek_rank`` and shaping release
+    times are unquantised).  A dict of per-slot FIFO buckets plus a heap of
+    occupied slots gives O(1) amortised push *and* pop: the heap only sees
+    one entry per occupied slot, not one per element.
 
-    Pushing a non-integral rank raises ``ValueError`` — use
-    :class:`SortedListPIFO` or :class:`CalendarPIFO` for virtual-time
-    algorithms that compute fractional ranks.
+    With the default microsecond quantum, time-ranked algorithms (LSTF,
+    FIFO-by-arrival, virtual times) run at a precision far below any
+    simulated transmission time, and integer ranks (strict priority,
+    arrival sequence numbers) of magnitude below 2**50 each get a slot of
+    their own, so they dequeue exactly in (rank, push order).
     """
 
-    backend_name = "bucketed"
-    requires_integer_ranks = True
+    backend_name = "quantized"
 
-    def __init__(self, capacity: Optional[int] = None, name: str = "bucketed-pifo") -> None:
+    #: Default rank quantum: one microsecond of simulated time.
+    DEFAULT_QUANTUM = 1e-6
+
+    def __init__(
+        self,
+        capacity: Optional[int] = None,
+        name: str = "quantized-pifo",
+        quantum: float = DEFAULT_QUANTUM,
+    ) -> None:
+        if quantum <= 0:
+            raise ValueError(f"quantum must be positive, got {quantum!r}")
         super().__init__(capacity=capacity, name=name)
+        self.quantum = float(quantum)
         self._buckets: Dict[int, Deque[_Stored]] = {}
         self._rank_heap: List[int] = []
         self._size = 0
-
-    def _bucket_key(self, rank: Rank) -> int:
-        key = int(rank)
-        if key != rank:
-            raise ValueError(
-                f"BucketedPIFO {self.name!r} requires integer ranks, got {rank!r}"
-            )
-        return key
 
     def push(self, element: T, rank: Rank) -> None:
         """Fused push: capacity check + bucket append without the base
@@ -470,7 +460,7 @@ class BucketedPIFO(PIFOBase[T]):
             raise PIFOFullError(
                 f"PIFO {self.name!r} is full (capacity={self.capacity})"
             )
-        key = self._bucket_key(rank)
+        key = math.floor(rank / self.quantum)
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = self._buckets[key] = deque()
@@ -481,7 +471,7 @@ class BucketedPIFO(PIFOBase[T]):
         self._size += 1
 
     def _insert(self, entry: _Stored) -> None:
-        key = self._bucket_key(entry[0])
+        key = math.floor(entry[0] / self.quantum)
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = self._buckets[key] = deque()
@@ -489,21 +479,20 @@ class BucketedPIFO(PIFOBase[T]):
         bucket.append(entry)
         self._size += 1
 
-    def _min_occupied_rank(self) -> int:
-        # Lazily discard ranks whose bucket has emptied (or duplicate heap
-        # entries left behind when a rank was re-occupied).
+    def _min_occupied_key(self) -> int:
+        # Lazily discard slots whose bucket has emptied (or duplicate heap
+        # entries left behind when a slot was re-occupied).
         heap = self._rank_heap
         while heap:
             key = heap[0]
-            bucket = self._buckets.get(key)
-            if bucket:
+            if self._buckets.get(key):
                 return key
             heapq.heappop(heap)
             self._buckets.pop(key, None)
         raise PIFOEmptyError(f"pop from empty PIFO {self.name!r}")
 
     def _pop_head(self) -> _Stored:
-        key = self._min_occupied_rank()
+        key = self._min_occupied_key()
         bucket = self._buckets[key]
         entry = bucket.popleft()
         self._size -= 1
@@ -512,7 +501,7 @@ class BucketedPIFO(PIFOBase[T]):
         return entry
 
     def _head(self) -> _Stored:
-        return self._buckets[self._min_occupied_rank()][0]
+        return self._buckets[self._min_occupied_key()][0]
 
     def _sorted_entries(self) -> List[_Stored]:
         return [
@@ -533,42 +522,3 @@ class BucketedPIFO(PIFOBase[T]):
 
     def __len__(self) -> int:
         return self._size
-
-
-class QuantizedBucketedPIFO(BucketedPIFO[T]):
-    """Bucket-queue PIFO for *real-valued* ranks via rank quantisation.
-
-    The hardware's rank fields are fixed-width integers, so a virtual-time
-    or wall-clock rank must be quantised to a slot number before it can be
-    stored (Section 5.1's 16/32-bit rank fields are exactly such slots).
-    This backend makes that explicit in software: ranks are bucketed by
-    ``floor(rank / quantum)``, elements within one quantum dequeue FIFO,
-    and the entry keeps its exact rank (``peek_rank`` and shaping release
-    times are unquantised).
-
-    With the default microsecond quantum, time-ranked algorithms (LSTF,
-    FIFO-by-arrival, virtual times) run on the O(1) bucket structure at a
-    precision far below any simulated transmission time, which is what
-    lets parameter sweeps compare all three storage structures on one
-    workload.
-    """
-
-    backend_name = "quantized"
-    requires_integer_ranks = False
-
-    #: Default rank quantum: one microsecond of simulated time.
-    DEFAULT_QUANTUM = 1e-6
-
-    def __init__(
-        self,
-        capacity: Optional[int] = None,
-        name: str = "quantized-pifo",
-        quantum: float = DEFAULT_QUANTUM,
-    ) -> None:
-        if quantum <= 0:
-            raise ValueError(f"quantum must be positive, got {quantum!r}")
-        self.quantum = float(quantum)
-        super().__init__(capacity=capacity, name=name)
-
-    def _bucket_key(self, rank: Rank) -> int:
-        return math.floor(rank / self.quantum)

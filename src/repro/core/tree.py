@@ -23,12 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..exceptions import TreeConfigurationError
-from .backend import (
-    BackendSpec,
-    PIFOBackend,
-    backend_requires_integer_ranks,
-    make_pifo,
-)
+from .backend import BackendSpec, PIFOBackend, make_pifo
 from .packet import Packet
 from .predicates import MatchAll, Predicate
 from .transaction import SchedulingTransaction, ShapingTransaction, Transaction
@@ -66,10 +61,8 @@ class TreeNode:
         Optional bound on the node's scheduling PIFO occupancy.
     pifo_backend:
         Backend spec (see :mod:`repro.core.backend`) for this node's
-        scheduling PIFO.  ``None`` selects the default (sorted-list)
-        backend.  The shaping PIFO ranks by wall-clock send time (a float),
-        so integer-only backends such as ``"bucketed"`` fall back to the
-        default there.
+        scheduling and shaping PIFOs.  ``None`` selects the default
+        (sorted-list) backend.
     """
 
     def __init__(
@@ -111,20 +104,13 @@ class TreeNode:
             pifo_backend, capacity=pifo_capacity, name=f"{name}.sched"
         )
         self.shaping_pifo: Optional[PIFOBackend] = (
-            make_pifo(self._shaping_backend(pifo_backend), name=f"{name}.shape")
+            make_pifo(pifo_backend, name=f"{name}.shape")
             if shaping is not None
             else None
         )
 
         for child in children or ():
             self.add_child(child)
-
-    @staticmethod
-    def _shaping_backend(backend: BackendSpec) -> BackendSpec:
-        """Shaping ranks are float send times; avoid integer-only backends."""
-        if backend is not None and backend_requires_integer_ranks(backend):
-            return None
-        return backend
 
     def use_backend(self, backend: BackendSpec) -> None:
         """Swap this node's PIFOs onto a different backend.
@@ -147,7 +133,7 @@ class TreeNode:
         if self.shaping_pifo is not None:
             self.shaping_pifo = _migrate(
                 self.shaping_pifo,
-                make_pifo(self._shaping_backend(backend), name=f"{self.name}.shape"),
+                make_pifo(backend, name=f"{self.name}.shape"),
             )
 
     # -- structure ----------------------------------------------------------

@@ -32,7 +32,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.backend import BackendSpec
 from ..core.packet import Packet
 from ..core.scheduler import SchedulerStats, ShapingToken
 from ..core.transaction import TransactionContext
@@ -84,13 +83,11 @@ class MeshCompiler:
         rank_store_capacity: int = 64 * 1024,
         logical_pifos_per_block: int = 256,
         max_blocks: Optional[int] = None,
-        pifo_backend: BackendSpec = None,
     ) -> None:
         self.capacity_flows = capacity_flows
         self.rank_store_capacity = rank_store_capacity
         self.logical_pifos_per_block = logical_pifos_per_block
         self.max_blocks = max_blocks
-        self.pifo_backend = pifo_backend
 
     def _new_block(self, mesh: PIFOMesh, name: str) -> PIFOBlock:
         block = PIFOBlock(
@@ -98,7 +95,6 @@ class MeshCompiler:
             capacity_flows=self.capacity_flows,
             rank_store_capacity=self.rank_store_capacity,
             logical_pifo_count=self.logical_pifos_per_block,
-            pifo_backend=self.pifo_backend,
         )
         return mesh.add_block(block)
 
@@ -196,18 +192,14 @@ class HardwareScheduler:
     """
 
     def __init__(self, tree: ScheduleTree, program: Optional[MeshProgram] = None,
-                 compiler: Optional[MeshCompiler] = None,
-                 pifo_backend: BackendSpec = None) -> None:
+                 compiler: Optional[MeshCompiler] = None) -> None:
         self.tree = tree
-        self.pifo_backend = (
-            compiler.pifo_backend if compiler is not None else pifo_backend
+        # Kept so reset() recompiles with the caller's block capacities
+        # instead of silently reverting to defaults.
+        self._compiler = compiler or MeshCompiler()
+        self.program = (
+            program if program is not None else self._compiler.compile(tree)
         )
-        # Kept so reset()/use_backend() recompile with the caller's block
-        # capacities instead of silently reverting to defaults.
-        self._compiler = compiler
-        self.program = program if program is not None else (
-            compiler or MeshCompiler(pifo_backend=pifo_backend)
-        ).compile(tree)
         self.mesh = self.program.mesh
         self.stats = SchedulerStats()
         self._buffered_packets = 0
@@ -418,32 +410,11 @@ class HardwareScheduler:
                 return packets
             packets.append(packet)
 
-    def use_backend(self, backend: BackendSpec) -> None:
-        """Recompile the mesh with a different PIFO backend.
-
-        Only valid while empty (the mesh is rebuilt from scratch); the
-        simulator's ports call this before a run starts.
-        """
-        if self._buffered_packets:
-            raise SchedulerError(
-                "cannot swap the PIFO backend of a hardware scheduler with "
-                f"{self._buffered_packets} buffered packets"
-            )
-        self.pifo_backend = backend
-        if self._compiler is not None:
-            self._compiler.pifo_backend = backend
-        self.reset()
-
     def reset(self) -> None:
         """Reset transactions and recompile a fresh mesh (with the original
         compiler's capacities when one was supplied)."""
         self.tree.reset()
-        compiler = (
-            self._compiler
-            if self._compiler is not None
-            else MeshCompiler(pifo_backend=self.pifo_backend)
-        )
-        self.program = compiler.compile(self.tree)
+        self.program = self._compiler.compile(self.tree)
         self.mesh = self.program.mesh
         self.stats = SchedulerStats()
         self._buffered_packets = 0

@@ -16,25 +16,15 @@ pushes + one pop per cycle, per-logical-PIFO selection, PFC masking) while
 leaving gate-level timing to the calibrated area/timing model
 (:mod:`repro.hardware.area_model`).
 
-Two storage modes are available, selected by the block's ``pifo_backend``
-(see :mod:`repro.core.backend`):
-
-* the default **sorted-array** mode mirrors the hardware exactly and counts
-  the comparator/shift work the flip-flop array would perform — the numbers
-  the Section 5 ablation benchmarks rely on;
-* the **indexed** mode keeps the same (rank, push-order) semantics in
-  per-logical-PIFO heaps with a lazy-deletion index, making push and pop
-  O(log n) for software-scale simulations.  It does not model shift work
-  (``stats.shifts`` stays flat) and counts one comparison per heap level.
-
-Both modes share an O(1) flow-membership index, so the block's per-enqueue
-``contains_flow`` check no longer scans the whole array.
+The storage is the hardware's one sorted array, and the stats count the
+comparator/shift work the flip-flop array would perform — the numbers the
+Section 5 ablation benchmarks rely on.  An O(1) flow-membership index keeps
+the block's per-enqueue ``contains_flow`` check from scanning the array.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -83,26 +73,15 @@ class FlowScheduler:
     ----------
     capacity_flows:
         Maximum number of simultaneously buffered flow heads.
-    indexed:
-        Select the O(log n) heap-indexed storage mode instead of the
-        hardware-faithful flat sorted array (see module docstring).
     """
 
-    def __init__(
-        self, capacity_flows: int = DEFAULT_FLOW_CAPACITY, indexed: bool = False
-    ) -> None:
+    def __init__(self, capacity_flows: int = DEFAULT_FLOW_CAPACITY) -> None:
         if capacity_flows <= 0:
             raise ValueError("capacity_flows must be positive")
         self.capacity_flows = capacity_flows
-        self.indexed = indexed
         self._entries: List[FlowSchedulerEntry] = []
         self._keys: List[Tuple[float, int]] = []
-        # Indexed mode: key -> entry with lazy deletion, one heap per
-        # logical PIFO plus one global heap for unfiltered peeks/pops.
-        self._entry_by_key: Dict[Tuple[float, int], FlowSchedulerEntry] = {}
-        self._heap_by_pifo: Dict[int, List[Tuple[float, int]]] = {}
-        self._global_heap: List[Tuple[float, int]] = []
-        # O(1) membership index shared by both modes.
+        # O(1) membership index.
         self._flow_count: Dict[Tuple[int, str], int] = {}
         self._seq = 0
         self._masked_flows: Set[str] = set()
@@ -110,7 +89,7 @@ class FlowScheduler:
 
     # -- capacity ----------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entry_by_key) if self.indexed else len(self._entries)
+        return len(self._entries)
 
     @property
     def is_full(self) -> bool:
@@ -145,10 +124,9 @@ class FlowScheduler:
     def push(self, entry_rank: float, logical_pifo: int, flow: str, metadata: Any = None) -> None:
         """Insert a flow head, keeping (rank, push order) ordering.
 
-        In sorted-array mode this models the hardware's parallel compare +
-        priority encode + shift; the stats record the equivalent
-        comparator/shift work for the ablation benchmark comparing against
-        a flat 60 K-entry sorted array.
+        This models the hardware's parallel compare + priority encode +
+        shift; the stats record the equivalent comparator/shift work for the
+        ablation benchmark comparing against a flat 60 K-entry sorted array.
         """
         if self.is_full:
             raise HardwareModelError(
@@ -159,24 +137,14 @@ class FlowScheduler:
             flow=flow, metadata=metadata,
         )
         self._seq += 1
-        if self.indexed:
-            key = entry.key()
-            self._entry_by_key[key] = entry
-            heapq.heappush(self._global_heap, key)
-            heapq.heappush(self._heap_by_pifo.setdefault(logical_pifo, []), key)
-            self.stats.pushes += 1
-            self.stats.comparisons += max(1, len(self._entry_by_key).bit_length())
-            self._maybe_compact()
-        else:
-            index = bisect.bisect_right(self._keys, entry.key())
-            self._keys.insert(index, entry.key())
-            self._entries.insert(index, entry)
-            self.stats.pushes += 1
-            # Hardware compares against *all* entries in parallel and shifts
-            # the tail; count both so work scales with occupancy, as in the
-            # chip.
-            self.stats.comparisons += len(self._entries)
-            self.stats.shifts += len(self._entries) - index
+        index = bisect.bisect_right(self._keys, entry.key())
+        self._keys.insert(index, entry.key())
+        self._entries.insert(index, entry)
+        self.stats.pushes += 1
+        # Hardware compares against *all* entries in parallel and shifts the
+        # tail; count both so work scales with occupancy, as in the chip.
+        self.stats.comparisons += len(self._entries)
+        self.stats.shifts += len(self._entries) - index
         self._track_flow(logical_pifo, flow, +1)
 
     # -- pop ---------------------------------------------------------------------------
@@ -190,88 +158,13 @@ class FlowScheduler:
                 return index
         return None
 
-    def _maybe_compact(self) -> None:
-        """Rebuild the lazy-deletion heaps once stale keys outnumber live
-        entries.
-
-        Pops through a per-pifo heap leave stale copies in the global heap
-        (and vice versa); normal operation only ever pops per-pifo, so
-        without compaction the global heap would grow with *total* pushes
-        instead of occupancy.  Triggering at 2x live + 64 keeps the rebuild
-        amortised O(1) per push.
-        """
-        live = len(self._entry_by_key)
-        stale_bound = 2 * live + 64
-        total = len(self._global_heap) + sum(
-            len(heap) for heap in self._heap_by_pifo.values()
-        )
-        if total <= 2 * stale_bound:
-            return
-        keys = list(self._entry_by_key)
-        self._global_heap = list(keys)
-        heapq.heapify(self._global_heap)
-        self._heap_by_pifo = {}
-        for key in keys:
-            self._heap_by_pifo.setdefault(
-                self._entry_by_key[key].logical_pifo, []
-            ).append(key)
-        for heap in self._heap_by_pifo.values():
-            heapq.heapify(heap)
-
-    def _indexed_find(
-        self, logical_pifo: Optional[int], remove: bool
-    ) -> Optional[FlowSchedulerEntry]:
-        """Head entry via the heaps, with lazy deletion and mask skipping.
-
-        Stale keys (already popped through another heap) are discarded;
-        masked heads are set aside and pushed back, preserving their exact
-        (rank, seq) position.
-        """
-        heap = (
-            self._global_heap
-            if logical_pifo is None
-            else self._heap_by_pifo.get(logical_pifo)
-        )
-        if not heap:
-            return None
-        buffered: List[Tuple[float, int]] = []
-        found: Optional[FlowSchedulerEntry] = None
-        while heap:
-            key = heapq.heappop(heap)
-            entry = self._entry_by_key.get(key)
-            if entry is None:
-                continue  # lazily deleted
-            self.stats.comparisons += 1
-            if entry.flow in self._masked_flows:
-                self.stats.masked_skips += 1
-                buffered.append(key)
-                continue
-            found = entry
-            if not remove:
-                buffered.append(key)
-            break
-        for key in buffered:
-            heapq.heappush(heap, key)
-        if found is not None and remove:
-            del self._entry_by_key[found.key()]
-        return found
-
     def peek(self, logical_pifo: Optional[int] = None) -> Optional[FlowSchedulerEntry]:
         """Head entry of a logical PIFO (or overall), honouring PFC masks."""
-        if self.indexed:
-            return self._indexed_find(logical_pifo, remove=False)
         index = self._first_index(logical_pifo)
         return self._entries[index] if index is not None else None
 
     def pop(self, logical_pifo: Optional[int] = None) -> Optional[FlowSchedulerEntry]:
         """Remove and return the head entry of a logical PIFO."""
-        if self.indexed:
-            entry = self._indexed_find(logical_pifo, remove=True)
-            if entry is None:
-                return None
-            self.stats.pops += 1
-            self._track_flow(entry.logical_pifo, entry.flow, -1)
-            return entry
         index = self._first_index(logical_pifo)
         if index is None:
             return None
@@ -294,6 +187,4 @@ class FlowScheduler:
 
     def entries(self) -> List[FlowSchedulerEntry]:
         """Snapshot in dequeue order (for tests)."""
-        if self.indexed:
-            return [self._entry_by_key[key] for key in sorted(self._entry_by_key)]
         return list(self._entries)

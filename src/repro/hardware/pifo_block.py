@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..core.backend import BackendSpec, resolve_backend
-from ..core.pifo import SortedListPIFO
 from ..exceptions import HardwareModelError
 from .flow_scheduler import DEFAULT_FLOW_CAPACITY, FlowScheduler, FlowSchedulerEntry
 from .rank_store import DEFAULT_RANK_STORE_CAPACITY, RankStore
@@ -78,24 +76,13 @@ class PIFOBlock:
         rank_store_capacity: int = DEFAULT_RANK_STORE_CAPACITY,
         logical_pifo_count: int = DEFAULT_LOGICAL_PIFOS,
         strict_timing: bool = False,
-        pifo_backend: BackendSpec = None,
     ) -> None:
         if logical_pifo_count <= 0:
             raise ValueError("logical_pifo_count must be positive")
         self.name = name
         self.logical_pifo_count = logical_pifo_count
         self.strict_timing = strict_timing
-        self.pifo_backend = pifo_backend
-        # The default (sorted) backend keeps the hardware-faithful flat
-        # array with comparator/shift accounting; any other backend flips
-        # the flow scheduler into its O(log n) indexed mode.
-        indexed = (
-            pifo_backend is not None
-            and resolve_backend(pifo_backend) is not SortedListPIFO
-        )
-        self.flow_scheduler = FlowScheduler(
-            capacity_flows=capacity_flows, indexed=indexed
-        )
+        self.flow_scheduler = FlowScheduler(capacity_flows=capacity_flows)
         self.rank_store = RankStore(capacity_entries=rank_store_capacity)
         self.stats = BlockStats()
         self._last_enqueue_cycle: Optional[int] = None

@@ -13,8 +13,8 @@ Three details deserve a note:
   direct function call, not an AST walk.  If the compiler cannot lower a
   construct it raises :class:`~repro.lang.compiler.CompileError` and the
   bridge silently falls back to the interpreter — ``backend="interpreted"``
-  (or the ``REPRO_LANG_BACKEND`` environment variable) forces the fallback
-  explicitly, which the ablation benchmark uses for its baseline.
+  forces the fallback explicitly, which the ablation benchmark uses for its
+  baseline.
 * **Dequeue programs.**  Some algorithms update state when a packet leaves
   the PIFO, not only when it enters — STFQ advances its virtual time to the
   start tag of the dequeued packet.  The bridge therefore accepts an
@@ -30,7 +30,6 @@ Three details deserve a note:
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from ..core.packet import Packet
@@ -52,16 +51,14 @@ from .parser import parse
 #: Default execution backend for lang-backed transactions.  ``"compiled"``
 #: lowers the AST to a native Python closure (with automatic interpreter
 #: fallback on unsupported constructs); ``"interpreted"`` forces the
-#: per-packet AST walk.  Overridable per process via ``REPRO_LANG_BACKEND``.
+#: per-packet AST walk.
 DEFAULT_BACKEND = "compiled"
 
 _VALID_BACKENDS = ("compiled", "interpreted")
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve a requested backend name against the env-var default."""
-    if backend is None:
-        backend = os.environ.get("REPRO_LANG_BACKEND", "").strip().lower() or None
+    """Resolve a requested backend name (``None``: the default)."""
     if backend is None:
         backend = DEFAULT_BACKEND
     if backend not in _VALID_BACKENDS:

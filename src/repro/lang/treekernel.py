@@ -83,12 +83,7 @@ from math import floor
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..obs import metrics as obs_metrics
-from ..core.pifo import (
-    BucketedPIFO,
-    CalendarPIFO,
-    QuantizedBucketedPIFO,
-    SortedListPIFO,
-)
+from ..core.pifo import CalendarPIFO, QuantizedBucketedPIFO, SortedListPIFO
 from ..core.predicates import (
     ClassEquals,
     ClassIn,
@@ -182,7 +177,6 @@ obs_metrics.register_global_source("lang.kernel_cache", kernel_cache_info)
 _PIFO_TAGS = {
     SortedListPIFO: "sorted",
     CalendarPIFO: "calendar",
-    BucketedPIFO: "bucketed",
     QuantizedBucketedPIFO: "quantized",
 }
 
@@ -467,21 +461,12 @@ def _emit_push(em: _Emitter, ind: int, p: str, backend: str, capped: bool,
         em.w(ind + 1, f"entries.insert(_bisect_right(entries, item, "
                       f"lo={p}._front), item)")
         em.w(ind, f"{p}._seq = seq + 1")
-    elif backend in ("bucketed", "quantized"):
+    elif backend == "quantized":
         if capped:
             em.w(ind, f"if {p}._size >= {p}_cap:")
             em.w(ind + 1, f"{p}.drops += 1")
             em.w(ind + 1, f"raise _PIFOFullError('{full})")
-        if backend == "bucketed":
-            em.w(ind, f"key = int({rank})")
-            em.w(ind, f"if key != {rank}:")
-            em.w(
-                ind + 1,
-                f"raise ValueError('BucketedPIFO %r requires integer ranks, "
-                f"got %r' % ({p}.name, {rank}))",
-            )
-        else:
-            em.w(ind, f"key = _floor({rank} / {p}_q)")
+        em.w(ind, f"key = _floor({rank} / {p}_q)")
         em.w(ind, f"bks = {p}._buckets")
         em.w(ind, "bucket = bks.get(key)")
         em.w(ind, "if bucket is None:")
@@ -527,7 +512,7 @@ def _emit_pop(em: _Emitter, ind: int, p: str, backend: str,
         em.w(ind + 1, f"{p}._front = 0")
         em.w(ind, "else:")
         em.w(ind + 1, f"{p}._front = front")
-    elif backend in ("bucketed", "quantized"):
+    elif backend == "quantized":
         if on_empty is not None:
             em.w(ind, f"if not {p}._size:")
             em.w(ind + 1, on_empty)
@@ -933,7 +918,7 @@ def _generate(signature: Tuple[_NodeSig, ...],
     w(2, f"if {guard}:")
     w(3, "return S._kernel_stale_transfer(packet, now)")
     cut_through = len(sigs) == 1 and root_sig.backend in (
-        "sorted", "calendar", "bucketed", "quantized"
+        "sorted", "calendar", "quantized"
     )
     if not cut_through:
         w(2, "if not enqueue(packet, now):")
@@ -969,13 +954,6 @@ def _generate(signature: Tuple[_NodeSig, ...],
                 w(ind, "if p0._size >= p0_cap:")
             w(ind + 1, "p0.drops += 1")
             w(ind + 1, f"raise _PIFOFullError('{full})")
-        if backend == "bucketed":
-            w(ind, "if int(rank) != rank:")
-            w(
-                ind + 1,
-                "raise ValueError('BucketedPIFO %r requires integer ranks, "
-                "got %r' % (p0.name, rank))",
-            )
         w(ind, "p0._seq += 1")
         if has_cap:
             w(2, "except _PIFOFullError:")

@@ -60,6 +60,13 @@ class HostInjector:
         return self.fabric.inject(self.host, packet)
 
 
+def _on_backend(scheduler, backend: BackendSpec):
+    """Put ``scheduler``'s tree on ``backend`` (when both are given)."""
+    if backend is not None and hasattr(scheduler, "use_backend"):
+        scheduler.use_backend(backend)
+    return scheduler
+
+
 class Fabric:
     """Simulation instance of a network: switches, links, host endpoints.
 
@@ -76,7 +83,10 @@ class Fabric:
         Keep all equal-cost next hops and spread flows across them by a
         stable flow hash; ``False`` pins each destination to one path.
     pifo_backend:
-        Optional PIFO backend spec applied to every switch scheduler.
+        Optional PIFO backend spec applied to every switch-port scheduler
+        right after ``scheduler_factory`` builds it.  Schedulers without a
+        swappable tree (the baselines, the hardware model) and host NICs
+        keep their own storage.
     buffer_factory / admission_factory:
         Per-node shared buffer / admission policy constructors (called with
         the node name); switches default to the paper's 12 MB shared buffer
@@ -163,13 +173,14 @@ class Fabric:
                 buffer = SharedBuffer(capacity_bytes=1 << 30)
             else:
                 buffer = None
+            backend = None if is_host else pifo_backend
             self.node_switches[name] = SharedMemorySwitch(
                 sim=sim,
-                scheduler_factory=lambda port, node=name, f=factory: f(node, port),
+                scheduler_factory=lambda port, node=name, f=factory, b=backend:
+                    _on_backend(f(node, port), b),
                 port_specs=specs,
                 buffer=buffer,
                 admission=admission_factory(name) if admission_factory else None,
-                pifo_backend=None if is_host else pifo_backend,
                 telemetry=telemetry,
                 name=name,
             )

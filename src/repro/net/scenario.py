@@ -228,14 +228,13 @@ class ScenarioResult:
         return c
 
 
-def _pin_tree_kernel(factory: SchedulerFactory,
-                     enabled: bool) -> SchedulerFactory:
-    """Wrap a scheduler factory to force the fused-kernel switch."""
+def _pin_tree_kernel(factory: SchedulerFactory) -> SchedulerFactory:
+    """Wrap a scheduler factory to turn the fused kernels off."""
     def pinned(switch: str, port: str):
         scheduler = factory(switch, port)
         set_kernel = getattr(scheduler, "set_tree_kernel", None)
         if set_kernel is not None:
-            set_kernel(enabled)
+            set_kernel(False)
         return scheduler
     return pinned
 
@@ -289,7 +288,7 @@ class Scenario:
             load_scale: float = 1.0,
             base_seed: Optional[int] = None,
             telemetry: bool = True,
-            tree_kernel: Optional[bool] = None,
+            tree_kernel: bool = True,
             trace_hook: Optional[Callable[[Fabric], None]] = None,
             workload_cache=None,
             ) -> Dict[str, ScenarioResult]:
@@ -309,11 +308,11 @@ class Scenario:
         maintained) — only ``stats_by_node``'s ``per_port`` maps come back
         empty.
 
-        ``tree_kernel`` pins the fused whole-tree kernels
-        (:mod:`repro.lang.treekernel`): ``None`` (default) keeps each
-        scheduler's own default (on, minus unfusable trees),
-        ``False`` forces the interpreted scheduler *and* interpreted
-        fabric delivery — the lockstep reference configuration.
+        ``tree_kernel`` selects the datapath: ``True`` (default) keeps
+        each scheduler's fused whole-tree kernel
+        (:mod:`repro.lang.treekernel`; on, minus unfusable trees) and
+        fused fabric delivery; ``False`` pins the interpreted scheduler
+        *and* interpreted fabric delivery — the reference datapath.
 
         ``trace_hook`` is called with each variant's fabric after
         construction and before any traffic: the observability layer's
@@ -336,8 +335,8 @@ class Scenario:
         results: Dict[str, ScenarioResult] = {}
         for label in selected:
             factory = self.scheduler_factory(label, lang_backend)
-            if tree_kernel is not None:
-                factory = _pin_tree_kernel(factory, tree_kernel)
+            if not tree_kernel:
+                factory = _pin_tree_kernel(factory)
             sim = Simulator()
             fabric = Fabric(
                 sim,
@@ -348,7 +347,7 @@ class Scenario:
                 pifo_backend=pifo_backend,
                 keep_packets=self.keep_packets,
                 telemetry=telemetry,
-                fused_delivery=None if tree_kernel is not False else False,
+                fused_delivery=None if tree_kernel else False,
                 fault_plan=self.fault_plan,
             )
             if trace_hook is not None:

@@ -5,6 +5,8 @@
 :class:`~repro.core.scheduler.ProgrammableScheduler`, a hardware-model
 scheduler, or one of the classic baselines) to a transmission link running
 at a configurable line rate, inside a :class:`~repro.sim.simulator.Simulator`.
+The port takes the scheduler as built; its PIFO backend is chosen where the
+scheduler is.
 
 Work conservation and shaping both fall out naturally:
 
@@ -30,7 +32,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-from ..core.backend import BackendSpec
 from ..core.packet import Packet
 from .simulator import Simulator
 from .sink import PacketSink
@@ -69,14 +70,10 @@ class OutputPort:
         recorded in this port's sink.  This is how the network fabric layer
         (:mod:`repro.net`) chains a switch egress port to the next hop's
         ingress; the terminal hop keeps ``delivery=None`` and sinks locally.
-    pifo_backend:
-        Optional PIFO backend spec applied to the scheduler's tree (see
-        :mod:`repro.core.backend`).  Ignored for schedulers without a
-        swappable tree (the classic baselines).
     """
 
     __slots__ = (
-        "sim", "scheduler", "pifo_backend", "rate_bps", "name", "sink",
+        "sim", "scheduler", "rate_bps", "name", "sink",
         "on_departure", "propagation_delay", "delivery", "busy",
         "transmitted_packets", "transmitted_bytes", "dropped_packets",
         "_wakeup", "_tx_packet", "_wire", "_inv_rate", "_has_release",
@@ -91,7 +88,6 @@ class OutputPort:
         name: str = "port",
         sink: Optional[PacketSink] = None,
         on_departure: Optional[Callable[[Packet], None]] = None,
-        pifo_backend: BackendSpec = None,
         propagation_delay: float = 0.0,
         delivery: Optional[Callable[[Packet], None]] = None,
     ) -> None:
@@ -101,7 +97,6 @@ class OutputPort:
             raise ValueError("propagation_delay must be non-negative")
         self.sim = sim
         self.scheduler = scheduler
-        self.pifo_backend = self._apply_backend(pifo_backend)
         self.rate_bps = rate_bps
         self._inv_rate = 8.0 / rate_bps  # seconds per byte
         self.name = name
@@ -130,13 +125,6 @@ class OutputPort:
         #: starts a new transmission; the fault layer (``repro.net.faults``)
         #: wraps ``_tx_complete`` to blackhole the packet already in flight.
         self.faulted = False
-
-    def _apply_backend(self, pifo_backend: BackendSpec) -> BackendSpec:
-        """Swap the scheduler's tree onto ``pifo_backend`` if it has one."""
-        if pifo_backend is not None and hasattr(self.scheduler, "use_backend"):
-            self.scheduler.use_backend(pifo_backend)
-            return pifo_backend
-        return None
 
     # -- ingress ---------------------------------------------------------------
     def receive(self, packet: Packet) -> bool:

@@ -10,7 +10,8 @@ from ..core.packet import EMPTY_FIELDS, Packet, _pool, _POOL_LIMIT
 
 
 class FlowAggregate:
-    """Running per-flow counters maintained by a streaming sink.
+    """Running per-flow counters maintained by a sink (updated in
+    :meth:`PacketSink.record`).
 
     Holds everything the metrics layer needs — byte/packet counts, delay
     moments and extremes, first arrival and last departure — without
@@ -32,28 +33,6 @@ class FlowAggregate:
         #: field (the FCT workloads do) — lets the metrics layer decide
         #: whether the flow completed without retaining its packets.
         self.expected_bytes: Optional[int] = None
-
-    def update(self, packet: Packet) -> None:
-        self.packets += 1
-        self.bytes += packet.length
-        size = packet.fields.get("flow_size")
-        if size is not None:
-            self.expected_bytes = size
-        arrival = (packet.injection_time if packet.injection_time is not None
-                   else packet.arrival_time)
-        if self.first_arrival is None or arrival < self.first_arrival:
-            self.first_arrival = arrival
-        if packet.departure_time is not None:
-            if (self.last_departure is None
-                    or packet.departure_time > self.last_departure):
-                self.last_departure = packet.departure_time
-        delay = packet.end_to_end_delay
-        if delay is not None:
-            self.delay_sum += delay
-            if delay > self.delay_max:
-                self.delay_max = delay
-            if self.delay_min is None or delay < self.delay_min:
-                self.delay_min = delay
 
     @property
     def mean_delay(self) -> Optional[float]:
@@ -106,8 +85,6 @@ class PacketSink:
         aggregate = self.aggregates.get(flow)
         if aggregate is None:
             aggregate = self.aggregates[flow] = FlowAggregate()
-        # FlowAggregate.update, inlined: record runs once per delivered
-        # packet, where even the single extra call is measurable.
         aggregate.packets += 1
         aggregate.bytes += packet.length
         size = packet.fields.get("flow_size")

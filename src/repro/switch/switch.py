@@ -7,7 +7,9 @@ by an admission policy — the architecture the paper targets (a 64-port
 
 The switch does not model parsing or the match-action pipeline; packets
 arrive already annotated with their output port, which is all the
-scheduling subsystem cares about.
+scheduling subsystem cares about.  Each port's scheduler is taken as the
+factory builds it: the PIFO backend is chosen there (or by
+:class:`~repro.net.fabric.Fabric`), not by the switch.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..core.backend import BackendSpec
 from ..core.packet import Packet
 from ..exceptions import BufferError_, RoutingError
 from ..sim.link import OutputPort
@@ -116,15 +117,12 @@ class SharedMemorySwitch:
         Driving simulator.
     scheduler_factory:
         Callable producing a fresh scheduler per output port (for example
-        ``lambda port: ProgrammableScheduler(build_fig3_tree())``).
+        ``lambda port: ProgrammableScheduler(build_fig3_tree())``); it
+        chooses the schedulers' PIFO backend.
     port_count / port_rate_bps:
         Number of output ports and per-port line rate.
     buffer / admission:
         Shared buffer and admission policy guarding it.
-    pifo_backend:
-        Optional PIFO backend spec (see :mod:`repro.core.backend`) applied
-        to every port's scheduler (schedulers without a swappable tree
-        are left alone).
     port_specs:
         Optional explicit port list (:class:`PortSpec`) overriding
         ``port_count`` / ``port_rate_bps``; used by the fabric layer to give
@@ -147,7 +145,6 @@ class SharedMemorySwitch:
         port_rate_bps: float = DEFAULT_PORT_RATE_BPS,
         buffer: Optional[SharedBuffer] = None,
         admission: Optional[AdmissionPolicy] = None,
-        pifo_backend: BackendSpec = None,
         port_specs: Optional[Sequence[PortSpec]] = None,
         telemetry: bool = True,
         name: str = "switch",
@@ -163,7 +160,6 @@ class SharedMemorySwitch:
         self.name = name
         self.buffer = buffer if buffer is not None else SharedBuffer()
         self.admission = admission if admission is not None else AlwaysAdmit()
-        self.pifo_backend = pifo_backend
         self.telemetry = telemetry
         # Occupancy-only buffer accounting: with telemetry off and the
         # threshold-free AlwaysAdmit policy, nothing ever reads the per-flow
@@ -189,7 +185,6 @@ class SharedMemorySwitch:
                 rate_bps=spec.rate_bps,
                 name=spec.name,
                 on_departure=self._make_release_callback(spec.name),
-                pifo_backend=pifo_backend,
                 propagation_delay=spec.propagation_delay,
                 delivery=spec.delivery,
             )

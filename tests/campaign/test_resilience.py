@@ -12,9 +12,11 @@ from __future__ import annotations
 import signal
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
+import repro.campaign.engine as engine_module
 from repro.campaign import (
     Campaign,
     CampaignRunner,
@@ -213,13 +215,9 @@ class TestDeadWorkers:
             records, queued_behind_serial, STATUS_WORKER_LOST)
         assert "exit code 42" in lost["error"]
 
-    def test_wedged_worker_hits_parent_side_deadline(self, tmp_path,
-                                                     monkeypatch,
-                                                     queued_behind_serial):
+    def assert_wedged_worker_times_out(self, tmp_path, monkeypatch, serial):
         # No policy timeout, so no in-worker alarm: only the parent's
         # per-spec deadline ((0.1 s + 0) x 1 attempt + 5 s) ends the hang.
-        import repro.campaign.engine as engine_module
-
         monkeypatch.setattr(engine_module, "DEFAULT_WATCHDOG_RUN_S", 0.1)
         monkeypatch.setenv(FAULT_ENV, "FIFO/quantized:hang:60")
         store = ResultStore(tmp_path / "r.jsonl")
@@ -229,8 +227,39 @@ class TestDeadWorkers:
         assert report.failed == 1
         assert report.wall_clock_s < 15.0
         timed_out = self.assert_only_head_spec_failed(
-            store.load(), queued_behind_serial, STATUS_TIMEOUT)
+            store.load(), serial, STATUS_TIMEOUT)
         assert "exceeded" in timed_out["error"]
+
+    def test_wedged_worker_hits_parent_side_deadline(self, tmp_path,
+                                                     monkeypatch,
+                                                     queued_behind_serial):
+        self.assert_wedged_worker_times_out(tmp_path, monkeypatch,
+                                            queued_behind_serial)
+
+    @pytest.mark.parametrize("worker_resets_sigterm", [True, False],
+                             ids=["reset", "inherited"])
+    def test_wedged_worker_ends_despite_a_raising_sigterm_handler(
+            self, tmp_path, monkeypatch, queued_behind_serial,
+            worker_resets_sigterm):
+        # A parent whose SIGTERM handler raises an Exception (a test
+        # harness turning its time limit into one) forks workers that
+        # inherit it; the run guard would catch it in the wedged run and
+        # keep the worker alive.  Workers reset SIGTERM to the default,
+        # and one that still outlives the terminate is killed.
+        if not worker_resets_sigterm:
+            monkeypatch.setattr(engine_module, "signal", SimpleNamespace(
+                signal=lambda signum, handler: None,
+                SIGTERM=signal.SIGTERM, SIG_DFL=signal.SIG_DFL))
+
+        def raise_on_sigterm(signum, frame):
+            raise RuntimeError("SIGTERM")
+
+        previous = signal.signal(signal.SIGTERM, raise_on_sigterm)
+        try:
+            self.assert_wedged_worker_times_out(tmp_path, monkeypatch,
+                                                queued_behind_serial)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
 
 class TestFailureBudget:

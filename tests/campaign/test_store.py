@@ -69,6 +69,30 @@ class TestResultStore:
         assert [r.get("fingerprint") for r in effective] == ["bb", "aa", None]
         assert effective[1]["delivered"] == 2
 
+    def test_iter_effective_records_survives_a_new_run_between_passes(
+            self, tmp_path):
+        # `campaign status` streams a store a running campaign appends to.
+        store = ResultStore(tmp_path / "r.jsonl")
+        store.append(record("fa"))
+        store.append(record("fb"))
+        it = store.iter_effective_records()
+        first = next(it)
+        store.append(record("fc"))
+        rest = list(it)
+        assert [r["fingerprint"] for r in [first] + rest] == ["fa", "fb"]
+
+    def test_iter_effective_records_snapshot_ignores_a_late_rerun(
+            self, tmp_path):
+        store = ResultStore(tmp_path / "r.jsonl")
+        store.append(record("fa", delivered=1))
+        store.append(record("fb", delivered=1))
+        it = store.iter_effective_records()
+        first = next(it)
+        store.append(record("fa", delivered=2))
+        records = [first] + list(it)
+        assert [(r["fingerprint"], r["delivered"]) for r in records] == [
+            ("fa", 1), ("fb", 1)]
+
     def test_corrupt_interior_line_raises(self, tmp_path):
         path = tmp_path / "r.jsonl"
         store = ResultStore(path)

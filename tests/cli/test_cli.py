@@ -8,6 +8,7 @@ import pytest
 
 from repro.campaign import CAMPAIGNS, Campaign, register_campaign
 from repro.cli import build_parser, main
+from repro.lang.programs import DEFAULT_FACTORIES, stfq_program
 
 
 class TestParser:
@@ -117,7 +118,10 @@ class TestCommands:
         assert "_replay(_exc, sh1._compiled, packet," in kernel
 
     def test_show_tree_kernel_lists_called_programs(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_LANG_BACKEND", "interpreted")
+        # An interpreted program is called, not spliced, and the kernel
+        # listing says so.
+        monkeypatch.setitem(DEFAULT_FACTORIES, "stfq",
+                            lambda: stfq_program(backend="interpreted"))
         assert main(["show", "stfq", "--tree-kernel"]) == 0
         kernel = capsys.readouterr().out.split("Fused tree kernel")[1]
         assert ("# called, not spliced: stfq at node root: runs on the "
@@ -127,6 +131,13 @@ class TestCommands:
     def test_show_unknown_program(self, capsys):
         assert main(["show", "bogus"]) == 2
         assert "unknown program" in capsys.readouterr().err
+
+    def test_show_tree_kernel_unknown_backend(self, capsys):
+        assert main(["show", "fifo", "--tree-kernel",
+                     "--pifo-backend", "bucketed"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown PIFO backend 'bucketed'" in err
+        assert "available" in err
 
     def test_run_json_out_writes_file(self, capsys, tmp_path):
         out = tmp_path / "result.json"

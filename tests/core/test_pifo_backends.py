@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from repro.core import (
     PIFO,
-    BucketedPIFO,
     CalendarPIFO,
+    QuantizedBucketedPIFO,
     SortedListPIFO,
     available_backends,
     backend_name,
@@ -44,7 +44,7 @@ class TestFactory:
     @pytest.mark.parametrize("name,cls", [
         ("sorted", SortedListPIFO),
         ("calendar", CalendarPIFO),
-        ("bucketed", BucketedPIFO),
+        ("quantized", QuantizedBucketedPIFO),
     ])
     def test_registry_names(self, name, cls):
         assert type(make_pifo(name)) is cls
@@ -80,18 +80,31 @@ class TestFactory:
 # Backend-specific contracts                                                  #
 # --------------------------------------------------------------------------- #
 class TestBucketedContract:
-    def test_rejects_fractional_ranks(self):
-        pifo = BucketedPIFO()
-        with pytest.raises(ValueError, match="integer ranks"):
-            pifo.push("a", 1.5)
-        assert len(pifo) == 0
-
     def test_accepts_integral_floats(self):
-        pifo = BucketedPIFO()
+        pifo = QuantizedBucketedPIFO()
         pifo.push("a", 3.0)
         pifo.push("b", 1)
         assert pifo.pop() == "b"
         assert pifo.pop() == "a"
+
+
+@given(st.lists(st.one_of(st.integers(min_value=-1000, max_value=1000),
+                          st.integers(min_value=2 ** 40, max_value=2 ** 48),
+                          st.integers(min_value=-2 ** 48, max_value=-2 ** 40)),
+                max_size=120))
+@settings(max_examples=100, deadline=None)
+def test_property_quantized_is_exact_on_integer_ranks(ranks):
+    """At the default quantum distinct integer ranks — negative ones and
+    ranks of 2**40 and beyond included — land in distinct buckets, so the
+    bucket queue dequeues exactly in the reference's (rank, push) order."""
+    reference = make_pifo("sorted")
+    quantized = make_pifo("quantized")
+    for i, rank in enumerate(ranks):
+        reference.push(i, rank)
+        quantized.push(i, rank)
+    assert quantized.entries() == reference.entries()
+    assert ([quantized.pop() for _ in ranks]
+            == [reference.pop() for _ in ranks])
 
 
 class TestSortedListHeadIndex:
@@ -417,20 +430,11 @@ class TestTreeBackendThreading:
         node = tree.root
         for i in range(8):
             node.scheduling_pifo.push(f"p{i}", i)
-        tree.use_backend("bucketed")
-        assert type(node.scheduling_pifo) is BucketedPIFO
+        tree.use_backend("quantized")
+        assert type(node.scheduling_pifo) is QuantizedBucketedPIFO
         assert [node.scheduling_pifo.pop() for _ in range(8)] == [
             f"p{i}" for i in range(8)
         ]
-
-    def test_shaping_pifo_avoids_integer_only_backend(self):
-        from repro.algorithms import build_fig4_tree
-
-        tree = build_fig4_tree(pifo_backend="bucketed")
-        shaped = tree.node("Right")
-        assert type(shaped.scheduling_pifo) is BucketedPIFO
-        # Shaping ranks are wall-clock floats: must stay off bucket queues.
-        assert type(shaped.shaping_pifo) is SortedListPIFO
 
     def test_scheduler_applies_backend(self):
         from repro.algorithms import build_fig3_tree
@@ -446,8 +450,9 @@ class TestTreeBackendThreading:
 @settings(max_examples=60, deadline=None)
 def test_property_hpfq_departure_order_identical_across_backends(flows):
     """The same HPFQ workload must depart in the same order on the sorted
-    and calendar backends (STFQ ranks are floats, so the bucketed backend
-    is exercised by the strict-priority property below instead)."""
+    and calendar backends (STFQ ranks are floats, which the bucket queue
+    quantises, so it is exercised by the integer-rank properties below
+    instead)."""
     from repro.algorithms import build_fig3_tree
     from repro.core import Packet, ProgrammableScheduler
 

@@ -1,11 +1,10 @@
-"""Tests for the quantized bucket-queue backend (real-valued ranks)."""
+"""Tests for the bucket-queue backend (ranks quantised to integer slots)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import QuantizedBucketedPIFO, make_pifo
-from repro.core.backend import backend_requires_integer_ranks
 
 
 class TestQuantizedBucketedPIFO:
@@ -39,10 +38,6 @@ class TestQuantizedBucketedPIFO:
         for rank in ranks:
             pifo.push(rank, rank)
         assert pifo.drain() == sorted(ranks)
-
-    def test_not_integer_only(self):
-        assert not backend_requires_integer_ranks("quantized")
-        assert backend_requires_integer_ranks("bucketed")
 
     def test_invalid_quantum(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from repro.algorithms import (
     build_fig4_tree,
 )
 from repro.core import Packet, ProgrammableScheduler, single_node_tree
-from repro.hardware import HardwareScheduler
+from repro.hardware import HardwareScheduler, MeshCompiler
 
 
 def per_flow_order(packets):
@@ -159,3 +159,41 @@ class TestDocumentedDeviation:
         # deadline order, because the rank store serialises the flow.
         f_positions = [seq for seq in hw_order if seq in (0, 1, 3)]
         assert f_positions == [0, 1, 3]
+
+
+def test_masked_shaping_token_is_deferred_not_dropped():
+    """Regression: a PFC mask on a shaped node's flow at release time must
+    defer the shaping token, not discard its calendar entry."""
+    scheduler = HardwareScheduler(build_fig4_tree())
+    for _ in range(6):
+        scheduler.enqueue(Packet(flow="C", length=1500, arrival_time=0.0))
+    slot = scheduler.program.shaping_assignment["Right"]
+    block = scheduler.mesh.blocks[slot.block]
+    pending = scheduler.next_shaping_release()
+    assert pending is not None
+
+    block.mask_flow("Right")
+    assert scheduler.process_shaping_releases(now=1e9) == 0
+    # Paused tokens are invisible to next_shaping_release (they cannot
+    # fire, and advertising them would shadow other nodes' releases) but
+    # must not be lost from the calendar.
+    assert scheduler.next_shaping_release() is None
+
+    block.unmask_flow("Right")
+    assert scheduler.next_shaping_release() == pending
+    released = scheduler.process_shaping_releases(now=1e9)
+    assert released > 0
+    assert len(scheduler.drain(now=1e9)) == 6
+
+
+def test_reset_preserves_custom_compiler_capacities():
+    """Regression: reset() must recompile with the caller's compiler, not
+    silently revert to default block capacities."""
+    compiler = MeshCompiler(capacity_flows=8, logical_pifos_per_block=16)
+    scheduler = HardwareScheduler(build_fig3_tree(), compiler=compiler)
+    block = next(iter(scheduler.mesh.blocks.values()))
+    assert block.flow_scheduler.capacity_flows == 8
+    assert block.logical_pifo_count == 16
+    scheduler.reset()
+    block = next(iter(scheduler.mesh.blocks.values()))
+    assert block.flow_scheduler.capacity_flows == 8

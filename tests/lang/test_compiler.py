@@ -241,11 +241,6 @@ class TestBridgeBackends:
         assert transaction.generated_source() is None
         assert transaction(Packet(flow="a", length=5), make_ctx(now=3.0)) == 3.0
 
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LANG_BACKEND", "interpreted")
-        transaction = compile_scheduling_program("p.rank = now")
-        assert transaction.backend == "interpreted"
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             compile_scheduling_program("p.rank = now", backend="llvm")

@@ -76,9 +76,7 @@ from repro.lang.treekernel import (
     kernel_cache_info,
 )
 
-BACKENDS = ["sorted", "calendar", "bucketed", "quantized"]
-#: Backends that accept the float ranks of clocks and virtual times.
-FLOAT_BACKENDS = ["sorted", "calendar", "quantized"]
+BACKENDS = ["sorted", "calendar", "quantized"]
 
 
 def _fifo_scheduler(**kwargs):
@@ -190,7 +188,7 @@ class TestStaleness:
     def test_scheduler_use_backend_respecialises(self):
         scheduler = _fifo_scheduler()
         before = scheduler.tree_kernel
-        scheduler.use_backend("bucketed")
+        scheduler.use_backend("quantized")
         assert scheduler.tree_kernel is not before
 
     def test_stale_transfer_recovers(self):
@@ -239,33 +237,6 @@ class TestDrops:
             assert (fused.enqueue(Packet(flow=flow, length=100), now=0.0)
                     == plain.enqueue(Packet(flow=flow, length=100), now=0.0))
         assert fused.stats == plain.stats
-
-
-class TestBucketedRankErrors:
-    def test_float_rank_raises_like_interpreted(self):
-        # BucketedPIFO rejects fractional ranks identically on the fused
-        # and interpreted paths (same exception type and message).
-        def build():
-            return ProgrammableScheduler(
-                single_node_tree(FieldRankTransaction("deadline")),
-                pifo_backend="bucketed",
-            )
-
-        fused, plain = build(), build()
-        plain.set_tree_kernel(False)
-        packet = Packet(flow="a", length=100, fields={"deadline": 1.5})
-        for scheduler in (fused, plain):
-            with pytest.raises(ValueError, match="integer ranks"):
-                scheduler.enqueue(packet, now=0.0)
-
-    def test_float_rank_raises_through_transfer(self):
-        scheduler = ProgrammableScheduler(
-            single_node_tree(FieldRankTransaction("deadline")),
-            pifo_backend="bucketed",
-        )
-        packet = Packet(flow="a", length=100, fields={"deadline": 2.5})
-        with pytest.raises(ValueError, match="integer ranks"):
-            scheduler.transfer(packet, 0.0)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -378,8 +349,8 @@ class TestTransfer:
 # Shaping: suspend / resume inside the kernel                                  #
 # --------------------------------------------------------------------------- #
 def _seq_stop_and_go_tree():
-    """Integer ranks everywhere (so ``bucketed`` applies) and a bounded
-    root: a resume that finds it full raises out of ``dequeue``."""
+    """Integer ranks everywhere and a bounded root: a resume that finds it
+    full raises out of ``dequeue``."""
     root = TreeNode(name="root", scheduling=ArrivalSequenceTransaction(),
                     pifo_capacity=3)
     root.add_child(TreeNode(
@@ -404,22 +375,22 @@ def _two_level_shaping_tree():
     return ScheduleTree(root)
 
 
-#: label -> (tree builder, flows offered, backends it accepts).
+#: label -> (tree builder, flows offered).
 SHAPED_TREES = {
-    "fig4_programs": (build_fig4_tree_from_programs, "ABCDE", FLOAT_BACKENDS),
+    "fig4_programs": (build_fig4_tree_from_programs, "ABCDE"),
     "fig4_interpreted_lang": (
         lambda: build_fig4_tree_from_programs(backend="interpreted"),
-        "ABCDE", FLOAT_BACKENDS),
-    "fig4_native": (build_fig4_tree, "ABCDE", FLOAT_BACKENDS),
+        "ABCDE"),
+    "fig4_native": (build_fig4_tree, "ABCDE"),
     "jitter_edd": (lambda: build_jitter_edd_tree({"x": 1e-4, "y": 3e-4}),
-                   "xyz", FLOAT_BACKENDS),
+                   "xyz"),
     "hrr_stop_and_go": (
         lambda: build_hierarchical_round_robin_tree(
             {"fine": {"x": 1.0}, "coarse": {"y": 1.0}},
             {"fine": 2e-4, "coarse": 5e-4}),
-        "xyz", FLOAT_BACKENDS),
-    "seq_stop_and_go": (_seq_stop_and_go_tree, "xyz", BACKENDS),
-    "two_level": (_two_level_shaping_tree, "xyz", FLOAT_BACKENDS),
+        "xyz"),
+    "seq_stop_and_go": (_seq_stop_and_go_tree, "xyz"),
+    "two_level": (_two_level_shaping_tree, "xyz"),
 }
 
 
@@ -480,11 +451,11 @@ class TestShapingLockstep:
                 st.integers(min_value=0, max_value=30),     # clock step, 10 us
             ),
             min_size=1, max_size=80),
-        backend_index=st.integers(min_value=0, max_value=3),
+        backend_index=st.integers(min_value=0, max_value=2),
     )
     def test_random_interleavings_identical(self, label, ops, backend_index):
-        builder, flows, backends = SHAPED_TREES[label]
-        backend = backends[backend_index % len(backends)]
+        builder, flows = SHAPED_TREES[label]
+        backend = BACKENDS[backend_index % len(BACKENDS)]
         fused = ProgrammableScheduler(builder(), pifo_backend=backend)
         plain = ProgrammableScheduler(builder(), pifo_backend=backend,
                                       tree_kernel=False)
@@ -831,18 +802,17 @@ class TestSplicedPrograms:
 # --------------------------------------------------------------------------- #
 # Counters: one store per fact, totals computed when read                      #
 # --------------------------------------------------------------------------- #
-#: Trees whose counters the two tests below pin: name -> (builder taking
-#: the PIFO backend, backends it can run on).
+#: Trees whose counters the two tests below pin: name -> builder taking
+#: the PIFO backend.
 COUNTED_TREES = {
-    "arrival_seq": (lambda backend: single_node_tree(
-        ArrivalSequenceTransaction(), pifo_backend=backend), BACKENDS),
-    "srpt": (lambda backend: single_node_tree(
-        SRPTTransaction(), pifo_backend=backend), BACKENDS),
-    "fig4": (lambda backend: build_fig4_tree_from_programs(
-        pifo_backend=backend), FLOAT_BACKENDS),
-    "capped": (lambda backend: single_node_tree(
+    "arrival_seq": lambda backend: single_node_tree(
+        ArrivalSequenceTransaction(), pifo_backend=backend),
+    "srpt": lambda backend: single_node_tree(
+        SRPTTransaction(), pifo_backend=backend),
+    "fig4": lambda backend: build_fig4_tree_from_programs(
+        pifo_backend=backend),
+    "capped": lambda backend: single_node_tree(
         ArrivalSequenceTransaction(), pifo_capacity=3, pifo_backend=backend),
-        BACKENDS),
 }
 
 scheduler_ops = st.lists(
@@ -859,7 +829,7 @@ scheduler_ops = st.lists(
 
 @pytest.mark.parametrize("fused", [True, False], ids=["kernel", "interpreted"])
 @pytest.mark.parametrize("label", sorted(COUNTED_TREES))
-@given(ops=scheduler_ops, backend_index=st.integers(min_value=0, max_value=3))
+@given(ops=scheduler_ops, backend_index=st.integers(min_value=0, max_value=2))
 @settings(max_examples=40, deadline=None)
 def test_scheduler_stats_match_a_hand_kept_tally(label, fused, ops,
                                                  backend_index):
@@ -867,9 +837,9 @@ def test_scheduler_stats_match_a_hand_kept_tally(label, fused, ops,
     with ``dropped`` and ``shaping_releases`` they must say what the calls
     themselves returned — through the cut-through ``transfer``, push-in
     ranks, suspended packets, a leaf that drops, and a ``reset()``."""
-    build, backends = COUNTED_TREES[label]
+    build = COUNTED_TREES[label]
     scheduler = ProgrammableScheduler(
-        build(backends[backend_index % len(backends)]), tree_kernel=fused)
+        build(BACKENDS[backend_index % len(BACKENDS)]), tree_kernel=fused)
     assert (scheduler.tree_kernel is not None) == fused
     shaped = [node for node in scheduler.tree.nodes()
               if node.shaping is not None]
@@ -933,7 +903,7 @@ def test_kernels_store_each_fact_once(label, backend):
     """The generated source of every backend's push / pop / walk /
     cut-through emitters (shaping PIFOs included) bumps no derived
     counter — so a new emitter cannot quietly bring one back."""
-    scheduler = ProgrammableScheduler(COUNTED_TREES[label][0](backend))
+    scheduler = ProgrammableScheduler(COUNTED_TREES[label](backend))
     source = scheduler.tree_kernel.source
     assert "_seq" in source and "pfe[flow] += 1" in source
     assert not _DUPLICATE_COUNTER.search(source), [

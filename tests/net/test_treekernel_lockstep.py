@@ -70,7 +70,7 @@ TREES = {
 SHAPED_TREES = ["fig4_programs", "fig4_native", "jitter_edd",
                 "hrr_stop_and_go"]
 
-BACKENDS = ["sorted", "calendar", "bucketed"]
+BACKENDS = ["sorted", "calendar", "quantized"]
 
 
 def _factory(tree_builder, tree_kernel):
@@ -164,11 +164,6 @@ class TestHypothesisLockstep:
     def test_fused_identical_to_interpreted(self, steps, tree_label,
                                             backend, telemetry):
         tree_builder, flows = TREES[tree_label]
-        if backend == "bucketed" and tree_label != "arrival_seq":
-            # Only arrival-sequence ranks are integers; bucketed rejects
-            # the float timestamps / virtual times of the other programs
-            # (identically on both paths — pinned in test_treekernel.py).
-            backend = "sorted"
         fused = _run_chain(tree_builder, _build_arrivals(steps, flows),
                            backend, telemetry, fused=True)
         plain = _run_chain(tree_builder, _build_arrivals(steps, flows),
