@@ -59,7 +59,7 @@ from .rcsd import (
 from .sced import LatencyRateCurve, SCEDTransaction, admissible
 from .stop_and_go import StopAndGoShapingTransaction, worst_case_delay_bound
 from .strict_priority import ClassPriorityTransaction, StrictPriorityTransaction
-from .token_bucket import TokenBucketSchedulingGate, TokenBucketShapingTransaction
+from .token_bucket import TokenBucketShapingTransaction
 
 #: Figures 3 and 4 call Figure 1's STFQ by its WFQ name.
 WFQTransaction = STFQTransaction
@@ -79,7 +79,6 @@ __all__ = [
     "LSTFTransaction",
     "stamp_wait_time",
     "TokenBucketShapingTransaction",
-    "TokenBucketSchedulingGate",
     "StopAndGoShapingTransaction",
     "worst_case_delay_bound",
     "MinRateTransaction",

@@ -44,41 +44,3 @@ def TokenBucketShapingTransaction(
     return token_bucket_program(rate_bps / 8.0, burst_bytes,
                                 initial_tokens_bytes)
 
-
-class TokenBucketSchedulingGate:
-    """Plain (non-transaction) token bucket used by baselines and tests.
-
-    Provides ``conforming(length, now)``/``consume(length, now)`` so classic
-    shapers outside the PIFO model can share the exact arithmetic of the
-    shaping transaction, keeping comparisons apples-to-apples.
-    """
-
-    def __init__(self, rate_bps: float, burst_bytes: float) -> None:
-        if rate_bps <= 0 or burst_bytes <= 0:
-            raise ValueError("rate and burst must be positive")
-        self.rate_bytes_per_s = rate_bps / 8.0
-        self.burst_bytes = burst_bytes
-        self.tokens = burst_bytes
-        self.last_time = 0.0
-
-    def _replenish(self, now: float) -> None:
-        self.tokens = min(
-            self.tokens + self.rate_bytes_per_s * (now - self.last_time),
-            self.burst_bytes,
-        )
-        self.last_time = now
-
-    def conforming(self, length_bytes: float, now: float) -> bool:
-        """Would a packet of this length conform right now?"""
-        self._replenish(now)
-        return length_bytes <= self.tokens
-
-    def consume(self, length_bytes: float, now: float) -> float:
-        """Consume tokens and return the earliest conforming send time."""
-        self._replenish(now)
-        if length_bytes <= self.tokens:
-            send_time = now
-        else:
-            send_time = now + (length_bytes - self.tokens) / self.rate_bytes_per_s
-        self.tokens -= length_bytes
-        return send_time

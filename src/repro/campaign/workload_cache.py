@@ -27,21 +27,17 @@ shared across runs *only* for fault-free scenarios: a
 faulted scenarios rebuild their topology every time (their arrivals are
 still memoised — traffic is independent of the fault schedule).
 
-``REPRO_WORKLOAD_CACHE=off`` (or ``0``) disables memoisation entirely;
-the lockstep suite runs the same campaign both ways and asserts the
-stores are byte-identical modulo timing fields.
+The cache is always on; ``tests/campaign/test_workload_cache.py`` runs
+the same campaign with :func:`active_cache` patched to ``None`` and
+asserts the stores are byte-identical modulo timing fields.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.packet import Packet
-
-#: Environment kill-switch. ``off``/``0``/``false`` disable the cache.
-CACHE_ENV = "REPRO_WORKLOAD_CACHE"
 
 #: Workload entries kept per cache.  A campaign sweeping substrate factors
 #: revisits the same few workloads many times; entries beyond this are
@@ -54,11 +50,6 @@ DEFAULT_CAPACITY = 8
 #: where ``fields`` is ``None`` or a dict copied per replay.
 ArrivalProto = Tuple[float, str, int, Optional[str], int,
                      Optional[dict], Optional[str], Optional[str]]
-
-
-def cache_enabled() -> bool:
-    return os.environ.get(CACHE_ENV, "").strip().lower() not in (
-        "off", "0", "false", "no")
 
 
 class WorkloadCache:
@@ -167,11 +158,9 @@ class WorkloadCache:
 _CACHE: Optional[WorkloadCache] = None
 
 
-def active_cache() -> Optional[WorkloadCache]:
-    """The process's workload cache, or ``None`` when disabled by env."""
+def active_cache() -> WorkloadCache:
+    """The process's workload cache."""
     global _CACHE
-    if not cache_enabled():
-        return None
     if _CACHE is None:
         _CACHE = WorkloadCache()
     return _CACHE

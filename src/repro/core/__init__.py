@@ -50,7 +50,7 @@ from .predicates import (
     Predicate,
     PriorityEquals,
 )
-from .scheduler import ProgrammableScheduler, SchedulerStats, ShapingToken, run_enqueue_dequeue
+from .scheduler import ProgrammableScheduler, SchedulerStats, ShapingToken
 from .seeds import derive_seed
 from .transaction import (
     LambdaSchedulingTransaction,
@@ -105,5 +105,4 @@ __all__ = [
     "ProgrammableScheduler",
     "SchedulerStats",
     "ShapingToken",
-    "run_enqueue_dequeue",
 ]

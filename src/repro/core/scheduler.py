@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..exceptions import PIFOFullError, SchedulerError
 from .backend import BackendSpec
@@ -513,14 +513,3 @@ class ProgrammableScheduler:
             f"buffered={self._buffered_packets})"
         )
 
-
-def run_enqueue_dequeue(
-    scheduler: ProgrammableScheduler,
-    packets: Iterator[Packet],
-    now: float = 0.0,
-) -> List[Packet]:
-    """Enqueue every packet, then drain — the standard unit-test harness for
-    work-conserving algorithms."""
-    for packet in packets:
-        scheduler.enqueue(packet, now=now)
-    return scheduler.drain(now=now)

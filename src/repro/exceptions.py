@@ -43,10 +43,6 @@ class SchedulerError(ReproError):
     """Raised by the reference scheduler engine for invalid operations."""
 
 
-class BufferError_(ReproError):
-    """Raised by the shared-memory buffer model (admission failures)."""
-
-
 class HardwareModelError(ReproError):
     """Raised by the cycle-level hardware model for constraint violations."""
 

@@ -35,7 +35,6 @@ from ..sim.sink import PacketSink
 from ..sim.source import PacketSource
 from ..switch.buffer import SharedBuffer
 from ..switch.switch import PortSpec, SharedMemorySwitch
-from ..switch.thresholds import AdmissionPolicy
 from .faults import FaultInjector, FaultPlan
 from .routing import LinkFilter, build_forwarding_tables
 from .topology import Network
@@ -87,11 +86,6 @@ class Fabric:
         right after ``scheduler_factory`` builds it.  Schedulers without a
         swappable tree (the baselines, the hardware model) and host NICs
         keep their own storage.
-    buffer_factory / admission_factory:
-        Per-node shared buffer / admission policy constructors (called with
-        the node name); switches default to the paper's 12 MB shared buffer
-        with always-admit, host NICs to an effectively unbounded buffer
-        (end-host memory is not the resource under study).
     keep_packets:
         Whether host sinks retain every delivered packet (default) or run in
         streaming-aggregate mode for large workloads.
@@ -111,10 +105,12 @@ class Fabric:
         with a fused per-hop closure inlining delivery, next-hop ingress
         and buffer release into straight-line code (see
         :meth:`_fuse_hot_path`).  ``None`` (default) and ``True`` behave
-        the same: every port is fused where that is observationally safe
-        — telemetry off, zero-latency link, threshold-free admission on
-        both ends.  ``False`` disables fusion (the reference interpreted
-        path).
+        the same: with telemetry off and no fault plan, every port on a
+        zero-latency link is fused.  ``False`` disables fusion (the
+        reference interpreted path).
+
+    Switches get the paper's 12 MB shared buffer, host NICs a 1 GiB one
+    (end-host memory is not the resource under study).
     """
 
     def __init__(
@@ -124,8 +120,6 @@ class Fabric:
         scheduler_factory: SchedulerFactory,
         ecmp: bool = False,
         pifo_backend: BackendSpec = None,
-        buffer_factory: Optional[Callable[[str], SharedBuffer]] = None,
-        admission_factory: Optional[Callable[[str], AdmissionPolicy]] = None,
         keep_packets: bool = True,
         telemetry: bool = True,
         host_scheduler_factory: SchedulerFactory = _default_host_scheduler,
@@ -167,12 +161,7 @@ class Fabric:
                 for neighbor, link in sorted(network.links[name].items())
             ]
             factory = host_scheduler_factory if is_host else scheduler_factory
-            if buffer_factory is not None:
-                buffer = buffer_factory(name)
-            elif is_host:
-                buffer = SharedBuffer(capacity_bytes=1 << 30)
-            else:
-                buffer = None
+            buffer = SharedBuffer(capacity_bytes=1 << 30) if is_host else None
             backend = None if is_host else pifo_backend
             self.node_switches[name] = SharedMemorySwitch(
                 sim=sim,
@@ -180,7 +169,6 @@ class Fabric:
                     _on_backend(f(node, port), b),
                 port_specs=specs,
                 buffer=buffer,
-                admission=admission_factory(name) if admission_factory else None,
                 telemetry=telemetry,
                 name=name,
             )
@@ -207,7 +195,7 @@ class Fabric:
             # tree kernels are unaffected (they fuse *inside* the port).
             self._fault_injector = FaultInjector(self, self._fault_plan)
             self._fault_injector.schedule()
-        elif fused_delivery is not False:
+        elif fused_delivery is not False and not telemetry:
             self._fuse_hot_path()
 
         # Lazy metrics: when a registry is enabled, register a callback
@@ -323,30 +311,23 @@ class Fabric:
 
         Fusion is observationally exact, so it is only installed when every
         path the closure compresses is the one the interpreted code would
-        take: telemetry off (no per-hop trace records, occupancy-only
-        buffer accounting on both switches), threshold-free admission, and
-        a zero-latency link (no wire FIFO between completion and ingress).
-        Ports that fail the check keep the generic method.
+        take: the constructor calls this only with telemetry off (no
+        per-hop trace records or per-port drop breakdowns) and no fault
+        plan, and only ports on a zero-latency link are fused (no wire
+        FIFO between completion and ingress); the others keep the generic
+        method.
         """
         network = self.network
         ingress = {name: self._fused_ingress(name)
-                   for name, switch in self.node_switches.items()
-                   if switch._untracked_buffer}
+                   for name in self.node_switches}
         for name, switch in self.node_switches.items():
-            if name not in ingress:
-                continue
             for neighbor in network.links[name]:
-                port = switch.ports.get(self.port_to(neighbor))
-                if port is None or port.delivery is None:
-                    continue
+                port = switch.ports[self.port_to(neighbor)]
                 if port.propagation_delay != 0.0:
-                    continue
-                to_host = network.is_host(neighbor)
-                if not to_host and neighbor not in ingress:
                     continue
                 port._tx_complete = self._fuse_port(
                     port, switch, name, neighbor,
-                    None if to_host else ingress[neighbor])
+                    None if network.is_host(neighbor) else ingress[neighbor])
                 self.fused_ports += 1
         if self.fused_ports:
             self._ingress = ingress
@@ -355,8 +336,8 @@ class Fabric:
         """The fused ingress of one node: ``ingress(packet) -> bool``.
 
         Inlines, with identical observable effects and at ``sim.now``:
-        the route lookup + ECMP hash, the occupancy-only
-        ``SharedMemorySwitch.receive``, ``OutputPort.receive`` and the
+        the route lookup + ECMP hash, ``SharedMemorySwitch.receive`` (the
+        cell-occupancy check), ``OutputPort.receive`` and the
         transmit kick, pushing the completion straight onto the event
         queue.  Fused egress ports call it for the next hop.  Hosts never
         forward transit traffic, so a host's ingress is its injection and
@@ -485,7 +466,7 @@ class Fabric:
         own_buffer = switch.buffer
         own_cell_bytes = own_buffer.cell_bytes
         #: The switch-installed release callback; identity-checked per call
-        #: so late wrapping (chain_hops) falls back to the dynamic call.
+        #: so a callback wrapped after construction is called instead.
         release = port.on_departure
         kernelable = isinstance(scheduler, ProgrammableScheduler)
         #: Arrival prefetch: a single-egress host NIC can pull its (sole)

@@ -316,9 +316,9 @@ class Scenario:
 
         ``trace_hook`` is called with each variant's fabric after
         construction and before any traffic: the observability layer's
-        seam for attaching a :class:`repro.obs.TraceCollector` (which
-        requires ``tree_kernel=False`` so the wrappable interpreted
-        delivery path is in effect).
+        seam for attaching a :class:`repro.obs.TraceCollector`.  The
+        collector needs the wrappable interpreted path, so pass
+        ``tree_kernel=False``; it raises on a fabric with fused ports.
 
         ``workload_cache`` (a
         :class:`repro.campaign.workload_cache.WorkloadCache`) replays

@@ -14,9 +14,12 @@ leaf scheduling transaction's verdict at admission (``None`` for
 rank-free schedulers such as FIFO) and ``queue_depth`` the number of
 packets already buffered at that port when this one arrived.
 
-The collector attaches to an *unfused* fabric (``tree_kernel=False`` —
-the fused per-port closures bypass the wrappable seams by design, which
-is exactly why tracing forces them off) and observes three seams:
+The collector attaches to an *unfused* fabric (``tree_kernel=False``;
+``telemetry=True`` also leaves every port unfused, but a tree kernel never
+calls the rank probe, so ranks read ``None``).  The fused per-port
+closures bypass the wrappable seams by design, so
+:meth:`TraceCollector.attach` refuses a fabric with fused ports rather
+than record nothing.  It observes three seams:
 
 * ``scheduler.enqueue`` — instance-level wrap that snapshots queue depth
   before admission;
@@ -90,6 +93,13 @@ class TraceCollector:
         self._ranks: Dict[int, Any] = {}
 
     def attach(self, fabric: Any) -> "TraceCollector":
+        if fabric.fused_ports:
+            raise ValueError(
+                f"cannot trace a fabric with {fabric.fused_ports} fused "
+                f"ports: fused ports never call the delivery or enqueue "
+                f"seams the collector wraps; run with tree_kernel=False "
+                f"(telemetry=True also unfuses the ports, but a tree "
+                f"kernel does not report ranks)")
         for node in sorted(fabric.node_switches):
             switch = fabric.node_switches[node]
             for port_name in sorted(switch.ports):

@@ -10,7 +10,7 @@ from .events import Event, EventQueue
 from .link import OutputPort
 from .simulator import Simulator
 from .sink import FlowAggregate, PacketSink
-from .source import PacketSource, chain_hops
+from .source import PacketSource
 
 __all__ = [
     "Event",
@@ -20,5 +20,4 @@ __all__ = [
     "FlowAggregate",
     "PacketSink",
     "PacketSource",
-    "chain_hops",
 ]

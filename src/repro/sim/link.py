@@ -56,8 +56,8 @@ class OutputPort:
         Destination for transmitted packets; a fresh :class:`PacketSink` is
         created when omitted.
     on_departure:
-        Optional callback invoked with each packet after transmission; used
-        to chain hops (for example the LSTF multi-switch experiment).
+        Optional callback invoked with each packet after transmission; the
+        switch returns the packet's buffer cells through it.
     propagation_delay:
         Wire latency in seconds between this port and its destination.
         Transmission finishes (and the link frees up for the next packet)

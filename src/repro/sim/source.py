@@ -21,7 +21,7 @@ packets in flight, not the run length.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..core.packet import Packet
 from ..exceptions import TrafficError
@@ -151,33 +151,3 @@ class PacketSource:
         self._batch = []
         self._index = 0
 
-
-def chain_hops(
-    sim: Simulator,
-    upstream_port,
-    downstream_port,
-    transform: Optional[Callable[[Packet], Packet]] = None,
-    propagation_delay: float = 0.0,
-) -> None:
-    """Connect two ports so packets leaving the first enter the second.
-
-    ``transform`` may modify or replace the packet between hops (the LSTF
-    experiment uses it to stamp the previous hop's wait time); a propagation
-    delay can model the wire between switches.
-    """
-
-    def _forward(packet: Packet) -> None:
-        forwarded = transform(packet) if transform is not None else packet
-        if propagation_delay > 0:
-            sim.schedule(propagation_delay, lambda p=forwarded: downstream_port.receive(p))
-        else:
-            downstream_port.receive(forwarded)
-
-    previous = upstream_port.on_departure
-
-    def _combined(packet: Packet) -> None:
-        if previous is not None:
-            previous(packet)
-        _forward(packet)
-
-    upstream_port.on_departure = _combined

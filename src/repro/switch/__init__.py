@@ -1,7 +1,6 @@
-"""Shared-memory switch substrate: buffer, admission control, switch."""
+"""Shared-memory switch substrate: cell-accounted buffer and switch."""
 
 from .buffer import (
-    BufferOccupancy,
     DEFAULT_BUFFER_BYTES,
     DEFAULT_CELL_BYTES,
     SharedBuffer,
@@ -14,22 +13,11 @@ from .switch import (
     SharedMemorySwitch,
     SwitchStats,
 )
-from .thresholds import (
-    AdmissionPolicy,
-    AlwaysAdmit,
-    DynamicThresholdPolicy,
-    StaticThresholdPolicy,
-)
 
 __all__ = [
     "SharedBuffer",
-    "BufferOccupancy",
     "DEFAULT_BUFFER_BYTES",
     "DEFAULT_CELL_BYTES",
-    "AdmissionPolicy",
-    "AlwaysAdmit",
-    "StaticThresholdPolicy",
-    "DynamicThresholdPolicy",
     "SharedMemorySwitch",
     "SwitchStats",
     "PortCounters",

@@ -1,9 +1,9 @@
 """A shared-memory output-queued switch model.
 
 Ties the substrate together: N output ports, each with its own programmable
-scheduler draining a fixed-rate link, all sharing one packet buffer guarded
-by an admission policy — the architecture the paper targets (a 64-port
-10 Gbit/s shared-memory switch).
+scheduler draining a fixed-rate link, all sharing one cell-accounted packet
+buffer — the architecture the paper targets (a 64-port 10 Gbit/s
+shared-memory switch).
 
 The switch does not model parsing or the match-action pipeline; packets
 arrive already annotated with their output port, which is all the
@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.packet import Packet
-from ..exceptions import BufferError_, RoutingError
+from ..exceptions import RoutingError
 from ..sim.link import OutputPort
 from ..sim.simulator import Simulator
 from .buffer import SharedBuffer
-from .thresholds import AdmissionPolicy, AlwaysAdmit
 
 #: Paper's target configuration (Section 5.1).
 DEFAULT_PORT_COUNT = 64
@@ -121,8 +120,10 @@ class SharedMemorySwitch:
         chooses the schedulers' PIFO backend.
     port_count / port_rate_bps:
         Number of output ports and per-port line rate.
-    buffer / admission:
-        Shared buffer and admission policy guarding it.
+    buffer:
+        Shared buffer (default: the paper's 12 MB of 200 B cells).  A
+        packet whose cells do not fit in the free part is dropped and
+        counted as ``dropped_admission``.
     port_specs:
         Optional explicit port list (:class:`PortSpec`) overriding
         ``port_count`` / ``port_rate_bps``; used by the fabric layer to give
@@ -144,7 +145,6 @@ class SharedMemorySwitch:
         port_count: int = DEFAULT_PORT_COUNT,
         port_rate_bps: float = DEFAULT_PORT_RATE_BPS,
         buffer: Optional[SharedBuffer] = None,
-        admission: Optional[AdmissionPolicy] = None,
         port_specs: Optional[Sequence[PortSpec]] = None,
         telemetry: bool = True,
         name: str = "switch",
@@ -159,15 +159,7 @@ class SharedMemorySwitch:
         self.sim = sim
         self.name = name
         self.buffer = buffer if buffer is not None else SharedBuffer()
-        self.admission = admission if admission is not None else AlwaysAdmit()
         self.telemetry = telemetry
-        # Occupancy-only buffer accounting: with telemetry off and the
-        # threshold-free AlwaysAdmit policy, nothing ever reads the per-flow
-        # / per-port occupancy maps, so the ingress/egress paths skip their
-        # four dict updates per packet and track only used cells/bytes.
-        self._untracked_buffer = (
-            not telemetry and type(self.admission) is AlwaysAdmit
-        )
         self.ports: Dict[str, OutputPort] = {}
         self.stats = SwitchStats(self.ports)
         #: Forwarding table: destination address -> candidate egress port
@@ -176,6 +168,7 @@ class SharedMemorySwitch:
         self.routes: Dict[str, List[str]] = {}
         #: Flow label -> CRC32 hash, so ECMP hashes each flow string once.
         self._flow_hashes: Dict[str, int] = {}
+        release = self._make_release_callback()
         for spec in port_specs:
             if spec.name in self.ports:
                 raise ValueError(f"duplicate port name {spec.name!r}")
@@ -184,7 +177,7 @@ class SharedMemorySwitch:
                 scheduler=scheduler_factory(spec.name),
                 rate_bps=spec.rate_bps,
                 name=spec.name,
-                on_departure=self._make_release_callback(spec.name),
+                on_departure=release,
                 propagation_delay=spec.propagation_delay,
                 delivery=spec.delivery,
             )
@@ -194,29 +187,23 @@ class SharedMemorySwitch:
                 self.stats.port(spec.name)
 
     # -- buffer release on transmit -------------------------------------------------
-    def _make_release_callback(self, port_name: str) -> Callable[[Packet], None]:
+    def _make_release_callback(self) -> Callable[[Packet], None]:
+        """Every port's departure callback: return the packet's cells.
+
+        The fabric's fused ports inline this body (and identity-check the
+        port's ``on_departure`` against it).
+        """
         buffer = self.buffer
-        if self._untracked_buffer:
-
-            def _release(packet: Packet) -> None:
-                cells = (packet.length + buffer.cell_bytes - 1) // buffer.cell_bytes
-                if buffer.used_cells >= cells:
-                    buffer.used_cells -= cells
-                    buffer.used_bytes -= packet.length
-                else:
-                    # Fed directly without ingress accounting (tests); clamp.
-                    buffer.used_cells = 0
-                    buffer.used_bytes = max(0, buffer.used_bytes - packet.length)
-
-            return _release
 
         def _release(packet: Packet) -> None:
-            try:
-                buffer.release(packet, port=port_name)
-            except BufferError_:
-                # The packet was admitted before accounting existed (e.g.
-                # a test feeding ports directly); ignore, don't crash.
-                pass
+            cells = (packet.length + buffer.cell_bytes - 1) // buffer.cell_bytes
+            if buffer.used_cells >= cells:
+                buffer.used_cells -= cells
+                buffer.used_bytes -= packet.length
+            else:
+                # Fed directly without ingress accounting (tests); clamp.
+                buffer.used_cells = 0
+                buffer.used_bytes = max(0, buffer.used_bytes - packet.length)
 
         return _release
 
@@ -265,45 +252,34 @@ class SharedMemorySwitch:
     def receive(self, packet: Packet, output_port: str) -> bool:
         """Admit a packet to the shared buffer and its output port scheduler.
 
-        Returns ``True`` when the packet was buffered; ``False`` when it was
-        dropped by the admission policy, buffer exhaustion, or the
-        scheduler itself.
+        Returns ``True`` when the packet was buffered; ``False`` when its
+        cells do not fit in the free buffer (``dropped_admission``) or the
+        scheduler refused it (``dropped_scheduler``).  The fabric's fused
+        ingress inlines this body.
         """
-        if output_port not in self.ports:
+        port = self.ports.get(output_port)
+        if port is None:
             raise KeyError(f"unknown output port {output_port!r}")
         stats = self.stats
         buffer = self.buffer
-        if self._untracked_buffer:
-            cells = (packet.length + buffer.cell_bytes - 1) // buffer.cell_bytes
-            if buffer.used_cells + cells > buffer.total_cells:
-                # Mirrors the tracked path's AlwaysAdmit rejection exactly
-                # (which never reaches allocate(), so no drops_no_space).
-                stats.dropped_admission += 1
-                return False
-            buffer.used_cells += cells
-            buffer.used_bytes += packet.length
-            if self.ports[output_port].receive(packet):
-                stats.admitted += 1
-                return True
-            buffer.used_cells -= cells
-            buffer.used_bytes -= packet.length
-            stats.dropped_scheduler += 1
-            return False
-        if not self.admission.admit(buffer, packet, port=output_port):
+        length = packet.length
+        cells = (length + buffer.cell_bytes - 1) // buffer.cell_bytes
+        if buffer.used_cells + cells > buffer.total_cells:
             stats.dropped_admission += 1
             if self.telemetry:
                 stats.port(output_port).dropped_admission += 1
             return False
-        buffer.allocate(packet, port=output_port)
-        accepted = self.ports[output_port].receive(packet)
-        if not accepted:
-            buffer.release(packet, port=output_port)
-            stats.dropped_scheduler += 1
-            if self.telemetry:
-                stats.port(output_port).dropped_scheduler += 1
-            return False
-        stats.admitted += 1
-        return True
+        buffer.used_cells += cells
+        buffer.used_bytes += length
+        if port.receive(packet):
+            stats.admitted += 1
+            return True
+        buffer.used_cells -= cells
+        buffer.used_bytes -= length
+        stats.dropped_scheduler += 1
+        if self.telemetry:
+            stats.port(output_port).dropped_scheduler += 1
+        return False
 
     # -- queries -------------------------------------------------------------------------
     def port(self, name: str) -> OutputPort:

@@ -1,5 +1,4 @@
-"""Workload generation: flow specs, arrival processes, size distributions,
-trace record/replay."""
+"""Workload generation: flow specs, arrival processes, size distributions."""
 
 from .distributions import (
     DATA_MINING_CDF,
@@ -22,7 +21,6 @@ from .generators import (
     poisson_arrivals,
     total_bytes,
 )
-from .trace import PacketTrace, TraceRecord
 
 __all__ = [
     "FlowSpec",
@@ -42,6 +40,4 @@ __all__ = [
     "pareto",
     "bounded_pareto",
     "sample_many",
-    "PacketTrace",
-    "TraceRecord",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import TokenBucketSchedulingGate, TokenBucketShapingTransaction
+from repro.algorithms import TokenBucketShapingTransaction
 from repro.core import Packet, TransactionContext
 
 
@@ -65,20 +65,3 @@ class TestTokenBucketShapingTransaction:
         txn.reset()
         assert txn.state["tokens"] == 1000
 
-
-class TestTokenBucketGate:
-    def test_gate_matches_transaction_arithmetic(self):
-        txn = TokenBucketShapingTransaction(rate_bps=8e6, burst_bytes=1000)
-        gate = TokenBucketSchedulingGate(rate_bps=8e6, burst_bytes=1000)
-        for i in range(4):
-            now = i * 0.0004
-            assert gate.consume(1000, now) == pytest.approx(
-                txn(Packet(flow="A", length=1000), ctx(now, 1000))
-            )
-
-    def test_conforming_check_does_not_consume(self):
-        gate = TokenBucketSchedulingGate(rate_bps=8e6, burst_bytes=1000)
-        assert gate.conforming(500, now=0.0)
-        assert gate.conforming(500, now=0.0)
-        gate.consume(1000, now=0.0)
-        assert not gate.conforming(500, now=0.0)

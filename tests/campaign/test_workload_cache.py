@@ -22,7 +22,8 @@ from repro.campaign import (
     execute_spec,
     strip_timing,
 )
-from repro.campaign.workload_cache import CACHE_ENV, active_cache, reset_cache
+from repro.campaign import workload_cache
+from repro.campaign.workload_cache import active_cache, reset_cache
 from repro.net import get_scenario
 
 
@@ -48,16 +49,21 @@ def fresh_cache():
     reset_cache()
 
 
+def without_cache(monkeypatch):
+    """The cold pass: every run rebuilds its workload from scratch."""
+    monkeypatch.setattr(workload_cache, "active_cache", lambda: None)
+
+
 class TestStoreIdentity:
     def test_cached_store_identical_to_uncached(self, tmp_path, monkeypatch):
         campaign = cache_probe_campaign()
 
-        monkeypatch.setenv(CACHE_ENV, "off")
-        reset_cache()
-        cold = ResultStore(tmp_path / "cold.jsonl")
-        CampaignRunner(campaign, cold, workers=1, quick=True).run()
+        with monkeypatch.context() as patch:
+            without_cache(patch)
+            cold = ResultStore(tmp_path / "cold.jsonl")
+            CampaignRunner(campaign, cold, workers=1, quick=True).run()
+        assert active_cache().misses == 0, "the cold pass used the cache"
 
-        monkeypatch.delenv(CACHE_ENV)
         reset_cache()
         warm = ResultStore(tmp_path / "warm.jsonl")
         CampaignRunner(campaign, warm, workers=1, quick=True).run()
@@ -69,10 +75,9 @@ class TestStoreIdentity:
 
     def test_execute_spec_pure_across_cache_states(self, monkeypatch):
         spec = cache_probe_campaign().expand(quick=True)[0]
-        monkeypatch.setenv(CACHE_ENV, "off")
-        reset_cache()
-        cold = strip_timing(execute_spec(spec))
-        monkeypatch.delenv(CACHE_ENV)
+        with monkeypatch.context() as patch:
+            without_cache(patch)
+            cold = strip_timing(execute_spec(spec))
         reset_cache()
         first = strip_timing(execute_spec(spec))
         replay = strip_timing(execute_spec(spec))  # cache hit
@@ -152,11 +157,10 @@ class TestCacheMechanics:
             scenarios=["chain_flap"],
             pifo_backends=["sorted", "calendar"],
         )
-        monkeypatch.setenv(CACHE_ENV, "off")
-        reset_cache()
-        cold = ResultStore(tmp_path / "cold.jsonl")
-        CampaignRunner(campaign, cold, workers=1, quick=True).run()
-        monkeypatch.delenv(CACHE_ENV)
+        with monkeypatch.context() as patch:
+            without_cache(patch)
+            cold = ResultStore(tmp_path / "cold.jsonl")
+            CampaignRunner(campaign, cold, workers=1, quick=True).run()
         reset_cache()
         warm = ResultStore(tmp_path / "warm.jsonl")
         CampaignRunner(campaign, warm, workers=1, quick=True).run()

@@ -2,8 +2,8 @@
 
 The ``telemetry=`` flag threaded through :class:`~repro.net.Fabric`,
 :meth:`~repro.net.Scenario.run` and the campaign engine strips per-hop
-traces (``packet.hops``), per-port switch-stat breakdowns and the tracked
-buffer-occupancy maps from the forwarding hot path.  These tests pin the
+traces (``packet.hops``) and per-port switch-stat breakdowns from the
+forwarding hot path.  These tests pin the
 contract that makes it safe to run sweeps with telemetry off: a
 telemetry-off run produces the *identical* packet departure order and the
 identical :class:`~repro.net.scenario.ScenarioResult` aggregates as the

@@ -220,8 +220,24 @@ class TestScenarioLockstep:
 
     def test_tree_kernel_true_pins_kernels_on(self):
         scenario = get_scenario("fig6_chain")
-        forced = scenario.run(quick=True, tree_kernel=True)
-        default = scenario.run(quick=True)
-        for variant in default:
-            assert (forced[variant].conservation
-                    == default[variant].conservation)
+
+        def switch_schedulers(tree_kernel):
+            fabrics = []
+            scenario.run(quick=True, tree_kernel=tree_kernel,
+                         trace_hook=fabrics.append)
+            schedulers = [
+                port.scheduler
+                for fabric in fabrics
+                for name, switch in fabric.node_switches.items()
+                if not fabric.network.is_host(name)
+                for port in switch.ports.values()
+            ]
+            assert schedulers and all(
+                isinstance(s, ProgrammableScheduler) for s in schedulers)
+            return schedulers
+
+        assert all(s.tree_kernel is not None
+                   for s in switch_schedulers(True))
+        assert all(s.tree_kernel is None
+                   and s.kernel_fallback_reason == "disabled"
+                   for s in switch_schedulers(False))

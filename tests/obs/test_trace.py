@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.algorithms import FIFOTransaction
 from repro.core import ProgrammableScheduler, single_node_tree
 from repro.net import Demand, Scenario, get_scenario, linear_chain
@@ -90,6 +92,15 @@ class TestCollector:
                         if s["node"].startswith("s")]
         assert switch_spans
         assert any(span["rank"] is not None for span in switch_spans)
+
+    def test_fused_fabric_is_refused(self):
+        # Fused ports bypass every seam the collector wraps: attaching to
+        # the fast datapath must fail, not trace nothing.
+        collector = TraceCollector()
+        with pytest.raises(ValueError, match="tree_kernel=False"):
+            _tiny_scenario().run(telemetry=False,
+                                 trace_hook=collector.attach)
+        assert collector.spans == []
 
 
 class TestSerialisation:

@@ -8,7 +8,7 @@ from repro.algorithms import FIFOTransaction
 from repro.baselines import FIFOQueue
 from repro.core import Packet, ProgrammableScheduler, single_node_tree
 from repro.exceptions import TrafficError
-from repro.sim import OutputPort, PacketSink, PacketSource, Simulator, chain_hops
+from repro.sim import OutputPort, PacketSink, PacketSource, Simulator
 from repro.traffic import FlowSpec, cbr_arrivals
 
 
@@ -96,11 +96,13 @@ class TestPacketSource:
 
 
 class TestChainHops:
+    """Ports chain through the delivery hook, as the fabric chains hops."""
+
     def test_packets_traverse_two_hops(self):
         sim = Simulator()
         first = fifo_port(sim, rate_bps=8e6)
         second = fifo_port(sim, rate_bps=8e6)
-        chain_hops(sim, first, second)
+        first.delivery = second.receive
         first.receive(Packet(flow="A", length=1000))
         sim.run()
         assert first.transmitted_packets == 1
@@ -116,7 +118,7 @@ class TestChainHops:
             packet.set("hop", packet.get("hop", 0) + 1)
             return packet
 
-        chain_hops(sim, first, second, transform=tag)
+        first.delivery = lambda packet: second.receive(tag(packet))
         first.receive(Packet(flow="A", length=1000))
         sim.run()
         assert second.sink.packets[0].get("hop") == 1
@@ -125,7 +127,8 @@ class TestChainHops:
         sim = Simulator()
         first = fifo_port(sim, rate_bps=8e6)
         second = fifo_port(sim, rate_bps=8e6)
-        chain_hops(sim, first, second, propagation_delay=0.005)
+        first.delivery = second.receive
+        first.propagation_delay = 0.005
         first.receive(Packet(flow="A", length=1000))
         sim.run()
         assert second.sink.packets[0].departure_time == pytest.approx(0.007)

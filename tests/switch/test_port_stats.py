@@ -9,12 +9,7 @@ from repro.algorithms import FIFOTransaction
 from repro.core import Packet, ProgrammableScheduler, single_node_tree
 from repro.exceptions import RoutingError
 from repro.sim import Simulator
-from repro.switch import (
-    PortSpec,
-    SharedBuffer,
-    SharedMemorySwitch,
-    StaticThresholdPolicy,
-)
+from repro.switch import PortSpec, SharedBuffer, SharedMemorySwitch
 
 
 def fifo_factory(port):
@@ -75,9 +70,9 @@ class TestPerPortStats:
 
     def test_admission_drop_breakdown(self):
         sim = Simulator()
-        buffer = SharedBuffer(capacity_bytes=2000, cell_bytes=200)
-        switch = make_switch(sim, buffer=buffer,
-                             admission=StaticThresholdPolicy(port_limit_cells=1))
+        # A one-cell buffer: the second packet's cell does not fit.
+        buffer = SharedBuffer(capacity_bytes=200, cell_bytes=200)
+        switch = make_switch(sim, buffer=buffer)
         assert switch.receive(Packet(flow="f", length=200), "a")
         assert not switch.receive(Packet(flow="f", length=200), "a")
         assert switch.stats.dropped_admission == 1

@@ -1,4 +1,4 @@
-"""Tests for flow specs, distributions, generators and traces."""
+"""Tests for flow specs, distributions and generators."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from repro.sim.source import PREFETCH_CHUNK
 from repro.traffic import (
     EmpiricalCDF,
     FlowSpec,
-    PacketTrace,
     backlogged_arrivals,
     bounded_pareto,
     cbr_arrivals,
@@ -270,61 +269,3 @@ class TestDistributions:
         sample = cdf.sample(random.Random(seed))
         assert 0 <= sample <= 1_000_000_000
 
-
-class TestTrace:
-    def test_round_trip_replay(self):
-        spec = FlowSpec(name="A", rate_bps=8e6, packet_size=1000,
-                        packet_class="Left", fields={"deadline": 1.0})
-        trace = PacketTrace.from_arrivals(cbr_arrivals(spec, duration=0.003))
-        replayed = list(trace.replay())
-        assert len(replayed) == len(trace) == 3
-        assert replayed[0][1].packet_class == "Left"
-        assert replayed[0][1].get("deadline") == 1.0
-        # Replaying twice yields distinct packet objects.
-        again = list(trace.replay())
-        assert replayed[0][1] is not again[0][1]
-
-    def test_csv_round_trip(self, tmp_path):
-        spec = FlowSpec(name="A", rate_bps=8e6, packet_size=1000, fields={"x": 3})
-        trace = PacketTrace.from_arrivals(cbr_arrivals(spec, duration=0.002))
-        path = tmp_path / "trace.csv"
-        trace.save_csv(path)
-        loaded = PacketTrace.load_csv(path)
-        assert len(loaded) == len(trace)
-        assert loaded.records[0].fields == {"x": 3}
-        assert loaded.duration() == pytest.approx(trace.duration())
-
-    def test_trace_preserves_packet_addressing(self, tmp_path):
-        # Addressed packets must replay addressed, or a recorded trace
-        # cannot drive a fabric (packets with dst=None are unroutable).
-        spec = FlowSpec(name="A", rate_bps=8e6, packet_size=1000,
-                        src="h0", dst="h1")
-        trace = PacketTrace.from_arrivals(cbr_arrivals(spec, duration=0.002))
-        _, packet = next(trace.replay())
-        assert (packet.src, packet.dst) == ("h0", "h1")
-        path = tmp_path / "trace.csv"
-        trace.save_csv(path)
-        _, loaded = next(PacketTrace.load_csv(path).replay())
-        assert (loaded.src, loaded.dst) == ("h0", "h1")
-
-    def test_load_csv_accepts_pre_addressing_traces(self, tmp_path):
-        # CSVs written before the src/dst columns existed must still load.
-        path = tmp_path / "old.csv"
-        path.write_text(
-            "time,flow,length,packet_class,priority,fields\n"
-            '0.001,A,1000,,0,"{""x"": 3}"\n'
-        )
-        trace = PacketTrace.load_csv(path)
-        record = trace.records[0]
-        assert (record.src, record.dst) == (None, None)
-        assert record.fields == {"x": 3}
-        _, packet = next(trace.replay())
-        assert packet.src is None and packet.dst is None
-
-    def test_unaddressed_packets_round_trip_as_none(self, tmp_path):
-        spec = FlowSpec(name="A", rate_bps=8e6, packet_size=1000)
-        trace = PacketTrace.from_arrivals(cbr_arrivals(spec, duration=0.002))
-        path = tmp_path / "trace.csv"
-        trace.save_csv(path)
-        record = PacketTrace.load_csv(path).records[0]
-        assert (record.src, record.dst) == (None, None)
