@@ -16,10 +16,6 @@ is that execution layer:
 * :mod:`~repro.campaign.engine` — :class:`WarmWorkerEngine`, persistent
   pre-warmed worker processes fed single runs over one pipe each and
   returning pre-encoded store lines;
-* :mod:`~repro.campaign.queue` — :class:`LeaseQueue`, a shared-directory
-  work queue letting many executors (processes or hosts) drain one run
-  table via atomic lease files with heartbeat, expiry-steal, and
-  quarantine, merged into a canonical store;
 * :mod:`~repro.campaign.workload_cache` — per-process bounded-LRU
   memoisation of built arrival schedules and topologies: paired runs
   (same workload, different substrate) replay a recorded arrival stream
@@ -64,14 +60,12 @@ from .engine import (
     WarmWorkerEngine,
     warm_kernel_cache,
 )
-from .queue import LeaseQueue, QueueError, WorkReport
 from .workload_cache import WorkloadCache, active_cache, reset_cache
 from .spec import FACTOR_KEYS, Campaign, RunSpec
 from .store import (
     FAILURE_STATUSES,
     STATUS_FAILED,
     STATUS_OK,
-    STATUS_QUARANTINED,
     STATUS_TIMEOUT,
     STATUS_WORKER_LOST,
     TIMING_FIELDS,
@@ -96,9 +90,6 @@ __all__ = [
     "WarmupSpec",
     "EngineStats",
     "warm_kernel_cache",
-    "LeaseQueue",
-    "QueueError",
-    "WorkReport",
     "WorkloadCache",
     "active_cache",
     "reset_cache",
@@ -110,7 +101,6 @@ __all__ = [
     "STATUS_FAILED",
     "STATUS_TIMEOUT",
     "STATUS_WORKER_LOST",
-    "STATUS_QUARANTINED",
     "FAILURE_STATUSES",
     "record_is_ok",
     "strip_timing",

@@ -1,4 +1,4 @@
-"""Sharded campaign execution with deterministic, resumable results.
+"""Campaign execution with deterministic, resumable results.
 
 :class:`CampaignRunner` executes a campaign's run table either serially
 (``workers=1``) or on the warm worker processes of

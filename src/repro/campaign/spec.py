@@ -5,7 +5,7 @@ variants, PIFO backends, transaction-language backends, load scales and
 seed replicates — and :meth:`Campaign.expand` multiplies them into an
 ordered run table of :class:`RunSpec` entries.  The expansion is a pure
 function of the declaration: the same campaign always yields the same
-specs in the same order, which is what makes sharded execution and
+specs in the same order, which is what makes parallel execution and
 resume-by-fingerprint sound.
 
 A :class:`RunSpec` is deliberately *flat* — strings, numbers and booleans

@@ -40,13 +40,10 @@ STATUS_FAILED = "failed"
 STATUS_TIMEOUT = "timeout"
 #: The worker process executing the run died (crash / kill -9 / OOM).
 STATUS_WORKER_LOST = "worker_lost"
-#: The run repeatedly killed its executor (lease-queue poison pill) and
-#: was taken out of circulation after ``max_attempts`` lease generations.
-STATUS_QUARANTINED = "quarantined"
 
 #: Statuses that count as "needs re-running" on resume.
 FAILURE_STATUSES = frozenset({STATUS_FAILED, STATUS_TIMEOUT,
-                              STATUS_WORKER_LOST, STATUS_QUARANTINED})
+                              STATUS_WORKER_LOST})
 
 #: Fields every well-formed record must carry (results or failure alike).
 REQUIRED_RECORD_FIELDS = ("run_id", "fingerprint", "campaign", "scenario",

@@ -26,17 +26,14 @@ Subcommands
     Run one scenario variant with the packet-trace collector attached
     and export per-hop spans (JSONL, optionally a chrome://tracing
     document); see :mod:`repro.obs.trace`.
-``campaign run|list|report|verify|serve|work|status``
+``campaign run|list|report|verify|status``
     Execute, list and summarise parameter-sweep campaigns
     (:mod:`repro.campaign`): ``campaign run`` drives a campaign's run
-    table through the warm-worker engine and appends one JSONL record per
-    run to a result store; ``campaign report`` streams a store into
-    summary tables grouped by any factor; ``campaign serve`` initialises
-    a shared lease-queue directory (and merges its segments into a
-    canonical store once drained) while any number of ``campaign work``
-    executors — separate processes or hosts — drain its shards;
-    ``campaign status`` reads the live progress sidecar a runner or
-    executor publishes (``--watch`` polls until the campaign ends).
+    table serially or through the warm-worker engine and appends one
+    JSONL record per run to a result store; ``campaign report`` streams
+    a store into summary tables grouped by any factor; ``campaign
+    status`` reads the live progress sidecar a run publishes
+    (``--watch`` polls until the campaign ends).
 
 Tables print to stdout.  The commands that produce machine-readable
 results (``run --json``, ``campaign report --json``) accept ``--out FILE``
@@ -236,78 +233,17 @@ def build_parser() -> argparse.ArgumentParser:
                          default="scenario,variant",
                          help="comma-separated factor columns "
                               "(default scenario,variant)")
-    creport.add_argument("--queue", metavar="DIR", default=None,
-                         help="summarise a lease-queue directory's merged "
-                              "segments instead of a store file")
     creport.add_argument("--json", action="store_true",
                          help="print summary rows as JSON instead of a table")
     creport.add_argument("--out", metavar="FILE", default=None,
                          help="write the --json rows to FILE instead of "
                               "stdout (implies --json)")
 
-    cserve = campaign_sub.add_parser(
-        "serve",
-        help="initialise a shared lease-queue directory; merge when drained",
-    )
-    cserve.add_argument("campaign", help="campaign name (see 'campaign list')")
-    cserve.add_argument("--queue", metavar="DIR", required=True,
-                        help="queue directory shared with the executors "
-                             "(a shared filesystem path for multi-host runs)")
-    cserve.add_argument("--quick", action="store_true",
-                        help="serve the campaign's quick run table")
-    cserve.add_argument("--shard-size", type=int, default=None, metavar="N",
-                        help="runs per leased shard (default 4)")
-    cserve.add_argument("--lease-ttl", type=float, default=None, metavar="S",
-                        help="seconds without heartbeat before a lease is "
-                             "presumed dead and stolen (default 60)")
-    cserve.add_argument("--max-attempts", type=int, default=None, metavar="N",
-                        help="lease generations allowed to die on one run "
-                             "before it is quarantined (default 3)")
-    cserve.add_argument("--timeout", type=float, default=None, metavar="S",
-                        help="per-run wall-clock budget applied by every "
-                             "executor (default: unbounded)")
-    cserve.add_argument("--store", metavar="FILE", default=None,
-                        help="canonical store the drained queue merges into "
-                             "(default campaign_<name>.jsonl)")
-    cserve.add_argument("--wait", action="store_true",
-                        help="poll until the queue drains, then merge")
-    cserve.add_argument("--poll", type=float, default=2.0, metavar="S",
-                        help="seconds between --wait polls (default 2)")
-    cserve.add_argument("--json", action="store_true",
-                        help="print the queue status / merge summary as JSON")
-    cserve.add_argument("--out", metavar="FILE", default=None,
-                        help="write the --json summary to FILE instead of "
-                             "stdout (implies --json)")
-
-    cwork = campaign_sub.add_parser(
-        "work", help="drain shards from a lease-queue directory"
-    )
-    cwork.add_argument("--queue", metavar="DIR", required=True,
-                       help="queue directory created by 'campaign serve'")
-    cwork.add_argument("--executor", metavar="NAME", default=None,
-                       help="executor name for leases and the store segment "
-                            "(default <hostname>-<pid>)")
-    cwork.add_argument("--max-shards", type=int, default=None, metavar="N",
-                       help="stop after draining N shards (default: until "
-                            "the queue is empty)")
-    cwork.add_argument("--block", action="store_true",
-                       help="keep polling for stealable leases until the "
-                            "queue fully drains")
-    cwork.add_argument("--poll", type=float, default=0.5, metavar="S",
-                       help="seconds between --block polls (default 0.5)")
-    cwork.add_argument("--json", action="store_true",
-                       help="print the work report as JSON")
-    cwork.add_argument("--out", metavar="FILE", default=None,
-                       help="write the --json report to FILE instead of "
-                            "stdout (implies --json)")
-
     cstatus = campaign_sub.add_parser(
         "status", help="read a campaign's live progress sidecar"
     )
     cstatus.add_argument("target",
-                         help="result store path (reads <store>.progress) "
-                              "or lease-queue directory (folds together "
-                              "every executor's progress file)")
+                         help="result store path (reads <store>.progress)")
     cstatus.add_argument("--watch", action="store_true",
                          help="poll and reprint until the campaign leaves "
                               "the 'running' state")
@@ -568,148 +504,40 @@ def _cmd_campaign_verify(name: Optional[str], store_path: Optional[str],
 
 def _cmd_campaign_report(name: Optional[str], store_path: Optional[str],
                          group_by: str, as_json: bool,
-                         out: Optional[str],
-                         queue_dir: Optional[str] = None) -> int:
-    from .campaign import LeaseQueue, QueueError, ResultStore, StoreError
+                         out: Optional[str]) -> int:
+    from .campaign import ResultStore, StoreError
     from .reporting.campaign import summarize_records
 
-    if queue_dir is not None:
-        queue = LeaseQueue(queue_dir)
-        records = queue.iter_merged_records()
-        source = queue_dir
-    else:
-        if store_path is None:
-            if name is None:
-                print("campaign report needs a campaign name, --store FILE "
-                      "or --queue DIR", file=sys.stderr)
-                return 2
-            store_path = _default_store_path(name)
-        store = ResultStore(store_path)
-        if not store.exists():
-            print(f"no result store at {store.path} "
-                  f"(run 'repro campaign run' first)", file=sys.stderr)
+    if store_path is None:
+        if name is None:
+            print("campaign report needs a campaign name or --store FILE",
+                  file=sys.stderr)
             return 2
-        # Deduplicated streaming view: re-running a campaign into the same
-        # store must not double-count runs (last record wins per
-        # fingerprint), and the store is never loaded wholesale.
-        records = store.iter_effective_records()
-        source = str(store.path)
+        store_path = _default_store_path(name)
+    store = ResultStore(store_path)
+    if not store.exists():
+        print(f"no result store at {store.path} "
+              f"(run 'repro campaign run' first)", file=sys.stderr)
+        return 2
+    # Deduplicated streaming view: re-running a campaign into the same
+    # store must not double-count runs (last record wins per
+    # fingerprint), and the store is never loaded wholesale.
+    records = store.iter_effective_records()
     if name is not None:
         records = (r for r in records if r.get("campaign") == name)
     factors = tuple(part.strip() for part in group_by.split(",") if part.strip())
     try:
         rows = summarize_records(records, group_by=factors)
-    except (ValueError, StoreError, QueueError) as exc:
+    except (ValueError, StoreError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     if as_json or out is not None:
         _emit_json(rows, out)
         return 0
     total_runs = sum(row["runs"] for row in rows)
-    title = (f"Campaign summary ({source}, "
+    title = (f"Campaign summary ({store.path}, "
              f"{total_runs} runs by {', '.join(factors)})")
     print(render_table(rows, title=title))
-    return 0
-
-
-def _default_executor_name() -> str:
-    import socket
-
-    host = socket.gethostname().split(".")[0] or "executor"
-    safe = "".join(ch if ch.isalnum() or ch in "-_" else "-" for ch in host)
-    import os
-
-    return f"{safe}-{os.getpid()}"
-
-
-def _cmd_campaign_serve(name: str, queue_dir: str, quick: bool,
-                        shard_size: Optional[int],
-                        lease_ttl_s: Optional[float],
-                        max_attempts: Optional[int],
-                        timeout_s: Optional[float],
-                        store_path: Optional[str], wait: bool, poll_s: float,
-                        as_json: bool, out: Optional[str]) -> int:
-    """Initialise (idempotently) a lease-queue; merge once it drains."""
-    import time as _time
-
-    from .campaign import (LeaseQueue, QueueError, ResultStore, WorkerPolicy,
-                           get_campaign)
-    from .campaign import queue as queue_module
-
-    try:
-        campaign = get_campaign(name)
-    except KeyError as exc:
-        print(str(exc.args[0]), file=sys.stderr)
-        return 2
-    policy = WorkerPolicy(timeout_s=timeout_s)
-    try:
-        queue = LeaseQueue.initialize(
-            queue_dir,
-            campaign.expand(quick=quick),
-            campaign=name,
-            shard_size=shard_size or queue_module.DEFAULT_SHARD_SIZE,
-            lease_ttl_s=lease_ttl_s or queue_module.DEFAULT_LEASE_TTL_S,
-            max_attempts=max_attempts or queue_module.DEFAULT_MAX_ATTEMPTS,
-            policy=policy,
-        )
-    except QueueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    machine_readable = as_json or out is not None
-    if wait:
-        while not queue.drained():
-            if not machine_readable:
-                status = queue.status()
-                print(f"  waiting: {status['done']}/{status['shards']} "
-                      f"shards done, {status['leased']} leased "
-                      f"({status['expired']} expired), "
-                      f"{status['open']} open")
-            _time.sleep(poll_s)
-    summary = queue.status()
-    if queue.drained():
-        store = ResultStore(store_path or _default_store_path(name))
-        summary["merged"] = queue.merge(store)
-        summary["store"] = str(store.path)
-    if machine_readable:
-        _emit_json(summary, out)
-        return 0
-    executors = summary.pop("executors")
-    print(render_kv(summary, title=f"Lease queue {queue_dir}"))
-    if executors:
-        print(f"  executors: {', '.join(executors)}")
-    if "store" in summary:
-        print(f"\nqueue drained; merged {summary['merged']} record(s) "
-              f"into {summary['store']}")
-    else:
-        print(f"\nstart executors with: repro campaign work "
-              f"--queue {queue_dir}")
-    return 0
-
-
-def _cmd_campaign_work(queue_dir: str, executor: Optional[str],
-                       max_shards: Optional[int], block: bool, poll_s: float,
-                       as_json: bool, out: Optional[str]) -> int:
-    """Drain shards from a lease queue as one executor."""
-    from .campaign import LeaseQueue, QueueError
-
-    queue = LeaseQueue(queue_dir)
-    executor = executor or _default_executor_name()
-    try:
-        report = queue.work(executor, max_shards=max_shards, block=block,
-                            poll_s=poll_s)
-    except QueueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        print(f"\ninterrupted; executor {executor}'s lease will expire and "
-              f"be re-leased", file=sys.stderr)
-        return 130
-    summary = report.to_dict()
-    summary["drained"] = queue.drained()
-    if as_json or out is not None:
-        _emit_json(summary, out)
-        return 0
-    print(render_kv(summary, title=f"Executor {executor} finished"))
     return 0
 
 
@@ -718,67 +546,23 @@ def _format_status_line(progress: Dict) -> str:
     eta = progress.get("eta_s") or 0.0
     return (f"{progress.get('campaign', '?')}: "
             f"{progress.get('done', 0)}/{progress.get('total', '?')} done "
-            f"({progress.get('ok', 0)} ok, {progress.get('failed', 0)} failed"
-            f", {progress.get('quarantined', 0)} quarantined), "
-            f"{progress.get('leases_in_flight', 0)} in flight, "
+            f"({progress.get('ok', 0)} ok, {progress.get('failed', 0)} failed), "
+            f"{progress.get('in_flight', 0)} in flight, "
             f"{progress.get('runs_per_s', 0.0):.2f} runs/s, "
             f"eta {eta:.0f}s [{progress.get('state', '?')}]")
 
 
 def _collect_campaign_status(target: str) -> Optional[Dict]:
-    """One status snapshot for a store path or lease-queue directory.
+    """One status snapshot for a store path.
 
-    A queue directory (identified by its ``manifest.json``) folds the
-    shard-level queue status together with every executor's
-    ``progress_<name>.json``; a store path reads its ``<store>.progress``
-    sidecar and cross-checks against the store's effective records.
-    Returns ``None`` when the target has no readable status at all.
+    Reads the store's ``<store>.progress`` sidecar and cross-checks it
+    against the store's effective records.  Returns ``None`` when the
+    target has no readable status at all.
     """
-    import glob
-    import os
-
+    from .campaign import ResultStore, record_is_ok
     from .obs.progress import progress_path_for, read_progress
 
-    if os.path.isdir(target) and os.path.exists(
-            os.path.join(target, "manifest.json")):
-        from .campaign import LeaseQueue
-
-        queue = LeaseQueue(target)
-        status = queue.status()
-        executors = []
-        for path in sorted(glob.glob(os.path.join(target,
-                                                  "progress_*.json"))):
-            snap = read_progress(path)
-            if snap is not None:
-                executors.append(snap)
-        drained = queue.drained()
-        payload = {
-            "mode": "queue",
-            "source": target,
-            "campaign": status["campaign"],
-            "state": "done" if drained else "running",
-            "total": status["runs"],
-            "done": sum(e.get("done", 0) for e in executors),
-            "ok": sum(e.get("ok", 0) for e in executors),
-            "failed": sum(e.get("failed", 0) for e in executors),
-            "quarantined": sum(e.get("quarantined", 0) for e in executors),
-            "leases_in_flight": sum(e.get("leases_in_flight", 0)
-                                    for e in executors
-                                    if e.get("state") == "running"),
-            "runs_per_s": round(sum(e.get("runs_per_s", 0.0)
-                                    for e in executors
-                                    if e.get("state") == "running"), 4),
-            "shards_done": status["done"],
-            "shards": status["shards"],
-            "shards_leased": status["leased"],
-            "shards_expired": status["expired"],
-            "executors": executors,
-        }
-        return payload
-
     progress = read_progress(progress_path_for(target))
-    from .campaign import ResultStore, record_is_ok
-
     store = ResultStore(target)
     counts = None
     if store.exists():
@@ -811,7 +595,7 @@ def _cmd_campaign_status(target: str, watch: bool, interval_s: float,
         payload = _collect_campaign_status(target)
         if payload is None:
             print(f"no progress sidecar or result store at {target} "
-                  f"(is the campaign running with this store/queue?)",
+                  f"(is the campaign running with this store?)",
                   file=sys.stderr)
             return 2
         if as_json:
@@ -819,11 +603,7 @@ def _cmd_campaign_status(target: str, watch: bool, interval_s: float,
         elif watch:
             print(_format_status_line(payload))
         else:
-            executors = payload.pop("executors", None)
             print(render_kv(payload, title=f"Campaign status ({target})"))
-            for snap in executors or ():
-                print(f"  {snap.get('executor', '?')}: "
-                      f"{_format_status_line(snap)}")
         if not watch or payload.get("state") != "running":
             return 0
         try:
@@ -1057,7 +837,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "campaign":
         if args.campaign_command is None:
             print("usage: repro campaign "
-                  "{run,list,report,verify,serve,work,status} ...",
+                  "{run,list,report,verify,status} ...",
                   file=sys.stderr)
             return 2
         if args.campaign_command == "list":
@@ -1069,21 +849,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                                      args.max_attempts, args.max_failures)
         if args.campaign_command == "report":
             return _cmd_campaign_report(args.campaign, args.store,
-                                        args.group_by, args.json, args.out,
-                                        args.queue)
+                                        args.group_by, args.json, args.out)
         if args.campaign_command == "verify":
             return _cmd_campaign_verify(args.campaign, args.store,
                                         args.quick, args.json, args.out)
-        if args.campaign_command == "serve":
-            return _cmd_campaign_serve(args.campaign, args.queue, args.quick,
-                                       args.shard_size, args.lease_ttl,
-                                       args.max_attempts, args.timeout,
-                                       args.store, args.wait, args.poll,
-                                       args.json, args.out)
-        if args.campaign_command == "work":
-            return _cmd_campaign_work(args.queue, args.executor,
-                                      args.max_shards, args.block, args.poll,
-                                      args.json, args.out)
         if args.campaign_command == "status":
             return _cmd_campaign_status(args.target, args.watch,
                                         args.interval, args.json)

@@ -1,8 +1,7 @@
 """Live campaign status: sidecar progress files and their readers.
 
 A progress file is a small JSON document written next to the result
-store (``<store>.progress``) or inside a lease-queue directory
-(``progress_<executor>.json``).  Writers publish with the write-to-temp
+store (``<store>.progress``).  Writers publish with the write-to-temp
 then ``os.replace`` idiom, so readers never observe a half-written
 document; if an interrupted writer does leave garbage (or the file does
 not exist yet), :func:`read_progress` returns ``None`` instead of
@@ -57,25 +56,22 @@ class ProgressWriter:
     """Throttled heartbeat writer for one campaign execution.
 
     Call :meth:`record_run` after every committed record,
-    :meth:`heartbeat` from engine/queue idle loops (keeps ``updated_at``
-    and ``leases_in_flight`` fresh while long runs are in flight), and
+    :meth:`heartbeat` from the engine's idle loop (keeps ``updated_at``
+    and ``in_flight`` fresh while long runs are in flight), and
     :meth:`finish` exactly once at the end.
     """
 
     def __init__(self, path: str, campaign: str, total: int,
-                 workers: int = 1, executor: Optional[str] = None,
-                 time_fn=time.time) -> None:
+                 workers: int = 1, time_fn=time.time) -> None:
         self.path = path
         self.campaign = campaign
         self.total = total
         self.workers = workers
-        self.executor = executor
         self._time = time_fn
         self.done = 0
         self.ok = 0
         self.failed = 0
-        self.quarantined = 0
-        self.leases_in_flight = 0
+        self.in_flight = 0
         self._rate_ema = 0.0  # runs per second
         self._started = time_fn()
         self._last_done_at = self._started
@@ -84,12 +80,10 @@ class ProgressWriter:
         self.write(force=True)
 
     # -- updates --------------------------------------------------------------
-    def record_run(self, ok: bool, quarantined: bool = False) -> None:
+    def record_run(self, ok: bool) -> None:
         now = self._time()
         self.done += 1
-        if quarantined:
-            self.quarantined += 1
-        elif ok:
+        if ok:
             self.ok += 1
         else:
             self.failed += 1
@@ -102,14 +96,13 @@ class ProgressWriter:
                               + (1.0 - EMA_ALPHA) * self._rate_ema)
         self.write()
 
-    def heartbeat(self, leases_in_flight: Optional[int] = None) -> None:
-        if leases_in_flight is not None:
-            self.leases_in_flight = leases_in_flight
+    def heartbeat(self, in_flight: int) -> None:
+        self.in_flight = in_flight
         self.write()
 
     def finish(self, state: str = "done") -> None:
         self.state = state
-        self.leases_in_flight = 0
+        self.in_flight = 0
         self.write(force=True)
 
     # -- serialisation --------------------------------------------------------
@@ -118,24 +111,20 @@ class ProgressWriter:
         remaining = max(0, self.total - self.done)
         eta_s = (remaining / self._rate_ema
                  if self._rate_ema > 0 and remaining else 0.0)
-        payload = {
+        return {
             "campaign": self.campaign,
             "state": self.state,
             "total": self.total,
             "done": self.done,
             "ok": self.ok,
             "failed": self.failed,
-            "quarantined": self.quarantined,
-            "leases_in_flight": self.leases_in_flight,
+            "in_flight": self.in_flight,
             "workers": self.workers,
             "runs_per_s": round(self._rate_ema, 4),
             "eta_s": round(eta_s, 2),
             "started_at": self._started,
             "updated_at": now,
         }
-        if self.executor is not None:
-            payload["executor"] = self.executor
-        return payload
 
     def write(self, force: bool = False) -> None:
         now = self._time()

@@ -100,6 +100,20 @@ class TraceCollector:
                 f"seams the collector wraps; run with tree_kernel=False "
                 f"(telemetry=True also unfuses the ports, but a tree "
                 f"kernel does not report ranks)")
+        # Host NICs keep their kernels under tree_kernel=False and rank
+        # nothing of interest; only switch ports must run the class path.
+        kernel_ports = [
+            f"{node}.{port_name}"
+            for node, switch in sorted(fabric.node_switches.items())
+            if node not in fabric.host_sinks
+            for port_name, port in sorted(switch.ports.items())
+            if getattr(port.scheduler, "tree_kernel", None) is not None]
+        if kernel_ports:
+            raise ValueError(
+                f"cannot trace a fabric whose switch ports run tree "
+                f"kernels ({len(kernel_ports)}, e.g. {kernel_ports[0]}): "
+                f"a kernel never calls the rank probe, so spans would "
+                f"carry no ranks; run with tree_kernel=False")
         for node in sorted(fabric.node_switches):
             switch = fabric.node_switches[node]
             for port_name in sorted(switch.ports):

@@ -10,10 +10,11 @@ CLI's ``repro campaign report`` output matches the rest of the report
 suite.
 
 Aggregation is a single streaming pass: records may come from any
-iterable — a list, :meth:`~repro.campaign.store.ResultStore.iter_effective_records`,
-or a lease-queue segment merge — and memory stays proportional to the
-number of *groups*, not records, so a multi-executor store with hundreds
-of thousands of rows summarises without being loaded wholesale.
+iterable — a list or
+:meth:`~repro.campaign.store.ResultStore.iter_effective_records` — and
+memory stays proportional to the number of *groups*, not records, so a
+store with hundreds of thousands of rows summarises without being loaded
+wholesale.
 """
 
 from __future__ import annotations
@@ -70,10 +71,10 @@ class _GroupAccumulator:
     def add(self, record: Mapping, ok: bool) -> None:
         self.runs += 1
         if not ok:
-            # Failure records (failed / timeout / worker_lost /
-            # quarantined) count into ``failed`` but contribute to no
-            # metric — a crashed run has no delivery totals, and letting
-            # its zeros into the means would skew the healthy statistics.
+            # Failure records (failed / timeout / worker_lost) count into
+            # ``failed`` but contribute to no metric — a crashed run has no
+            # delivery totals, and letting its zeros into the means would
+            # skew the healthy statistics.
             self.failed += 1
             return
         for name in _SUM_METRICS:

@@ -1,8 +1,8 @@
 """Observability integration across the campaign substrate.
 
-Every execution path — serial runner, warm engine, lease-queue executor —
-must (a) stamp resource capture fields into every store record, success
-or failure, and (b) publish a live progress sidecar whose final counters
+Both execution paths — the serial runner and the warm engine — must
+(a) stamp resource capture fields into every store record, success or
+failure, and (b) publish a live progress sidecar whose final counters
 converge exactly with the store's contents.
 """
 
@@ -13,7 +13,6 @@ import pytest
 from repro.campaign import (
     Campaign,
     CampaignRunner,
-    LeaseQueue,
     ResultStore,
     record_is_ok,
     strip_timing,
@@ -105,22 +104,3 @@ class TestFailureRecords:
         assert record["events"] == 0
         assert record["events_per_s"] == 0.0
         assert record["rss_peak_bytes"] > 0
-
-
-class TestLeaseQueueExecutor:
-    def test_executor_progress_file_and_resourced_segments(self, tmp_path):
-        campaign = tiny_campaign()
-        queue = LeaseQueue.initialize(
-            tmp_path / "q", campaign.expand(quick=True),
-            campaign=campaign.name, shard_size=2,
-        )
-        queue.work("exec-a")
-        assert queue.drained()
-        progress = read_progress(str(tmp_path / "q" / "progress_exec-a.json"))
-        assert progress is not None
-        assert progress["state"] == "done"
-        assert progress["executor"] == "exec-a"
-        records = list(queue.iter_merged_records())
-        assert progress["done"] == progress["total"] == len(records)
-        for record in records:
-            assert_resourced(record)

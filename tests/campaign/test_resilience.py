@@ -1,4 +1,4 @@
-"""Crash isolation, retry, timeouts and quarantine in the campaign runner.
+"""Crash isolation, retry and timeouts in the campaign runner.
 
 The hardening contract: a raised exception, a timed-out run or a dead
 worker process becomes a structured failure record in the store — the

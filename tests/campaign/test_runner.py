@@ -2,7 +2,7 @@
 
 The two acceptance claims of the sweep engine:
 
-* sharded execution is invisible in the results — ``workers=4`` produces a
+* parallel execution is invisible in the results — ``workers=4`` produces a
   result store byte-identical to ``workers=1`` modulo the wall-clock
   fields;
 * resume-by-fingerprint re-runs *exactly* the missing run set after an

@@ -109,6 +109,18 @@ class TestResultStore:
         store.append(record("aa", delivered=2))
         assert store.latest_by_fingerprint()["aa"]["delivered"] == 2
 
+    def test_unknown_status_counts_as_failed(self, tmp_path):
+        # Stores may hold statuses no current executor writes (older
+        # stores carry "quarantined"): any status but "ok" is re-run on
+        # resume and counted as failed.
+        store = ResultStore(tmp_path / "r.jsonl")
+        ids = dict(campaign="c", scenario="s", variant="v")
+        store.append(record("aa", run_id="a", **ids))
+        store.append(record("bb", run_id="b", status="quarantined", **ids))
+        assert store.completed_fingerprints() == {"aa"}
+        summary = store.verify_records()
+        assert (summary["ok"], summary["failed"]) == (1, 1)
+
     def test_clear(self, tmp_path):
         store = ResultStore(tmp_path / "r.jsonl")
         store.append(record("aa"))

@@ -1,7 +1,7 @@
 """Streaming store readers and the generator-based report path.
 
 ``repro campaign report`` must not load a whole result store into memory:
-multi-executor campaigns produce stores far bigger than any one summary.
+large campaigns produce stores far bigger than any one summary.
 These tests build a synthetic >10k-record store and check that the
 streaming readers (:meth:`iter_records`, :meth:`iter_effective_records`)
 and the accumulator-based summariser produce exactly the answers the

@@ -169,7 +169,7 @@ def cli_campaign():
 class TestCampaignCommands:
     def test_campaign_without_subcommand(self, capsys):
         assert main(["campaign"]) == 2
-        assert "campaign" in capsys.readouterr().err
+        assert "{run,list,report,verify,status}" in capsys.readouterr().err
 
     def test_campaign_list(self, capsys):
         assert main(["campaign", "list"]) == 0
@@ -268,6 +268,15 @@ class TestCampaignCommands:
         assert main(["campaign", "report"]) == 2
         assert "needs a campaign name" in capsys.readouterr().err
 
+    def test_run_json_includes_kernel_cache(self, capsys, tmp_path,
+                                            cli_campaign):
+        store = tmp_path / "store.jsonl"
+        assert main(["campaign", "run", "cli_probe", "--quick", "--json",
+                     "--store", str(store)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "kernel_cache" in payload
+        assert payload["kernel_cache"]["installs"] >= 0
+
 
 class TestCampaignVerify:
     def test_verify_clean_store(self, capsys, tmp_path, cli_campaign):
@@ -357,72 +366,6 @@ class TestCampaignFailureReporting:
         assert payload["failed"] == 0
 
 
-class TestCampaignQueueCommands:
-    def test_serve_initialises_queue(self, capsys, tmp_path, cli_campaign):
-        queue_dir = tmp_path / "q"
-        assert main(["campaign", "serve", "cli_probe", "--quick",
-                     "--queue", str(queue_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "repro campaign work" in out
-        assert (queue_dir / "manifest.json").exists()
-
-    def test_serve_unknown_campaign(self, capsys, tmp_path):
-        assert main(["campaign", "serve", "bogus",
-                     "--queue", str(tmp_path / "q")]) == 2
-        assert "unknown campaign" in capsys.readouterr().err
-
-    def test_work_without_serve_fails(self, capsys, tmp_path):
-        assert main(["campaign", "work",
-                     "--queue", str(tmp_path / "absent")]) == 2
-        assert "no queue manifest" in capsys.readouterr().err
-
-    def test_serve_work_merge_round_trip(self, capsys, tmp_path,
-                                         cli_campaign):
-        queue_dir = tmp_path / "q"
-        store = tmp_path / "merged.jsonl"
-        assert main(["campaign", "serve", "cli_probe", "--quick",
-                     "--queue", str(queue_dir)]) == 0
-        capsys.readouterr()
-        assert main(["campaign", "work", "--queue", str(queue_dir),
-                     "--executor", "alice", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["executed"] == 1
-        assert report["drained"] is True
-        # Re-serving a drained queue merges the segments...
-        assert main(["campaign", "serve", "cli_probe", "--quick",
-                     "--queue", str(queue_dir), "--store", str(store),
-                     "--json"]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["merged"] == 1
-        # ...and the merged store verifies against the run table.
-        assert main(["campaign", "verify", "cli_probe", "--quick",
-                     "--store", str(store), "--json"]) == 0
-        verified = json.loads(capsys.readouterr().out)
-        assert verified["issues"] == []
-        assert verified["missing"] == 0
-
-    def test_report_from_queue_dir(self, capsys, tmp_path, cli_campaign):
-        queue_dir = tmp_path / "q"
-        assert main(["campaign", "serve", "cli_probe", "--quick",
-                     "--queue", str(queue_dir)]) == 0
-        assert main(["campaign", "work", "--queue", str(queue_dir),
-                     "--executor", "alice"]) == 0
-        capsys.readouterr()
-        assert main(["campaign", "report", "--queue", str(queue_dir),
-                     "--group-by", "scenario", "--json"]) == 0
-        rows = json.loads(capsys.readouterr().out)
-        assert rows[0]["scenario"] == "fig6_chain"
-        assert rows[0]["runs"] == 1
-
-    def test_run_json_includes_kernel_cache(self, capsys, tmp_path,
-                                            cli_campaign):
-        store = tmp_path / "store.jsonl"
-        assert main(["campaign", "run", "cli_probe", "--quick", "--json",
-                     "--store", str(store)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "kernel_cache" in payload
-        assert payload["kernel_cache"]["installs"] >= 0
-
 class TestTraceCommand:
     def test_trace_writes_spans_and_chrome(self, capsys, tmp_path):
         spans_path = tmp_path / "spans.jsonl"
@@ -498,20 +441,6 @@ class TestCampaignStatusCommand:
         # The sidecar's counters converge with the store's records.
         assert payload["store_records"] == 1
         assert payload["store_ok"] == 1
-
-    def test_status_of_queue_dir(self, capsys, tmp_path, cli_campaign):
-        queue_dir = tmp_path / "q"
-        assert main(["campaign", "serve", "cli_probe", "--quick",
-                     "--queue", str(queue_dir)]) == 0
-        assert main(["campaign", "work", "--queue", str(queue_dir),
-                     "--executor", "alice"]) == 0
-        capsys.readouterr()
-        assert main(["campaign", "status", str(queue_dir), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["mode"] == "queue"
-        assert payload["state"] == "done"
-        assert payload["done"] == payload["total"] == 1
-        assert payload["executors"][0]["executor"] == "alice"
 
     def test_status_human_rendering(self, capsys, tmp_path, cli_campaign):
         store = tmp_path / "store.jsonl"

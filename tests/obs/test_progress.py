@@ -47,17 +47,16 @@ class TestWriter:
         assert snap["total"] == 10
         assert snap["campaign"] == "probe"
 
-    def test_record_run_counts_ok_failed_quarantined(self, tmp_path):
+    def test_record_run_counts_ok_failed(self, tmp_path):
         writer, clock, path = make_writer(tmp_path)
         clock.advance(1.0)
         writer.record_run(ok=True)
         clock.advance(1.0)
         writer.record_run(ok=False)
         clock.advance(1.0)
-        writer.record_run(ok=False, quarantined=True)
+        writer.record_run(ok=False)
         snap = read_progress(path)
-        assert (snap["done"], snap["ok"], snap["failed"],
-                snap["quarantined"]) == (3, 1, 1, 1)
+        assert (snap["done"], snap["ok"], snap["failed"]) == (3, 1, 2)
 
     def test_rate_ema_and_eta(self, tmp_path):
         writer, clock, path = make_writer(tmp_path, total=5)
@@ -100,17 +99,13 @@ class TestWriter:
         snap = read_progress(path)
         assert snap["state"] == "done"
         assert snap["done"] == 1
-        assert snap["leases_in_flight"] == 0
+        assert snap["in_flight"] == 0
 
-    def test_heartbeat_updates_leases_in_flight(self, tmp_path):
+    def test_heartbeat_updates_in_flight(self, tmp_path):
         writer, clock, path = make_writer(tmp_path)
         clock.advance(1.0)
-        writer.heartbeat(leases_in_flight=4)
-        assert read_progress(path)["leases_in_flight"] == 4
-
-    def test_executor_field_rides_along(self, tmp_path):
-        writer, _, path = make_writer(tmp_path, executor="host-1")
-        assert read_progress(path)["executor"] == "host-1"
+        writer.heartbeat(in_flight=4)
+        assert read_progress(path)["in_flight"] == 4
 
     def test_no_tmp_file_left_behind(self, tmp_path):
         writer, clock, path = make_writer(tmp_path)

@@ -102,6 +102,16 @@ class TestCollector:
                                  trace_hook=collector.attach)
         assert collector.spans == []
 
+    def test_kernel_fabric_is_refused(self):
+        # Telemetry unfuses the ports, but a switch port running a tree
+        # kernel never calls the rank probe: the trace would carry no
+        # ranks, so attaching must fail rather than degrade silently.
+        collector = TraceCollector()
+        with pytest.raises(ValueError, match="tree_kernel=False"):
+            get_scenario("fig6_chain").run(variant="LSTF", telemetry=True,
+                                           trace_hook=collector.attach)
+        assert collector.spans == []
+
 
 class TestSerialisation:
     def _spans(self):
