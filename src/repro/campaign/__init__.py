@@ -63,7 +63,6 @@ from .engine import (
 from .workload_cache import WorkloadCache, active_cache, reset_cache
 from .spec import FACTOR_KEYS, Campaign, RunSpec
 from .store import (
-    FAILURE_STATUSES,
     STATUS_FAILED,
     STATUS_OK,
     STATUS_TIMEOUT,
@@ -101,7 +100,6 @@ __all__ = [
     "STATUS_FAILED",
     "STATUS_TIMEOUT",
     "STATUS_WORKER_LOST",
-    "FAILURE_STATUSES",
     "record_is_ok",
     "strip_timing",
     "CAMPAIGNS",

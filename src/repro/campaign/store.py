@@ -41,10 +41,6 @@ STATUS_TIMEOUT = "timeout"
 #: The worker process executing the run died (crash / kill -9 / OOM).
 STATUS_WORKER_LOST = "worker_lost"
 
-#: Statuses that count as "needs re-running" on resume.
-FAILURE_STATUSES = frozenset({STATUS_FAILED, STATUS_TIMEOUT,
-                              STATUS_WORKER_LOST})
-
 #: Fields every well-formed record must carry (results or failure alike).
 REQUIRED_RECORD_FIELDS = ("run_id", "fingerprint", "campaign", "scenario",
                           "variant")

@@ -16,11 +16,6 @@ Subcommands
 ``show PROGRAM``
     Print a transaction's source, its state analysis and the Domino-style
     atom pipeline it compiles to.
-``perf [--workload W] [--packets N] [--pifo-backend B] [--telemetry]
-[--profile] [--json] [--out FILE]``
-    Measure (or cProfile) the simulation hot path on a canonical fabric
-    workload; prints which datapath variant (kernel fusion, telemetry)
-    produced the numbers; see :mod:`repro.perf`.
 ``trace SCENARIO [--variant V] [--quick] [--out spans.jsonl]
 [--chrome FILE]``
     Run one scenario variant with the packet-trace collector attached
@@ -119,34 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
                              dest="pifo_backend", metavar="BACKEND",
                              help="PIFO backend to specialise the "
                                   "--tree-kernel source for")
-
-    perf_parser = subparsers.add_parser(
-        "perf", help="measure or profile the simulation hot path"
-    )
-    perf_parser.add_argument("--workload", default="chain3",
-                             help="perf workload (chain3, leaf_spine4x2)")
-    perf_parser.add_argument("--packets", type=int, default=10_000,
-                             metavar="N", help="packets to push end to end")
-    perf_parser.add_argument("--pifo-backend", default="sorted",
-                             dest="pifo_backend", metavar="BACKEND",
-                             help="PIFO backend under test (default sorted)")
-    perf_parser.add_argument("--telemetry", action="store_true",
-                             help="measure with per-hop telemetry enabled "
-                                  "(the figure-run configuration)")
-    perf_parser.add_argument("--no-tree-kernel", action="store_false",
-                             dest="tree_kernel",
-                             help="measure the interpreted reference datapath "
-                                  "(fused kernels and fused delivery off)")
-    perf_parser.add_argument("--profile", action="store_true",
-                             help="run under cProfile and print the hottest "
-                                  "functions")
-    perf_parser.add_argument("--top", type=int, default=15, metavar="N",
-                             help="hotspots to print with --profile")
-    perf_parser.add_argument("--json", action="store_true",
-                             help="print the measurement as JSON")
-    perf_parser.add_argument("--out", metavar="FILE", default=None,
-                             help="write the --json result to FILE "
-                                  "(implies --json)")
 
     trace_parser = subparsers.add_parser(
         "trace", help="export per-hop packet spans for one scenario variant"
@@ -612,71 +579,6 @@ def _cmd_campaign_status(target: str, watch: bool, interval_s: float,
             return 130
 
 
-def _cmd_perf(workload: str, packets: int, pifo_backend: str,
-              telemetry: bool, tree_kernel: bool, profile: bool, top: int,
-              as_json: bool, out: Optional[str]) -> int:
-    from .perf import profile_workload, run_workload
-
-    try:
-        if profile:
-            result = profile_workload(workload, packets=packets,
-                                      pifo_backend=pifo_backend,
-                                      telemetry=telemetry,
-                                      tree_kernel=tree_kernel, top=top)
-            perf = result.perf
-        else:
-            perf = run_workload(workload, packets=packets,
-                                pifo_backend=pifo_backend,
-                                telemetry=telemetry,
-                                tree_kernel=tree_kernel)
-            result = None
-    except (KeyError, ValueError) as exc:
-        print(str(exc.args[0]), file=sys.stderr)
-        return 2
-    if as_json or out is not None:
-        payload = perf.to_dict()
-        if result is not None:
-            payload["hotspots"] = [
-                {"function": fn, "calls": calls,
-                 "tottime_s": tottime, "cumtime_s": cumtime}
-                for fn, calls, tottime, cumtime in result.hotspots
-            ]
-        _emit_json(payload, out)
-        return 0
-    print(render_kv(
-        {
-            "workload": perf.workload,
-            "pifo backend": perf.pifo_backend,
-            "datapath": perf.datapath,
-            "delivered packets": perf.delivered,
-            "elapsed (s)": f"{perf.elapsed_s:.3f}",
-            "packets/second": f"{perf.packets_per_second:,.0f}",
-            "events/second": f"{perf.events_per_second:,.0f}",
-            "peak RSS (MiB)": f"{perf.rss_peak_mb:.1f}",
-            "kernel cache hits": perf.kernel_cache_hits,
-            "kernel compiles": perf.kernel_compiles,
-            "kernel installs": perf.kernel_installs,
-        },
-        title=f"Hot-path throughput ({perf.workload})",
-    ))
-    if result is not None:
-        print()
-        rows = [
-            {
-                "function": fn,
-                "calls": calls,
-                "tottime_s": f"{tottime:.3f}",
-                "cumtime_s": f"{cumtime:.3f}",
-            }
-            for fn, calls, tottime, cumtime in result.hotspots
-        ]
-        print(render_table(rows, title=f"Top {len(rows)} hotspots (cProfile)"))
-        print()
-        print("(profiled throughput is 2-3x below unprofiled; compare "
-              "tottime shares, not absolute rates)")
-    return 0
-
-
 def _cmd_trace(scenario_name: str, variant: Optional[str], quick: bool,
                out: str, chrome_out: Optional[str], as_json: bool) -> int:
     """Run one scenario variant with the trace collector attached."""
@@ -827,10 +729,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_scenarios()
     if args.command == "show":
         return _cmd_show(args.program, args.tree_kernel, args.pifo_backend)
-    if args.command == "perf":
-        return _cmd_perf(args.workload, args.packets, args.pifo_backend,
-                         args.telemetry, args.tree_kernel, args.profile,
-                         args.top, args.json, args.out)
     if args.command == "trace":
         return _cmd_trace(args.scenario, args.variant, args.quick,
                           args.out, args.chrome, args.json)

@@ -153,7 +153,7 @@ _filename_counter = itertools.count()
 
 
 def kernel_cache_info() -> Dict[str, int]:
-    """Cache and install counters (reported by ``repro perf``)."""
+    """Cache and install counters (read by ``bench/`` and the campaign runner)."""
     return dict(_stats, size=len(_CACHE))
 
 
@@ -166,7 +166,7 @@ def clear_kernel_cache() -> None:
 
 # The cache counters predate the metrics registry and accumulate whether
 # or not one is enabled; publishing them as a global source makes every
-# registry snapshot (and ``repro perf``) read the same numbers.
+# registry snapshot read the same numbers.
 obs_metrics.register_global_source("lang.kernel_cache", kernel_cache_info)
 
 

@@ -21,8 +21,8 @@ Three collection styles, by cost profile:
   ``snapshot()`` time.
 * **Global sources** (``register_global_source``) for module-level
   counter dicts that exist whether or not a registry does (the tree-
-  kernel cache).  Every registry snapshot folds them in, so there is a
-  single source of truth for ``repro perf`` and ``campaign --json``.
+  kernel cache).  Every registry snapshot folds them in, so a snapshot
+  reports the same numbers as the source itself.
 
 Histograms use fixed bucket upper bounds (no dynamic resizing, no
 allocation per observe): an ``observe`` is a linear scan over a handful

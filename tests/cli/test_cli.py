@@ -404,29 +404,6 @@ class TestTraceCommand:
         assert "unknown variant" in capsys.readouterr().err
 
 
-class TestPerfCommand:
-    def test_perf_prints_datapath_variant(self, capsys):
-        assert main(["perf", "--packets", "500"]) == 0
-        out = capsys.readouterr().out
-        assert "fused kernels · telemetry=off" in out
-
-    def test_perf_json_records_datapath_knobs(self, capsys):
-        assert main(["perf", "--packets", "500", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["tree_kernel"] is True
-        # One event queue, one packet per event: nothing to record.
-        assert not any("queue" in key or "batch" in key for key in payload)
-        assert payload["delivered"] >= 495
-
-    def test_perf_reports_peak_rss(self, capsys):
-        assert main(["perf", "--packets", "500"]) == 0
-        assert "peak RSS (MiB)" in capsys.readouterr().out
-        assert main(["perf", "--packets", "500", "--json"]) == 0
-        rss = json.loads(capsys.readouterr().out)["rss_peak_mb"]
-        # A live interpreter, reported in MiB (not bytes, not KiB).
-        assert 5.0 < rss < 10_000.0
-
-
 class TestCampaignStatusCommand:
     def test_status_of_finished_store(self, capsys, tmp_path, cli_campaign):
         store = tmp_path / "store.jsonl"

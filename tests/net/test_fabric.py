@@ -9,6 +9,7 @@ import pytest
 from repro.algorithms import FIFOTransaction
 from repro.core import Packet, ProgrammableScheduler, single_node_tree
 from repro.exceptions import RoutingError
+from repro.lang.treekernel import kernel_cache_info
 from repro.lang.trees import build_fig4_tree_from_programs
 from repro.net import Fabric, Network, dumbbell, leaf_spine, linear_chain
 from repro.obs import metrics
@@ -278,6 +279,39 @@ class TestAccounting:
         stats = fabric.stats_by_node()
         assert stats["s1"]["per_port"]["to_s2"]["transmitted"] == 1
         assert stats["s2"]["per_port"]["to_h_dst"]["transmitted"] == 1
+
+    @pytest.mark.parametrize("backend", ["sorted", "calendar", "quantized"])
+    @pytest.mark.parametrize("topology", ["chain3", "leaf_spine4x2"])
+    def test_every_backend_runs_on_the_tree_kernel(self, topology, backend):
+        """The sweep configuration (telemetry off, fused delivery) installs
+        a kernel on every port, on every PIFO backend, and never falls
+        back to the interpreted walk."""
+        if topology == "chain3":
+            net = linear_chain(3, link_rate_bps=1e9)
+            pairs = [("h_src", "h_dst")]
+        else:
+            net = leaf_spine(leaves=4, spines=2, hosts_per_leaf=1,
+                             host_rate_bps=1e9)
+            pairs = [("h0_0", "h2_0"), ("h1_0", "h3_0"),
+                     ("h2_0", "h0_0"), ("h3_0", "h1_0")]
+        before = kernel_cache_info()
+        sim = Simulator()
+        fabric = Fabric(sim, net, fifo_factory, ecmp=True,
+                        pifo_backend=backend, telemetry=False,
+                        keep_packets=False)
+        for src, dst in pairs:
+            fabric.attach_source(src, [
+                (i * 4e-6, Packet(flow=f"{src}->{dst}", length=500, dst=dst))
+                for i in range(100)])
+        fabric.run(drain=True)
+        after = kernel_cache_info()
+        assert fabric.fused_ports > 0
+        assert all(port.scheduler.tree_kernel is not None
+                   for switch in fabric.node_switches.values()
+                   for port in switch.ports.values())
+        assert after["installs"] > before["installs"]
+        assert after["fallbacks"] == before["fallbacks"]
+        assert fabric.delivered_packets == 100 * len(pairs)
 
 
 class TestShapedKernelOnFusedPorts:

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algorithms import FIFOTransaction
+from repro.core import Packet, ProgrammableScheduler, single_node_tree
+from repro.net import Fabric, linear_chain
 from repro.obs import metrics
 from repro.obs.metrics import (
     Counter,
@@ -19,6 +22,26 @@ from repro.obs.metrics import (
     MetricsRegistry,
     merge_counts,
 )
+from repro.sim import Simulator
+
+
+def _fifo_factory(switch, port):
+    return ProgrammableScheduler(single_node_tree(FIFOTransaction()))
+
+
+def _holds_instrument(obj) -> bool:
+    """Whether any attribute of ``obj`` (dict or slots) is a registry or
+    an instrument, directly or inside a tuple."""
+    names = set(getattr(obj, "__dict__", ()))
+    for cls in type(obj).__mro__:
+        names.update(getattr(cls, "__slots__", ()))
+    kinds = (Counter, Gauge, Histogram, MetricsRegistry)
+    for name in names:
+        value = getattr(obj, name, None)
+        values = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(item, kinds) for item in values):
+            return True
+    return False
 
 
 class TestInstruments:
@@ -165,6 +188,36 @@ class TestModuleFastPath:
                 assert registry.snapshot()["testsrc.hits"] == 7
         finally:
             metrics._global_sources.pop("testsrc", None)
+
+    def test_collecting_leaves_no_residue_on_the_off_path(self):
+        # Everything built after a collection session runs the off path:
+        # every capture site (EventQueue, Simulator, Fabric) finds no
+        # registry, so nothing holds an instrument and the session's
+        # registry gains no callback.
+        def build_and_run():
+            sim = Simulator()
+            fabric = Fabric(sim, linear_chain(2, link_rate_bps=1e6),
+                            _fifo_factory)
+            fabric.attach_source("h_src", [
+                (i * 1e-3, Packet(flow="f", length=500, dst="h_dst"))
+                for i in range(10)])
+            fabric.run(drain=True)
+            return sim, fabric
+
+        with metrics.collecting() as registry:
+            sim, _ = build_and_run()
+            assert sim._metrics is not None
+            assert _holds_instrument(sim._queue)
+            assert registry._callbacks
+        callbacks = list(registry._callbacks)
+        sim, fabric = build_and_run()
+        assert sim._metrics is None
+        assert registry._callbacks == callbacks
+        holders = [sim, sim._queue, fabric]
+        for switch in fabric.node_switches.values():
+            holders.append(switch)
+            holders.extend(switch.ports.values())
+        assert [obj for obj in holders if _holds_instrument(obj)] == []
 
     def test_kernel_cache_is_a_registered_global_source(self):
         # repro.lang.treekernel registers itself on import.
