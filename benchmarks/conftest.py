@@ -3,8 +3,7 @@
 Every module in this directory regenerates one table or figure of the paper
 (see DESIGN.md's per-experiment index).  Each benchmark:
 
-* runs the experiment via the ``benchmark`` fixture (so
-  ``pytest benchmarks/ --benchmark-only`` reports timings),
+* runs the experiment once (speed is measured by ``bench/`` alone),
 * prints a small paper-vs-measured table with ``report()``, and
 * asserts the qualitative claim (who wins, by roughly what factor).
 """

@@ -40,11 +40,11 @@ def _drive(transaction) -> list:
     return [(p.flow, p.length) for p in scheduler.drain()]
 
 
-def test_ablation_program_backends_match_hand_written(benchmark):
+def test_ablation_program_backends_match_hand_written():
     def run():
         return _drive(stfq_program(weights=WEIGHTS))
 
-    compiled_order = benchmark(run)
+    compiled_order = run()
     interpreted_order = _drive(stfq_program(weights=WEIGHTS, backend="interpreted"))
     # repro.algorithms' STFQ: the compiled program, built by its class name.
     hand_order = _drive(STFQTransaction(weights=WEIGHTS))
@@ -75,7 +75,7 @@ def time_ranks(transaction, count=3_000):
     return time.perf_counter() - start
 
 
-def test_ablation_interpreter_overhead_is_constant_factor(benchmark):
+def test_ablation_interpreter_overhead_is_constant_factor():
     """Per-packet rank computation cost of the interpreted program stays a
     (small) constant factor over ``STFQTransaction``, the compiled one."""
 
@@ -84,7 +84,7 @@ def test_ablation_interpreter_overhead_is_constant_factor(benchmark):
         interpreted = time_ranks(stfq_program(weights=WEIGHTS, backend="interpreted"))
         return hand, interpreted
 
-    hand_s, interpreted_s = benchmark.pedantic(run, rounds=3, iterations=1)
+    hand_s, interpreted_s = run()
     slowdown = interpreted_s / max(hand_s, 1e-9)
     report(
         "Ablation: per-rank computation cost (3 K ranks)",

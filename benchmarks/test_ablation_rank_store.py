@@ -21,13 +21,13 @@ BUFFERED_PACKETS = 60_000
 FLOWS = 1_000
 
 
-def test_ablation_comparator_requirements(benchmark):
+def test_ablation_comparator_requirements():
     def compute():
         flat = flat_sorted_array_comparisons(BUFFERED_PACKETS)
         decomposed = FlowSchedulerDesign(num_flows=1024).num_flows
         return flat, decomposed
 
-    flat, decomposed = benchmark(compute)
+    flat, decomposed = compute()
     report(
         "Ablation: parallel comparators required",
         [
@@ -40,7 +40,7 @@ def test_ablation_comparator_requirements(benchmark):
     assert flat / decomposed >= 50
 
 
-def test_ablation_sorted_structure_size(benchmark):
+def test_ablation_sorted_structure_size():
     """With 60 K packets over 1 K flows, the flow scheduler holds at most one
     entry per flow while the flat PIFO holds every packet."""
     def run(packets=20_000, flows=FLOWS):
@@ -55,7 +55,7 @@ def test_ablation_sorted_structure_size(benchmark):
             block.enqueue(0, rank=virtual_time, flow=flow, metadata=i)
         return len(flat), len(block.flow_scheduler), len(block.rank_store)
 
-    flat_size, heads, stored = benchmark(run)
+    flat_size, heads, stored = run()
     report(
         "Ablation: sorted-structure occupancy (20 K packets, 1 K flows)",
         [

@@ -87,11 +87,11 @@ def run_output_side():
     return shaper_port
 
 
-def test_ablation_input_side_bursts_after_starvation(benchmark):
+def test_ablation_input_side_bursts_after_starvation():
     def run_both():
         return run_input_side(), run_output_side()
 
-    input_port, output_port = benchmark(run_both)
+    input_port, output_port = run_both()
     window = 0.01
     input_peak = max_windowed_rate_bps(
         [p for p in input_port.sink.packets if p.flow == "low"],

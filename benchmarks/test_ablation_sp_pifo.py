@@ -73,9 +73,9 @@ def _rows(reports, label):
     return rows
 
 
-def test_ablation_sp_pifo_stationary_ranks(benchmark):
+def test_ablation_sp_pifo_stationary_ranks():
     arrivals = stationary_workload()
-    reports = benchmark(_sweep, arrivals)
+    reports = _sweep(arrivals)
     report("Ablation: exact PIFO vs SP-PIFO (stationary uniform ranks)",
            _rows(reports, "uniform"))
 
@@ -88,9 +88,9 @@ def test_ablation_sp_pifo_stationary_ranks(benchmark):
     assert exact <= by_queues[32]
 
 
-def test_ablation_sp_pifo_drifting_ranks(benchmark):
+def test_ablation_sp_pifo_drifting_ranks():
     arrivals = drifting_workload()
-    reports = benchmark(_sweep, arrivals)
+    reports = _sweep(arrivals)
     report("Ablation: exact PIFO vs SP-PIFO (drifting STFQ virtual times)",
            _rows(reports, "drifting"))
 

@@ -20,8 +20,8 @@ def compile_both():
     return compile_tree(build_fig3_tree()), compile_tree(build_fig4_tree())
 
 
-def test_fig10_11_mesh_configurations(benchmark):
-    hpfq_program, shaped_program = benchmark(compile_both)
+def test_fig10_11_mesh_configurations():
+    hpfq_program, shaped_program = compile_both()
     rows = []
     for name, program in (("HPFQ (Fig 10)", hpfq_program),
                           ("Hierarchies w/ Shaping (Fig 11)", shaped_program)):
@@ -47,14 +47,14 @@ def test_fig10_11_mesh_configurations(benchmark):
     assert hop.target_block == shaped_program.scheduling_assignment["Root"].block
 
 
-def test_five_level_hierarchy_compiles_within_five_blocks(benchmark):
+def test_five_level_hierarchy_compiles_within_five_blocks():
     """The introduction's headline configuration: a 5-level hierarchical
     scheduler with programmable levels fits the 5-block mesh the area model
     prices out."""
     def compile_deep():
         return compile_tree(build_deep_hierarchy(levels=5, fanout=2, flows_per_leaf=2))
 
-    program = benchmark(compile_deep)
+    program = compile_deep()
     report(
         "5-level hierarchy compilation",
         [{"levels": program.levels, "blocks": program.block_count(),

@@ -27,8 +27,8 @@ def run_stfq():
     )
 
 
-def test_fig1_stfq_weighted_shares(benchmark):
-    port = benchmark(run_stfq)
+def test_fig1_stfq_weighted_shares():
+    port = run_stfq()
     shares = measured_shares(port, list(WEIGHTS), start=0.01, end=DURATION)
     expected = expected_weighted_shares(WEIGHTS)
     report(
@@ -49,7 +49,7 @@ def test_fig1_stfq_weighted_shares(benchmark):
     assert port.utilization > 0.95
 
 
-def test_fig1_stfq_vs_drr_baseline(benchmark):
+def test_fig1_stfq_vs_drr_baseline():
     """STFQ and the switch-standard DRR approximation agree on long-run
     shares; STFQ is smoother packet by packet (smaller max share error)."""
     def run_both():
@@ -63,7 +63,7 @@ def test_fig1_stfq_vs_drr_baseline(benchmark):
         )
         return stfq_port, drr_port
 
-    stfq_port, drr_port = benchmark(run_both)
+    stfq_port, drr_port = run_both()
     expected = expected_weighted_shares(WEIGHTS)
     stfq_error = max_share_error(
         measured_shares(stfq_port, list(WEIGHTS), 0.01, DURATION), expected

@@ -24,8 +24,8 @@ def run_hpfq():
     )
 
 
-def test_fig3_hpfq_hierarchy_shares(benchmark):
-    port = benchmark(run_hpfq)
+def test_fig3_hpfq_hierarchy_shares():
+    port = run_hpfq()
     shares = measured_shares(port, list("ABCD"), start=0.01, end=DURATION)
     report(
         "Figure 3: HPFQ per-flow shares (weights 1:9, 3:7, 4:6)",
@@ -41,7 +41,7 @@ def test_fig3_hpfq_hierarchy_shares(benchmark):
     assert abs(right - 0.9) < 0.02
 
 
-def test_fig3_hpfq_matches_hierarchical_drr_baseline(benchmark):
+def test_fig3_hpfq_matches_hierarchical_drr_baseline():
     def run_baseline():
         hdrr = HierarchicalDRR(
             class_weights={"Left": 1.0, "Right": 9.0},
@@ -52,7 +52,7 @@ def test_fig3_hpfq_matches_hierarchical_drr_baseline(benchmark):
             scheduler=hdrr,
         )
 
-    baseline_port = benchmark(run_baseline)
+    baseline_port = run_baseline()
     baseline_shares = measured_shares(baseline_port, list("ABCD"), 0.01, DURATION)
     report(
         "Figure 3: hierarchical DRR baseline shares",
@@ -64,14 +64,14 @@ def test_fig3_hpfq_matches_hierarchical_drr_baseline(benchmark):
     assert max_share_error(baseline_shares, EXPECTED) < 0.06
 
 
-def test_fig3_partial_backlog_redistributes_within_class(benchmark):
+def test_fig3_partial_backlog_redistributes_within_class():
     """When flow C goes idle, its share goes to D (same class), not to Left:
     the defining isolation property of hierarchical fair queueing."""
     def run_partial():
         rates = {"A": LINK_RATE, "B": LINK_RATE, "C": 0.0, "D": LINK_RATE}
         return run_overload_experiment(build_fig3_tree(), rates, LINK_RATE, DURATION)
 
-    port = benchmark(run_partial)
+    port = run_partial()
     shares = measured_shares(port, list("ABCD"), start=0.01, end=DURATION)
     report(
         "Figure 3: shares with flow C idle",

@@ -37,11 +37,11 @@ def right_class_rate(offered_per_flow_bps):
     return {"total": sustained, "right": right, "left": left, "right_peak": peak_right}
 
 
-def test_fig4_right_class_capped_regardless_of_load(benchmark):
+def test_fig4_right_class_capped_regardless_of_load():
     def sweep():
         return {load: right_class_rate(load) for load in OFFERED_LOADS}
 
-    results = benchmark(sweep)
+    results = sweep()
     report(
         "Figure 4: Right-class throughput vs offered load (cap = 10 Mbit/s)",
         [
@@ -67,8 +67,8 @@ def test_fig4_right_class_capped_regardless_of_load(benchmark):
         assert measured["left"] >= 55e6
 
 
-def test_fig4_left_class_absorbs_unused_capacity(benchmark):
-    result = benchmark(lambda: right_class_rate(50e6))
+def test_fig4_left_class_absorbs_unused_capacity():
+    result = right_class_rate(50e6)
     report(
         "Figure 4: work conservation for the unshaped class",
         [{"left_Mbps": result["left"] / 1e6, "right_Mbps": result["right"] / 1e6}],

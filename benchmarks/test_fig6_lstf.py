@@ -47,11 +47,11 @@ def run_with(transaction_factory, seed=0):
     return urgent_delays, bulk_delays
 
 
-def test_fig6_lstf_prioritises_low_slack_packets(benchmark):
+def test_fig6_lstf_prioritises_low_slack_packets():
     def run_both():
         return run_with(LSTFTransaction), run_with(FIFOTransaction)
 
-    (lstf_urgent, lstf_bulk), (fifo_urgent, fifo_bulk) = benchmark(run_both)
+    (lstf_urgent, lstf_bulk), (fifo_urgent, fifo_bulk) = run_both()
     lstf_max = max(lstf_urgent)
     fifo_max = max(fifo_urgent)
     report(
@@ -69,7 +69,7 @@ def test_fig6_lstf_prioritises_low_slack_packets(benchmark):
     assert len(lstf_urgent) == len(fifo_urgent)
 
 
-def test_fig6_slack_ordering_is_exact_at_a_single_queue(benchmark):
+def test_fig6_slack_ordering_is_exact_at_a_single_queue():
     def departure_slacks():
         scheduler = ProgrammableScheduler(single_node_tree(LSTFTransaction()))
         rng = random.Random(3)
@@ -79,5 +79,5 @@ def test_fig6_slack_ordering_is_exact_at_a_single_queue(benchmark):
             )
         return [p.get("slack") for p in scheduler.drain()]
 
-    slacks = benchmark(departure_slacks)
+    slacks = departure_slacks()
     assert slacks == sorted(slacks)

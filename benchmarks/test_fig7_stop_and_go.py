@@ -48,8 +48,8 @@ def run_stop_and_go():
     return port
 
 
-def test_fig7_per_hop_delay_bounded_by_two_frames(benchmark):
-    port = benchmark(run_stop_and_go)
+def test_fig7_per_hop_delay_bounded_by_two_frames():
+    port = run_stop_and_go()
     delays = [p.total_delay for p in port.sink.packets]
     bound = worst_case_delay_bound(FRAME) + 1500 * 8 / LINK_RATE
     report(
@@ -68,12 +68,12 @@ def test_fig7_per_hop_delay_bounded_by_two_frames(benchmark):
     assert min(delays) > 0.0
 
 
-def test_fig7_departures_confined_to_the_next_frame(benchmark):
+def test_fig7_departures_confined_to_the_next_frame():
     """The framing property behind Stop-and-Go's smoothness guarantee: every
     packet arriving during frame k becomes eligible exactly at the start of
     frame k+1 and is transmitted within that frame, so per-frame output never
     mixes traffic from different arrival frames."""
-    port = benchmark(run_stop_and_go)
+    port = run_stop_and_go()
     serialization = 1500 * 8 / LINK_RATE
     frame_slack = 0
     for packet in port.sink.packets:

@@ -29,8 +29,8 @@ def run_min_rate(guaranteed_offered_bps=25e6, bulk_offered_bps=100e6):
     )
 
 
-def test_fig8_guaranteed_flow_receives_its_minimum_rate(benchmark):
-    port = benchmark(run_min_rate)
+def test_fig8_guaranteed_flow_receives_its_minimum_rate():
+    port = run_min_rate()
     guaranteed_rate = port.sink.throughput_bps(flow="guaranteed", start=0.02, end=DURATION)
     bulk_rate = port.sink.throughput_bps(flow="bulk", start=0.02, end=DURATION)
     report(
@@ -45,10 +45,10 @@ def test_fig8_guaranteed_flow_receives_its_minimum_rate(benchmark):
     assert guaranteed_rate + bulk_rate >= LINK_RATE * 0.95
 
 
-def test_fig8_guarantee_inactive_when_flow_sends_little(benchmark):
+def test_fig8_guarantee_inactive_when_flow_sends_little():
     """A guaranteed flow offering less than its guarantee simply gets what it
     offers; the guarantee is a floor, not a reservation."""
-    port = benchmark(lambda: run_min_rate(guaranteed_offered_bps=5e6))
+    port = run_min_rate(guaranteed_offered_bps=5e6)
     guaranteed_rate = port.sink.throughput_bps(flow="guaranteed", start=0.02, end=DURATION)
     report("Figure 8: under-offering flow",
            [{"offered_Mbps": 5, "measured_Mbps": guaranteed_rate / 1e6}])
@@ -56,7 +56,7 @@ def test_fig8_guarantee_inactive_when_flow_sends_little(benchmark):
     assert guaranteed_rate >= 4e6
 
 
-def test_fig8_ablation_collapsed_tree_reorders_flow(benchmark):
+def test_fig8_ablation_collapsed_tree_reorders_flow():
     """Section 3.3's argument for the 2-level tree: collapsing it into a
     single transaction reorders packets within a flow, the 2-level tree does
     not."""
@@ -74,7 +74,7 @@ def test_fig8_ablation_collapsed_tree_reorders_flow(benchmark):
                                                        burst_bytes=1500))
         return collapsed, two_level
 
-    collapsed, two_level = benchmark(run_ablation)
+    collapsed, two_level = run_ablation()
     report(
         "Figure 8 ablation: intra-flow departure order",
         [

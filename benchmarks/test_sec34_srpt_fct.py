@@ -46,7 +46,7 @@ def summarise(packets):
     return overall, short
 
 
-def test_sec34_srpt_and_sjf_beat_fifo_on_short_flow_fct(benchmark):
+def test_sec34_srpt_and_sjf_beat_fifo_on_short_flow_fct():
     def run_all():
         return {
             "FIFO": summarise(run_with(FIFOTransaction())),
@@ -55,7 +55,7 @@ def test_sec34_srpt_and_sjf_beat_fifo_on_short_flow_fct(benchmark):
             "LAS": summarise(run_with(LeastAttainedServiceTransaction())),
         }
 
-    results = benchmark(run_all)
+    results = run_all()
     report(
         "Section 3.4: flow completion times, heavy-tailed web-search workload",
         [

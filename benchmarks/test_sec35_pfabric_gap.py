@@ -28,8 +28,8 @@ def run_pfabric_example():
     return [p.get("label") for p in scheduler.drain()]
 
 
-def test_sec35_single_pifo_cannot_express_pfabric(benchmark):
-    pifo_order = benchmark(run_pfabric_example)
+def test_sec35_single_pifo_cannot_express_pfabric():
+    pifo_order = run_pfabric_example()
     report(
         "Section 3.5: pFabric ordering vs what one PIFO can do",
         [
@@ -46,7 +46,7 @@ def test_sec35_single_pifo_cannot_express_pfabric(benchmark):
     assert pifo_order[0] == "p1(6)"
 
 
-def test_sec35_buffered_elements_order_is_immutable(benchmark):
+def test_sec35_buffered_elements_order_is_immutable():
     """Arrivals never change the relative order of elements already in a
     PIFO, measured over a large random workload."""
     import random
@@ -69,5 +69,5 @@ def test_sec35_buffered_elements_order_is_immutable(benchmark):
                 pifo.pop()
         return violations
 
-    violations = benchmark(check)
+    violations = check()
     assert violations == 0

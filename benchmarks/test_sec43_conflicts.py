@@ -33,8 +33,8 @@ def run_contention(cycles=1000, scheduling_every=1, shaping_every=3):
     return arbiter, shaping_wait_cycles
 
 
-def test_sec43_scheduling_enqueues_always_win(benchmark):
-    arbiter, shaping_waits = benchmark(run_contention)
+def test_sec43_scheduling_enqueues_always_win():
+    arbiter, shaping_waits = run_contention()
     report(
         "Section 4.3: conflict arbitration under full contention",
         [
@@ -53,14 +53,14 @@ def test_sec43_scheduling_enqueues_always_win(benchmark):
     assert arbiter.pending_requests() > 0
 
 
-def test_sec43_shaping_catches_up_when_line_rate_slack_exists(benchmark):
+def test_sec43_shaping_catches_up_when_line_rate_slack_exists():
     """With spare enqueue slots (scheduling enqueues only every other cycle,
     emulating the paper's over-clocking work-around), shaping releases are
     delayed by at most a couple of cycles."""
     def run():
         return run_contention(cycles=1000, scheduling_every=2, shaping_every=3)
 
-    arbiter, shaping_waits = benchmark(run)
+    arbiter, shaping_waits = run()
     report(
         "Section 4.3: shaping delay with spare slots",
         [

@@ -16,7 +16,7 @@ from conftest import report
 from repro.hardware import PIFOBlock, SAME_PIFO_DEQUEUE_INTERVAL
 
 
-def test_sec52_full_rate_enqueue_dequeue_per_cycle(benchmark):
+def test_sec52_full_rate_enqueue_dequeue_per_cycle():
     def run(cycles=5000):
         block = PIFOBlock(strict_timing=True, logical_pifo_count=16)
         refusals = 0
@@ -30,7 +30,7 @@ def test_sec52_full_rate_enqueue_dequeue_per_cycle(benchmark):
                     refusals += 1
         return refusals, block
 
-    refusals, block = benchmark(run)
+    refusals, block = run()
     report(
         "Section 5.2: strict-timing full-rate operation",
         [{"cycles": 5000, "refused_operations": refusals,
@@ -39,7 +39,7 @@ def test_sec52_full_rate_enqueue_dequeue_per_cycle(benchmark):
     assert refusals == 0
 
 
-def test_sec52_same_pifo_dequeue_spacing_supports_100g(benchmark):
+def test_sec52_same_pifo_dequeue_spacing_supports_100g():
     """A dequeue from one logical PIFO every 3 cycles sustains more than the
     one-packet-per-5-cycles a 100 Gbit/s port needs at 64-byte packets."""
     def run(cycles=3000):
@@ -52,7 +52,7 @@ def test_sec52_same_pifo_dequeue_spacing_supports_100g(benchmark):
                 served += 1
         return served
 
-    served = benchmark(run)
+    served = run()
     cycles = 3000
     packets_needed_100g = cycles / 5  # one packet per 5 cycles
     report(
@@ -70,7 +70,7 @@ def test_sec52_same_pifo_dequeue_spacing_supports_100g(benchmark):
     assert served >= packets_needed_100g
 
 
-def test_sec52_python_model_throughput(benchmark):
+def test_sec52_python_model_throughput():
     """Raw enqueue+dequeue throughput of the behavioural block model (no
     cycle bookkeeping) — useful for sizing large simulations."""
     def run(operations=2000):
@@ -82,5 +82,5 @@ def test_sec52_python_model_throughput(benchmark):
             drained += 1
         return drained
 
-    drained = benchmark(run)
+    drained = run()
     assert drained == 2000

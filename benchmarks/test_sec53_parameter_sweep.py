@@ -18,8 +18,8 @@ from repro.hardware import (
 )
 
 
-def test_sec53_parameter_variations_match_paper(benchmark):
-    rows = benchmark(parameter_variation_rows)
+def test_sec53_parameter_variations_match_paper():
+    rows = parameter_variation_rows()
     report(
         "Section 5.3: flow-scheduler area under parameter variations",
         [
@@ -39,7 +39,7 @@ def test_sec53_parameter_variations_match_paper(benchmark):
         assert row["meets_timing"]
 
 
-def test_sec53_combined_worst_case_still_feasible(benchmark):
+def test_sec53_combined_worst_case_still_feasible():
     """A combined configuration (32-bit rank, 64-bit metadata, 1024 logical
     PIFOs, 2048 flows) stays under 1 mm^2 and meets timing — headroom for
     richer schedulers than the baseline."""
@@ -48,7 +48,7 @@ def test_sec53_combined_worst_case_still_feasible(benchmark):
             rank_bits=32, metadata_bits=64, num_logical_pifos=1024, num_flows=2048
         )
 
-    design = benchmark(build)
+    design = build()
     report(
         "Section 5.3: combined configuration",
         [{"area_mm2": design.area_mm2(), "meets_1GHz": design.meets_timing_at_1ghz()}],

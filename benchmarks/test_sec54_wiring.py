@@ -22,8 +22,8 @@ def build_mesh_design():
     return MeshDesign()
 
 
-def test_sec54_wire_counts(benchmark):
-    mesh = benchmark(build_mesh_design)
+def test_sec54_wire_counts():
+    mesh = build_mesh_design()
     report(
         "Section 5.4: full-mesh wiring",
         [
@@ -45,7 +45,7 @@ def test_sec54_wire_counts(benchmark):
     assert mesh.total_mesh_wires() == PAPER_TOTAL_MESH_WIRES
 
 
-def test_sec54_wiring_growth_with_block_count(benchmark):
+def test_sec54_wiring_growth_with_block_count():
     """Wiring grows quadratically with block count — the reason the paper
     argues a full mesh is only sensible because the number of blocks is
     small (fewer than ~5 levels of hierarchy in practice)."""
@@ -58,7 +58,7 @@ def test_sec54_wiring_growth_with_block_count(benchmark):
             results[count] = mesh.total_mesh_wires()
         return results
 
-    wires = benchmark(sweep)
+    wires = sweep()
     report(
         "Section 5.4: total wires vs number of blocks",
         [{"blocks": count, "total_wires": total} for count, total in wires.items()],

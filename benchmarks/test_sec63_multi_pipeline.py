@@ -35,7 +35,7 @@ def _offered_load(pipelines_needed: int, seed: int = 1):
     return load
 
 
-def test_sec63_scheduler_slots_vs_port_count(benchmark):
+def test_sec63_scheduler_slots_vs_port_count():
     pipelines_needed = required_pipelines(AGGREGATE_CAPACITY_BPS)
     offered = _offered_load(pipelines_needed)
 
@@ -54,7 +54,7 @@ def test_sec63_scheduler_slots_vs_port_count(benchmark):
             results[ports] = block.stats.enqueue_loss_fraction
         return results
 
-    loss_by_ports = benchmark(run)
+    loss_by_ports = run()
     report(
         "Section 6.3: scheduler-slot loss vs block port count "
         f"(offered load = {pipelines_needed} enqueues/cycle)",

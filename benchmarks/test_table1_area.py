@@ -17,8 +17,8 @@ def build_table1():
     return mesh.table1()
 
 
-def test_table1_block_and_mesh_area(benchmark):
-    rows = benchmark(build_table1)
+def test_table1_block_and_mesh_area():
+    rows = build_table1()
     comparison = [
         {"component": "flow scheduler", "paper_mm2": PAPER_TABLE1["flow_scheduler"],
          "model_mm2": rows["flow_scheduler"]},
@@ -51,7 +51,7 @@ def pytest_approx(value, rel):
     return pytest.approx(value, rel=rel)
 
 
-def test_table1_block_area_scales_with_rank_store_size(benchmark):
+def test_table1_block_area_scales_with_rank_store_size():
     """Sensitivity: halving the rank store saves the SRAM rows but not the
     flow scheduler, quantifying where the block's area actually goes."""
     def sweep():
@@ -60,7 +60,7 @@ def test_table1_block_area_scales_with_rank_store_size(benchmark):
             for entries in (16_000, 32_000, 64_000, 128_000)
         }
 
-    areas = benchmark(sweep)
+    areas = sweep()
     report(
         "Table 1 sensitivity: block area vs rank-store entries",
         [{"entries": k, "block_mm2": v} for k, v in areas.items()],

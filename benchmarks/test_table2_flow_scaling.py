@@ -13,8 +13,8 @@ from conftest import report
 from repro.hardware import FlowSchedulerDesign, PAPER_TABLE2, table2_rows
 
 
-def test_table2_area_and_timing_vs_flows(benchmark):
-    rows = benchmark(table2_rows)
+def test_table2_area_and_timing_vs_flows():
+    rows = table2_rows()
     report(
         "Table 2: flow scheduler area / timing vs #flows",
         [
@@ -35,12 +35,12 @@ def test_table2_area_and_timing_vs_flows(benchmark):
         assert row["model_meets_timing"] == paper_timing
 
 
-def test_table2_area_is_linear_in_flows(benchmark):
+def test_table2_area_is_linear_in_flows():
     def slope_check():
         small = FlowSchedulerDesign(num_flows=512).area_mm2()
         large = FlowSchedulerDesign(num_flows=2048).area_mm2()
         return large / small
 
-    ratio = benchmark(slope_check)
+    ratio = slope_check()
     report("Table 2: area(2048 flows) / area(512 flows)", [{"ratio": ratio}])
     assert ratio == pytest.approx(4.0, rel=0.01)

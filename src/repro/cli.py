@@ -694,18 +694,14 @@ def _cmd_show(program: str, tree_kernel: bool = False,
         print("Fused tree kernel (repro.lang.treekernel)")
         print("=========================================")
         kernel = scheduler.tree_kernel
-        if kernel is None:
-            print(f"not fused: {scheduler.kernel_fallback_reason}")
+        print(f"# cached as {kernel.filename} (backend={pifo_backend})")
+        if kernel.called_programs:
+            for node, name, reason in kernel.called_programs:
+                print(f"# called, not spliced: {name} at node {node}: "
+                      f"{reason}")
         else:
-            print(f"# cached as {kernel.filename} "
-                  f"(backend={pifo_backend})")
-            if kernel.called_programs:
-                for node, name, reason in kernel.called_programs:
-                    print(f"# called, not spliced: {name} at node {node}: "
-                          f"{reason}")
-            else:
-                print("# every program is spliced into the walk below")
-            print(kernel.source.rstrip())
+            print("# every program is spliced into the walk below")
+        print(kernel.source.rstrip())
     return 0
 
 

@@ -27,7 +27,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..exceptions import PIFOFullError, SchedulerError
+from ..exceptions import PIFOFullError, SchedulerError, TreeConfigurationError
 from .backend import BackendSpec
 from .packet import Packet
 from .pifo import Rank
@@ -88,11 +88,16 @@ class SchedulerStats:
 class ProgrammableScheduler:
     """Reference implementation of a PIFO-programmed packet scheduler.
 
+    The scheduler owns its tree: a tree runs under one scheduler, and its
+    storage is swapped only through :meth:`use_backend`.  The class is
+    final — the fused kernel binds per-instance closures that would shadow
+    a subclass's method overrides, so subclassing raises ``TypeError``.
+
     Parameters
     ----------
     tree:
         The scheduling algorithm, expressed as a tree of scheduling and
-        shaping transactions.
+        shaping transactions.  It must not already run under a scheduler.
     drop_on_full:
         When a node's scheduling PIFO is at capacity, drop the packet
         (returning ``False`` from :meth:`enqueue`) instead of raising.
@@ -104,11 +109,10 @@ class ProgrammableScheduler:
         Whether to fuse the whole tree into a generated per-shape kernel
         (:mod:`repro.lang.treekernel`) replacing :meth:`enqueue` /
         :meth:`dequeue` with specialised straight-line code.  Defaults to
-        on and covers every tree, shaping included; only a scheduler *subclass* stays on
-        the interpreted methods, with the reason in
-        ``kernel_fallback_reason``.  ``tree_kernel=False`` selects those
-        methods on purpose: they are the executable statement of Sections
-        2.1-2.3 that the kernel is checked against in lockstep.
+        on and covers every tree, shaping included; a kernel that fails to
+        build raises.  ``tree_kernel=False`` selects the class methods:
+        they are the executable statement of Sections 2.1-2.3 that the
+        kernel is checked against in lockstep.
 
     Shaping releases are driven by a single **global shaping calendar**: a
     heap of ``(release_time, seq, token)`` shared by the whole tree.  The
@@ -125,10 +129,16 @@ class ProgrammableScheduler:
         pifo_backend: BackendSpec = None,
         tree_kernel: bool = True,
     ) -> None:
+        if type(self) is not ProgrammableScheduler:
+            raise TypeError(f"{type(self).__name__} subclasses the final "
+                            "ProgrammableScheduler")
+        if tree.owner is not None:
+            raise TreeConfigurationError("this tree already runs under a "
+                                         "ProgrammableScheduler")
         self.tree = tree
         self.drop_on_full = drop_on_full
         if pifo_backend is not None:
-            tree.use_backend(pifo_backend)
+            tree._swap_backend(pifo_backend)
         self.pifo_backend: BackendSpec = tree.pifo_backend
         self.stats = SchedulerStats()
         self._buffered_packets = 0
@@ -141,21 +151,13 @@ class ProgrammableScheduler:
         # identical while removing two allocations per packet per node.
         self._enq_ctx = TransactionContext()
         self._deq_ctx = TransactionContext()
-        #: The installed fused kernel (None when running interpreted).
-        self.tree_kernel = None
-        #: True only for a live kernel over a tree without shaping: then a
-        #: non-empty scheduler always yields a packet, which is what lets a
-        #: port use :meth:`transfer` (``None`` must mean "dropped") and skip
-        #: the shaping wake-up.
-        self.kernel_work_conserving = False
-        #: Why the fused kernel is not installed (None when it is).
-        self.kernel_fallback_reason: Optional[str] = None
         self._tree_kernel_enabled = tree_kernel
         self._install_kernel()
+        tree.owner = self
 
     def use_backend(self, backend: BackendSpec) -> None:
         """Swap every PIFO in the tree onto ``backend`` (entries migrate)."""
-        self.tree.use_backend(backend)
+        self.tree._swap_backend(backend)
         self.pifo_backend = backend
         self._install_kernel()
 
@@ -163,29 +165,31 @@ class ProgrammableScheduler:
     # Fused tree kernel                                                   #
     # ------------------------------------------------------------------ #
     def _install_kernel(self) -> None:
-        """(Re)build and bind the fused kernel, or fall back interpreted.
+        """Build and bind the fused kernel (unless ``tree_kernel=False``).
 
-        Called from every sanctioned mutation point (construction,
-        :meth:`reset`, :meth:`use_backend`) and from the kernel's own
-        staleness guard when the tree was changed behind the scheduler's
-        back (``tree.use_backend``, ``add_child``, direct transaction
-        resets).  The one fallback left is a subclass: the kernel binds
-        per-instance closures, which would shadow its method overrides.
+        Called where the kernel's specialisation can change — construction,
+        :meth:`use_backend` and :meth:`set_tree_kernel` — and nowhere else:
+        the tree's shape is sealed, its storage is swapped only here, and
+        every reset refills the hoisted objects in place, so the generated
+        code never re-checks what it hoisted.  A kernel that fails to build
+        raises.
         """
+        for name in ("enqueue", "dequeue", "transfer", "next_shaping_release"):
+            self.__dict__.pop(name, None)
+        #: The installed fused kernel (None under ``tree_kernel=False``).
+        self.tree_kernel = None
+        #: True only for a kernel over a tree without shaping: then a
+        #: non-empty scheduler always yields a packet, which is what lets a
+        #: port use :meth:`transfer` (``None`` must mean "dropped") and skip
+        #: the shaping wake-up.
+        self.kernel_work_conserving = False
         if not self._tree_kernel_enabled:
-            self._uninstall_kernel()
             return
-        from ..lang.treekernel import TreeKernelError, compile_tree_kernel
+        from ..lang.treekernel import compile_tree_kernel
 
-        try:
-            kernel = compile_tree_kernel(self)
-        except TreeKernelError as exc:
-            self._uninstall_kernel()
-            self.kernel_fallback_reason = str(exc)
-            return
+        kernel = compile_tree_kernel(self)
         self.tree_kernel = kernel
         self.kernel_work_conserving = kernel.work_conserving
-        self.kernel_fallback_reason = None
         # Instance-attribute binding: reads shadow the class methods, so
         # ports and fabrics call the fused closures with zero dispatch.
         self.enqueue = kernel.enqueue
@@ -193,37 +197,10 @@ class ProgrammableScheduler:
         self.transfer = kernel.transfer
         self.next_shaping_release = kernel.next_release
 
-    def _uninstall_kernel(self) -> None:
-        self.tree_kernel = None
-        self.kernel_work_conserving = False
-        self.kernel_fallback_reason = "disabled"
-        for name in ("enqueue", "dequeue", "transfer", "next_shaping_release"):
-            self.__dict__.pop(name, None)
-
     def set_tree_kernel(self, enabled: bool) -> None:
         """Enable/disable the fused kernel on a live (idle) scheduler."""
         self._tree_kernel_enabled = enabled
         self._install_kernel()
-
-    def _kernel_stale_enqueue(self, packet: Packet, now: Optional[float]) -> bool:
-        """Guard trip on enqueue: re-specialise, then retry the call."""
-        self._install_kernel()
-        return self.enqueue(packet, now=now)
-
-    def _kernel_stale_dequeue(self, now: float) -> Optional[Packet]:
-        """Guard trip on dequeue: re-specialise, then retry the call."""
-        self._install_kernel()
-        return self.dequeue(now=now)
-
-    def _kernel_stale_transfer(self, packet: Packet, now: float) -> Optional[Packet]:
-        """Guard trip on transfer: re-specialise, then retry (or compose)."""
-        self._install_kernel()
-        kernel = self.tree_kernel
-        if kernel is not None:
-            return kernel.transfer(packet, now)
-        if not self.enqueue(packet, now=now):
-            return None
-        return self.dequeue(now=now)
 
     # ------------------------------------------------------------------ #
     # Enqueue path                                                        #
@@ -497,15 +474,19 @@ class ProgrammableScheduler:
         return self.tree.buffered_elements()
 
     def reset(self) -> None:
-        """Reset PIFOs, transaction state and counters for a fresh run."""
+        """Reset PIFOs, transaction state and counters for a fresh run.
+
+        Everything is cleared in place, so an installed kernel keeps
+        running over the same objects.
+        """
         self.tree.reset()
-        self.stats = SchedulerStats()
+        stats = self.stats
+        stats.dropped = stats.shaping_releases = 0
+        stats.per_flow_enqueued.clear()
+        stats.per_flow_dequeued.clear()
         self._buffered_packets = 0
         self._shaping_calendar.clear()
         self._calendar_seq = 0
-        # Fresh stats / transaction state invalidate the fused kernel's
-        # hoisted cells; rebuild (cache hit: the shape is unchanged).
-        self._install_kernel()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -66,7 +66,10 @@ class Transaction(abc.ABC):
 
     Subclasses keep every mutable algorithm variable inside ``self.state``.
     ``state_variables`` declares the variables the transaction uses, which
-    the atom analyser checks against actual accesses.
+    the atom analyser checks against actual accesses.  ``state`` is one
+    mapping for the transaction's lifetime: :meth:`reset` and
+    :meth:`restore` refill it in place, so code that bound it once (a
+    program environment, the fused tree kernel) never goes stale.
     """
 
     #: Names of the state variables this transaction reads or writes.
@@ -75,7 +78,7 @@ class Transaction(abc.ABC):
     #: How this transaction executes per packet.  Hand-written classes are
     #: plain Python ("python"); lang-backed transactions report "compiled"
     #: (AST lowered to a native closure) or "interpreted" (per-packet AST
-    #: walk fallback) — see :mod:`repro.lang.compiler`.
+    #: walk, chosen explicitly) — see :mod:`repro.lang.compiler`.
     backend: str = "python"
 
     def __init__(self) -> None:
@@ -86,7 +89,8 @@ class Transaction(abc.ABC):
     # -- lifecycle ----------------------------------------------------------
     def reset(self) -> None:
         """Reinitialise all state variables to their starting values."""
-        self.state = dict(self.initial_state())
+        self.state.clear()
+        self.state.update(self.initial_state())
 
     def initial_state(self) -> Dict[str, Any]:
         """Return the initial value of every state variable.
@@ -103,7 +107,9 @@ class Transaction(abc.ABC):
 
     def restore(self, snapshot: Dict[str, Any]) -> None:
         """Restore state captured by :meth:`snapshot`."""
-        self.state = copy.deepcopy(snapshot)
+        restored = copy.deepcopy(snapshot)
+        self.state.clear()
+        self.state.update(restored)
 
     # -- hooks ---------------------------------------------------------------
     def on_dequeue(self, element: Any, ctx: TransactionContext) -> None:

@@ -89,10 +89,9 @@ class TreeNode:
         )
         self.parent: Optional["TreeNode"] = None
         self.children: List["TreeNode"] = []
-        #: Bumped (on the subtree's root) whenever a child is attached below
-        #: this node.  The fused tree kernel (:mod:`repro.lang.treekernel`)
-        #: reads the root's counter as a cheap structural staleness guard.
-        self._subtree_version = 0
+        #: The :class:`ScheduleTree` this node was sealed into (None while
+        #: the hierarchy is still being built).
+        self.tree: Optional["ScheduleTree"] = None
         self.pifo_capacity = pifo_capacity
         self.pifo_backend: BackendSpec = pifo_backend
 
@@ -117,8 +116,14 @@ class TreeNode:
 
         Buffered entries migrate in dequeue order (FIFO ties preserved);
         operation counters restart at zero, so swap before a run when the
-        counters matter.
+        counters matter.  A node of a scheduler's tree is swapped through
+        :meth:`ProgrammableScheduler.use_backend` only.
         """
+        if self.tree is not None:
+            self.tree._check_unowned()
+        self._swap_backend(backend)
+
+    def _swap_backend(self, backend: BackendSpec) -> None:
         def _migrate(old: PIFOBackend, new: PIFOBackend) -> PIFOBackend:
             new.enqueue_many(
                 (entry.element, entry.rank) for entry in old.entries()
@@ -138,17 +143,21 @@ class TreeNode:
 
     # -- structure ----------------------------------------------------------
     def add_child(self, child: "TreeNode") -> "TreeNode":
-        """Attach ``child`` below this node and return it (for chaining)."""
+        """Attach ``child`` below this node and return it (for chaining).
+
+        Only while building: a constructed :class:`ScheduleTree` is sealed.
+        """
+        if self.tree is not None or child.tree is not None:
+            raise TreeConfigurationError(
+                f"cannot attach {child.name!r} below {self.name!r}: the shape "
+                "of a constructed ScheduleTree is fixed"
+            )
         if child.parent is not None:
             raise TreeConfigurationError(
                 f"node {child.name!r} already has parent {child.parent.name!r}"
             )
         child.parent = self
         self.children.append(child)
-        root = self
-        while root.parent is not None:
-            root = root.parent
-        root._subtree_version += 1
         return child
 
     @property
@@ -208,6 +217,10 @@ class TreeNode:
 class ScheduleTree:
     """A validated tree of scheduling (and shaping) transactions.
 
+    Construction seals the shape: no node can be attached afterwards.  The
+    :class:`~repro.core.scheduler.ProgrammableScheduler` built over the tree
+    owns it, and from then on swaps its storage itself.
+
     Parameters
     ----------
     root:
@@ -222,9 +235,13 @@ class ScheduleTree:
         self.root = root
         self._nodes: Dict[str, TreeNode] = {}
         self._validate()
+        #: The scheduler running this tree (set by its constructor).
+        self.owner = None
+        for node in self._nodes.values():
+            node.tree = self
         self.pifo_backend: BackendSpec = pifo_backend
         if pifo_backend is not None:
-            self.use_backend(pifo_backend)
+            self._swap_backend(pifo_backend)
         # Single match-all node (the most common tree in throughput runs):
         # every packet matches the same one-element path, so compute it once.
         # The cached list is shared — callers must not mutate match_path()'s
@@ -236,13 +253,29 @@ class ScheduleTree:
 
     def use_backend(self, backend: BackendSpec) -> None:
         """Swap every node's PIFOs onto ``backend`` (entries migrate)."""
+        self._check_unowned()
+        self._swap_backend(backend)
+
+    def _swap_backend(self, backend: BackendSpec) -> None:
         self.pifo_backend = backend
         for node in self.root.walk():
-            node.use_backend(backend)
+            node._swap_backend(backend)
+
+    def _check_unowned(self) -> None:
+        if self.owner is not None:
+            raise TreeConfigurationError(
+                "this tree is owned by a ProgrammableScheduler: swap its "
+                "storage with ProgrammableScheduler.use_backend, which "
+                "re-installs the tree kernel"
+            )
 
     # -- validation ----------------------------------------------------------
     def _validate(self) -> None:
         for node in self.root.walk():
+            if node.tree is not None:
+                raise TreeConfigurationError(
+                    f"node {node.name!r} already belongs to a ScheduleTree"
+                )
             if node.name in self._nodes:
                 raise TreeConfigurationError(f"duplicate node name {node.name!r}")
             self._nodes[node.name] = node
@@ -291,11 +324,7 @@ class ScheduleTree:
         """
         trivial = self._trivial_path
         if trivial is not None:
-            if not self.root.children:
-                return trivial
-            # A child was attached after construction; drop the stale cache
-            # and fall through to the generic walk.
-            self._trivial_path = None
+            return trivial
         if not self.root.predicate(packet):
             raise TreeConfigurationError(
                 f"packet {packet!r} does not match the root predicate"

@@ -11,10 +11,9 @@ Three details deserve a note:
 * **Compile-by-default.**  Programs are lowered to native Python closures by
   :mod:`repro.lang.compiler` at construction time; the per-packet cost is a
   direct function call, not an AST walk.  If the compiler cannot lower a
-  construct it raises :class:`~repro.lang.compiler.CompileError` and the
-  bridge silently falls back to the interpreter — ``backend="interpreted"``
-  forces the fallback explicitly, which the ablation benchmark uses for its
-  baseline.
+  construct, construction raises :class:`~repro.lang.compiler.CompileError`;
+  the interpreter runs only when chosen with ``backend="interpreted"``
+  (the ablation benchmark's baseline).
 * **Dequeue programs.**  Some algorithms update state when a packet leaves
   the PIFO, not only when it enters — STFQ advances its virtual time to the
   start tag of the dequeued packet.  The bridge therefore accepts an
@@ -43,15 +42,15 @@ from ..exceptions import TransactionError
 from ..hardware.atoms import AtomPipelineAnalyzer, PipelineReport, TransactionSpec
 from .analysis import ProgramAnalysis, analyze_program, spec_from_program
 from .ast import Program
-from .compiler import CompiledProgram, CompileError, compile_cached
-from .errors import LangError, RuntimeLangError
+from .compiler import CompiledProgram, compile_cached
+from .errors import RuntimeLangError
 from .interpreter import ExecutionResult, Interpreter, ProgramEnvironment
 from .parser import parse
 
 #: Default execution backend for lang-backed transactions.  ``"compiled"``
-#: lowers the AST to a native Python closure (with automatic interpreter
-#: fallback on unsupported constructs); ``"interpreted"`` forces the
-#: per-packet AST walk.
+#: lowers the AST to a native Python closure (raising ``CompileError`` on
+#: an unsupported construct); ``"interpreted"`` selects the per-packet AST
+#: walk.
 DEFAULT_BACKEND = "compiled"
 
 _VALID_BACKENDS = ("compiled", "interpreted")
@@ -106,30 +105,22 @@ class _CompiledProgramMixin:
         )
         self._compiled: Optional[CompiledProgram] = None
         self._dequeue_compiled: Optional[CompiledProgram] = None
-        self.compile_fallback_reason: Optional[str] = None
         self.backend = resolve_backend(backend)
         if self.backend == "compiled":
-            try:
-                self._compiled = compile_cached(
-                    self.program,
+            self._compiled = compile_cached(
+                self.program,
+                state=self._initial_state,
+                params=self.params,
+                name=name,
+            )
+            if self.dequeue_program is not None:
+                self._dequeue_compiled = compile_cached(
+                    self.dequeue_program,
                     state=self._initial_state,
                     params=self.params,
-                    name=name,
+                    dynamic_params=("dequeued_rank",),
+                    name=f"{name}.dequeue",
                 )
-                if self.dequeue_program is not None:
-                    self._dequeue_compiled = compile_cached(
-                        self.dequeue_program,
-                        state=self._initial_state,
-                        params=self.params,
-                        dynamic_params=("dequeued_rank",),
-                        name=f"{name}.dequeue",
-                    )
-            except (CompileError, LangError) as exc:
-                # Unsupported construct: run interpreted, record why.
-                self._compiled = None
-                self._dequeue_compiled = None
-                self.backend = "interpreted"
-                self.compile_fallback_reason = str(exc)
         self._execute = (
             self._compiled.execute
             if self._compiled is not None
@@ -143,11 +134,6 @@ class _CompiledProgramMixin:
             )
         else:
             self._dequeue_execute = None
-        # Per-call environments are reused (rebuilt only when reset() swaps
-        # the state mapping); the dequeue params dict is shared with its
-        # environment and updated in place.
-        self._env: Optional[ProgramEnvironment] = None
-        self._dequeue_env: Optional[ProgramEnvironment] = None
         if require_line_rate:
             report = self.pipeline_report()
             if not report.feasible:
@@ -155,6 +141,21 @@ class _CompiledProgramMixin:
                     f"program {name!r} cannot run at line rate: {report.reason}"
                 )
         super().__init__()
+        # One environment per program for the transaction's lifetime: it
+        # holds ``self.state``, which reset/restore refill in place.  The
+        # dequeue side owns a params copy, updated in place per call.
+        self._env = ProgramEnvironment(
+            state=self.state,
+            params=self.params,
+            flow_attrs=self.flow_attrs,
+            functions=self.functions,
+        )
+        self._dequeue_env = ProgramEnvironment(
+            state=self.state,
+            params=dict(self.params),
+            flow_attrs=self.flow_attrs,
+            functions=self.functions,
+        )
 
     # -- Transaction API -------------------------------------------------------
     def initial_state(self) -> Dict[str, Any]:
@@ -175,20 +176,8 @@ class _CompiledProgramMixin:
         return self._compiled.source_text
 
     # -- execution ---------------------------------------------------------------
-    def _environment(self) -> ProgramEnvironment:
-        env = self._env
-        if env is None or env.state is not self.state:
-            env = ProgramEnvironment(
-                state=self.state,
-                params=self.params,
-                flow_attrs=self.flow_attrs,
-                functions=self.functions,
-            )
-            self._env = env
-        return env
-
     def _run(self, packet: Packet, ctx: TransactionContext) -> ExecutionResult:
-        result = self._execute(packet, ctx, self._environment())
+        result = self._execute(packet, ctx, self._env)
         # Packet-field writes other than the rank/send-time outputs persist on
         # the packet, exactly as the paper's programs write back to ``p.x``
         # (LSTF relies on this to carry the decremented slack to the next hop).
@@ -197,22 +186,10 @@ class _CompiledProgramMixin:
                 packet.set(field_name, value)
         return result
 
-    def _dequeue_environment(self) -> ProgramEnvironment:
-        env = self._dequeue_env
-        if env is None or env.state is not self.state:
-            env = ProgramEnvironment(
-                state=self.state,
-                params=dict(self.params),
-                flow_attrs=self.flow_attrs,
-                functions=self.functions,
-            )
-            self._dequeue_env = env
-        return env
-
     def on_dequeue(self, element: Any, ctx: TransactionContext) -> None:
         if self._dequeue_execute is None:
             return
-        env = self._dequeue_environment()
+        env = self._dequeue_env
         rank = ctx.extras.get("rank")
         env.params["dequeued_rank"] = 0.0 if rank is None else rank
         packet = element if isinstance(element, Packet) else _pseudo_packet(ctx)

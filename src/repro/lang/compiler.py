@@ -137,9 +137,9 @@ from .interpreter import (
 class CompileError(LangError):
     """Raised when a program uses a construct the compiler cannot lower.
 
-    The bridge treats this as "fall back to the interpreter", so growing the
-    language never breaks existing programs — they just run interpreted
-    until the compiler catches up.
+    Building a transaction on the compiled back end raises it; a program
+    with a construct the compiler does not lower yet runs only when built
+    with ``backend="interpreted"``.
     """
 
 

@@ -63,13 +63,15 @@ the shaping transaction's tag and PIFO backend.  Two schedulers with the same
 shape share one code object; each instantiates its own closures over its
 own node state, so state stays fully independent.
 
-**Staleness guards.**  The closures hoist node PIFOs, transaction state and
-the stats object into cells.  Sanctioned mutation points
-(``scheduler.reset()`` / ``use_backend()``) rebuild the kernel explicitly;
-everything else — ``tree.use_backend()`` behind the scheduler's back, a
-direct ``transaction.reset()``, ``add_child`` after construction — is caught
-by a per-call identity guard that re-specialises on the next packet, so a
-stale kernel can never produce wrong results.
+**Specialise once.**  The factory hoists node PIFOs, transaction state,
+program environments, the stats object and the shaping calendar into
+closure cells, and the generated code never re-checks them: identities are
+fixed at the sanctioned mutation points.  A
+:class:`~repro.core.tree.ScheduleTree` is sealed at construction
+(``add_child`` raises), the scheduler owns it and swaps its storage only
+through ``scheduler.use_backend()``, which re-installs the kernel, and
+every reset — scheduler, tree, transaction, ``restore`` — refills the
+hoisted objects in place.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ from ..core.predicates import (
     MatchAll,
     MatchNone,
 )
-from ..core.scheduler import ProgrammableScheduler, ShapingToken
+from ..core.scheduler import ShapingToken
 from ..core.tree import TreeNode, _packet_flow
 from ..exceptions import PIFOFullError, SchedulerError, TreeConfigurationError
 from .compiler import RUNTIME_GLOBALS, CompileError, FragmentNames
@@ -153,7 +155,12 @@ _filename_counter = itertools.count()
 
 
 def kernel_cache_info() -> Dict[str, int]:
-    """Cache and install counters (read by ``bench/`` and the campaign runner)."""
+    """Cache and install counters (read by ``bench/`` and the campaign runner).
+
+    ``fallbacks`` counts kernel builds that raised: the error reaches the
+    scheduler's constructor (or ``use_backend``), so on working code it
+    stays 0.
+    """
     return dict(_stats, size=len(_CACHE))
 
 
@@ -307,12 +314,7 @@ def _node_signature(node: TreeNode) -> _NodeSig:
 
 
 def tree_signature(scheduler) -> Tuple[_NodeSig, ...]:
-    """Shape signature of a scheduler's tree; raises on unsupported schedulers."""
-    if type(scheduler) is not ProgrammableScheduler:
-        raise TreeKernelError(
-            f"{type(scheduler).__name__} subclasses ProgrammableScheduler; the "
-            "kernel's per-instance closures would shadow its method overrides"
-        )
+    """Shape signature of a scheduler's tree."""
     return tuple(_node_signature(node) for node in scheduler.tree.nodes())
 
 
@@ -370,14 +372,6 @@ def _or_packet_flow(em: _Emitter, ind: int, flow: str) -> str:
     return "eflow"
 
 
-def _emit_env(em: _Emitter, ind: int, tx: str, side: str = "") -> None:
-    """Emit the bridge's cached-environment lookup for transaction ``tx``
-    (``side="dequeue_"`` for its dequeue program's environment)."""
-    em.w(ind, f"env = {tx}._{side}env")
-    em.w(ind, f"if env is None or env.state is not {tx}.state:")
-    em.w(ind + 1, f"env = {tx}._{side}environment()")
-
-
 def _emit_rank(em: _Emitter, ind: int, i: int, sig: _NodeSig, flow: str,
                tx) -> None:
     """Emit statements computing ``rank`` for node ``i``.
@@ -401,13 +395,13 @@ def _emit_rank(em: _Emitter, ind: int, i: int, sig: _NodeSig, flow: str,
             f"scheduling program {name!r} finished without assigning p.rank"
         )
         em.w(ind, f"tx{i}.executions += 1")
-        _emit_env(em, ind, f"tx{i}")
         if _spliced(sig):
+            em.w(ind, f"env = e{i}")
             em.splice(ind, tx._compiled.fragment(FragmentNames(
                 prefix=f"r{i}_", owner=f"tx{i}._compiled",
                 flow=_or_packet_flow(em, ind, flow), rank="rank")))
         else:
-            em.w(ind, f"res = x{i}(packet, ectx, env)")
+            em.w(ind, f"res = x{i}(packet, ectx, e{i})")
             em.w(ind, "for fname, value in res.packet_writes.items():")
             em.w(ind + 1, "if fname != 'rank' and fname != 'send_time':")
             em.w(ind + 2, "packet.set(fname, value)")
@@ -430,7 +424,7 @@ def _emit_send_time(em: _Emitter, ind: int, i: int, sig: _NodeSig,
         "p.send_time or p.rank"
     )
     em.w(ind, f"sh{i}.executions += 1")
-    _emit_env(em, ind, f"sh{i}")
+    em.w(ind, f"env = se{i}")
     em.splice(ind, shaping._compiled.fragment(FragmentNames(
         prefix=f"t{i}_", owner=f"sh{i}._compiled",
         flow=_or_packet_flow(em, ind, flow),
@@ -577,7 +571,7 @@ def _emit_hook(em: _Emitter, ind: int, i: int, sig: _NodeSig, tx,
             # The program reads nothing of the element (so a reference,
             # which has no packet, can run it): the same code for all.
             packet, flow, length = "None", "None", "0"
-        _emit_env(em, ind, f"tx{i}", side="dequeue_")
+        em.w(ind, f"env = de{i}")
         em.splice(ind, tx._dequeue_compiled.fragment(FragmentNames(
             prefix=f"d{i}_", owner=f"tx{i}._dequeue_compiled",
             packet=packet, now="now", flow=flow, length=length,
@@ -668,18 +662,19 @@ def _generate(signature: Tuple[_NodeSig, ...],
     w(1, "ectx = S._enq_ctx")
     w(1, "dctx = S._deq_ctx")
     w(1, "extras = dctx.extras")
-    w(1, "root = nodes[0]")
-    w(1, "version = root._subtree_version")
-    if shaped:
-        w(1, "cal = S._shaping_calendar")
+    w(1, "cal = S._shaping_calendar")
     for i, sig in enumerate(sigs):
         w(1, f"n{i} = nodes[{i}]")
         w(1, f"p{i} = n{i}.scheduling_pifo")
         w(1, f"tx{i} = n{i}.scheduling")
         if sig.tx[0] == "arrival_seq":
             w(1, f"st{i} = tx{i}.state")
-        if sig.tx[0] == "lang" and not _spliced(sig):
-            w(1, f"x{i} = tx{i}._execute")
+        if sig.tx[0] == "lang":
+            w(1, f"e{i} = tx{i}._env")
+            if not _spliced(sig):
+                w(1, f"x{i} = tx{i}._execute")
+        if sig.hook is not None and sig.hook[0] == "splice":
+            w(1, f"de{i} = tx{i}._dequeue_env")
         if not sig.default_flow:
             w(1, f"f{i} = n{i}.flow_fn")
         if sig.pred[0] == "generic":
@@ -691,6 +686,8 @@ def _generate(signature: Tuple[_NodeSig, ...],
         if sig.shaping is not None:
             w(1, f"sh{i} = n{i}.shaping")
             w(1, f"h{i} = n{i}.shaping_pifo")
+            if sig.shaping[0] == "splice":
+                w(1, f"se{i} = sh{i}._env")
             if sig.shaping_backend == "quantized":
                 w(1, f"h{i}_q = h{i}.quantum")
 
@@ -699,17 +696,6 @@ def _generate(signature: Tuple[_NodeSig, ...],
         path = [i] + ancestors(i)
         if any(j in shaped for j in path):
             w(1, f"path{i} = [{', '.join(f'n{j}' for j in path)}]")
-
-    guard_terms = ["stats is not S.stats", "root._subtree_version != version"]
-    if shaped:
-        guard_terms.append("cal is not S._shaping_calendar")
-    for i, sig in enumerate(sigs):
-        guard_terms.append(f"p{i} is not n{i}.scheduling_pifo")
-        if sig.tx[0] == "arrival_seq":
-            guard_terms.append(f"st{i} is not tx{i}.state")
-        if sig.shaping is not None:
-            guard_terms.append(f"h{i} is not n{i}.shaping_pifo")
-    guard = " or ".join(guard_terms)
 
     def emit_walk(ind: int, chain: List[int], element: str, flow: str,
                   path: str, index: str = "") -> None:
@@ -755,8 +741,6 @@ def _generate(signature: Tuple[_NodeSig, ...],
 
     # ---- enqueue ----------------------------------------------------------
     w(1, "def enqueue(packet, now=None):")
-    w(2, f"if {guard}:")
-    w(3, "return S._kernel_stale_enqueue(packet, now)")
     w(2, "time_now = packet.arrival_time if now is None else now")
     w(2, "try:")
 
@@ -824,8 +808,6 @@ def _generate(signature: Tuple[_NodeSig, ...],
 
     # ---- dequeue ----------------------------------------------------------
     w(1, "def dequeue(now=0.0):")
-    w(2, f"if {guard}:")
-    w(3, "return S._kernel_stale_dequeue(now)")
     if shaped:
         # process_shaping_releases, with each shaped node's resume walk (the
         # static parent-to-root remainder of its path) inlined.  Calendar
@@ -837,7 +819,6 @@ def _generate(signature: Tuple[_NodeSig, ...],
         w(4, "node = token.node")
         for k, i in enumerate(shaped):
             w(4, f"{'elif' if k else 'if'} node is n{i}:")
-            # The guard above vouches for h{i} being the node's PIFO.
             live = _emit_head_test(em, 5, f"h{i}", sigs[i].shaping_backend)
             w(5, f"if not ({live}):")
             w(6, "continue")
@@ -915,8 +896,6 @@ def _generate(signature: Tuple[_NodeSig, ...],
     # untouched.)
     root_sig = sigs[0]
     w(1, "def transfer(packet, now):")
-    w(2, f"if {guard}:")
-    w(3, "return S._kernel_stale_transfer(packet, now)")
     cut_through = len(sigs) == 1 and root_sig.backend in (
         "sorted", "calendar", "quantized"
     )
@@ -977,11 +956,9 @@ def _generate(signature: Tuple[_NodeSig, ...],
 
     # ---- next_release -----------------------------------------------------
     # ProgrammableScheduler.next_shaping_release: a port polls it after every
-    # dequeue that yields nothing.  Guard-free — the calendar is read from S
-    # and a hoisted shaping PIFO is only trusted while it still is the
-    # token's node's — with the stale-head test inline per backend.
+    # dequeue that yields nothing, so the stale-head test is inline per
+    # backend.
     w(1, "def next_release():")
-    w(2, "cal = S._shaping_calendar")
     w(2, "while cal:")
     w(3, "head = cal[0]")
     w(3, "token = head[2]")
@@ -1055,17 +1032,17 @@ def _factory_for(signature: Tuple,
 def compile_tree_kernel(scheduler) -> TreeKernel:
     """Compile (or fetch from cache) the fused kernel for ``scheduler``.
 
-    Raises :class:`TreeKernelError` (counted as a fallback) for a scheduler
-    subclass; the scheduler then stays on the interpreted methods.
+    Any error propagates (counted in ``kernel_cache_info()["fallbacks"]``);
+    there is no silent class-method fallback.
     """
+    nodes = scheduler.tree.nodes()
     try:
         signature = tree_signature(scheduler)
-    except TreeKernelError:
+        factory, source, filename, called = _factory_for(signature, nodes)
+        closures = factory(scheduler, nodes)
+    except Exception:
         _stats["fallbacks"] += 1
         raise
-    nodes = scheduler.tree.nodes()
-    factory, source, filename, called = _factory_for(signature, nodes)
-    closures = factory(scheduler, nodes)
     _stats["installs"] += 1
     _stats["called_programs"] += len(called)
     return TreeKernel(*closures, signature, source, filename, called)

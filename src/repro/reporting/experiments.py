@@ -8,8 +8,7 @@ states a number) and free-form notes about what to look for.
 The registry :data:`EXPERIMENTS` maps experiment identifiers to runners and
 is what the CLI, the report generator and the integration tests iterate
 over.  Runners accept a ``quick`` flag so interactive use stays fast; the
-benchmark harness under ``benchmarks/`` runs the same experiments at full
-length with pytest-benchmark instrumentation.
+modules under ``benchmarks/`` run the same experiments at full length.
 """
 
 from __future__ import annotations

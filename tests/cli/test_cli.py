@@ -126,7 +126,7 @@ class TestCommands:
         kernel = capsys.readouterr().out.split("Fused tree kernel")[1]
         assert ("# called, not spliced: stfq at node root: runs on the "
                 "interpreted back end") in kernel
-        assert "res = x0(packet, ectx, env)" in kernel
+        assert "res = x0(packet, ectx, e0)" in kernel
 
     def test_show_unknown_program(self, capsys):
         assert main(["show", "bogus"]) == 2

@@ -66,6 +66,22 @@ class TestTreeStructure:
         with pytest.raises(TreeConfigurationError):
             TreeNode(name="p2", scheduling=FIFOTransaction()).add_child(child)
 
+    def test_add_child_after_construction_rejected(self):
+        # The shape is sealed at ScheduleTree(): a late child would skip
+        # validation (here: a second node named "root").
+        tree = single_node_tree(FIFOTransaction())
+        with pytest.raises(TreeConfigurationError, match="fixed"):
+            tree.root.add_child(TreeNode("root", FIFOTransaction()))
+        assert tree.root.is_leaf
+        assert tree.match_path(Packet(flow="A", length=10)) == [tree.root]
+
+    def test_node_of_a_tree_cannot_join_another(self):
+        tree = build_two_level_tree()
+        with pytest.raises(TreeConfigurationError, match="fixed"):
+            TreeNode("Top", FIFOTransaction()).add_child(tree.root)
+        with pytest.raises(TreeConfigurationError, match="already belongs"):
+            ScheduleTree(tree.node("Left"))
+
     def test_root_shaping_rejected(self):
         root = TreeNode(
             name="Root",
@@ -102,22 +118,6 @@ class TestPacketClassification:
     def test_leaf_for(self):
         tree = build_two_level_tree()
         assert tree.leaf_for(Packet(flow="D", length=100)).name == "Right"
-
-    def test_trivial_path_cache_invalidated_by_add_child(self):
-        # The single-node fast path must not survive post-construction
-        # structural changes: a child attached after ScheduleTree() is
-        # built has to show up in match_path.
-        from repro.core.transaction import LambdaSchedulingTransaction
-
-        root = TreeNode("Root", LambdaSchedulingTransaction(
-            lambda p, ctx, state: 0.0))
-        tree = ScheduleTree(root)
-        assert [n.name for n in tree.match_path(Packet(flow="A", length=10))] \
-            == ["Root"]
-        root.add_child(TreeNode("Leaf", LambdaSchedulingTransaction(
-            lambda p, ctx, state: 0.0)))
-        path = tree.match_path(Packet(flow="A", length=10))
-        assert [n.name for n in path] == ["Leaf", "Root"]
 
     def test_unmatched_packet_stops_at_interior_node(self):
         tree = build_two_level_tree()

@@ -245,7 +245,7 @@ class TestBridgeBackends:
         with pytest.raises(ValueError):
             compile_scheduling_program("p.rank = now", backend="llvm")
 
-    def test_unsupported_construct_falls_back_to_interpreter(self):
+    def test_unsupported_construct_raises(self):
         class AlienStatement(Statement):
             line = 1
 
@@ -255,9 +255,12 @@ class TestBridgeBackends:
         program = Program(statements=(AlienStatement(),), source="<alien>")
         with pytest.raises(CompileError):
             compile_program(program)
-        transaction = compile_scheduling_program(program)
+        # The compiled back end fails closed; the interpreter runs only
+        # when chosen.
+        with pytest.raises(CompileError):
+            compile_scheduling_program(program)
+        transaction = compile_scheduling_program(program, backend="interpreted")
         assert transaction.backend == "interpreted"
-        assert transaction.compile_fallback_reason is not None
 
     def test_compiled_and_interpreted_ranks_match_end_to_end(self):
         from repro.lang.programs import stfq_program

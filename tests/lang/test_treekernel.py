@@ -1,4 +1,4 @@
-"""Fused whole-tree kernels: install rules, cache, staleness, equivalence.
+"""Fused whole-tree kernels: install rules, cache, ownership, equivalence.
 
 :mod:`repro.lang.treekernel` compiles a scheduler's entire tree (shape +
 per-node transaction programs) into one generated-Python kernel whose
@@ -8,11 +8,11 @@ pin the contract that makes that safe:
 
 * the kernel installs by default and is observationally identical to the
   interpreted engine (stats, counters, departure order, timestamps);
-* every tree fuses, shaping included; the one thing that cannot — a
-  scheduler subclass — falls back to the interpreted methods with a
-  reason, never an error;
-* kernels are cached by tree-shape signature and re-specialised when the
-  tree is mutated behind the scheduler's back;
+* every tree fuses, shaping included; a kernel that fails to build
+  raises (and is counted), and a scheduler subclass is refused outright;
+* kernels are cached by tree-shape signature and specialised once: the
+  scheduler owns its sealed tree, storage moves only through
+  ``scheduler.use_backend`` and every reset refills state in place;
 * lang programs are spliced into the kernel: errors are the interpreter's,
   no fragment sees another's locals, and a program that cannot be a
   fragment is called, listed with the reason, and still in lockstep;
@@ -59,7 +59,7 @@ from repro.core import (
 from repro.core.packet import Packet
 from repro.core.pifo import PIFOFullError
 from repro.core.predicates import ClassIn, FlowIn
-from repro.exceptions import SchedulerError
+from repro.exceptions import SchedulerError, TreeConfigurationError
 from repro.lang import RuntimeLangError
 from repro.lang.bridge import compile_scheduling_program
 from repro.lang.programs import (
@@ -72,7 +72,6 @@ from repro.lang.trees import build_fig4_tree_from_programs
 from repro.lang.treekernel import (
     TreeKernelError,
     clear_kernel_cache,
-    compile_tree_kernel,
     kernel_cache_info,
 )
 
@@ -86,7 +85,7 @@ def _fifo_scheduler(**kwargs):
 
 
 class _Custom(ProgrammableScheduler):
-    """The one shape that cannot fuse: closures would shadow overrides."""
+    """Refused: the kernel's closures would shadow its overrides."""
 
 
 def _drain(scheduler, now=1.0):
@@ -102,7 +101,6 @@ class TestInstall:
     def test_kernel_installed_by_default(self):
         scheduler = _fifo_scheduler()
         assert scheduler.tree_kernel is not None
-        assert scheduler.kernel_fallback_reason is None
         # The fused closures shadow the class methods.
         assert "enqueue" in scheduler.__dict__
         assert "dequeue" in scheduler.__dict__
@@ -112,25 +110,25 @@ class TestInstall:
         scheduler = _fifo_scheduler()
         scheduler.set_tree_kernel(False)
         assert scheduler.tree_kernel is None
-        assert scheduler.kernel_fallback_reason == "disabled"
+        assert "enqueue" not in scheduler.__dict__
         # Still fully functional interpreted.
         assert scheduler.enqueue(Packet(flow="a", length=100), now=0.0)
         assert scheduler.dequeue(now=0.0).flow == "a"
         scheduler.set_tree_kernel(True)
         assert scheduler.tree_kernel is not None
 
-    def test_subclass_never_fuses(self):
-        scheduler = _Custom(single_node_tree(ArrivalSequenceTransaction()))
-        assert scheduler.tree_kernel is None
-        assert "subclass" in scheduler.kernel_fallback_reason
-        assert "enqueue" not in scheduler.__dict__
-        with pytest.raises(TreeKernelError):
-            compile_tree_kernel(scheduler)
+    def test_subclass_rejected(self):
+        tree = single_node_tree(ArrivalSequenceTransaction())
+        with pytest.raises(TypeError, match="subclasses the final ProgrammableScheduler"):
+            _Custom(tree)
+        with pytest.raises(TypeError):
+            _Custom(tree, tree_kernel=False)
+        # The refused subclass did not take the tree.
+        assert ProgrammableScheduler(tree).tree_kernel is not None
 
     def test_shaping_tree_fuses(self):
         scheduler = ProgrammableScheduler(build_fig4_tree())
         assert scheduler.tree_kernel is not None
-        assert scheduler.kernel_fallback_reason is None
         # Shaping can hold packets back, so a port may not cut through.
         assert not scheduler.tree_kernel.work_conserving
         assert not scheduler.kernel_work_conserving
@@ -167,23 +165,49 @@ class TestCache:
         assert a.tree_kernel.signature != b.tree_kernel.signature
         assert kernel_cache_info()["misses"] >= 2
 
-    def test_fallback_counted(self):
+    def test_failed_build_raises_and_is_counted(self, monkeypatch):
+        import repro.lang.treekernel as treekernel
+
+        def broken(signature, nodes):
+            raise TreeKernelError("generated kernel failed to compile")
+
         clear_kernel_cache()
-        _Custom(single_node_tree(ArrivalSequenceTransaction()))
+        monkeypatch.setattr(treekernel, "_generate", broken)
+        tree = single_node_tree(ArrivalSequenceTransaction())
+        with pytest.raises(TreeKernelError):
+            ProgrammableScheduler(tree)
+        info = kernel_cache_info()
+        assert (info["fallbacks"], info["installs"]) == (1, 0)
+        # Declining the kernel is an explicit choice, not a fallback; the
+        # failed construction left the tree free for it.
+        assert ProgrammableScheduler(tree, tree_kernel=False).tree_kernel is None
         assert kernel_cache_info()["fallbacks"] == 1
 
 
 class TestStaleness:
-    def test_direct_tree_use_backend_respecialises(self):
+    """A kernel cannot go stale: nothing it hoisted can be replaced."""
+
+    def test_direct_tree_use_backend_rejected(self):
         scheduler = _fifo_scheduler()
-        before = scheduler.tree_kernel
-        # Mutate the tree *behind* the scheduler: the per-call guard must
-        # notice the swapped PIFO object and rebuild.
-        scheduler.tree.use_backend("calendar")
+        kernel, pifo = scheduler.tree_kernel, scheduler.tree.root.scheduling_pifo
+        with pytest.raises(TreeConfigurationError,
+                           match="ProgrammableScheduler.use_backend"):
+            scheduler.tree.use_backend("calendar")
+        with pytest.raises(TreeConfigurationError,
+                           match="ProgrammableScheduler.use_backend"):
+            scheduler.tree.root.use_backend("calendar")
+        assert scheduler.tree.root.scheduling_pifo is pifo
+        assert scheduler.tree_kernel is kernel
         packet = Packet(flow="a", length=100)
-        assert scheduler.enqueue(packet, now=0.0)
-        assert scheduler.tree_kernel is not before
-        assert scheduler.dequeue(now=0.0) is packet
+        assert scheduler.transfer(packet, 0.0) is packet
+
+    def test_second_scheduler_over_one_tree_rejected(self):
+        scheduler = _fifo_scheduler()
+        with pytest.raises(TreeConfigurationError, match="already runs"):
+            ProgrammableScheduler(scheduler.tree)
+        with pytest.raises(TreeConfigurationError, match="already runs"):
+            ProgrammableScheduler(scheduler.tree, tree_kernel=False)
+        assert scheduler.tree.owner is scheduler
 
     def test_scheduler_use_backend_respecialises(self):
         scheduler = _fifo_scheduler()
@@ -191,11 +215,39 @@ class TestStaleness:
         scheduler.use_backend("quantized")
         assert scheduler.tree_kernel is not before
 
-    def test_stale_transfer_recovers(self):
-        scheduler = _fifo_scheduler()
-        scheduler.tree.use_backend("calendar")
-        packet = Packet(flow="a", length=100)
-        assert scheduler.transfer(packet, 0.0) is packet
+    @pytest.mark.parametrize("build", [build_fig4_tree,
+                                       build_fig4_tree_from_programs])
+    def test_reset_and_restore_keep_state_objects(self, build):
+        def transactions(scheduler):
+            return [tx for node in scheduler.tree.nodes()
+                    for tx in (node.scheduling, node.shaping) if tx is not None]
+
+        def run(scheduler):
+            for k in range(15):
+                packet = Packet(flow="ABCDE"[k % 5], length=1000)
+                assert scheduler.enqueue(packet, now=k * 1e-4)
+            return [(p.flow, p.dequeue_time)
+                    for p in scheduler.drain_timed(until=1.0)]
+
+        fused = ProgrammableScheduler(build())
+        plain = ProgrammableScheduler(build(), tree_kernel=False)
+        states = [tx.state for tx in transactions(fused)]
+        stats, kernel = fused.stats, fused.tree_kernel
+        installs = kernel_cache_info()["installs"]
+        run(fused)
+        snapshots = [tx.snapshot() for tx in transactions(fused)]
+        for scheduler in (fused, plain):
+            scheduler.reset()
+            for tx, snapshot in zip(transactions(scheduler), snapshots):
+                tx.restore(snapshot)
+        assert all(tx.state is state
+                   for tx, state in zip(transactions(fused), states))
+        assert fused.stats is stats and fused.tree_kernel is kernel
+        assert kernel_cache_info()["installs"] == installs
+        # The kernel keeps scheduling over the refilled objects, exactly
+        # as the class methods do from the same restored state.
+        assert run(fused) == run(plain)
+        assert fused.stats == plain.stats
 
     def test_reset_keeps_kernel_working(self):
         scheduler = _fifo_scheduler()
@@ -510,9 +562,7 @@ class TestShapingLockstep:
                     == plain.next_shaping_release()), (step, op)
             assert (_scheduler_state(fused, index_of[0])
                     == _scheduler_state(plain, index_of[1])), (step, op)
-        # A reset (or a stale guard) may rebuild the kernel, never lose it.
         assert fused.tree_kernel is not None
-        assert fused.kernel_fallback_reason is None
 
     def test_drain_timed_and_class_release_path_agree(self):
         # process_shaping_releases / drain_timed are class methods working
@@ -706,7 +756,7 @@ class TestSplicedPrograms:
         assert fused.tree_kernel.called_programs == (
             ("root", "unproven", reason),)
         assert kernel_cache_info()["called_programs"] == 1
-        assert "res = x0(packet, ectx, env)" in fused.tree_kernel.source
+        assert "res = x0(packet, ectx, e0)" in fused.tree_kernel.source
         assert outcomes[0][0] == "ok"
 
     def test_interpreted_program_is_called_and_listed(self):
@@ -935,7 +985,6 @@ def test_the_paper_catalogue_is_spliced(name):
     """Each listed algorithm is its program text, spliced into the kernel:
     no fallback, nothing called per packet."""
     scheduler = ProgrammableScheduler(single_node_tree(PAPER_CATALOGUE[name]()))
-    assert scheduler.kernel_fallback_reason is None
     assert scheduler.tree_kernel.called_programs == ()
     (node,) = scheduler.tree_kernel.signature
     assert node.tx[0] == "lang" and node.tx[2] is True, node.tx
@@ -950,7 +999,6 @@ def test_token_bucket_shaping_is_spliced():
         name="shaped", scheduling=FIFOTransaction(),
         shaping=TokenBucketShapingTransaction(rate_bps=1e6, burst_bytes=1500)))
     scheduler = ProgrammableScheduler(ScheduleTree(root))
-    assert scheduler.kernel_fallback_reason is None
     assert scheduler.tree_kernel.called_programs == ()
     assert scheduler.tree_kernel.signature[1].shaping[0] == "splice"
 
@@ -1009,9 +1057,8 @@ def test_nothing_shipped_falls_back():
                 factory = scenario.scheduler_factory(label, backend)
                 schedulers[f"{scenario.name}/{label}[{backend}]"] = (
                     factory("s1", "to_s2"))
-    assert {name: scheduler.kernel_fallback_reason
-            for name, scheduler in schedulers.items()
-            if scheduler.tree_kernel is None} == {}
+    assert [name for name, scheduler in schedulers.items()
+            if scheduler.tree_kernel is None] == []
     # Only an interpreted program is ever called instead of spliced.
     called = {name: scheduler.tree_kernel.called_programs
               for name, scheduler in schedulers.items()

@@ -238,6 +238,5 @@ class TestScenarioLockstep:
 
         assert all(s.tree_kernel is not None
                    for s in switch_schedulers(True))
-        assert all(s.tree_kernel is None
-                   and s.kernel_fallback_reason == "disabled"
+        assert all(s.tree_kernel is None and "enqueue" not in s.__dict__
                    for s in switch_schedulers(False))
