@@ -29,20 +29,23 @@ from repro.net import (
 from repro.sim import Simulator
 
 
-def transaction_factory(transaction_class):
+def transaction_factory(transaction_class, pifo_backend=None):
     def factory(switch, port):
-        return ProgrammableScheduler(single_node_tree(transaction_class()))
+        return ProgrammableScheduler(single_node_tree(transaction_class()),
+                                     pifo_backend=pifo_backend)
 
     return factory
 
 
 def single_node_variant(transaction_class):
-    """A scenario variant: ``lang_backend -> (switch, port) -> scheduler``.
+    """A scenario variant:
+    ``(lang_backend, pifo_backend) -> (switch, port) -> scheduler``.
 
     This example ignores the lang back end; a scenario swept over it would
     pass it to the program factories in :mod:`repro.lang.programs`.
     """
-    return lambda lang_backend: transaction_factory(transaction_class)
+    return lambda lang_backend, pifo_backend: transaction_factory(
+        transaction_class, pifo_backend)
 
 
 def stop1_builtin_scenario() -> None:

@@ -6,12 +6,11 @@ algorithms).  All of them run unmodified on both the reference engine
 (:mod:`repro.core.scheduler`) and the cycle-level hardware model
 (:mod:`repro.hardware`).
 
-The algorithms the paper lists as programs are programs: STFQ/WFQ,
-token-bucket shaping, LSTF, strict priority and SJF/SRPT/EDF/field rank
-return the compiled transaction of their text in
-:mod:`repro.lang.programs`, the one definition the tree kernel splices.
-The rest are native classes; DESIGN.md ("Algorithms are programs") says
-why each stays.
+Every algorithm but three is program text in :mod:`repro.lang.programs`,
+the one definition the tree kernel splices: the names here return its
+compiled transaction, after checking their parameters.  FIFO and arrival
+sequence stay native (the kernel inlines them) and so does stop-and-go;
+DESIGN.md ("Algorithms are programs") says why.
 """
 
 from ..lang.programs import stfq_program as STFQTransaction

@@ -7,34 +7,24 @@ link capacity) by a **two-level tree**:
 * the root runs strict priority over flows: a flow currently *under* its
   minimum rate is scheduled ahead of flows *over* their minimum rate.
 
-Whether a flow is under or over is decided by the token-bucket transaction
-of Figure 8, executed when the flow's reference is pushed into the root::
-
-    tb = min(tb + min_rate * (now - last_time), BURST_SIZE)
-    if tb > p.size:
-        p.over_min = 0        # under min rate
-        tb = tb - p.size
-    else:
-        p.over_min = 1        # over min rate
-    last_time = now
-    p.rank = p.over_min
+Whether a flow is under or over is decided by Figure 8's token bucket,
+kept per flow (:data:`repro.lang.programs.MIN_RATE_SOURCE`) and executed
+when the flow's reference is pushed into the root.
 
 Section 3.3 also explains why *collapsing* the tree into a single node
 reorders packets within a flow; :func:`build_collapsed_min_rate_tree` builds
-that (incorrect) variant so the ablation benchmark can demonstrate the
-reordering.
+that (incorrect) variant, running the same program on packets, so the
+ablation benchmark can demonstrate the reordering.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from ..core.backend import BackendSpec
-from ..core.pifo import Rank
-from ..core.packet import Packet
 from ..core.predicates import FlowEquals
-from ..core.transaction import SchedulingTransaction, TransactionContext
 from ..core.tree import ScheduleTree, TreeNode
+from ..lang.programs import min_rate_program
 from .fifo import FIFOTransaction
 
 #: Rank assigned to elements of flows under their guaranteed rate.
@@ -43,72 +33,16 @@ UNDER_MIN = 0
 OVER_MIN = 1
 
 
-class MinRateTransaction(SchedulingTransaction):
-    """Figure 8's transaction, generalised to one token bucket per flow.
+#: ``MinRateTransaction(min_rates_bps, burst_bytes=15000.0,
+#: default_rate_bps=0.0)``: Figure 8's transaction with one token bucket
+#: per flow; flows without a guarantee are best effort (always over).
+MinRateTransaction = min_rate_program
 
-    Parameters
-    ----------
-    min_rates_bps:
-        Mapping from flow (or leaf-node name) to its guaranteed rate in bits
-        per second.  Flows without an entry get ``default_rate_bps`` (zero
-        means they are always treated as over-the-minimum, i.e. best effort).
-    burst_bytes:
-        Token bucket depth ``BURST_SIZE`` in bytes.
-    """
-
-    state_variables = ("buckets",)
-
-    def __init__(
-        self,
-        min_rates_bps: Mapping[str, float],
-        burst_bytes: float = 15000.0,
-        default_rate_bps: float = 0.0,
-    ) -> None:
-        self.min_rates_bps = dict(min_rates_bps)
-        self.burst_bytes = burst_bytes
-        self.default_rate_bps = default_rate_bps
-        super().__init__()
-
-    def initial_state(self) -> Dict[str, Any]:
-        return {"buckets": {}}
-
-    def _bucket(self, flow: str) -> Dict[str, float]:
-        buckets: Dict[str, Dict[str, float]] = self.state["buckets"]
-        if flow not in buckets:
-            buckets[flow] = {"tb": self.burst_bytes, "last_time": 0.0}
-        return buckets[flow]
-
-    def rate_of(self, flow: str) -> float:
-        return self.min_rates_bps.get(flow, self.default_rate_bps)
-
-    def compute_rank(self, packet: Packet, ctx: TransactionContext) -> Rank:
-        flow = ctx.element_flow
-        rate = self.rate_of(flow)
-        if rate <= 0:
-            # A flow with no configured guarantee is pure best effort: it is
-            # always treated as over-the-minimum and never preempts
-            # guaranteed flows.
-            return OVER_MIN
-        rate_bytes_per_s = rate / 8.0
-        size = ctx.element_length or packet.length
-        bucket = self._bucket(flow)
-
-        tb = min(
-            bucket["tb"] + rate_bytes_per_s * (ctx.now - bucket["last_time"]),
-            self.burst_bytes,
-        )
-        if tb > size:
-            over_min = UNDER_MIN
-            tb -= size
-        else:
-            over_min = OVER_MIN
-        bucket["tb"] = tb
-        bucket["last_time"] = ctx.now
-        return over_min
-
-    def describe(self) -> str:
-        rates = {f: f"{r / 1e6:.3g}Mb/s" for f, r in self.min_rates_bps.items()}
-        return f"MinRate({rates})"
+#: The *incorrect* single-node variant of Section 3.3 runs the same program
+#: on packets instead of transmission opportunities: an arriving packet
+#: that moves its flow back under the minimum jumps ahead of that flow's
+#: earlier packets.  Kept only for the ablation benchmark.
+CollapsedMinRateTransaction = MinRateTransaction
 
 
 def build_min_rate_tree(
@@ -137,17 +71,6 @@ def build_min_rate_tree(
             )
         )
     return ScheduleTree(root, pifo_backend=pifo_backend)
-
-
-class CollapsedMinRateTransaction(MinRateTransaction):
-    """The *incorrect* single-node variant discussed in Section 3.3.
-
-    Ranks individual packets (not transmission opportunities) by
-    under/over-minimum status.  An arriving packet that moves its flow from
-    over to under the minimum rate jumps ahead of that flow's earlier
-    packets, reordering the flow — exactly the failure mode the paper warns
-    about.  Kept only for the ablation benchmark.
-    """
 
 
 def build_collapsed_min_rate_tree(

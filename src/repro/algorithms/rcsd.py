@@ -12,7 +12,10 @@ Two representative members are provided:
   recorded at the previous hop (the difference between the previous hop's
   deadline and the packet's actual departure), restoring the traffic pattern
   the previous hop was supposed to emit; the scheduler is EDF on the packet's
-  per-hop deadline.
+  per-hop deadline.  Both are programs
+  (:data:`repro.lang.programs.JITTER_EDD_SOURCE` and
+  :data:`~repro.lang.programs.PER_HOP_DEADLINE_SOURCE`); an unstamped
+  ``jitter_slack`` or ``delay_bound`` reads 0.
 * **Hierarchical Round Robin** — a framing regulator (one frame per class,
   like Stop-and-Go with per-class frame lengths) with FIFO service among
   eligible packets.
@@ -20,62 +23,28 @@ Two representative members are provided:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping
+from typing import Mapping
 
 from ..core.backend import BackendSpec
 from ..core.packet import Packet
 from ..core.predicates import FlowIn
-from ..core.transaction import (
-    SchedulingTransaction,
-    ShapingTransaction,
-    TransactionContext,
-)
 from ..core.tree import ScheduleTree, TreeNode
+from ..lang.programs import jitter_edd_program, per_hop_deadline_program
 from .fifo import FIFOTransaction
 from .stop_and_go import StopAndGoShapingTransaction
 
 #: Packet field carrying the jitter slack (seconds) recorded upstream.
 JITTER_FIELD = "jitter_slack"
-#: Packet field carrying the per-hop deadline offset (seconds).
-DELAY_BOUND_FIELD = "delay_bound"
 
+#: ``JitterEDDRegulator()``: holds each packet for its recorded jitter
+#: slack, ``jitter_slack = deadline - actual_departure`` written by the
+#: previous hop; packets without the field are eligible immediately.
+JitterEDDRegulator = jitter_edd_program
 
-class JitterEDDRegulator(ShapingTransaction):
-    """Holds each packet for its recorded jitter slack.
-
-    The previous hop writes ``jitter_slack = deadline - actual_departure``
-    into the packet; this regulator makes the packet eligible only after
-    that slack has elapsed, removing the jitter the previous hop introduced.
-    Packets without the field are eligible immediately.
-    """
-
-    state_variables = ()
-
-    def compute_send_time(self, packet: Packet, ctx: TransactionContext) -> float:
-        return ctx.now + max(0.0, packet.get(JITTER_FIELD, 0.0))
-
-    def describe(self) -> str:
-        return "JitterEDD regulator (hold for jitter slack)"
-
-
-class PerHopDeadlineTransaction(SchedulingTransaction):
-    """EDF over per-hop deadlines: deadline = eligibility time + delay bound.
-
-    The packet's ``delay_bound`` field is the local delay bound negotiated
-    for its connection; the rank is an absolute deadline so different bounds
-    interleave correctly.
-    """
-
-    state_variables = ()
-
-    def compute_rank(self, packet: Packet, ctx: TransactionContext):
-        bound = packet.get(DELAY_BOUND_FIELD)
-        if bound is None:
-            bound = 0.0
-        return ctx.now + bound
-
-    def describe(self) -> str:
-        return "Jitter-EDD scheduler (EDF on per-hop deadline)"
+#: ``PerHopDeadlineTransaction()``: EDF over per-hop deadlines, rank =
+#: eligibility time + the packet's ``delay_bound`` (the local bound
+#: negotiated for its connection), so different bounds interleave.
+PerHopDeadlineTransaction = per_hop_deadline_program
 
 
 def build_jitter_edd_tree(

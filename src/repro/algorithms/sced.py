@@ -9,100 +9,21 @@ We implement the widely used **latency-rate** family of service curves,
 ``S(t) = max(0, rate * (t - latency))``, and the standard SCED deadline
 recursion for it: within a flow's busy period deadlines advance by the
 packet's transmission time at the reserved rate, and a new busy period
-restarts the latency offset.
+restarts the latency offset.  The transaction is that recursion as a
+program (:data:`repro.lang.programs.SCED_SOURCE`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Mapping
 
-from ..core.packet import Packet
-from ..core.pifo import Rank
-from ..core.transaction import SchedulingTransaction, TransactionContext
-from ..exceptions import TransactionError
+from ..lang.programs import LatencyRateCurve, sced_program
 
-
-@dataclass(frozen=True)
-class LatencyRateCurve:
-    """A latency-rate service curve ``S(t) = max(0, rate*(t - latency))``.
-
-    Attributes
-    ----------
-    rate_bps:
-        Long-term reserved rate in bits per second.
-    latency_s:
-        Initial latency (seconds) before the reserved rate kicks in.
-    """
-
-    rate_bps: float
-    latency_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.rate_bps <= 0:
-            raise ValueError("rate_bps must be positive")
-        if self.latency_s < 0:
-            raise ValueError("latency_s must be non-negative")
-
-    def service(self, interval_s: float) -> float:
-        """Bits of service guaranteed over an interval of this length."""
-        return max(0.0, self.rate_bps * (interval_s - self.latency_s))
-
-    def transmission_time(self, length_bytes: float) -> float:
-        """Time to serve ``length_bytes`` at the reserved rate."""
-        return (length_bytes * 8.0) / self.rate_bps
-
-
-class SCEDTransaction(SchedulingTransaction):
-    """Scheduling transaction computing SC-EDF deadlines.
-
-    Parameters
-    ----------
-    curves:
-        Mapping from flow identifier to its service curve.
-    default_curve:
-        Curve used for flows without an explicit reservation; ``None`` makes
-        unreserved flows an error.
-    """
-
-    state_variables = ("last_deadline",)
-
-    def __init__(
-        self,
-        curves: Mapping[str, LatencyRateCurve],
-        default_curve: Optional[LatencyRateCurve] = None,
-    ) -> None:
-        self.curves = dict(curves)
-        self.default_curve = default_curve
-        super().__init__()
-
-    def initial_state(self) -> Dict[str, Any]:
-        return {"last_deadline": {}}
-
-    def curve_of(self, flow: str) -> LatencyRateCurve:
-        curve = self.curves.get(flow, self.default_curve)
-        if curve is None:
-            raise TransactionError(f"flow {flow!r} has no service curve")
-        return curve
-
-    def compute_rank(self, packet: Packet, ctx: TransactionContext) -> Rank:
-        flow = ctx.element_flow
-        curve = self.curve_of(flow)
-        last_deadline: Dict[str, float] = self.state["last_deadline"]
-
-        busy = flow in last_deadline and last_deadline[flow] >= ctx.now
-        if busy:
-            start = last_deadline[flow]
-        else:
-            # New busy period: the curve owes nothing for the first
-            # ``latency_s`` seconds.
-            start = ctx.now + curve.latency_s
-        deadline = start + curve.transmission_time(ctx.element_length or packet.length)
-        last_deadline[flow] = deadline
-        return deadline
-
-    def describe(self) -> str:
-        return f"SC-EDF({len(self.curves)} reserved flows)"
+#: ``SCEDTransaction(curves, default_curve=None)``: SC-EDF deadlines from
+#: each flow's :class:`LatencyRateCurve`; flows without one use
+#: ``default_curve``, and with none ranking them raises
+#: :class:`~repro.exceptions.TransactionError`.
+SCEDTransaction = sced_program
 
 
 def admissible(curves: Mapping[str, LatencyRateCurve], link_rate_bps: float) -> bool:

@@ -106,12 +106,9 @@ def warm_kernel_cache(warmup: WarmupSpec) -> Dict[str, int]:
             if label not in scenario.variants:
                 continue
             for lang_backend in (warmup.lang_backends or (None,)):
-                factory = scenario.scheduler_factory(label, lang_backend)
                 for pifo_backend in (warmup.pifo_backends or (None,)):
-                    scheduler = factory("warm", "port0")
-                    if (pifo_backend is not None
-                            and hasattr(scheduler, "use_backend")):
-                        scheduler.use_backend(pifo_backend)
+                    scenario.scheduler_factory(
+                        label, lang_backend, pifo_backend)("warm", "port0")
     return kernel_cache_info()
 
 

@@ -156,7 +156,12 @@ class ProgrammableScheduler:
         tree.owner = self
 
     def use_backend(self, backend: BackendSpec) -> None:
-        """Swap every PIFO in the tree onto ``backend`` (entries migrate)."""
+        """Swap every PIFO in the tree onto ``backend`` (entries migrate).
+
+        A no-op when the tree is on that spec already: the kernel stays.
+        """
+        if backend is not None and backend == self.pifo_backend:
+            return
         self.tree._swap_backend(backend)
         self.pifo_backend = backend
         self._install_kernel()

@@ -45,7 +45,9 @@ Semantics preserved exactly:
   late-bound through ``env.params``);
 * ``flow_attrs`` / ``functions`` dispatch is late-bound through the
   environment, so one compiled function is shared by every transaction
-  instance with the same program shape (see the cache below);
+  instance with the same program shape (see the cache below); a fragment
+  reads them, like the state mapping, once where its host binds the
+  environment (:attr:`Fragment.prologue`);
 * packet-field reads observe earlier writes in the same execution, and the
   :class:`~repro.lang.interpreter.ExecutionResult` contract (``rank``,
   ``send_time``, ``packet_writes``, ``locals``) is identical;
@@ -223,6 +225,9 @@ class FragmentNames:
     send_time: Optional[str] = None
     #: ``(dynamic parameter, expression)`` pairs.
     args: Tuple[Tuple[str, str], ...] = ()
+    #: The program's :class:`ProgramEnvironment`, bound where ``prologue``
+    #: runs.
+    env: str = "env"
 
 
 class Fragment(NamedTuple):
@@ -235,6 +240,10 @@ class Fragment(NamedTuple):
     #: variable)`` pairs of the locals and packet-field writes bound on
     #: every path that reaches it — what the replay hands the interpreter.
     line_map: Dict[int, Tuple[Statement, Tuple, Tuple]]
+    #: Unindented lines binding what ``lines`` reads of ``names.env``
+    #: (state, parameters, accessors, functions): nothing per call, so the
+    #: host runs them once, where the environment is bound.
+    prologue: List[str]
 
 
 #: ``_tx``'s own names: context values hoisted out of ``ctx``, and a prefix
@@ -413,6 +422,8 @@ class _Codegen:
         body_map, self.line_map = self.line_map, {}
 
         self._emit(0, "def _tx(packet, ctx, env):")
+        for line in self._env_reads():
+            self._emit(1, line)
         if self.uses_now:
             self._emit(1, "_now = ctx.now")
         if self.uses_element_flow:
@@ -425,7 +436,7 @@ class _Codegen:
                 # interpreter's "undefined name" error.
                 self._emit(1, f"if {name!r} in env.params:")
                 self._emit(2, f"{_ARG_PREFIX}{name} = env.params[{name!r}]")
-        self._emit_hoists(1)
+        self._emit_packet_fields(1)
         self._emit(1, "_pw = {}")
         self._emit_guarded(1, body_lines, body_map,
                            "_replay(_exc, packet, ctx, env, locals())")
@@ -463,15 +474,15 @@ class _Codegen:
                 f"program cannot be an inline fragment: {self.splice_blocker}"
             )
 
-        self._emit_hoists(0)
+        self._emit_packet_fields(0)
         for name, variable in (("rank", names.rank),
                                ("send_time", names.send_time)):
             if variable is not None and name not in self._written:
                 self._emit(0, f"{variable} = None")
-        replay_env = "env"
+        replay_env = names.env
         if names.args:
             overlay = ", ".join(f"{name}={expr}" for name, expr in names.args)
-            replay_env = f"_with_params(env, {overlay})"
+            replay_env = f"_with_params({names.env}, {overlay})"
         self._emit_guarded(
             0, body_lines, body_map,
             f"_replay(_exc, {names.owner}, {names.packet}, "
@@ -493,25 +504,33 @@ class _Codegen:
         return Fragment(
             self.lines,
             {line - 1: entry for line, entry in self.line_map.items()},
+            self._env_reads(),
         )
 
-    def _emit_hoists(self, indent: int) -> None:
-        """Per-call reads of the environment both targets start with."""
-        prefix = self.names.prefix
+    def _env_reads(self) -> List[str]:
+        """The body's reads of its environment ``names.env``: per call in
+        ``_tx``, whose environment is an argument, and a fragment's
+        prologue."""
+        prefix, env = self.names.prefix, self.names.env
+        lines = []
         if self.uses_state:
-            self._emit(indent, f"{prefix}st = env.state")
+            lines.append(f"{prefix}st = {env}.state")
         if self.uses_dynamic_params:
-            self._emit(indent, f"{prefix}pr = env.params")
-        if self.uses_packet_fields:
-            self._emit(indent, f"{prefix}pf = {self.names.packet}.fields")
+            lines.append(f"{prefix}pr = {env}.params")
         for attr in sorted(self.used_accessors):
-            self._emit(indent,
-                       f"{prefix}fa_{attr} = env.flow_attrs.get({attr!r})")
+            lines.append(f"{prefix}fa_{attr} = {env}.flow_attrs.get({attr!r})")
         for fn in sorted(self.used_functions):
-            override = f"{prefix}f_{fn} = env.functions.get({fn!r})"
+            override = f"{prefix}f_{fn} = {env}.functions.get({fn!r})"
             if fn in _BUILTIN_FUNCTIONS:
                 override += f" or _b_{fn}"
-            self._emit(indent, override)
+            lines.append(override)
+        return lines
+
+    def _emit_packet_fields(self, indent: int) -> None:
+        """The per-call read of the packet's free-form fields."""
+        if self.uses_packet_fields:
+            self._emit(indent,
+                       f"{self.names.prefix}pf = {self.names.packet}.fields")
 
     def _emit_guarded(self, indent: int, body_lines: List[str],
                       body_map: Dict[int, Any], replay_call: str) -> None:

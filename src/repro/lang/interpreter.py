@@ -61,10 +61,15 @@ _PACKET_BUILTIN_FIELDS = {
     "priority": lambda packet, ctx: packet.priority,
 }
 
-#: In-band telemetry a switch stamps for the next hop (Section 3.1; Figure
-#: 6's LSTF reads it).  A packet no hop has stamped yet reads the default,
-#: as an unset header field reads zero.
-_PACKET_FIELD_DEFAULTS = {"prev_wait_time": 0.0}
+#: Header fields a switch or an upstream hop stamps for the next hop: the
+#: previous hops' wait (Section 3.1; Figure 6's LSTF reads it), and Jitter-EDD's
+#: jitter slack and per-hop delay bound (Section 3.4).  A packet nothing has
+#: stamped yet reads the default, as an unset header field reads zero.
+_PACKET_FIELD_DEFAULTS = {
+    "prev_wait_time": 0.0,
+    "jitter_slack": 0.0,
+    "delay_bound": 0.0,
+}
 
 
 @dataclass

@@ -6,17 +6,22 @@ Python-ish and C-ish syntax; the language accepts both styles).  The
 factory functions below compile each program into a ready-to-use
 transaction with the right state, parameters and flow attributes.
 
-This text is the only definition of STFQ, token-bucket shaping, LSTF,
-strict priority and the rank-from-field family: their names in
-:mod:`repro.algorithms` return these compiled programs, which the tree
-kernel splices into its walk.  The same text feeds the Domino-style atom
-analysis (Section 4.1) and ``repro show``.
+This text is the only definition of every algorithm in the catalogue but
+FIFO, arrival sequence (both inlined by the tree kernel) and stop-and-go:
+STFQ, token-bucket shaping, LSTF, minimum-rate guarantees, strict and
+class priority, the rank-from-field family, LAS, SC-EDF and Jitter-EDD's
+regulator and scheduler.  Their names in :mod:`repro.algorithms` return
+these compiled programs, which the tree kernel splices into its walk.  The
+same text feeds the Domino-style atom analysis (Section 4.1) and
+``repro show``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional
 
+from ..exceptions import TransactionError
 from .bridge import (
     CompiledSchedulingTransaction,
     CompiledShapingTransaction,
@@ -86,17 +91,22 @@ p.rank = frame_end_time
 # Figure 8 — minimum rate guarantees                                          #
 # --------------------------------------------------------------------------- #
 MIN_RATE_SOURCE = """
-// Figure 8: scheduling transaction for min. rate guarantees
-// Replenish tokens
-tb = tb + min_rate * (now - last_time);
-if (tb > BURST_SIZE) tb = BURST_SIZE;
-// Check if we have enough tokens
-if (tb > p.size):
+// Figure 8: scheduling transaction for min. rate guarantees, with one
+// token bucket per flow: tb[f] and last_time[f], like STFQ's last_finish[f]
+f = flow(p)
+// Replenish tokens (a flow's first packet finds its bucket full)
+if (f in tb):
+    tb[f] = tb[f] + f.min_rate * (now - last_time[f]);
+    if (tb[f] > BURST_SIZE) tb[f] = BURST_SIZE;
+else:
+    tb[f] = BURST_SIZE;
+// Check if we have enough tokens (a flow with no guarantee never has)
+if (f.min_rate > 0 and tb[f] > p.size):
     p.over_min = 0;  // under min. rate
-    tb = tb - p.size;
+    tb[f] = tb[f] - p.size;
 else:
     p.over_min = 1;  // over min. rate
-last_time = now;
+last_time[f] = now;
 p.rank = p.over_min;
 """
 
@@ -130,13 +140,49 @@ p.rank = p.deadline
 
 LAS_SOURCE = """
 // Least Attained Service, switch-maintained: rank is the service the
-// packet's flow has received so far
+// packet's flow received before it
 f = flow(p)
 if f in attained
     attained[f] = attained[f] + p.length
 else
     attained[f] = p.length
-p.rank = attained[f]
+p.rank = attained[f] - p.length
+"""
+
+# --------------------------------------------------------------------------- #
+# Section 3.4 hierarchies and non-work-conserving schedulers                  #
+# --------------------------------------------------------------------------- #
+CLASS_PRIORITY_SOURCE = """
+// Strict priority across classes (CBQ's root, Section 3.4): the element is
+// a child class, ranked by the priority configured for it
+f = flow(p)
+p.rank = f.priority
+"""
+
+SCED_SOURCE = """
+// Service-Curve EDF over latency-rate curves: within a flow's busy period
+// deadlines advance by p.length at the reserved rate; a new busy period
+// starts f.latency after now
+f = flow(p)
+if (f in last_deadline and last_deadline[f] >= now):
+    start = last_deadline[f]
+else:
+    start = now + f.latency
+last_deadline[f] = start + p.length * 8 / f.rate
+p.rank = last_deadline[f]
+"""
+
+JITTER_EDD_SOURCE = """
+// RCSD / Jitter-EDD regulator: hold each packet for the jitter slack the
+// previous hop recorded (0 when no hop did)
+p.send_time = now + max(0.0, p.jitter_slack)
+p.rank = p.send_time
+"""
+
+PER_HOP_DEADLINE_SOURCE = """
+// RCSD / Jitter-EDD scheduler: EDF on the per-hop deadline, eligibility
+// time plus the connection's local delay bound (0 when unset)
+p.rank = now + p.delay_bound
 """
 
 #: All named program sources, for the CLI and for sweep-style tests.
@@ -152,6 +198,10 @@ PROGRAM_SOURCES: Dict[str, str] = {
     "srpt": SRPT_SOURCE,
     "edf": EDF_SOURCE,
     "las": LAS_SOURCE,
+    "class_priority": CLASS_PRIORITY_SOURCE,
+    "sced": SCED_SOURCE,
+    "jitter_edd": JITTER_EDD_SOURCE,
+    "per_hop_deadline": PER_HOP_DEADLINE_SOURCE,
 }
 
 #: State-variable declarations each program needs (names and initial values).
@@ -160,17 +210,21 @@ PROGRAM_STATE: Dict[str, Dict[str, object]] = {
     "token_bucket": {"tokens": 0.0, "last_time": 0.0},
     "lstf": {},
     "stop_and_go": {"frame_begin_time": 0.0, "frame_end_time": 0.0},
-    "min_rate": {"tb": 0.0, "last_time": 0.0},
+    "min_rate": {"tb": {}, "last_time": {}},
     "fifo": {},
     "strict_priority": {},
     "sjf": {},
     "srpt": {},
     "edf": {},
     "las": {"attained": {}},
+    "class_priority": {},
+    "sced": {"last_deadline": {}},
+    "jitter_edd": {},
+    "per_hop_deadline": {},
 }
 
 #: Which programs are shaping transactions (the rest are scheduling).
-SHAPING_PROGRAMS = frozenset({"token_bucket", "stop_and_go"})
+SHAPING_PROGRAMS = frozenset({"token_bucket", "stop_and_go", "jitter_edd"})
 
 
 # --------------------------------------------------------------------------- #
@@ -278,26 +332,37 @@ def stop_and_go_program(
 
 
 def min_rate_program(
-    min_rate_bytes_per_s: float,
-    burst_bytes: float,
-    start_full: bool = True,
+    min_rates_bps: Mapping[str, float],
+    burst_bytes: float = 15000.0,
+    default_rate_bps: float = 0.0,
     backend: Optional[str] = None,
 ) -> CompiledSchedulingTransaction:
-    """Figure 8's minimum-rate-guarantee program for the root of the 2-level
-    tree described in Section 3.3."""
-    if min_rate_bytes_per_s <= 0:
-        raise ValueError("min_rate_bytes_per_s must be positive")
+    """Figure 8's minimum-rate-guarantee program, one bucket per flow.
+
+    ``min_rates_bps`` maps a flow (or leaf-node name) to its guaranteed
+    rate in bits per second, ``f.min_rate`` in the program's bytes per
+    second; other flows get ``default_rate_bps`` (zero: best effort, always
+    over the minimum).  ``burst_bytes`` is every bucket's ``BURST_SIZE``.
+    At the root of Section 3.3's two-level tree the program ranks each
+    flow's transmission opportunities; on a single node it ranks packets
+    (the collapsed tree).
+    """
     if burst_bytes <= 0:
         raise ValueError("burst_bytes must be positive")
-    state = dict(PROGRAM_STATE["min_rate"])
-    state["tb"] = float(burst_bytes) if start_full else 0.0
+    if default_rate_bps < 0 or any(rate < 0 for rate in min_rates_bps.values()):
+        raise ValueError("minimum rates must be non-negative")
+    # In bytes per second, converted once: the accessor runs per packet.
+    rate_table = {flow: rate / 8.0 for flow, rate in min_rates_bps.items()}
+    default_rate = default_rate_bps / 8.0
+
+    def min_rate_of(flow: object) -> float:
+        return rate_table.get(flow, default_rate)
+
     return compile_scheduling_program(
         MIN_RATE_SOURCE,
-        state=state,
-        params={
-            "min_rate": float(min_rate_bytes_per_s),
-            "BURST_SIZE": float(burst_bytes),
-        },
+        state=PROGRAM_STATE["min_rate"],
+        params={"BURST_SIZE": float(burst_bytes)},
+        flow_attrs={"min_rate": min_rate_of},
         name="min_rate",
         backend=backend,
     )
@@ -336,7 +401,109 @@ def fine_grained_program(
 def las_program(backend: Optional[str] = None) -> CompiledSchedulingTransaction:
     """Least Attained Service with switch-maintained per-flow counters."""
     return compile_scheduling_program(
-        LAS_SOURCE, state=dict(PROGRAM_STATE["las"]), name="las", backend=backend
+        LAS_SOURCE, state=PROGRAM_STATE["las"], name="las", backend=backend
+    )
+
+
+def class_priority_program(
+    class_priorities: Mapping[str, int],
+    default_priority: Optional[int] = None,
+    backend: Optional[str] = None,
+) -> CompiledSchedulingTransaction:
+    """Strict priority across classes, looked up by the element's flow.
+
+    At the root of a hierarchy the element is a child reference, whose flow
+    is the child's name.  A class absent from ``class_priorities`` gets
+    ``default_priority``; without one, ranking it raises ``KeyError``.
+    """
+    priority_table = dict(class_priorities)
+
+    def priority_of(name: object) -> int:
+        if name in priority_table:
+            return priority_table[name]
+        if default_priority is not None:
+            return default_priority
+        raise KeyError(f"no priority configured for class {name!r}")
+
+    return compile_scheduling_program(
+        CLASS_PRIORITY_SOURCE,
+        flow_attrs={"priority": priority_of},
+        name="class_priority",
+        backend=backend,
+    )
+
+
+@dataclass(frozen=True)
+class LatencyRateCurve:
+    """A latency-rate service curve ``S(t) = max(0, rate*(t - latency))``.
+
+    Attributes
+    ----------
+    rate_bps:
+        Long-term reserved rate in bits per second.
+    latency_s:
+        Initial latency (seconds) before the reserved rate kicks in.
+    """
+
+    rate_bps: float
+    latency_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.rate_bps <= 0:
+            raise ValueError("rate_bps must be positive")
+        if self.latency_s < 0:
+            raise ValueError("latency_s must be non-negative")
+
+    def service(self, interval_s: float) -> float:
+        """Bits of service guaranteed over an interval of this length."""
+        return max(0.0, self.rate_bps * (interval_s - self.latency_s))
+
+    def transmission_time(self, length_bytes: float) -> float:
+        """Time to serve ``length_bytes`` at the reserved rate."""
+        return (length_bytes * 8.0) / self.rate_bps
+
+
+def sced_program(
+    curves: Mapping[str, LatencyRateCurve],
+    default_curve: Optional[LatencyRateCurve] = None,
+    backend: Optional[str] = None,
+) -> CompiledSchedulingTransaction:
+    """SC-EDF over each flow's latency-rate service curve.
+
+    Flows without an entry in ``curves`` get ``default_curve``; with none,
+    ranking them raises :class:`~repro.exceptions.TransactionError`.
+    """
+    curve_table = dict(curves)
+
+    def curve_of(flow: object) -> LatencyRateCurve:
+        curve = curve_table.get(flow, default_curve)
+        if curve is None:
+            raise TransactionError(f"flow {flow!r} has no service curve")
+        return curve
+
+    return compile_scheduling_program(
+        SCED_SOURCE,
+        state=PROGRAM_STATE["sced"],
+        flow_attrs={"rate": lambda flow: curve_of(flow).rate_bps,
+                    "latency": lambda flow: curve_of(flow).latency_s},
+        name="sced",
+        backend=backend,
+    )
+
+
+def jitter_edd_program(backend: Optional[str] = None) -> CompiledShapingTransaction:
+    """Jitter-EDD's regulator: release after the recorded jitter slack."""
+    return compile_shaping_program(
+        JITTER_EDD_SOURCE, name="jitter_edd", backend=backend
+    )
+
+
+def per_hop_deadline_program(
+    backend: Optional[str] = None,
+) -> CompiledSchedulingTransaction:
+    """Jitter-EDD's scheduler: rank = now + the packet's delay bound."""
+    return compile_scheduling_program(
+        PER_HOP_DEADLINE_SOURCE, name="per_hop_deadline", backend=backend
     )
 
 
@@ -350,7 +517,7 @@ DEFAULT_FACTORIES: Dict[str, Callable[[], object]] = {
     "lstf": lstf_program,
     "stop_and_go": lambda: stop_and_go_program(frame_length=1e-3),
     "min_rate": lambda: min_rate_program(
-        min_rate_bytes_per_s=1.25e6, burst_bytes=3000.0
+        {}, burst_bytes=3000.0, default_rate_bps=1e7
     ),
     "fifo": fifo_program,
     "strict_priority": strict_priority_program,
@@ -358,4 +525,8 @@ DEFAULT_FACTORIES: Dict[str, Callable[[], object]] = {
     "srpt": lambda: fine_grained_program("remaining_size"),
     "edf": lambda: fine_grained_program("deadline"),
     "las": las_program,
+    "class_priority": lambda: class_priority_program({}, default_priority=0),
+    "sced": lambda: sced_program({}, default_curve=LatencyRateCurve(1e7)),
+    "jitter_edd": jitter_edd_program,
+    "per_hop_deadline": per_hop_deadline_program,
 }

@@ -331,6 +331,8 @@ class _Emitter:
         #: Kernel-file line -> the spliced statement it runs and the
         #: variables bound there (``Fragment.line_map`` entries).
         self.line_table: Dict[int, Tuple] = {}
+        #: The spliced fragments' prologues, each line once: factory cells.
+        self.cells: List[str] = []
 
     def w(self, indent: int, text: str) -> None:
         self.lines.append("    " * indent + text)
@@ -341,6 +343,15 @@ class _Emitter:
             self.line_table[first + index] = entry
         for line in fragment.lines:
             self.w(indent, line)
+        self.cells.extend(line for line in fragment.prologue
+                          if line not in self.cells)
+
+    def place_cells(self, at: int) -> None:
+        """Insert the cells into the factory before line index ``at``."""
+        self.lines[at:at] = ["    " + line for line in self.cells]
+        shift = len(self.cells)
+        self.line_table = {line + shift if line > at else line: entry
+                           for line, entry in self.line_table.items()}
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -396,10 +407,10 @@ def _emit_rank(em: _Emitter, ind: int, i: int, sig: _NodeSig, flow: str,
         )
         em.w(ind, f"tx{i}.executions += 1")
         if _spliced(sig):
-            em.w(ind, f"env = e{i}")
             em.splice(ind, tx._compiled.fragment(FragmentNames(
                 prefix=f"r{i}_", owner=f"tx{i}._compiled",
-                flow=_or_packet_flow(em, ind, flow), rank="rank")))
+                flow=_or_packet_flow(em, ind, flow), rank="rank",
+                env=f"e{i}")))
         else:
             em.w(ind, f"res = x{i}(packet, ectx, e{i})")
             em.w(ind, "for fname, value in res.packet_writes.items():")
@@ -424,11 +435,10 @@ def _emit_send_time(em: _Emitter, ind: int, i: int, sig: _NodeSig,
         "p.send_time or p.rank"
     )
     em.w(ind, f"sh{i}.executions += 1")
-    em.w(ind, f"env = se{i}")
     em.splice(ind, shaping._compiled.fragment(FragmentNames(
         prefix=f"t{i}_", owner=f"sh{i}._compiled",
         flow=_or_packet_flow(em, ind, flow),
-        rank="rank", send_time="send_time")))
+        rank="rank", send_time="send_time", env=f"se{i}")))
     em.w(ind, "if send_time is None:")
     em.w(ind + 1, "send_time = rank")
     em.w(ind + 1, "if send_time is None:")
@@ -571,11 +581,10 @@ def _emit_hook(em: _Emitter, ind: int, i: int, sig: _NodeSig, tx,
             # The program reads nothing of the element (so a reference,
             # which has no packet, can run it): the same code for all.
             packet, flow, length = "None", "None", "0"
-        em.w(ind, f"env = de{i}")
         em.splice(ind, tx._dequeue_compiled.fragment(FragmentNames(
             prefix=f"d{i}_", owner=f"tx{i}._dequeue_compiled",
             packet=packet, now="now", flow=flow, length=length,
-            args=(("dequeued_rank", rank),))))
+            args=(("dequeued_rank", rank),), env=f"de{i}")))
         return
     em.w(ind, "dctx.now = now")
     em.w(ind, f"dctx.node = {sig.name!r}")
@@ -696,6 +705,9 @@ def _generate(signature: Tuple[_NodeSig, ...],
         path = [i] + ancestors(i)
         if any(j in shaped for j in path):
             w(1, f"path{i} = [{', '.join(f'n{j}' for j in path)}]")
+    # What the spliced programs read of their environments goes here, once
+    # per scheduler, when the walks below have been emitted.
+    cells_at = len(em.lines)
 
     def emit_walk(ind: int, chain: List[int], element: str, flow: str,
                   path: str, index: str = "") -> None:
@@ -976,6 +988,7 @@ def _generate(signature: Tuple[_NodeSig, ...],
     w(2, "return None")
 
     w(1, "return enqueue, dequeue, transfer, next_release")
+    em.place_cells(cells_at)
     return em.text(), em.line_table
 
 

@@ -22,6 +22,7 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from ..core.backend import BackendSpec
 from ..core.packet import Packet
 from ..core.seeds import derive_seed
 from ..exceptions import ConservationError, TrafficError
@@ -239,12 +240,15 @@ def _pin_tree_kernel(factory: SchedulerFactory) -> SchedulerFactory:
     return pinned
 
 
-#: One scheduler variant: ``lang_backend -> (switch, port) -> scheduler``.
+#: One scheduler variant:
+#: ``(lang_backend, pifo_backend) -> (switch, port) -> scheduler``.
 #: The outer call fixes the transaction-language execution backend
 #: (``"compiled"`` / ``"interpreted"``; ``None`` is the default compiled
 #: program), so sweeping engines can compare both backends of the *same*
-#: program on the identical workload.
-VariantBuilder = Callable[[Optional[str]], SchedulerFactory]
+#: program on the identical workload, and the PIFO backend the schedulers
+#: are built on (``None``: the default), so each port installs its tree
+#: kernel once.
+VariantBuilder = Callable[[Optional[str], BackendSpec], SchedulerFactory]
 
 
 @dataclass
@@ -272,7 +276,8 @@ class Scenario:
     notes: str = ""
 
     def scheduler_factory(self, label: str,
-                          lang_backend: Optional[str] = None) -> SchedulerFactory:
+                          lang_backend: Optional[str] = None,
+                          pifo_backend: BackendSpec = None) -> SchedulerFactory:
         """Resolve one variant label to a per-port scheduler factory."""
         if label not in self.variants:
             known = ", ".join(self.variants)
@@ -280,7 +285,7 @@ class Scenario:
                 f"unknown variant {label!r} of scenario {self.name!r}; "
                 f"known variants: {known}"
             )
-        return self.variants[label](lang_backend)
+        return self.variants[label](lang_backend, pifo_backend)
 
     def run(self, quick: bool = False, pifo_backend=None,
             variant: Optional[str] = None,
@@ -334,7 +339,7 @@ class Scenario:
         selected = ([variant] if variant is not None else list(self.variants))
         results: Dict[str, ScenarioResult] = {}
         for label in selected:
-            factory = self.scheduler_factory(label, lang_backend)
+            factory = self.scheduler_factory(label, lang_backend, pifo_backend)
             if not tree_kernel:
                 factory = _pin_tree_kernel(factory)
             sim = Simulator()

@@ -36,10 +36,11 @@ def _single_node(make_transaction) -> VariantBuilder:
     """A variant running ``make_transaction(lang_backend)`` as a one-node
     tree on every switch port."""
 
-    def for_backend(lang_backend):
+    def for_backend(lang_backend, pifo_backend):
         def factory(switch: str, port: str) -> ProgrammableScheduler:
             return ProgrammableScheduler(
-                single_node_tree(make_transaction(lang_backend)))
+                single_node_tree(make_transaction(lang_backend)),
+                pifo_backend=pifo_backend)
 
         return factory
 

@@ -163,7 +163,9 @@ def flow_arrivals(
 
     * ``flow_size`` — total size of the flow in bytes (SJF),
     * ``remaining_size`` — bytes left including this packet (SRPT),
-    * ``attained_service`` — bytes already sent before this packet (LAS).
+    * ``attained_service`` — bytes already sent before this packet (LAS
+      ranked by the host, ``FieldRankTransaction("attained_service")``;
+      the switch's LAS counter matches it where it sees every packet).
     """
     if load_bps <= 0 or duration <= 0:
         return

@@ -101,7 +101,8 @@ class TestLAS:
         assert order.index("mouse") == 1
 
     def test_tagged_attained_service_is_honoured(self):
-        txn = LeastAttainedServiceTransaction()
+        """LAS counts in the switch; a host tag is read by the field rank."""
         ctx = TransactionContext(element_flow="A", element_length=1000)
-        rank = txn(pkt(flow="A", attained_service=5000), ctx)
-        assert rank == 5000
+        tagged = pkt(flow="A", attained_service=5000)
+        assert FieldRankTransaction("attained_service")(tagged, ctx) == 5000
+        assert LeastAttainedServiceTransaction()(tagged, ctx) == 0

@@ -162,3 +162,5 @@ class TestWarmup:
         clear_kernel_cache()
         info = warm_kernel_cache(WarmupSpec.for_campaign(small_campaign()))
         assert info["size"] > 0
+        # One scheduler per (variant, PIFO backend), built on that backend.
+        assert info["installs"] == 2 * 2

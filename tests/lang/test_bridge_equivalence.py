@@ -1,13 +1,12 @@
 """Compiled programs must implement the paper's figures.
 
-STFQ, token-bucket shaping, LSTF and the rank-from-field family are defined
-once, as program text in :mod:`repro.lang.programs`; their names in
-:mod:`repro.algorithms` return those programs.  These tests restate each
+Every catalogue entry but FIFO, arrival sequence and stop-and-go is
+defined once, as program text in :mod:`repro.lang.programs`; its name in
+:mod:`repro.algorithms` returns that program.  These tests restate each
 figure's arithmetic in a few lines of plain Python, drive the program with
 identical packet sequences (including hypothesis-generated ones) and
-require identical ranks, send times and departure orders.  Stop-and-go and
-minimum-rate guarantees still have a native class, which the program is
-compared against.
+require identical ranks, send times and departure orders.  Stop-and-go
+still has a native class, which the program is compared against.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.core import Packet, ProgrammableScheduler, TransactionContext, single_node_tree
 from repro.algorithms import (
-    MinRateTransaction,
     SRPTTransaction,
     StopAndGoShapingTransaction,
 )
@@ -64,6 +62,26 @@ def token_bucket_reference(arrivals, rate, burst):
         tokens -= length
         last_time = now
     return send_times, (tokens, last_time)
+
+
+def min_rate_reference(arrivals, rates, burst):
+    """Figure 8 by hand, one bucket per flow: the ranks of ``(flow, length,
+    now)`` arrivals; a flow without a positive rate is always over."""
+    buckets, ranks = {}, []
+    for flow, length, now in arrivals:
+        rate = rates.get(flow, 0.0)
+        if rate <= 0:
+            ranks.append(1)
+            continue
+        tokens, last_time = buckets.get(flow, (burst, 0.0))
+        tokens = min(tokens + rate * (now - last_time), burst)
+        if tokens > length:
+            ranks.append(0)
+            tokens -= length
+        else:
+            ranks.append(1)
+        buckets[flow] = (tokens, now)
+    return ranks
 
 
 # --------------------------------------------------------------------------- #
@@ -280,25 +298,33 @@ class TestMinRateEquivalence:
     RATE_BPS = 8e6  # 1 MB/s
     BURST = 3000.0
 
-    def test_single_flow_priority_flips_match(self):
-        hand = MinRateTransaction(min_rates_bps={"g": self.RATE_BPS},
-                                  burst_bytes=self.BURST)
-        compiled = min_rate_program(
-            min_rate_bytes_per_s=self.RATE_BPS / 8.0, burst_bytes=self.BURST
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("abc"),
+                st.integers(min_value=64, max_value=1500),
+                st.floats(min_value=0.0, max_value=0.005, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=40,
         )
-        # Back-to-back packets exhaust the bucket (rank flips 0 -> 1); a long
-        # idle period refills it (rank returns to 0).
-        schedule = [0.0, 0.0001, 0.0002, 0.0003, 0.0004, 0.0005, 0.5, 0.5001]
-        hand_ranks, prog_ranks = [], []
-        for now in schedule:
-            packet = Packet(flow="g", length=1500)
-            hand_ranks.append(hand(packet, make_ctx("g", 1500, now)))
-            prog_ranks.append(compiled(packet, make_ctx("g", 1500, now)))
-        assert prog_ranks == hand_ranks
-        assert 0 in prog_ranks and 1 in prog_ranks
+    )
+    def test_per_flow_priority_flips_match_reference(self, arrivals):
+        rates = {"a": self.RATE_BPS, "b": self.RATE_BPS / 10.0}
+        compiled = min_rate_program(rates, burst_bytes=self.BURST)
+        timed, now = [], 0.0
+        for flow, length, gap in arrivals:
+            now += gap
+            timed.append((flow, length, now))
+        ranks = [compiled(Packet(flow=flow, length=length),
+                          make_ctx(flow, length, now))
+                 for flow, length, now in timed]
+        bytes_per_s = {flow: rate / 8.0 for flow, rate in rates.items()}
+        assert ranks == min_rate_reference(timed, bytes_per_s, self.BURST)
 
     def test_ranks_are_binary(self):
-        compiled = min_rate_program(min_rate_bytes_per_s=1e6, burst_bytes=3000.0)
+        compiled = min_rate_program({"g": 8e6}, burst_bytes=3000.0)
         for i in range(50):
             packet = Packet(flow="g", length=1500)
             rank = compiled(packet, make_ctx("g", 1500, i * 1e-4))

@@ -56,19 +56,25 @@ from repro.lang.programs import (
 PROGRAM_PARAMS = {
     "token_bucket": {"r": 1.25e6, "B": 3000.0},
     "stop_and_go": {"T": 1e-3},
-    "min_rate": {"min_rate": 1.25e6, "BURST_SIZE": 3000.0},
+    "min_rate": {"BURST_SIZE": 3000.0},
 }
 
 #: Flow-attribute accessors each program needs.
 PROGRAM_FLOW_ATTRS = {
     "stfq": {"weight": lambda flow: {"a": 1.0, "b": 2.0, "c": 0.5}.get(flow, 1.0)},
+    # Flow "b" has no guarantee: always over the minimum.
+    "min_rate": {"min_rate": lambda flow: {"a": 1.25e6, "b": 0.0}.get(flow, 1e5)},
+    "class_priority": {"priority": lambda flow: {"a": 0, "b": 1}.get(flow, 2)},
+    "sced": {"rate": lambda flow: {"a": 8e6, "b": 1e6}.get(flow, 1e7),
+             "latency": lambda flow: {"a": 1e-3}.get(flow, 0.0)},
 }
 
 ALL_PROGRAMS = sorted(PROGRAM_SOURCES)
 
 #: Every metadata field any bundled program reads, so the "rich packet"
 #: strategy exercises success paths for all of them.
-RICH_FIELDS = ("slack", "prev_wait_time", "flow_size", "remaining_size", "deadline")
+RICH_FIELDS = ("slack", "prev_wait_time", "flow_size", "remaining_size", "deadline",
+               "jitter_slack", "delay_bound")
 
 
 def arrivals_strategy(rich: bool):

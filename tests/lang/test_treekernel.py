@@ -32,10 +32,19 @@ from hypothesis import strategies as st
 
 from repro.algorithms import (
     ArrivalSequenceTransaction,
+    CBQClass,
+    ClassPriorityTransaction,
+    CollapsedMinRateTransaction,
     EarliestDeadlineFirstTransaction,
     FieldRankTransaction,
     FIFOTransaction,
+    JitterEDDRegulator,
+    LatencyRateCurve,
+    LeastAttainedServiceTransaction,
     LSTFTransaction,
+    MinRateTransaction,
+    PerHopDeadlineTransaction,
+    SCEDTransaction,
     ShortestJobFirstTransaction,
     SRPTTransaction,
     STFQTransaction,
@@ -43,10 +52,13 @@ from repro.algorithms import (
     StrictPriorityTransaction,
     TokenBucketShapingTransaction,
     WFQTransaction,
+    build_cbq_tree,
+    build_collapsed_min_rate_tree,
     build_fig3_tree,
     build_fig4_tree,
     build_hierarchical_round_robin_tree,
     build_jitter_edd_tree,
+    build_min_rate_tree,
     hierarchy_flows,
 )
 from repro.core import (
@@ -971,6 +983,17 @@ PAPER_CATALOGUE = {
     "SRPTTransaction": SRPTTransaction,
     "EarliestDeadlineFirstTransaction": EarliestDeadlineFirstTransaction,
     "LSTFTransaction": LSTFTransaction,
+    "MinRateTransaction": lambda: MinRateTransaction({"a": 8e6}),
+    "CollapsedMinRateTransaction": lambda: CollapsedMinRateTransaction(
+        {"a": 8e6, "b": 1e6}, burst_bytes=1500),
+    "LeastAttainedServiceTransaction": LeastAttainedServiceTransaction,
+    "ClassPriorityTransaction": lambda: ClassPriorityTransaction(
+        {"a": 1, "b": 0}),
+    "SCEDTransaction": lambda: SCEDTransaction(
+        {"a": LatencyRateCurve(8e6)},
+        default_curve=LatencyRateCurve(1e6, latency_s=1e-3)),
+    "PerHopDeadlineTransaction": PerHopDeadlineTransaction,
+    "JitterEDDRegulator": JitterEDDRegulator,
 }
 
 
@@ -983,14 +1006,43 @@ def _catalogue_packet(index):
 @pytest.mark.parametrize("name", sorted(PAPER_CATALOGUE))
 def test_the_paper_catalogue_is_spliced(name):
     """Each listed algorithm is its program text, spliced into the kernel:
-    no fallback, nothing called per packet."""
-    scheduler = ProgrammableScheduler(single_node_tree(PAPER_CATALOGUE[name]()))
+    no fallback, nothing called per packet.  A shaping program shapes the
+    child of a FIFO root."""
+    transaction = PAPER_CATALOGUE[name]()
+    shaping = transaction.kind == "shaping"
+    if shaping:
+        root = TreeNode(name="root", scheduling=FIFOTransaction())
+        root.add_child(TreeNode(name="shaped", scheduling=FIFOTransaction(),
+                                shaping=transaction))
+        tree = ScheduleTree(root)
+    else:
+        tree = single_node_tree(transaction)
+    scheduler = ProgrammableScheduler(tree)
     assert scheduler.tree_kernel.called_programs == ()
-    (node,) = scheduler.tree_kernel.signature
-    assert node.tx[0] == "lang" and node.tx[2] is True, node.tx
+    node = scheduler.tree_kernel.signature[-1]
+    if shaping:
+        assert node.shaping[0] == "splice", node.shaping
+    else:
+        assert node.tx[0] == "lang" and node.tx[2] is True, node.tx
     for index in range(6):
         assert scheduler.enqueue(_catalogue_packet(index), now=0.0)
     assert len(_drain(scheduler)) == 6
+
+
+def test_environment_reads_are_factory_cells():
+    """A spliced program reads its environment (state mapping, accessors,
+    functions) once per scheduler, in the factory: the per-packet closures
+    read none of it."""
+    scheduler = ProgrammableScheduler(build_fig4_tree_from_programs())
+    factory, closures = scheduler.tree_kernel.source.split(
+        "    def enqueue(", 1)
+    for cell in (r"r\d+_st = e\d+\.state",
+                 r"r\d+_fa_weight = e\d+\.flow_attrs\.get\('weight'\)",
+                 r"t\d+_f_min = se\d+\.functions\.get\('min'\) or _b_min",
+                 r"d\d+_st = de\d+\.state"):
+        assert re.search(rf"^    {cell}$", factory, re.M), cell
+    assert not re.search(r"\benv\b|\.(state|flow_attrs|functions)\b",
+                         closures)
 
 
 def test_token_bucket_shaping_is_spliced():
@@ -1008,7 +1060,8 @@ def test_nothing_shipped_falls_back():
     program it ships compiled is spliced into it.
 
     Every builder exported by :mod:`repro.lang.trees` (both lang back
-    ends), every shaped builder in :mod:`repro.algorithms`, every variant
+    ends), every shaped builder in :mod:`repro.algorithms` and its CBQ and
+    minimum-rate trees (both shapes), every variant
     of every registered scenario on every lang back end, and every
     program in :mod:`repro.lang.programs` on a tree of its own.
     """
@@ -1030,6 +1083,12 @@ def test_nothing_shipped_falls_back():
             {"gold": {"a": 1.0, "b": 2.0}, "bronze": {"c": 1.0}},
             {"gold": 3.0, "bronze": 1.0}, {"bronze": 5e6}),
         "build_jitter_edd_tree": lambda: build_jitter_edd_tree({"a": 1e-3}),
+        "build_cbq_tree": lambda: build_cbq_tree(
+            [CBQClass("hi", 0, {"a": 1.0}), CBQClass("lo", 1, {"b": 1.0})]),
+        "build_min_rate_tree": lambda: build_min_rate_tree(
+            ["a", "b"], {"a": 8e6}),
+        "build_collapsed_min_rate_tree": lambda:
+            build_collapsed_min_rate_tree({"a": 8e6}),
         "build_hierarchical_round_robin_tree": lambda:
             build_hierarchical_round_robin_tree(
                 {"c": {"a": 1.0}}, {"c": 1e-3}),

@@ -17,6 +17,7 @@ import pytest
 from repro.algorithms import FIFOTransaction
 from repro.core import Packet, ProgrammableScheduler, single_node_tree
 from repro.exceptions import TrafficError
+from repro.lang.treekernel import clear_kernel_cache, kernel_cache_info
 from repro.net import Demand, Scenario, get_scenario, linear_chain, list_scenarios
 from repro.net.scenarios import URGENT_SLACK
 
@@ -25,7 +26,7 @@ def fifo_factory(switch, port):
     return ProgrammableScheduler(single_node_tree(FIFOTransaction()))
 
 
-def fifo_variant(lang_backend):
+def fifo_variant(lang_backend, pifo_backend):
     """A scenario variant: every lang back end runs native FIFO."""
     return fifo_factory
 
@@ -80,6 +81,18 @@ class TestScenarioEngine:
         scenario = get_scenario("fig6_chain")
         results = scenario.run(quick=True, variant="LSTF")
         assert list(results) == ["LSTF"]
+
+    @pytest.mark.parametrize("backend", [None, "calendar", "quantized"])
+    def test_each_port_installs_its_kernel_once(self, backend):
+        """Schedulers are built on the requested PIFO backend: one kernel
+        install per port (switch egress and host NIC), none thrown away."""
+        ports = []
+        clear_kernel_cache()
+        get_scenario("fig6_chain").run(
+            quick=True, variant="LSTF", pifo_backend=backend,
+            trace_hook=lambda fabric: ports.append(sum(
+                len(switch.ports) for switch in fabric.node_switches.values())))
+        assert kernel_cache_info()["installs"] == ports[0] > 0
 
     def test_unknown_variant_raises(self):
         with pytest.raises(KeyError, match="unknown variant"):

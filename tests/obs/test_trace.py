@@ -31,7 +31,7 @@ def fifo_factory(switch, port):
     return ProgrammableScheduler(single_node_tree(FIFOTransaction()))
 
 
-def fifo_variant(lang_backend):
+def fifo_variant(lang_backend, pifo_backend):
     """A scenario variant: every lang back end runs native FIFO."""
     return fifo_factory
 
